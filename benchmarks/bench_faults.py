@@ -1,25 +1,13 @@
-"""PR-9 — the price of self-healing, and what crash-safe state buys.
+"""PR-9 — what crash-safe state buys.
 
-Two gates for the fault-tolerance layer:
-
-1. **Supervision overhead ≤ 5 % fault-free.**  The supervisor's costs
-   (parent-side mirror maintenance on every broadcast, per-solve
-   in-flight bookkeeping, the collector's liveness sweep) are paid on
-   every request, faults or not.  A/B the identical workload through
-   one shared :class:`~repro.exec.PersistentWorkerPool` with
-   ``supervise=True`` vs ``supervise=False`` (the PR-6 fail-fast
-   semantics): best-of-N supervised time must stay within 5 % of
-   unsupervised, plus a small absolute epsilon so a sub-second arm is
-   not gated on scheduler jitter.
-
-2. **Warm recovery ≥ 2× vs cold replay on an 8-tenant daemon.**  A
-   crash-safe daemon's snapshot persists the *solution cache* alongside
-   the sessions, so restarting from a snapshot costs session restores
-   plus cache hits — while a stateless daemon's crash forces every
-   client to resubmit its whole workload and re-solve it.  Recovery
-   (restart + one repair per tenant) must beat the cold replay by ≥ 2×,
-   with per-tenant results byte-identical across the original run, the
-   recovered daemon, and the cold replay.
+**Warm recovery ≥ 2× vs cold replay on an 8-tenant daemon.**  A
+crash-safe daemon's snapshot persists the *solution cache* alongside
+the sessions, so restarting from a snapshot costs session restores
+plus cache hits — while a stateless daemon's crash forces every client
+to resubmit its whole workload and re-solve it.  Recovery (restart +
+one repair per tenant) must beat the cold replay by ≥ 2×, with
+per-tenant results byte-identical across the original run, the
+recovered daemon, and the cold replay.
 
 Results land in ``BENCH_faults.json``; the recovery ``speedup`` rides
 the CI >30 % regression gate.
@@ -27,29 +15,17 @@ the CI >30 % regression gate.
 
 import time
 
-import pytest
-
-from repro.core.fd import FDSet
-from repro.core.table import Table
-from repro.exec import PersistentWorkerPool
 from repro.io.tables import table_to_csv
 from repro.server import ServerConfig, SessionManager
-from repro.session import RepairSession
 
-from conftest import measure_best, print_table, record_bench
+from conftest import print_table, record_bench
 
 SCHEMA = ("A", "B", "C")
-
-#: Hard Δ: components above the conflict clusters solve via exact
-#: branch & bound — real per-component work, so both gates measure the
-#: fault-tolerance machinery against realistic solving, not bookkeeping.
-HARD = FDSet("A -> B; B -> C")
 
 CLUSTERS = 6
 CLUSTER_SIZE = 40
 BATCHES = 4
 
-OVERHEAD_SESSIONS = 2   # sessions per timed pass of the overhead A/B
 RECOVERY_TENANTS = 8    # the warm daemon the recovery gate restarts
 
 
@@ -71,77 +47,6 @@ def _cluster_batches():
             ))
     per = (len(rows) + BATCHES - 1) // BATCHES
     return [rows[i : i + per] for i in range(0, len(rows), per)]
-
-
-def test_supervision_overhead_under_5_percent(benchmark):
-    """Fault-free A/B: the self-healing machinery may cost at most 5 %
-    over the PR-6 fail-fast pool on the identical workload."""
-    batches = _cluster_batches()
-
-    def _drive(pool):
-        """OVERHEAD_SESSIONS sessions over the shared pool: attach,
-        broadcast deltas, repair (private caches → every component
-        solves on the pool), detach."""
-        outputs = []
-        for _ in range(OVERHEAD_SESSIONS):
-            session = RepairSession(Table(SCHEMA, {}), HARD, pool=pool)
-            for batch in batches:
-                session.append(batch, repair=False)
-            result = session.repair()
-            outputs.append(table_to_csv(result.cleaned))
-            session.close()
-        return outputs
-
-    def _arm(supervise):
-        pool = PersistentWorkerPool(2, supervise=supervise)
-        if not pool.start():
-            pool.close()
-            pytest.skip("platform cannot start worker processes")
-        try:
-            # Pool spawn stays untimed — it is identical across arms;
-            # the arms differ only in per-request supervision costs.
-            outputs, best_s, runs = measure_best(
-                lambda: _drive(pool), repeats=3, warmup=1
-            )
-            assert pool.supervision_stats()["worker_deaths"] == 0
-        finally:
-            pool.close()
-        return outputs, best_s, runs
-
-    plain_out, plain_s, plain_runs = _arm(supervise=False)
-    sup_out, sup_s, sup_runs = _arm(supervise=True)
-
-    # Supervision must never change answers, only survive faults.
-    assert sup_out == plain_out
-
-    benchmark.pedantic(
-        lambda: None, rounds=1, iterations=1
-    )
-
-    overhead = sup_s / plain_s - 1.0
-    print_table(
-        "PR-9 — supervision overhead, fault-free "
-        f"({OVERHEAD_SESSIONS} sessions × {CLUSTERS} components, hard Δ)",
-        ("arm", "best", "runs"),
-        [
-            ("fail-fast pool (supervise=False)", f"{plain_s * 1e3:.0f} ms",
-             " ".join(f"{t * 1e3:.0f}" for t in plain_runs)),
-            ("supervised pool (default)", f"{sup_s * 1e3:.0f} ms",
-             " ".join(f"{t * 1e3:.0f}" for t in sup_runs)),
-            ("overhead", f"{overhead * 100:+.1f} %", "gate ≤ +5 %"),
-        ],
-    )
-    record_bench(
-        "BENCH_faults.json",
-        "supervision-overhead-fault-free",
-        sup_s,
-        runs_s=sup_runs,
-        unsupervised_s=round(plain_s, 6),
-        overhead_pct=round(overhead * 100, 2),
-    )
-    # The gate: ≤ 5 % relative, with a 50 ms absolute epsilon so a
-    # sub-second arm is not failed on scheduler jitter alone.
-    assert sup_s <= plain_s * 1.05 + 0.05
 
 
 def test_recovery_beats_cold_replay_2x(benchmark):

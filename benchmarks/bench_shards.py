@@ -1,13 +1,14 @@
 """PR-10 — what sharded execution buys, and what failover costs.
 
-Two gates for the shard RPC layer:
+Two gates for the stdio transport of the supervised worker pool
+(``--shards``):
 
 1. **Scale-out ≥ 1.5× on 2 shards** (multi-core hosts).  The same
-   hard-Δ component portfolio solved serially vs routed over two shard
-   host subprocesses by consistent hashing.  Components are independent
-   and solvers pure, so the only question is whether the RPC layer's
-   costs (pickled mirrors, JSONL framing, routing) stay small enough
-   for the parallelism to show.  On single-core hosts parallel
+   hard-Δ component portfolio solved serially vs routed round-robin
+   over two stdio worker subprocesses.  Components are independent
+   and solvers pure, so the only question is whether the transport's
+   costs (pickled mirrors, JSONL framing) stay small enough for the
+   parallelism to show.  On single-core hosts parallel
    efficiency is unmeasurable — the gate degrades to bounding the
    *sharding tax*: the sharded run must stay within 1.6× serial plus a
    small absolute epsilon.  The measured speedup is recorded either
@@ -15,10 +16,10 @@ Two gates for the shard RPC layer:
 
 2. **Failover overhead ≤ 25 % under one mid-run kill.**  A/B two
    sharded arms on fresh fleets: fault-free vs a deterministic
-   ``shard.kill`` that murders shard 0 the moment its first solve
-   arrives (generation-matched, so the respawned replacement lives).
-   Detection, transparent re-dispatch of the in-flight solve, respawn +
-   journal replay, and ring rebalance must all fit in 25 % of the
+   ``worker.recv`` kill that murders worker 0 the moment its first
+   solve arrives (generation-matched, so the respawned replacement
+   lives).  Detection, transparent re-dispatch of the in-flight solve,
+   and respawn + mirror replay must all fit in 25 % of the
    fault-free wall time (plus an absolute epsilon for the replacement
    interpreter's fixed start cost).  Results stay byte-identical to the
    serial oracle in every arm — failover is re-derivation, never
@@ -37,7 +38,7 @@ from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.faults import FaultPlan, FaultRule
 from repro.pipeline import clean
-from repro.shard import ShardedExecutor
+from repro.exec import PersistentWorkerPool
 
 from conftest import measure_best, print_table, record_bench
 
@@ -81,7 +82,7 @@ def _conflict_table():
 
 
 def _started_executor(**kwargs):
-    ex = ShardedExecutor(SHARDS, **kwargs)
+    ex = PersistentWorkerPool(SHARDS, transport="stdio", **kwargs)
     if not ex.start():
         ex.close()
         pytest.skip("platform cannot start shard subprocesses")
@@ -111,9 +112,9 @@ def test_scale_out_on_two_shards(benchmark):
 
     # Byte-identity first: routing may move work, never answers.
     assert shard_result.cleaned.to_string() == serial_result.cleaned.to_string()
-    # And the work really crossed the RPC layer, fault-free.
+    # And the work really crossed the transport, fault-free.
     assert stats["rpcs"] > 0
-    assert stats["shard_deaths"] == 0
+    assert stats["worker_deaths"] == 0
     assert stats["degraded_local"] == 0
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -164,7 +165,7 @@ def test_failover_overhead_under_25_percent(benchmark):
         stats = None
         for _ in range(repeats):
             ex = _started_executor(
-                faults=make_plan(), respawn_backoff_s=0.01
+                faults=make_plan(), backoff_s=0.01
             )
             try:
                 start = time.perf_counter()
@@ -176,23 +177,23 @@ def test_failover_overhead_under_25_percent(benchmark):
             assert result.cleaned.to_string() == oracle
         return min(times), times, stats
 
-    # Kill shard 0 on its 3rd message: open, reset, then the first
+    # Kill worker 0 on its 3rd message: open, reset, then the first
     # solve request murders it — maximally inconvenient (in-flight work
     # re-dispatches) without double-counting solve time in the arm.
     def _kill_plan():
         return FaultPlan([
-            FaultRule("shard.kill", "kill", at=3,
-                      match={"shard": 0, "generation": 0}),
+            FaultRule("worker.recv", "kill", at=3,
+                      match={"worker": 0, "generation": 0}),
         ])
 
     plain_s, plain_runs, plain_stats = _arm(lambda: FaultPlan([]))
     kill_s, kill_runs, kill_stats = _arm(_kill_plan)
 
     # The kill really fired, and the fleet really healed, every run.
-    assert plain_stats["shard_deaths"] == 0
-    assert kill_stats["shard_deaths"] >= 1
+    assert plain_stats["worker_deaths"] == 0
+    assert kill_stats["worker_deaths"] >= 1
     assert kill_stats["respawns"] >= 1
-    assert kill_stats["rerouted"] >= 1
+    assert kill_stats["retries"] >= 1
     assert kill_stats["degraded_local"] == 0
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -217,9 +218,9 @@ def test_failover_overhead_under_25_percent(benchmark):
         runs_s=kill_runs,
         fault_free_s=round(plain_s, 6),
         overhead_pct=round(overhead * 100, 2),
-        shard_deaths=kill_stats["shard_deaths"],
+        worker_deaths=kill_stats["worker_deaths"],
         respawns=kill_stats["respawns"],
-        rerouted=kill_stats["rerouted"],
+        retries=kill_stats["retries"],
     )
     # The acceptance gate: detection + re-dispatch + respawn + replay
     # within 25 %, plus 200 ms for the replacement interpreter's fixed

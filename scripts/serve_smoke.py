@@ -15,13 +15,20 @@ plan kills a pool worker mid-solve (the supervisor must heal it and the
 repair distances must still come out right), the daemon is then
 hard-killed (SIGKILL, no shutdown op) and restarted on the same
 ``--state-dir``, which must recover both tenant sessions from the op
-journal; SIGTERM must drain gracefully and exit 0.  A final sharded
-phase boots ``fdrepair serve --shards 2`` under a ``shard.kill`` plan:
-the shard fleet must heal the kill (death + respawn visible in
-``stats``) and every acknowledged reply must be byte-identical to an
-unsharded reference daemon's.
+journal; SIGTERM must drain gracefully and exit 0.  A sharded phase
+boots ``fdrepair serve --shards 2`` (stdio-transport workers) under a
+``worker.recv`` kill plan: the fleet must heal the kill (death +
+respawn visible in ``stats``) and every acknowledged reply must be
+byte-identical to an unsharded reference daemon's.
 
-Usage: python scripts/serve_smoke.py [--timeout SECONDS] [--chaos]
+With ``--stdio`` it drives ``fdrepair serve --stdio --parallel 1``
+instead: ``open`` → ``append`` → ``repair`` under a plan that kills the
+pool worker at its first solve (so the pool respawns while the stdin
+reader thread is live), then an over-long request line and a ``ping``.
+Every reply must arrive within the step timeout.  ``--chaos`` runs this
+phase too.
+
+Usage: python scripts/serve_smoke.py [--timeout SECONDS] [--chaos | --stdio]
 """
 
 from __future__ import annotations
@@ -44,12 +51,15 @@ FAULTS_ENV = "FDREPAIR_FAULTS"
 CHAOS_PLAN = [{"site": "worker.solve", "action": "kill",
                "match": {"worker": 0, "generation": 0}}]
 
-#: Kill shard 0's first incarnation at its second message (the mirror
-#: delta right after ``open``); the replacement generation survives and
-#: is re-derived by journal replay, so the repair must still be
+#: Kill stdio worker 0's first incarnation at its second message (the
+#: mirror delta right after ``open``); the replacement generation
+#: survives and is rebuilt by mirror replay, so the repair must still be
 #: byte-identical to an unsharded daemon's.
-SHARD_CHAOS_PLAN = [{"site": "shard.kill", "action": "kill", "at": 2,
-                     "match": {"shard": 0, "generation": 0}}]
+SHARD_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 2,
+                     "match": {"worker": 0, "generation": 0}}]
+
+#: A request line longer than the daemon's 1 MiB ``MAX_LINE_BYTES``.
+OVERLONG_BYTES = 2 << 20
 
 
 def fail(message: str, proc: subprocess.Popen = None) -> None:
@@ -210,8 +220,8 @@ def run_chaos(args) -> None:
         while extra_argv and time.monotonic() < poll_until:
             stats = rpc({"op": "stats"})
             healed = stats.get("pool_supervision", {})
-            if stats.get("pool_kind") != "shards":
-                fail(f"expected a sharded pool: {stats}", proc)
+            if stats.get("pool_kind") != "stdio":
+                fail(f"expected a stdio-transport pool: {stats}", proc)
             if healed.get("respawns", 0) >= 1:
                 break
             time.sleep(0.2)
@@ -235,13 +245,95 @@ def run_chaos(args) -> None:
     if sharded != reference:
         fail(f"sharded replies diverge from reference:\n"
              f"  sharded:   {sharded}\n  reference: {reference}")
-    if healed.get("shard_deaths", 0) < 1 or healed.get("respawns", 0) < 1:
+    if healed.get("worker_deaths", 0) < 1 or healed.get("respawns", 0) < 1:
         fail(f"shard fleet saw no death/respawn: {healed}")
     print(f"shard chaos OK: fleet healed a kill ({healed}) and stayed "
           f"byte-identical to the unsharded reference")
+    run_stdio(args)
     print(f"CHAOS SMOKE OK: healed kills (worker + shard), journal "
           f"recovery, byte-identical sharded replies, clean SIGTERM "
-          f"drain (state in {state_dir})")
+          f"drain, stdio daemon healed (state in {state_dir})")
+
+
+def run_stdio(args) -> None:
+    """``fdrepair serve --stdio --parallel 1`` with a worker killed at
+    its first solve: open → append → repair, an over-long line, and a
+    ping must each be answered within the step timeout."""
+    import queue
+    import threading
+
+    deadline = args.timeout
+    env = _smoke_env()
+    env[FAULTS_ENV] = json.dumps(CHAOS_PLAN)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--stdio",
+         "--parallel", "1"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env,
+    )
+    replies: "queue.Queue[bytes]" = queue.Queue()
+
+    def _pump() -> None:
+        for line in proc.stdout:
+            replies.put(line)
+        replies.put(b"")
+
+    threading.Thread(target=_pump, daemon=True).start()
+
+    def rpc(line: str) -> dict:
+        start = time.monotonic()
+        proc.stdin.write(line.encode("utf-8") + b"\n")
+        proc.stdin.flush()
+        try:
+            raw = replies.get(timeout=deadline)
+        except queue.Empty:
+            fail(f"no stdio reply within {deadline}s to {line[:80]!r}", proc)
+        if not raw:
+            fail(f"stdio daemon closed its output answering {line[:80]!r}",
+                 proc)
+        reply = json.loads(raw)
+        print(f"  {reply.get('op', '?')}: {json.dumps(reply)[:120]} "
+              f"({time.monotonic() - start:.2f}s)")
+        return reply
+
+    base = {"tenant": "acme", "session": "main"}
+    reply = rpc(json.dumps({"op": "open", "schema": ["A", "B"],
+                            "fds": "A -> B", **base}))
+    if not reply.get("ok"):
+        fail(f"stdio open failed: {reply}", proc)
+    reply = rpc(json.dumps({"op": "append", "repair": False, **base,
+                            "rows": [["a", "x"], ["a", "y"], ["b", "z"]]}))
+    if not reply.get("ok"):
+        fail(f"stdio append failed: {reply}", proc)
+    reply = rpc(json.dumps({"op": "repair", **base}))
+    if not reply.get("ok") or reply.get("distance") != 1.0:
+        fail(f"stdio repair wrong under a worker kill: {reply}", proc)
+    reply = rpc(json.dumps({"op": "ping", "pad": "x" * OVERLONG_BYTES}))
+    if reply.get("ok") or "exceeds" not in str(reply.get("error")):
+        fail(f"over-long line not refused with an error: {reply}", proc)
+    if not rpc(json.dumps({"op": "ping"})).get("pong"):
+        fail("ping after an over-long line went unanswered", proc)
+    sup = {}
+    poll_until = time.monotonic() + deadline
+    while time.monotonic() < poll_until:
+        sup = rpc(json.dumps({"op": "stats"})).get("pool_supervision", {})
+        if sup.get("respawns", 0) >= 1:
+            break
+        time.sleep(0.2)
+    if sup.get("worker_deaths", 0) < 1 or sup.get("respawns", 0) < 1:
+        fail(f"stdio daemon saw no worker death/respawn: {sup}", proc)
+    if not rpc(json.dumps({"op": "shutdown"})).get("ok"):
+        fail("stdio shutdown not acknowledged", proc)
+    proc.stdin.close()
+    try:
+        code = proc.wait(timeout=deadline)
+    except subprocess.TimeoutExpired:
+        fail(f"stdio daemon still running {deadline}s after shutdown", proc)
+    if code != 0:
+        fail(f"stdio daemon exited {code}: "
+             f"{proc.stderr.read().decode('utf-8', 'replace')[-500:]}")
+    print(f"STDIO SMOKE OK: every reply within {deadline:g}s, worker "
+          f"kill healed ({sup}), over-long line refused")
 
 
 def main() -> None:
@@ -257,9 +349,14 @@ def main() -> None:
     parser.add_argument("--state-dir", metavar="PATH", default=None,
                         help="state dir for --chaos (kept afterwards so "
                              "CI can upload the journal as an artifact)")
+    parser.add_argument("--stdio", action="store_true",
+                        help="run only the stdio-transport daemon smoke")
     args = parser.parse_args()
     if args.chaos:
         run_chaos(args)
+        return
+    if args.stdio:
+        run_stdio(args)
         return
     deadline = args.timeout
 

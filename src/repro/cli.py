@@ -183,62 +183,55 @@ def _apply_kernel_choice(args: argparse.Namespace) -> None:
         kernel.set_enabled(False)
 
 
-def _add_shard_options(parser: argparse.ArgumentParser) -> None:
+def _add_executor_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards",
         type=int,
         metavar="N",
         default=0,
         help=(
-            "solve conflict components on N shard host subprocesses "
-            "(consistent-hash routing, per-RPC deadlines with retry, "
-            "heartbeat failover, journal-replay respawn; results are "
-            "byte-identical to local execution, which the executor "
-            "degrades to when shards are exhausted)"
+            "solve conflict components on N supervised stdio worker "
+            "subprocesses (respawn with mirror replay, retry, local "
+            "degradation when every worker is lost; results are "
+            "byte-identical to local execution)"
         ),
     )
     parser.add_argument(
-        "--shard-timeout",
+        "--solve-timeout",
         type=float,
         metavar="SECONDS",
-        default=30.0,
-        help="per-RPC deadline on the sharded executor (default 30)",
-    )
-    parser.add_argument(
-        "--shard-retries",
-        type=int,
-        metavar="N",
-        default=2,
+        default=None,
         help=(
-            "RPC retries (capped exponential backoff) before the routed "
-            "shard is presumed wedged and failed over (default 2)"
+            "per-solve deadline on the supervised workers (--shards, and "
+            "serve's --parallel pool): a solve past it is sent again with "
+            "backoff, and its worker is failed over after 2 misses "
+            "(default: none — a long solve is never shot)"
         ),
     )
 
 
-def _shard_executor_for(args: argparse.Namespace):
-    """A started :class:`repro.shard.ShardedExecutor` for ``--shards N``,
-    or ``None`` (no sharding requested, or the platform cannot spawn
-    shard hosts — callers then run the local paths)."""
-    shards = getattr(args, "shards", 0)
-    if not shards or shards <= 0:
+def _sharded_pool_for(args: argparse.Namespace):
+    """A started stdio-transport :class:`repro.exec.PersistentWorkerPool`
+    for ``--shards N``, or ``None`` (not requested, or the platform
+    cannot spawn the workers — callers then run the local paths)."""
+    if args.shards <= 0:
         return None
-    from .shard import ShardedExecutor
+    from .exec import PersistentWorkerPool
 
-    executor = ShardedExecutor(
-        shards,
+    pool = PersistentWorkerPool(
+        args.shards,
         use_kernel=getattr(args, "use_kernel", True),
-        rpc_timeout_s=args.shard_timeout,
-        rpc_retries=args.shard_retries,
+        transport="stdio",
+        solve_timeout_s=args.solve_timeout,
     )
-    if not executor.start():
-        executor.close()
+    if not pool.start():
+        pool.close()
         print(
-            "warning: cannot start shard hosts; running locally",
+            "warning: cannot start shard workers; running locally",
             file=sys.stderr,
         )
         return None
-    return executor
+    return pool
 
 
 def _add_trace_option(parser: argparse.ArgumentParser) -> None:
@@ -322,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deprecated alias for --guarantee fast",
     )
     _add_repair_options(p_srepair)
-    _add_shard_options(p_srepair)
+    _add_executor_options(p_srepair)
 
     p_urepair = sub.add_parser("u-repair", help="compute a U-repair")
     p_urepair.add_argument("table", help="CSV file (id,<attrs...>,weight)")
@@ -381,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exact-vs-approximate component-size boundary (default 128)",
     )
-    _add_shard_options(p_stream)
+    _add_executor_options(p_stream)
     _add_exact_budget_option(p_stream)
     _add_kernel_option(p_stream)
     _add_trace_option(p_stream)
@@ -525,18 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
             "truncate on compact)"
         ),
     )
-    _add_shard_options(p_serve)
-    p_serve.add_argument(
-        "--solve-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "per-solve ceiling on the shared worker pool: a solve stuck "
-            "longer gets its worker replaced and rides the supervisor's "
-            "retry-then-degrade path (default: none)"
-        ),
-    )
+    _add_executor_options(p_serve)
     p_serve.add_argument(
         "--unit-cost",
         type=float,
@@ -727,7 +709,8 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     if getattr(args, "approx", False) and guarantee == "best":
         guarantee = "fast"
     recorder = _recorder_for(args)
-    executor = _shard_executor_for(args)
+    # u-repair takes no --shards: only the deletions path routes solves.
+    executor = _sharded_pool_for(args) if strategy == "deletions" else None
     try:
         return clean(
             table,
@@ -845,9 +828,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
 
     recorder = _recorder_for(args)
-    # With --shards the session rides a sharded executor as its shared
-    # pool (same broadcast-mirror protocol, RPC failover underneath).
-    executor = _shard_executor_for(args)
+    # With --shards the session rides a stdio-transport pool as its
+    # shared pool.
+    executor = _sharded_pool_for(args)
     with _closing_recorder(executor), _closing_recorder(recorder), RepairSession(
         table,
         fds,
@@ -958,8 +941,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         workers=args.parallel,
         shards=args.shards,
-        shard_timeout_s=args.shard_timeout,
-        shard_retries=args.shard_retries,
         max_sessions=args.max_sessions,
         max_resident=args.max_resident,
         max_tenant_sessions=args.max_tenant_sessions,

@@ -27,9 +27,15 @@ serial path rather than failing.
 
 from __future__ import annotations
 
+import json
+import os
+import pickle
+import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import count as _iter_count
+from time import monotonic as _monotonic
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -109,131 +115,424 @@ def map_components(worker, tasks: Sequence, parallel: Optional[int] = None) -> L
 
 
 # ---------------------------------------------------------------------------
-# Persistent worker pool (streaming sessions, shared by daemon sessions)
+# Persistent worker pool: one supervisor over a transport of worker slots
 # ---------------------------------------------------------------------------
 
 #: Namespace key a single-session pool (constructor schema/fds) binds to.
 DEFAULT_SESSION_KEY = ""
 
+#: Supervisor tick: how often the monitor reaps exited workers, sweeps
+#: solve deadlines, runs due respawns and re-sends requeued solves.
+#: Results never wait for it — a reply wakes its caller by notify.
+_TICK_S = 0.05
 
-def _session_worker_main(inq, outq, node_limit, use_kernel=True,
-                         budget_s=None, worker_index=0, generation=0,
-                         fault_spec=None) -> None:
-    """Worker loop of a :class:`PersistentWorkerPool`.
+#: Seconds a stdio worker may take to start and greet before its spawn
+#: counts as failed.
+_SPAWN_TIMEOUT_S = 20.0
+
+#: Solves sent ahead to one worker: two keep it busy across the reply
+#: round trip; the rest wait in the parent for whichever worker frees.
+_INFLIGHT_PER_WORKER = 2
+
+
+def _apply_mirror(space, kind: str, args) -> None:
+    """Apply one mirror-maintenance op to a namespace ``[schema, fds,
+    node_limit, budget_s, rows, weights]``: the one definition the
+    parent mirror and every worker mirror share."""
+    if kind == "reset":
+        space[4] = dict(args[0])
+        space[5] = dict(args[1])
+    elif kind == "append":
+        space[4].update(args[0])
+        space[5].update(args[1])
+    elif kind == "delete":
+        for tid in args[0]:
+            space[4].pop(tid, None)
+            space[5].pop(tid, None)
+
+
+def _space_table(space, ids) -> Table:
+    """The sub-table of namespace *space* over *ids* (``KeyError`` for
+    an id the mirror lacks)."""
+    rows, weights = space[4], space[5]
+    return Table(
+        space[0],
+        {tid: rows[tid] for tid in ids},
+        {tid: weights[tid] for tid in ids},
+    )
+
+
+def _worker_loop(recv, send, worker: int, generation: int,
+                 fault_spec=None) -> None:
+    """The one worker loop behind every transport.
 
     Each worker mirrors *every attached session's* table as plain
-    ``rows``/``weights`` dicts under a session key, kept in sync by
-    broadcast delta messages, and solves components shipped as
-    **id lists only** — the payload a fork-per-call pool would re-pickle
-    per task (the whole sub-table) crosses the process boundary exactly
-    once, as deltas.  Dict insertion order mirrors the owning session's
-    (appends at the end, deletions in place), so the sub-table a worker
-    builds for an id list is identical to the session-side projection and
-    the solves are byte-identical wherever they run.
+    ``rows``/``weights`` dicts under a namespace key, kept in sync by the
+    mirror-maintenance messages the parent broadcasts, and solves
+    components shipped as **id lists only** — the sub-table crosses the
+    process boundary once, as deltas.  Dict insertion order mirrors the
+    owning session's (appends at the end, deletions in place), so the
+    sub-table a worker builds for an id list is identical to the
+    session-side projection and solves are byte-identical wherever they
+    run.
 
-    Namespacing is what lets one pool serve many concurrent
-    ``(tenant, table, Δ)`` sessions: each ``open`` message installs a
-    session's schema, FD set, and solver knobs; maintenance and solve
-    messages carry the key.  A solve against a missing or stale
-    namespace ships an error for *that* request — it never kills the
-    worker or touches other sessions' mirrors.
+    Messages are tuples — ``("open", key, schema, fds, node_limit,
+    budget_s)``, ``("drop", key)``, ``("reset", key, rows, weights)``,
+    ``("append", key, rows, weights)``, ``("delete", key, ids)``,
+    ``("solve", seq, key, ids, method, budget_s)``, ``("stop",)`` — and
+    *recv* returns ``None`` at end of input.  Every solve is answered
+    with ``(worker, generation, seq, kept, method, seconds, error)``;
+    *error* is ``None``, ``("state", text)`` when this mirror lacks the
+    namespace or an id (the parent heals the worker), or ``("solve",
+    text)`` when the solve itself failed (the caller sees it).  Failures
+    are shipped back; they never end the loop.
+
+    The fault plan is rebuilt per process, so a rule matched on
+    ``worker``/``generation`` hits exactly one incarnation:
+    ``worker.recv`` fires per message, ``worker.solve`` per solve.
     """
-    # The parent's kernel on/off choice must survive spawn/forkserver
-    # start methods, where workers re-import the module with the flag at
-    # its default — so it travels as an argument, not as ambient state.
-    _kernel.set_enabled(use_kernel)
-    # The fault plan travels the same way (and additionally carries this
-    # worker's index and generation, so a chaos rule can kill exactly
-    # one incarnation of one worker): counters restart per process.
     plan = _faults.FaultPlan.from_spec(fault_spec)
-    solve_count = 0
     # key -> [schema, fds, node_limit, budget_s, rows, weights]
     spaces: Dict = {}
+    received = solves = 0
     while True:
-        message = inq.get()
+        message = recv()
+        if message is None:
+            return
         kind = message[0]
+        received += 1
+        try:
+            if plan.fire("worker.recv", worker=worker, generation=generation,
+                         msg=received, op=kind) == "drop":
+                continue  # swallowed: the parent's deadline recovers it
+        except _faults.FaultInjected as exc:
+            if kind == "solve":
+                send((worker, generation, message[1], None, None, 0.0,
+                      ("solve", repr(exc))))
+            continue
         if kind == "stop":
-            break
-        if kind == "open":
-            key, schema, fds, space_limit, space_budget = message[1:6]
-            spaces[key] = [
-                tuple(schema),
-                fds,
-                node_limit if space_limit is None else space_limit,
-                budget_s if space_budget is None else space_budget,
-                {},
-                {},
-            ]
+            return
+        if kind == "solve":
+            solves += 1
+            send(_worker_solve(spaces, message, plan, worker, generation,
+                               solves))
+        elif kind == "open":
+            key, schema, fds, node_limit, budget_s = message[1:]
+            spaces[key] = [tuple(schema), fds, node_limit, budget_s, {}, {}]
         elif kind == "drop":
             spaces.pop(message[1], None)
-        elif kind == "reset":
+        else:
             space = spaces.get(message[1])
             if space is not None:
-                space[4] = dict(message[2])
-                space[5] = dict(message[3])
-        elif kind == "append":
-            space = spaces.get(message[1])
-            if space is not None:
-                space[4].update(message[2])
-                space[5].update(message[3])
-        elif kind == "delete":
-            space = spaces.get(message[1])
-            if space is not None:
-                for tid in message[2]:
-                    space[4].pop(tid, None)
-                    space[5].pop(tid, None)
-        elif kind == "solve":
-            seq, key, ids, method = message[1], message[2], message[3], message[4]
-            solve_count += 1
+                _apply_mirror(space, kind, message[2:])
+
+
+def _worker_solve(spaces, message, plan, worker, generation, solves):
+    _kind, seq, key, ids, method, budget = message
+    head = (worker, generation, seq)
+    try:
+        # Inside the try: a ``raise`` action ships as a solve error
+        # (like any solver exception), a ``kill`` action exits the
+        # process outright.
+        plan.fire("worker.solve", worker=worker, generation=generation,
+                  solve=solves, key=key, method=method)
+        space = spaces.get(key)
+        if space is None:
+            return head + (None, None, 0.0,
+                           ("state", f"unknown session namespace {key!r}"))
+        try:
+            subtable = _space_table(space, ids)
+        except KeyError as exc:
+            return head + (None, None, 0.0,
+                           ("state", f"stale mirror, missing id {exc}"))
+        start = _perf_counter()
+        kept, effective = _solve_s_kept(
+            subtable, space[1], method, space[2],
+            budget_s=space[3] if budget is None else budget,
+        )
+        return head + (tuple(kept), effective, _perf_counter() - start, None)
+    except Exception as exc:  # ship the failure, don't die
+        return head + (None, None, 0.0, ("solve", repr(exc)))
+
+
+def _retire_queue(queue) -> None:
+    """Drain *queue* and detach its feeder thread, so neither a dead
+    reader nor interpreter teardown can block on it."""
+    try:
+        while True:
+            queue.get_nowait()
+    except Exception:
+        pass
+    try:
+        queue.cancel_join_thread()
+        queue.close()
+    except Exception:
+        pass
+
+
+def _queue_worker_main(inq, out, use_kernel, worker, generation,
+                       fault_spec) -> None:
+    """Process entry of a queue-transport worker.  The kernel choice and
+    the fault plan travel as arguments: under spawn/forkserver start
+    methods the worker re-imports this module with both at defaults."""
+    _kernel.set_enabled(use_kernel)
+    _worker_loop(inq.get, out.send, worker, generation, fault_spec)
+
+
+class _QueueSlot:
+    """One queue-transport worker: a ``multiprocessing`` process fed by
+    its own queue, answering over its own pipe, which a thread reads and
+    hands each reply to the supervisor.
+
+    Replies never share a queue across workers: a ``multiprocessing``
+    queue's write lock is shared by its writers, so a worker killed
+    while holding it would silence every other worker."""
+
+    def __init__(self, on_reply, use_kernel, worker, generation,
+                 fault_spec):
+        import multiprocessing as mp
+        import threading
+
+        ctx = mp.get_context()
+        self.inq = ctx.Queue()
+        self._replies, out = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(
+            target=_queue_worker_main,
+            args=(self.inq, out, use_kernel, worker, generation,
+                  fault_spec),
+            daemon=True,
+        )
+        self.proc.start()
+        out.close()  # the worker holds the only write end: EOF at its exit
+        self._on_reply = on_reply
+        threading.Thread(
+            target=self._read, name=f"fdrepair-worker-{worker}-reader",
+            daemon=True,
+        ).start()
+
+    def _read(self) -> None:
+        try:
+            while True:
+                self._on_reply(self._replies.recv())
+        except (EOFError, OSError):
+            pass  # the worker exited: the monitor reaps it
+        finally:
+            self._replies.close()
+
+    def wait_ready(self, timeout: float) -> bool:
+        return True
+
+    def send(self, message) -> bool:
+        try:
+            self.inq.put(message)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def close(self, grace_s: float) -> None:
+        """Wait up to *grace_s* for the process to exit (after a
+        ``stop``), then kill it and retire its queue.  SIGKILL, not
+        SIGTERM: a worker forked from the daemon inherits the event
+        loop's signal wakeup fd, so a SIGTERM it received would reach
+        the daemon as a shutdown request."""
+        try:
+            self.proc.join(timeout=grace_s)
+            if self.proc.is_alive():
+                self.proc.kill()
+                self.proc.join(timeout=0.5)
+        except (OSError, ValueError, AssertionError):
+            pass
+        _retire_queue(self.inq)
+
+
+def _encode_stdio(op: str, message) -> bytes:
+    """One stdio-transport line: a JSON envelope whose ``blob`` is the
+    pickled message tuple, so row values and kept ids cross the pipe
+    exactly (no JSON round trip) and replies are byte-identical to the
+    queue transport's.  Pickle is sound here only because both ends are
+    this program over private pipes."""
+    import base64
+
+    blob = base64.b64encode(
+        pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    ).decode("ascii")
+    return (json.dumps({"op": op, "blob": blob}) + "\n").encode("ascii")
+
+
+def _decode_stdio(line: bytes):
+    """``(op, message)`` of one stdio line, or ``None`` for a torn one."""
+    import base64
+
+    try:
+        envelope = json.loads(line)
+        return envelope["op"], pickle.loads(base64.b64decode(envelope["blob"]))
+    except (ValueError, KeyError, TypeError, EOFError,
+            pickle.UnpicklingError):
+        return None
+
+
+def serve_stdio_worker(stdin, stdout, worker: int, generation: int,
+                       fault_spec=None) -> None:
+    """Run :func:`_worker_loop` over binary JSONL *stdin*/*stdout* until
+    ``stop`` or EOF — the body of ``python -m repro.shard``."""
+
+    def send(reply) -> None:
+        stdout.write(_encode_stdio("result", reply))
+        stdout.flush()
+
+    def recv():
+        for line in stdin:
+            decoded = _decode_stdio(line)  # None: a torn line, skipped
+            if decoded is not None:
+                return decoded[1]
+        return None
+
+    # The greeting the parent's spawn waits for.
+    stdout.write(_encode_stdio("ready", (worker, generation)))
+    stdout.flush()
+    _worker_loop(recv, send, worker, generation, fault_spec)
+
+
+class _StdioSlot:
+    """One stdio-transport worker: a ``python -m repro.shard``
+    subprocess, written through its stdin pipe and read by a thread
+    that hands each reply to the supervisor."""
+
+    def __init__(self, on_reply, use_kernel, worker, generation,
+                 fault_spec):
+        import subprocess
+        import threading
+
+        cmd = [sys.executable, "-u", "-m", "repro.shard",
+               "--worker", str(worker), "--generation", str(generation)]
+        if not use_kernel:
+            cmd.append("--no-kernel")
+        if fault_spec:
+            cmd += ["--faults", json.dumps(fault_spec)]
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
+        # The child must not re-resolve the ambient chaos plan: the
+        # parent decides what each incarnation sees via --faults.
+        env.pop(_faults.FAULTS_ENV, None)
+        self.proc = subprocess.Popen(
+            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env,
+        )
+        self._on_reply = on_reply
+        self._write_lock = threading.Lock()
+        self._ready = threading.Event()
+        threading.Thread(
+            target=self._read, name=f"fdrepair-worker-{worker}-reader",
+            daemon=True,
+        ).start()
+
+    def _read(self) -> None:
+        stdout = self.proc.stdout
+        try:
+            for line in stdout:
+                decoded = _decode_stdio(line)
+                if decoded is None:
+                    continue
+                if decoded[0] == "ready":
+                    self._ready.set()
+                else:
+                    self._on_reply(decoded[1])
+        except (OSError, ValueError):
+            pass  # pipe torn down: the monitor reaps the process
+        finally:
+            stdout.close()
+
+    def wait_ready(self, timeout: float) -> bool:
+        return self._ready.wait(timeout)
+
+    def send(self, message) -> bool:
+        line = _encode_stdio(message[0], message)
+        with self._write_lock:
             try:
-                # Inside the try: a ``raise`` action ships as a solve
-                # error (like any solver exception), a ``kill`` action
-                # exits the process outright.
-                plan.fire("worker.solve", worker=worker_index,
-                          generation=generation, solve=solve_count,
-                          key=key, method=method)
-                space = spaces[key]
-                schema, fds, space_limit, space_budget, rows, weights = space
-                # An optional sixth element is a per-task budget slice
-                # (the global scheduler's plans ship one per exact
-                # solve); absent, the namespace default applies.
-                solve_budget = message[5] if len(message) > 5 else space_budget
-                subtable = Table(
-                    schema,
-                    {tid: rows[tid] for tid in ids},
-                    {tid: weights[tid] for tid in ids},
-                )
-                solve_start = _perf_counter()
-                kept, effective = _solve_s_kept(
-                    subtable, fds, method, space_limit, budget_s=solve_budget
-                )
-                elapsed = _perf_counter() - solve_start
-            except BaseException as exc:  # ship the failure, don't die
-                outq.put((seq, None, None, 0.0, repr(exc)))
-            else:
-                outq.put((seq, tuple(kept), effective, elapsed, None))
+                self.proc.stdin.write(line)
+                self.proc.stdin.flush()
+            except (OSError, ValueError):
+                return False
+        return True
+
+    def alive(self) -> bool:
+        return self.proc.poll() is None
+
+    def close(self, grace_s: float) -> None:
+        """Wait up to *grace_s* for the process to exit (after a
+        ``stop``), then kill it and close its stdin."""
+        import subprocess
+
+        try:
+            self.proc.wait(timeout=grace_s)
+        except subprocess.TimeoutExpired:
+            pass
+        try:
+            if self.proc.poll() is None:
+                self.proc.kill()
+                self.proc.wait(timeout=2.0)
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+        with self._write_lock:
+            try:
+                self.proc.stdin.close()
+            except (OSError, ValueError):
+                pass
 
 
-class _Inflight:
-    """Parent-side record of one dispatched solve: where it is routed,
-    how it has been retried, and what it has degraded to."""
+#: Transport name -> worker slot class.  A slot is built from ``(on_reply,
+#: use_kernel, worker, generation, fault_spec)``, starts one worker
+#: process, hands every reply tuple to *on_reply*, and offers
+#: ``wait_ready``, ``send``, ``alive`` and ``close``.
+_TRANSPORTS = {"queue": _QueueSlot, "stdio": _StdioSlot}
 
-    __slots__ = ("key", "ids", "method", "budget", "widx", "sent_at",
-                 "attempts", "degraded")
 
-    def __init__(self, key, ids, method, budget):
+class _Call:
+    """One ``solve`` call: how many of its solves are outstanding, and
+    those handed back to the caller's thread (local degradation)."""
+
+    __slots__ = ("remaining", "local")
+
+    def __init__(self, count: int):
+        self.remaining = count
+        self.local: List["_Task"] = []
+
+
+class _Task:
+    """Parent-side record of one solve: routing, retry and degradation
+    state, and the outcome."""
+
+    __slots__ = ("call", "key", "ids", "method", "budget", "seq", "slot",
+                 "sent_at", "not_before", "misses", "deaths", "degraded",
+                 "local", "done", "result", "error")
+
+    def __init__(self, call, key, ids, method, budget, seq):
+        self.call = call
         self.key = key
         self.ids = ids
         self.method = method
         self.budget = budget
-        self.widx = None       # routed worker slot (None = unrouted)
-        self.sent_at = None    # monotonic dispatch time (timeout sweep)
-        self.attempts = 0      # retries consumed
-        self.degraded = False  # already fell to the approximation tier
+        self.seq = seq            # identity of this exact solve
+        self.slot = None          # routed worker slot (None = queued)
+        self.sent_at = None       # monotonic send time (deadline sweep)
+        self.not_before = 0.0     # backoff gate for the next send
+        self.misses = 0           # deadline misses since the last failover
+        self.deaths = 0           # worker deaths suffered at this method
+        self.degraded = False     # already fell to the approximation tier
+        self.local = False        # handed to the caller's thread
+        self.done = False
+        self.result = None        # (kept ids, effective method, seconds)
+        self.error = None
 
 
 class PersistentWorkerPool:
-    """Long-lived worker processes shared by streaming repair sessions.
+    """Long-lived, supervised worker processes shared by repair sessions.
 
     :func:`map_components` forks a fresh process pool per call and ships
     whole sub-tables — right for one-shot batch repairs, pure overhead
@@ -241,173 +540,179 @@ class PersistentWorkerPool:
     workers across calls: each worker holds a mirror of each attached
     session's table (synchronised by broadcasting the same deltas the
     sessions apply locally), so a solve request is just ``(component
-    ids, method)``.
+    ids, method)``.  Solvers are pure functions of component content,
+    so *where* a solve runs — which worker, which transport, after how
+    many retries — never changes its answer.
 
-    **Multi-tenancy.**  Worker mirrors are namespaced by a session key:
+    **Transports.**  ``"queue"`` runs the workers as ``multiprocessing``
+    processes behind queues (``--parallel``); ``"stdio"`` runs them as
+    ``python -m repro.shard`` subprocesses speaking JSONL over their
+    pipes (``--shards``).  Both run :func:`_worker_loop`; supervision,
+    routing and the fault sites below are shared code.
+
+    **Multi-tenancy.**  Mirrors are namespaced by a session key:
     :meth:`open_session` installs a session's schema, Δ, and solver
     knobs on every worker; :meth:`broadcast` and :meth:`solve` take the
-    key.  One pool therefore serves many concurrent ``(tenant, table,
-    Δ)`` sessions — the process lifecycle (spawn, dispatch, teardown)
-    lives here, while the engine state (mirrors, caches, indexes) stays
-    per session.  Constructing with ``schema``/``fds`` binds the default
-    namespace, preserving the single-session API.
+    key.  Constructing with ``schema``/``fds`` binds the default
+    namespace.  The parent keeps one authoritative mirror of every
+    namespace, which serves both respawn replay and local degradation.
 
-    **Concurrency.**  ``solve`` is thread-safe: a collector thread drains
-    the shared result queue and correlates results to callers by global
-    sequence number, so concurrent solves from many sessions interleave
-    freely — one session's slow exact solve never blocks another's.
+    **Concurrency.**  ``solve`` is thread-safe; solves route round-robin
+    to live workers with spare capacity (see :meth:`_route_locked`), and
+    a reply wakes its waiting caller by notify, so concurrent sessions
+    interleave freely.
 
-    **Failure and supervision.**  A worker process dying is detected
-    within ~0.2 s by the collector's liveness sweep.  By default the
-    pool *self-heals*: a supervisor respawns the dead worker with capped
-    exponential backoff, replays the parent-side table mirror (full
-    snapshot of every attached namespace, so no delta is lost) into the
-    replacement, and transparently **retries** the solves that were in
-    flight on the dead worker — safe and byte-identical because the
-    workers are pure functions of the mirrored component content.
-    After ``max_retries`` the failing component **degrades** to the
-    approximation tier (reported honestly in method mixes, exactly like
-    budget exhaustion); tasks already in the approximation tier fail
-    that call instead.  Per-solve timeouts (``solve_timeout_s``) ride
-    the same path: the stuck worker is terminated, its other in-flight
-    solves retry, and the overdue solve degrades.  A slot that keeps
-    crashing is abandoned after ``max_respawns`` attempts; the pool is
-    broken only when every slot is gone, and callers then fall back to
-    the serial path as before.  ``supervise=False`` restores the PR-6
-    fail-fast semantics (no mirror, no respawn, dead workers fail their
-    routed solves immediately).  Supervision counters are exposed via
-    :meth:`supervision_stats` and the optional *recorder*.  A worker-side
-    solve *exception* still fails only that call.  The pool is an
-    optimisation, never a dependency: construction degrades gracefully
-    (``start`` returns ``False``) on platforms without subprocess
-    support, and callers re-solve serially on any failure.
+    **Supervision.**  One policy, per task:
 
-    **Fault injection.**  Parent-side dispatch fires the
-    ``pool.dispatch`` site and workers fire ``worker.solve`` (see
-    :mod:`repro.faults`); *faults* defaults to the plan named by the
-    ``FDREPAIR_FAULTS`` environment variable, so chaos tests drive real
-    worker deaths deterministically instead of monkeypatching.
+    - A worker counts as dead when its process exits.  Its in-flight
+      solves are sent again; a solve degrades from ``exact`` or
+      ``dichotomy`` to ``approx`` only after more than *retries* deaths
+      (reported in method mixes, like budget exhaustion), and an
+      approximate solve that keeps killing workers fails its call.
+    - With *solve_timeout_s*, a solve past its deadline is sent again
+      with capped exponential backoff; after *retries* misses its
+      worker is presumed wedged and failed over.  A lost message
+      therefore never changes an answer.  Without a deadline a long
+      solve is never shot.
+    - A dead slot respawns after capped exponential backoff
+      (*backoff_s*, *backoff_cap_s*) and receives ``open`` plus one
+      ``reset`` per namespace from the parent mirror before it rejoins
+      the rotation.  A worker that reports a namespace or id its mirror
+      lacks (a lost delta) is healed the same way.  A slot is abandoned
+      after *max_respawns* respawns.
+    - With no worker live and no respawn booked, solves run in the
+      caller's thread against the parent mirror (``degraded_local``);
+      the pool stays alive.
+
+    Counters — ``worker_deaths``, ``respawns``, ``retries``,
+    ``timeouts``, ``degraded``, ``degraded_local``, ``abandoned``,
+    ``rpcs`` (solves sent) — come from :meth:`supervision_stats` and the
+    optional *recorder*.  ``solve`` raises ``RuntimeError`` only when the
+    pool is closed, the batch *timeout* expires, or a solve itself
+    failed; callers then solve serially.  ``start`` returns ``False`` on
+    platforms that cannot run the workers.
+
+    **Fault injection.**  The parent fires ``pool.dispatch`` before each
+    message it sends a worker; workers fire ``worker.recv`` per message
+    and ``worker.solve`` per solve (see :mod:`repro.faults`).  *faults*
+    defaults to the plan named by ``FDREPAIR_FAULTS``.
     """
 
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
                  node_limit: int = 2000,
                  use_kernel: Optional[bool] = None,
                  budget_s: Optional[float] = None, *,
-                 supervise: bool = True,
-                 max_retries: int = 2,
+                 transport: str = "queue",
+                 retries: int = 2,
                  max_respawns: int = 8,
-                 respawn_backoff_s: float = 0.05,
-                 respawn_backoff_cap_s: float = 2.0,
+                 backoff_s: float = 0.05,
+                 backoff_cap_s: float = 2.0,
                  solve_timeout_s: Optional[float] = None,
                  faults=None,
                  recorder=None):
         import threading
 
+        if transport not in _TRANSPORTS:
+            raise ValueError(f"unknown transport {transport!r}")
+        self.transport = transport
         self._worker_count = max(1, int(workers))
         self._schema = None if schema is None else tuple(schema)
         self._fds = fds
         self._node_limit = node_limit
         self._budget_s = budget_s
         self._use_kernel = _kernel.enabled() if use_kernel is None else bool(use_kernel)
-        self._procs: List = []
-        self._inqs: List = []
-        self._outq = None
-        self._mp_ctx = None
-        self._started = False
-        self._broken = False
-        self._closed = False
-        self._stop = threading.Event()
-        self._collector = None
-        self._cond = threading.Condition()
-        self._pending: Dict[int, "_Inflight"] = {}  # seq -> in-flight record
-        self._done: Dict[int, Tuple] = {}    # seq -> (kept, method, secs, error)
-        self._dead: set = set()
-        self._next_seq = 0
-        self._rr = 0
-        # --- supervision state ---------------------------------------
-        self._supervise = bool(supervise)
-        self._max_retries = max(0, int(max_retries))
+        self._retries = max(0, int(retries))
         self._max_respawns = max(0, int(max_respawns))
-        self._backoff_s = max(0.0, float(respawn_backoff_s))
-        self._backoff_cap_s = max(self._backoff_s, float(respawn_backoff_cap_s))
+        self._backoff_s = max(0.0, float(backoff_s))
+        self._backoff_cap_s = max(self._backoff_s, float(backoff_cap_s))
         self._solve_timeout_s = solve_timeout_s
         self._faults = _faults.resolve(faults)
         self._recorder = _obs.resolve(recorder)
-        # Authoritative parent-side mirror of every namespace, replayed
-        # into replacement workers: key -> [schema, fds, node_limit,
-        # budget_s, rows, weights].  Guarded by _io, which serialises
-        # sends and replay so a respawn can never miss a delta.
-        self._mirror: Dict = {}
+        self._started = False
+        self._broken = False
+        self._closed = False
+        self._monitor = None
+        self._stop = threading.Event()
+        # Lock order: _io (sends, mirror, replay) before _cond (tasks,
+        # slot states, counters); never take _io while holding _cond.
         self._io = threading.Lock()
-        self._gens: List[int] = []           # per-slot incarnation number
+        self._cond = threading.Condition()
+        # Authoritative parent-side mirror: key -> [schema, fds,
+        # node_limit, budget_s, rows, weights].
+        self._mirror: Dict = {}
+        self._slots: List = []       # current worker handle per slot
+        self._gens: List[int] = []   # incarnation number per slot
+        self._dead: set = set()      # slots out of rotation
         self._respawn_at: Dict[int, float] = {}   # slot -> due (monotonic)
-        self._respawning: set = set()             # slots mid-respawn
+        self._respawning: set = set()
         self._respawn_attempts: Dict[int, int] = {}
-        self._abandoned: set = set()
+        self._tasks: Dict[int, _Task] = {}      # seq -> unfinished solve
+        self._queue: deque = deque()            # solves awaiting a worker
+        self._inflight: Dict[int, _Task] = {}   # seq -> solve on a worker
+        self._load: List[int] = []              # solves on each slot
+        self._next_seq = 0
+        self._rr = 0
         self._counters = {
             "worker_deaths": 0, "respawns": 0, "retries": 0,
-            "degraded": 0, "timeouts": 0, "abandoned": 0,
+            "timeouts": 0, "degraded": 0, "degraded_local": 0,
+            "abandoned": 0, "rpcs": 0,
         }
 
     @property
     def alive(self) -> bool:
-        return self._started and not self._broken
+        return self._started and not self._broken and not self._closed
 
     @property
     def worker_count(self) -> int:
         return self._worker_count
 
     def live_workers(self) -> int:
-        return len(self._procs) - len(self._dead) if self._started else 0
+        with self._cond:
+            return len(self._slots) - len(self._dead)
 
     def supervision_stats(self) -> Dict[str, int]:
-        """Counters of the self-healing machinery: ``worker_deaths``,
-        ``respawns``, ``retries``, ``degraded``, ``timeouts``,
-        ``abandoned`` — the honesty channel for chaos tests and the
-        daemon's ``stats`` op."""
+        """The supervision counters (see the class docstring): the
+        honesty channel for chaos tests and the daemon's ``stats`` op."""
         with self._cond:
             return dict(self._counters)
 
     def start(self) -> bool:
         """Spawn the workers; True on success (idempotent)."""
         if self._started:
-            return not self._broken
+            return self.alive
         self._started = True
-        try:
-            import multiprocessing as mp
-            import threading
+        import threading
 
-            ctx = mp.get_context()
-            self._mp_ctx = ctx
-            self._outq = ctx.Queue()
-            fault_spec = self._faults.to_spec() or None
-            for widx in range(self._worker_count):
-                inq = ctx.Queue()
-                proc = ctx.Process(
-                    target=_session_worker_main,
-                    args=(inq, self._outq, self._node_limit,
-                          self._use_kernel, self._budget_s,
-                          widx, 0, fault_spec),
-                    daemon=True,
-                )
-                proc.start()
-                self._inqs.append(inq)
-                self._procs.append(proc)
+        try:
+            for worker in range(self._worker_count):
+                self._slots.append(self._spawn(worker, 0))
                 self._gens.append(0)
-            self._collector = threading.Thread(
-                target=self._collector_loop, name="fdrepair-pool-collector",
-                daemon=True,
+                self._load.append(0)
+            deadline = _monotonic() + _SPAWN_TIMEOUT_S
+            ready = all(
+                slot.wait_ready(max(0.0, deadline - _monotonic()))
+                for slot in self._slots
             )
-            self._collector.start()
         except (OSError, PermissionError, ValueError, ImportError):
+            ready = False
+        if not ready:
             self._broken = True
-            self._shutdown(force=True)
+            self._teardown(grace_s=0.0)
             return False
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="fdrepair-pool-monitor",
+            daemon=True,
+        )
+        self._monitor.start()
         if self._schema is not None and self._fds is not None:
-            if not self.open_session(DEFAULT_SESSION_KEY, self._schema, self._fds):
-                self._broken = True
-                self._shutdown(force=True)
-        return not self._broken
+            self.open_session(DEFAULT_SESSION_KEY, self._schema, self._fds)
+        return self.alive
+
+    def _spawn(self, worker: int, generation: int):
+        return _TRANSPORTS[self.transport](
+            self._on_reply, self._use_kernel, worker, generation,
+            self._faults.to_spec() or None,
+        )
 
     # ------------------------------------------------------------------
     # Session namespaces
@@ -417,66 +722,54 @@ class PersistentWorkerPool:
                      budget_s: Optional[float] = None) -> bool:
         """Install session *key*'s schema/Δ/knobs on every worker (its
         mirror starts empty; follow with a ``reset`` broadcast)."""
+        space = [
+            tuple(schema), fds,
+            self._node_limit if node_limit is None else node_limit,
+            self._budget_s if budget_s is None else budget_s,
+            {}, {},
+        ]
         with self._io:
-            if self._supervise:
-                self._mirror[key] = [tuple(schema), fds, node_limit,
-                                     budget_s, {}, {}]
-            return self._send_all(
-                ("open", key, tuple(schema), fds, node_limit, budget_s)
-            )
+            self._mirror[key] = space
+            self._send_all(("open", key) + tuple(space[:4]))
+        return self.alive
 
     def drop_session(self, key) -> bool:
         """Forget session *key*'s mirrors on every worker."""
         with self._io:
             self._mirror.pop(key, None)
-            return self._send_all(("drop", key))
+            self._send_all(("drop", key))
+        return self.alive
 
     def broadcast(self, op, key=DEFAULT_SESSION_KEY) -> bool:
-        """Send one mirror-maintenance op — ``("reset", rows, weights)``,
-        ``("append", rows, weights)`` or ``("delete", ids)`` — to every
-        worker, for session *key*.  False (pool broken) instead of
-        raising."""
+        """Apply one mirror-maintenance op — ``("reset", rows, weights)``,
+        ``("append", rows, weights)`` or ``("delete", ids)`` — to the
+        parent mirror and send it to every live worker, for session
+        *key*.  False (pool not running) instead of raising."""
         with self._io:
-            if self._supervise:
-                self._apply_mirror(op, key)
-            return self._send_all((op[0], key) + tuple(op[1:]))
-
-    def _apply_mirror(self, op, key) -> None:
-        """Apply a maintenance op to the parent-side mirror (under
-        ``_io``) — the snapshot respawned workers are rebuilt from."""
-        space = self._mirror.get(key)
-        if space is None:
-            return
-        kind = op[0]
-        if kind == "reset":
-            space[4] = dict(op[1])
-            space[5] = dict(op[2])
-        elif kind == "append":
-            space[4].update(op[1])
-            space[5].update(op[2])
-        elif kind == "delete":
-            for tid in op[1]:
-                space[4].pop(tid, None)
-                space[5].pop(tid, None)
-
-    def _send_all(self, message) -> bool:
-        """Send to every live worker (caller holds ``_io``).  A queue
-        that refuses the message fails *that worker* — supervision then
-        respawns it and replays the mirror, so one bad pipe no longer
-        breaks the whole pool."""
-        if not self.alive:
-            return False
-        failed = []
-        for i, inq in enumerate(self._inqs):
-            if i in self._dead:
-                continue
-            try:
-                inq.put(message)
-            except (OSError, ValueError):
-                failed.append(i)
-        for i in failed:
-            self._fail_worker(i, "mirror broadcast to worker failed")
+            space = self._mirror.get(key)
+            if space is not None:
+                _apply_mirror(space, op[0], op[1:])
+            self._send_all((op[0], key) + tuple(op[1:]))
         return self.alive
+
+    def _send_all(self, message) -> None:
+        """Send *message* to every live worker (caller holds ``_io``)."""
+        for worker in range(len(self._slots)):
+            self._send(worker, message)
+
+    def _send(self, worker: int, message) -> None:
+        """Send one message to *worker* (caller holds ``_io``); a pipe
+        that refuses it fails that worker over."""
+        if worker in self._dead:
+            return
+        faults = self._faults
+        if faults.enabled and faults.fire(
+            "pool.dispatch", worker=worker, generation=self._gens[worker],
+            op=message[0], seq=message[1] if message[0] == "solve" else None,
+        ) == "drop":
+            return  # lost: a solve recovers by deadline, a delta by healing
+        if not self._slots[worker].send(message):
+            self._fail_slot(worker, "send to worker failed")
 
     # ------------------------------------------------------------------
     # Solving
@@ -486,401 +779,388 @@ class PersistentWorkerPool:
               key=DEFAULT_SESSION_KEY
               ) -> List[Tuple[Tuple[TupleId, ...], str, float]]:
         """Solve ``(component ids, method)`` or ``(component ids, method,
-        budget_s)`` tasks on the warm workers; returns ``(kept ids,
-        effective method, solve seconds)`` per task.  The optional third
-        task element is a per-task wall-clock budget overriding the
-        session namespace's default — how the global difficulty scheduler
-        ships each exact solve's slice so pool and serial runs read the
-        identical plan.  The seconds are measured *inside* the worker
-        around the solve itself (queueing and pickling excluded), so
-        they are the pool-path counterpart of a serially timed solve —
-        the telemetry layer's predicted-vs-actual training signal.
+        budget_s)`` tasks; returns ``(kept ids, effective method, solve
+        seconds)`` per task, in task order.  The optional third task
+        element is a per-task wall-clock budget overriding the
+        namespace default — how the global difficulty scheduler ships
+        each exact solve's slice, so pool and serial runs read the same
+        plan.  The seconds are measured around the solve itself, inside
+        the worker (queueing and pickling excluded) — the telemetry
+        layer's predicted-vs-actual training signal.
 
-        Round-robin dispatch over live workers; results are reassembled
-        in task order.  Thread-safe — concurrent calls (one per daemon
-        session) interleave without blocking each other.  Under
-        supervision (the default) a worker dying mid-batch does **not**
-        fail the call: its in-flight solves are retried on surviving or
-        respawned workers (byte-identical — workers are pure), degrading
-        to the approximation tier only after ``max_retries``.  Raises
-        ``RuntimeError`` only when the pool is closed/broken, the batch
-        *timeout* expires, or a worker-side solve exception surfaces;
-        callers fall back to the serial path.  With ``supervise=False``
-        a dead worker fails its routed solves within ~0.2 s, as before.
+        Worker deaths, lost messages and stalls are survived inside the
+        call (see the class docstring).  Raises ``RuntimeError`` when the
+        pool is closed, the batch *timeout* expires, or a solve itself
+        failed; callers fall back to the serial path.
         """
-        import time as _time
-
         if not self.alive:
             raise RuntimeError("worker pool is not running")
         if not tasks:
             return []
-        deadline = _time.monotonic() + timeout
+        deadline = _monotonic() + timeout
+        call = _Call(len(tasks))
+        mine: List[_Task] = []
         with self._cond:
-            if self._broken:
+            if self._closed:
                 raise RuntimeError("worker pool is not running")
-            live = [i for i in range(len(self._procs)) if i not in self._dead]
-            if not live and not (self._supervise and
-                                 (self._respawn_at or self._respawning)):
-                self._broken = True
-                raise RuntimeError("worker pool has no live workers")
-            seqs = []
             for task in tasks:
-                ids, method = task[0], task[1]
-                budget = task[2] if len(task) > 2 else None
-                seq = self._next_seq
+                record = _Task(call, key, tuple(task[0]), task[1],
+                               task[2] if len(task) > 2 else None,
+                               self._next_seq)
                 self._next_seq += 1
-                self._pending[seq] = _Inflight(key, tuple(ids), method, budget)
-                seqs.append(seq)
-        self._route_unsent()
+                self._tasks[record.seq] = record
+                self._queue.append(record)
+                mine.append(record)
         failure = None
-        with self._cond:
+        try:
             while True:
-                if all(seq in self._done for seq in seqs):
-                    outcomes = [self._done.pop(seq) for seq in seqs]
-                    break
-                if self._broken:
-                    failure = "worker pool failed"
-                elif _time.monotonic() >= deadline:
-                    failure = f"worker pool timed out after {timeout:g}s"
-                if failure is not None:
-                    for seq in seqs:  # abandon: late results are discarded
-                        self._pending.pop(seq, None)
-                        self._done.pop(seq, None)
-                    break
-                remaining = deadline - _time.monotonic()
-                self._cond.wait(min(max(remaining, 0.01), 0.5))
+                with self._cond:
+                    sends = self._route_locked()
+                    local, call.local = call.local, []
+                    if not sends and not local:
+                        if not call.remaining:
+                            break
+                        remaining = deadline - _monotonic()
+                        if remaining <= 0:
+                            failure = f"worker pool timed out after {timeout:g}s"
+                            break
+                        # Replies, deaths and respawns free capacity and
+                        # notify, so routing is retried on every wake.
+                        self._cond.wait(remaining)
+                        continue
+                self._send_routed(sends)
+                for t in local:
+                    self._solve_local(t)
+        finally:
+            with self._cond:
+                for t in mine:  # late replies for these are discarded
+                    self._unroute_locked(t)
+                    t.done = True
+                    self._tasks.pop(t.seq, None)
         if failure is not None:
             raise RuntimeError(failure)
         results = []
-        for kept, effective, secs, error in outcomes:
-            if error is not None:
-                raise RuntimeError(f"worker solve failed: {error}")
-            results.append((kept, effective, secs))
+        for t in mine:
+            if t.error is not None:
+                raise RuntimeError(f"worker solve failed: {t.error}")
+            results.append(t.result)
         return results
 
-    def _route_unsent(self) -> None:
-        """Assign every unrouted in-flight solve to a live worker and
-        ship it.  Called after registration, after a worker failure
-        requeues its solves, and after a respawn brings capacity back —
-        when no worker is live yet, solves stay queued for the next
-        respawn instead of failing."""
-        import time as _time
-
-        to_send: List[Tuple] = []
-        with self._cond:
-            live = [i for i in range(len(self._procs)) if i not in self._dead]
-            if not live:
-                return
-            for seq, rec in self._pending.items():
-                if rec.widx is not None:
-                    continue
-                rec.widx = live[self._rr % len(live)]
-                self._rr += 1
-                rec.sent_at = _time.monotonic()
-                to_send.append((seq, rec.widx, rec.key, rec.ids,
-                                rec.method, rec.budget))
-        failed = set()
-        with self._io:
-            for seq, widx, key, ids, method, budget in to_send:
-                if self._faults.fire("pool.dispatch",
-                                     worker=widx, seq=seq) == "drop":
-                    continue  # lost message: the timeout sweep recovers it
-                message = (
-                    ("solve", seq, key, ids, method)
-                    if budget is None
-                    else ("solve", seq, key, ids, method, budget)
-                )
-                try:
-                    self._inqs[widx].put(message)
-                except (OSError, ValueError):
-                    failed.add(widx)
-        for widx in failed:
-            self._fail_worker(widx, "dispatch to worker failed")
-
-    # ------------------------------------------------------------------
-    # Result collection, worker liveness, and supervision
-    # ------------------------------------------------------------------
-    def _collector_loop(self) -> None:
-        from queue import Empty
-        import time as _time
-
-        outq = self._outq
-        last_sweep = 0.0
-        while not self._stop.is_set():
-            now = _time.monotonic()
-            if now - last_sweep >= 0.1:
-                last_sweep = now
-                self._reap_dead_workers()
-                self._sweep_timeouts()
-                self._service_respawns()
-            try:
-                item = outq.get(timeout=0.1)
-            except Empty:
-                continue
-            except (OSError, ValueError, EOFError):
-                break
-            try:
-                seq, kept, effective, secs, error = item
-            except (TypeError, ValueError):
-                continue
-            with self._cond:
-                if seq in self._pending:
-                    del self._pending[seq]
-                    self._done[seq] = (kept, effective, secs, error)
-                    self._cond.notify_all()
-
-    def _reap_dead_workers(self) -> None:
-        """Liveness sweep (~0.2 s): a worker process that died mid-solve
-        leaves the dispatch rotation immediately; under supervision its
-        in-flight solves are requeued and a replacement is scheduled,
-        otherwise they fail fast so callers never burn the full solve
-        timeout."""
-        fresh_dead = [
-            i for i, proc in enumerate(self._procs)
-            if i not in self._dead and not proc.is_alive()
-        ]
-        for widx in fresh_dead:
-            self._fail_worker(widx, "worker process died")
-
-    def _fail_worker(self, widx: int, reason: str) -> None:
-        requeued = False
-        with self._cond:
-            if widx in self._dead:
-                return
-            self._dead.add(widx)
-            self._counters["worker_deaths"] += 1
-            supervising = self._supervise and not self._closed
-            for seq, rec in list(self._pending.items()):
-                if rec.widx != widx:
-                    continue
-                if supervising and rec.attempts < self._max_retries:
-                    # Transparent retry: workers are pure, so re-running
-                    # the solve elsewhere is byte-identical.
-                    rec.attempts += 1
-                    rec.widx = None
-                    rec.sent_at = None
-                    self._counters["retries"] += 1
-                    requeued = True
-                elif (supervising and not rec.degraded
-                        and rec.method in ("exact", "dichotomy")):
-                    # Retries exhausted: degrade to the approximation
-                    # tier, reported honestly via the effective method —
-                    # the same escape hatch as budget exhaustion.
-                    rec.method = "approx"
-                    rec.degraded = True
-                    rec.attempts = 0
-                    rec.widx = None
-                    rec.sent_at = None
-                    self._counters["degraded"] += 1
-                    requeued = True
-                else:
-                    del self._pending[seq]
-                    self._done[seq] = (None, None, 0.0, reason)
-            if supervising:
-                self._schedule_respawn_locked(widx)
-            if (len(self._dead) >= len(self._procs)
-                    and not (self._respawn_at or self._respawning)):
-                self._broken = True
+    def _route_locked(self) -> List[Tuple[int, Tuple]]:
+        """Route queued solves to live workers with spare capacity,
+        round-robin, returning the ``(worker, message)`` sends (caller
+        holds ``_cond``).  Capping each worker at
+        :data:`_INFLIGHT_PER_WORKER` solves keeps the queue in the
+        parent, so a respawned or idle worker takes the next solve
+        instead of one survivor inheriting a dead worker's backlog.
+        With no worker live and no respawn booked, queued solves go back
+        to their callers' threads (local degradation)."""
+        queue = self._queue
+        if not queue:
+            return []
+        live = [w for w in range(len(self._slots)) if w not in self._dead]
+        if not live and not (self._respawn_at or self._respawning):
+            while queue:
+                task = queue.popleft()
+                if not (task.done or task.local):
+                    task.local = True
+                    task.call.local.append(task)
             self._cond.notify_all()
-        self._recorder.count("pool.worker_death")
-        if requeued:
-            self._route_unsent()
+            return []
+        now = _monotonic()
+        load = self._load
+        free = [w for w in live if load[w] < _INFLIGHT_PER_WORKER]
+        sends, gated = [], []
+        while queue and free:
+            task = queue.popleft()
+            if task.done or task.local or task.slot is not None:
+                continue  # a stale queue entry
+            if task.not_before > now:
+                gated.append(task)  # backing off after a missed deadline
+                continue
+            worker = free[self._rr % len(free)]
+            self._rr += 1
+            load[worker] += 1
+            if load[worker] >= _INFLIGHT_PER_WORKER:
+                free.remove(worker)
+            task.slot = worker
+            task.sent_at = now
+            self._inflight[task.seq] = task
+            self._counters["rpcs"] += 1
+            sends.append((worker, (
+                "solve", task.seq, task.key, task.ids, task.method,
+                task.budget,
+            )))
+        queue.extendleft(reversed(gated))
+        return sends
 
-    def _schedule_respawn_locked(self, widx: int) -> None:
-        """Book a replacement for slot *widx* after a capped-exponential
-        backoff; a slot that has crashed ``max_respawns`` times is
-        abandoned (caller holds ``_cond``)."""
-        import time as _time
+    def _send_routed(self, sends) -> None:
+        if sends:
+            with self._io:
+                for worker, message in sends:
+                    self._send(worker, message)
 
-        attempts = self._respawn_attempts.get(widx, 0)
-        if attempts >= self._max_respawns:
-            if widx not in self._abandoned:
-                self._abandoned.add(widx)
-                self._counters["abandoned"] += 1
+    def _unroute_locked(self, task: _Task) -> None:
+        if task.slot is not None:
+            self._load[task.slot] -= 1
+            del self._inflight[task.seq]
+            task.slot = task.sent_at = None
+
+    def _finish_locked(self, task: _Task, result, error) -> None:
+        if task.done:
             return
-        delay = min(self._backoff_s * (2 ** attempts), self._backoff_cap_s)
-        self._respawn_at[widx] = _time.monotonic() + delay
+        self._unroute_locked(task)
+        task.result, task.error, task.done = result, error, True
+        task.call.remaining -= 1
+        self._cond.notify_all()
 
-    def _sweep_timeouts(self) -> None:
-        """Per-solve timeout path: terminate the worker hosting an
-        overdue solve (it is presumed stuck).  The overdue solve's
-        retries are exhausted on the spot — re-running the identical
-        solve would stall again — so the failure handler degrades it,
-        while the worker's *other* in-flight solves retry normally."""
-        if self._solve_timeout_s is None or not self._supervise:
-            return
-        import time as _time
-
-        victims = set()
-        with self._cond:
-            now = _time.monotonic()
-            for rec in self._pending.values():
-                if (rec.widx is not None and rec.widx not in self._dead
-                        and rec.sent_at is not None
-                        and now - rec.sent_at > self._solve_timeout_s):
-                    rec.attempts = max(rec.attempts, self._max_retries)
-                    self._counters["timeouts"] += 1
-                    victims.add(rec.widx)
-        for widx in victims:
+    def _solve_local(self, task: _Task) -> None:
+        """Local degradation: solve *task* in the calling thread against
+        the parent mirror — same rows, same pure solver, byte-identical
+        answer; only ``degraded_local`` tells the difference."""
+        result = error = subtable = None
+        with self._io:
+            space = self._mirror.get(task.key)
+            if space is None:
+                error = f"unknown session namespace {task.key!r}"
+            else:
+                try:
+                    subtable = _space_table(space, task.ids)
+                except KeyError as exc:
+                    error = f"missing id {exc} in parent mirror"
+        if subtable is not None:
             try:
-                self._procs[widx].terminate()
-            except (OSError, ValueError, AttributeError):
-                pass
+                start = _perf_counter()
+                kept, effective = _solve_s_kept(
+                    subtable, space[1], task.method, space[2],
+                    budget_s=space[3] if task.budget is None else task.budget,
+                )
+                result = (tuple(kept), effective, _perf_counter() - start)
+            except Exception as exc:  # surfaced like a worker-side failure
+                error = repr(exc)
+        with self._cond:
+            self._counters["degraded_local"] += 1
+            self._finish_locked(task, result, error)
+        self._recorder.count("pool.degraded_local")
+
+    def _on_reply(self, reply) -> None:
+        """Correlate one worker reply (collector or reader thread)."""
+        try:
+            worker, generation, seq, kept, effective, secs, error = reply
+        except (TypeError, ValueError):
+            return
+        stale = False
+        with self._cond:
+            task = self._tasks.get(seq)
+            if task is None or task.done:
+                return  # a late copy of a re-sent solve, or an abandoned call
+            if error is None:
+                self._finish_locked(task, (kept, effective, secs), None)
+            elif error[0] == "state" and self._mirror_serves(task):
+                # This worker's mirror is stale (a lost delta): send the
+                # solve again and heal the worker by respawn + replay.
+                if task.slot == worker:
+                    self._unroute_locked(task)
+                    self._queue.append(task)
+                self._counters["retries"] += 1
+                stale = generation == self._gens[worker]
+                self._cond.notify_all()
+            else:
+                self._finish_locked(task, None, error[1])
+        if stale:
+            self._fail_slot(worker, "stale worker mirror")
+
+    def _mirror_serves(self, task: _Task) -> bool:
+        """Whether the parent mirror holds everything *task* reads.
+        Lock-free on purpose (reply threads must never wait on ``_io``):
+        single dict lookups are atomic, and a race only delays healing."""
+        space = self._mirror.get(task.key)
+        if space is None:
+            return False
+        rows = space[4]
+        return all(tid in rows for tid in task.ids)
+
+    # ------------------------------------------------------------------
+    # Supervision
+    # ------------------------------------------------------------------
+    def _monitor_loop(self) -> None:
+        while not self._stop.wait(_TICK_S):
+            for worker, slot in enumerate(self._slots):
+                if worker not in self._dead and not slot.alive():
+                    self._fail_slot(worker, "worker process died")
+            self._sweep_deadlines()
+            self._service_respawns()
+            with self._cond:
+                sends = self._route_locked()
+            self._send_routed(sends)
+
+    def _backoff(self, attempts: int) -> float:
+        return min(self._backoff_s * (2 ** attempts), self._backoff_cap_s)
+
+    def _fail_slot(self, worker: int, reason: str) -> None:
+        """Take *worker* out of rotation: requeue its in-flight solves,
+        book its replacement (or abandon the slot), kill the process."""
+        with self._cond:
+            if worker in self._dead or self._closed:
+                return
+            self._dead.add(worker)
+            self._counters["worker_deaths"] += 1
+            for task in [t for t in self._inflight.values()
+                         if t.slot == worker]:
+                self._requeue_after_death_locked(task, reason)
+            self._book_respawn_locked(worker)
+            slot = self._slots[worker]
+            self._cond.notify_all()
+        slot.close(0.0)
+        self._recorder.count("pool.worker_death")
+
+    def _book_respawn_locked(self, worker: int) -> None:
+        """Book slot *worker*'s next respawn after capped exponential
+        backoff, or abandon the slot after *max_respawns* (caller holds
+        ``_cond``)."""
+        attempts = self._respawn_attempts.get(worker, 0)
+        if attempts >= self._max_respawns:
+            self._counters["abandoned"] += 1
+        else:
+            self._respawn_at[worker] = _monotonic() + self._backoff(attempts)
+
+    def _requeue_after_death_locked(self, task: _Task, reason: str) -> None:
+        """*task*'s worker died (caller holds ``_cond``)."""
+        self._unroute_locked(task)
+        task.deaths += 1
+        if task.deaths <= self._retries:
+            # Workers are pure: the identical solve elsewhere is
+            # byte-identical.
+            self._counters["retries"] += 1
+        elif not task.degraded and task.method in ("exact", "dichotomy"):
+            # A solve that keeps killing workers degrades to the
+            # approximation tier, under a fresh identity so a late
+            # exact reply cannot race the degraded one.
+            del self._tasks[task.seq]
+            task.seq = self._next_seq
+            self._next_seq += 1
+            self._tasks[task.seq] = task
+            task.method = "approx"
+            task.degraded = True
+            task.deaths = 0
+            self._counters["degraded"] += 1
+        else:
+            self._finish_locked(task, None, reason)
+            return
+        self._queue.append(task)
+
+    def _sweep_deadlines(self) -> None:
+        """Send solves past their deadline again, with capped backoff;
+        after *retries* misses, fail the worker over (the requeue then
+        counts as a death for every solve it held)."""
+        if self._solve_timeout_s is None:
+            return
+        suspects = set()
+        with self._cond:
+            now = _monotonic()
+            for task in list(self._inflight.values()):
+                if now - task.sent_at <= self._solve_timeout_s:
+                    continue
+                self._counters["timeouts"] += 1
+                task.misses += 1
+                if task.misses <= self._retries:
+                    self._counters["retries"] += 1
+                    task.not_before = now + self._backoff(task.misses - 1)
+                    self._unroute_locked(task)
+                    self._queue.append(task)
+                else:
+                    task.misses = 0
+                    suspects.add(task.slot)
+        for worker in suspects:
             self._recorder.count("pool.timeout")
-            self._fail_worker(
-                widx, f"solve exceeded {self._solve_timeout_s:g}s"
+            self._fail_slot(
+                worker, f"solve missed its {self._solve_timeout_s:g}s deadline"
             )
 
     def _service_respawns(self) -> None:
-        """Run due respawns (collector thread).  A slot moves from the
-        backoff book to ``_respawning`` while its replacement spawns, so
-        concurrent failure handling never mistakes an in-progress
-        respawn for a dead pool."""
-        if not self._supervise or self._closed:
-            return
-        import time as _time
-
-        due = []
         with self._cond:
-            now = _time.monotonic()
-            for widx, when in list(self._respawn_at.items()):
-                if when <= now:
-                    del self._respawn_at[widx]
-                    self._respawning.add(widx)
-                    due.append(widx)
-        for widx in due:
-            ok = self._respawn_worker(widx)
+            now = _monotonic()
+            due = [w for w, at in self._respawn_at.items() if at <= now]
+            for worker in due:
+                del self._respawn_at[worker]
+                self._respawning.add(worker)
+        for worker in due:
+            ok = self._respawn(worker)
             with self._cond:
-                self._respawning.discard(widx)
-                if not ok:
-                    self._schedule_respawn_locked(widx)
-                if (len(self._dead) >= len(self._procs)
-                        and not (self._respawn_at or self._respawning)):
-                    self._broken = True
-                    self._cond.notify_all()
-        if due:
-            self._route_unsent()
+                self._respawning.discard(worker)
+                if not ok and not self._closed:
+                    self._book_respawn_locked(worker)
+                self._cond.notify_all()
 
-    def _respawn_worker(self, widx: int) -> bool:
-        """Spawn a replacement for slot *widx* and replay the full table
+    def _respawn(self, worker: int) -> bool:
+        """Spawn a replacement for slot *worker* and replay the parent
         mirror into it before it rejoins the rotation.  Replay holds
         ``_io``, which also serialises broadcasts — so the replacement's
-        snapshot plus subsequent deltas is exactly the state every other
-        worker holds, and solves on it stay byte-identical."""
-        self._respawn_attempts[widx] = self._respawn_attempts.get(widx, 0) + 1
-        generation = self._gens[widx] + 1
-        fault_spec = self._faults.to_spec() or None
+        snapshot plus subsequent deltas is exactly what every other
+        worker holds."""
+        self._respawn_attempts[worker] = self._respawn_attempts.get(worker, 0) + 1
+        generation = self._gens[worker] + 1
         try:
-            ctx = self._mp_ctx
-            inq = ctx.Queue()
-            proc = ctx.Process(
-                target=_session_worker_main,
-                args=(inq, self._outq, self._node_limit,
-                      self._use_kernel, self._budget_s,
-                      widx, generation, fault_spec),
-                daemon=True,
-            )
-            proc.start()
-        except (OSError, PermissionError, ValueError, ImportError,
-                AttributeError):
+            slot = self._spawn(worker, generation)
+        except (OSError, PermissionError, ValueError, ImportError):
+            return False
+        if not slot.wait_ready(_SPAWN_TIMEOUT_S):
+            slot.close(0.0)
             return False
         with self._io:
-            try:
-                for key, space in self._mirror.items():
-                    schema, fds, nl, bs, rows, weights = space
-                    inq.put(("open", key, schema, fds, nl, bs))
-                    inq.put(("reset", key, dict(rows), dict(weights)))
-            except (OSError, ValueError):
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-                return False
+            replayed = True
+            for key, space in self._mirror.items():
+                replayed = (
+                    slot.send(("open", key) + tuple(space[:4]))
+                    and slot.send(("reset", key, dict(space[4]),
+                                   dict(space[5])))
+                )
+                if not replayed:
+                    break
             with self._cond:
-                old_inq = self._inqs[widx]
-                self._inqs[widx] = inq
-                self._procs[widx] = proc
-                self._gens[widx] = generation
-                self._dead.discard(widx)
-                self._counters["respawns"] += 1
-                self._cond.notify_all()
-        # Retire the dead incarnation's queue so its feeder thread can
-        # never block teardown.
-        try:
-            while True:
-                old_inq.get_nowait()
-        except Exception:
-            pass
-        try:
-            old_inq.cancel_join_thread()
-            old_inq.close()
-        except Exception:
-            pass
+                if replayed and not self._closed:
+                    self._slots[worker] = slot
+                    self._gens[worker] = generation
+                    self._dead.discard(worker)
+                    self._counters["respawns"] += 1
+                    self._cond.notify_all()
+                else:
+                    replayed = False
+        if not replayed:
+            slot.close(0.0)
+            return False
         self._recorder.count("pool.respawn")
         return True
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _shutdown(self, force: bool = False) -> None:
+    def _teardown(self, grace_s: float) -> None:
         import threading
 
         self._stop.set()
-        collector = self._collector
-        if collector is not None and collector is not threading.current_thread():
-            collector.join(timeout=2.0)
-        self._collector = None
-        for inq in self._inqs:
-            try:
-                inq.put_nowait(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            try:
-                proc.join(timeout=0.1 if force else 2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=0.5)
-            except (OSError, ValueError, AssertionError):
-                pass
-        # Drain leftover items (queued solves from a partial dispatch,
-        # unread results) and detach the feeder threads so repeated
-        # close() calls — including via __del__ at interpreter teardown —
-        # can never block on a queue join.
-        for q in [*self._inqs, self._outq]:
-            if q is None:
-                continue
-            try:
-                while True:
-                    q.get_nowait()
-            except Exception:
-                pass
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._inqs = []
-        self._outq = None
+        monitor = self._monitor
+        if monitor is not None and monitor is not threading.current_thread():
+            monitor.join(timeout=2.0)
         with self._cond:
+            for task in list(self._tasks.values()):
+                self._finish_locked(task, None, "worker pool closed")
+            self._queue.clear()
             self._respawn_at.clear()
-            self._respawning.clear()
-            self._gens = []
-            for seq in list(self._pending):
-                del self._pending[seq]
-                self._done[seq] = (None, None, 0.0, "worker pool closed")
+            live = [s for w, s in enumerate(self._slots) if w not in self._dead]
+            self._dead.update(range(len(self._slots)))
             self._cond.notify_all()
+        for slot in live:
+            slot.send(("stop",))
+        for slot in live:
+            slot.close(grace_s)
 
     def close(self) -> None:
-        """Stop the workers; non-blocking and safe to call repeatedly."""
-        if not self._started:
-            return
-        self._broken = True
-        if self._closed:
+        """Stop the workers; safe to call repeatedly."""
+        if not self._started or self._closed:
             return
         self._closed = True
-        self._shutdown()
+        self._teardown(grace_s=2.0)
 
     def __enter__(self) -> "PersistentWorkerPool":
         self.start()
@@ -894,6 +1174,7 @@ class PersistentWorkerPool:
             self.close()
         except Exception:
             pass
+
 
 
 # ---------------------------------------------------------------------------
@@ -1037,12 +1318,11 @@ def solve_components(
     path.  The default :data:`repro.obs.NULL_RECORDER` costs one
     attribute check.
 
-    An *executor* (a :class:`repro.shard.ShardedExecutor`, or anything
-    duck-typing the pool seam plus ``attach_table``) takes precedence
-    over *parallel*: the table ships once into a per-call namespace and
-    components route as id-list tasks.  Pure solvers keep the results
-    byte-identical to serial; any executor failure falls back to the
-    local paths below.
+    An *executor* (a started or startable
+    :class:`PersistentWorkerPool`) takes precedence over *parallel*:
+    the table ships once into a per-call namespace and components route
+    as id-list tasks.  Pure solvers keep the results byte-identical to
+    serial; any executor failure falls back to the local paths below.
     """
     rec = _obs.resolve(recorder)
     count = len(methods)
@@ -1063,12 +1343,16 @@ def solve_components(
     workers = resolve_workers(parallel, count)
     ordered = None
     path = None
-    if executor is not None and count and (
-        getattr(executor, "alive", False) or executor.start()
-    ):
+    if executor is not None and count and executor.start():
         key = f"clean-{next(_EXECUTOR_KEYS)}"
-        if executor.attach_table(key, decomp.table, decomp.fds,
-                                 node_limit=node_limit):
+        table = decomp.table
+        if (
+            executor.open_session(key, table.schema, decomp.fds,
+                                  node_limit=node_limit)
+            and executor.broadcast(
+                ("reset", dict(table.rows()), dict(table.weights())), key=key
+            )
+        ):
             tasks = [
                 (components[i].ids, methods[i]) if budgets[i] is None
                 else (components[i].ids, methods[i], budgets[i])
@@ -1076,11 +1360,10 @@ def solve_components(
             ]
             try:
                 ordered = executor.solve(tasks, key=key)
-                path = getattr(executor, "executor_kind", "executor")
+                path = "pool"
             except RuntimeError:
                 ordered = None  # solver/transport failure: solve locally
-            finally:
-                executor.drop_session(key)
+        executor.drop_session(key)
     if ordered is not None:
         pass
     elif workers > 1:

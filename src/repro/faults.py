@@ -32,32 +32,25 @@ kills the original process and spares the supervisor's replacement
 
 Named sites (context keys in parentheses):
 
+- ``worker.recv`` (worker, generation, msg, op) — in a pool worker
+  (either transport), per incoming message before it is handled.
+  ``kill`` crashes the worker mid-protocol ("kill worker 1 at its 3rd
+  message"), ``drop`` swallows the message, ``raise`` answers a solve
+  with an error, ``delay`` stalls the worker.
 - ``worker.solve`` (worker, generation, solve, key, method) — in a pool
   worker, before executing a solve request.  ``kill`` exits the process
   with :data:`KILL_EXIT_CODE`; ``raise`` surfaces as a worker-side solve
-  error; ``delay`` stalls the solve (drives per-solve timeouts).
-- ``pool.dispatch`` (worker, seq) — in the parent, before a solve
-  message is enqueued.  ``drop`` silently discards the message (the
-  per-solve timeout path recovers it); ``delay`` stalls dispatch.
+  error; ``delay`` stalls the solve (drives per-solve deadlines).
+- ``pool.dispatch`` (worker, generation, op, seq) — in the parent,
+  before any message is sent to a worker.  ``drop`` loses it (a solve
+  recovers by its deadline, a mirror delta by the worker reporting a
+  stale mirror and being respawned); ``delay`` stalls the send.
 - ``server.op`` (op, tenant, session) — in the daemon, at the op
   boundary before a session op executes.  ``raise`` turns into an error
   reply; the session and daemon survive.
 - ``journal.append.before`` / ``journal.append.after`` (op) — around an
   op-journal append.  ``kill`` simulates a crash exactly before/after
   the write reaches the log, the two cases recovery must distinguish.
-- ``shard.rpc.send`` (shard, generation, op, seq) — in the parent,
-  before an RPC line is written to a shard's pipe.  ``drop`` loses the
-  request (a solve recovers via its deadline; a mirror delta heals by
-  state-error + journal replay); ``delay`` stalls dispatch.
-- ``shard.rpc.recv`` (shard, generation, op, seq, msg) — in a shard
-  host, after decoding a request.  ``drop`` swallows it (lost-reply ≡
-  lost-request to the parent), ``raise`` ships an error reply,
-  ``delay`` stalls the shard, ``kill`` crashes it mid-protocol.
-- ``shard.heartbeat`` (shard, generation, n) — in a shard host, on a
-  ping.  ``drop`` swallows the pong so the parent sees a silent shard.
-- ``shard.kill`` (shard, generation, msg, op) — in a shard host, fired
-  once per incoming message before it is handled: the dedicated crash
-  site chaos schedules use ("kill shard 1 at its 3rd message").
 """
 
 from __future__ import annotations
@@ -88,15 +81,12 @@ KILL_EXIT_CODE = 47
 
 #: Documented injection sites -> the context keys they fire with.
 SITES: Dict[str, tuple] = {
+    "worker.recv": ("worker", "generation", "msg", "op"),
     "worker.solve": ("worker", "generation", "solve", "key", "method"),
-    "pool.dispatch": ("worker", "seq"),
+    "pool.dispatch": ("worker", "generation", "op", "seq"),
     "server.op": ("op", "tenant", "session"),
     "journal.append.before": ("op",),
     "journal.append.after": ("op",),
-    "shard.rpc.send": ("shard", "generation", "op", "seq"),
-    "shard.rpc.recv": ("shard", "generation", "op", "seq", "msg"),
-    "shard.heartbeat": ("shard", "generation", "n"),
-    "shard.kill": ("shard", "generation", "msg", "op"),
 }
 
 _ACTIONS = ("kill", "raise", "delay", "drop")

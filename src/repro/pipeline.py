@@ -620,8 +620,7 @@ def clean(
         :data:`repro.obs.NULL_RECORDER` is a guaranteed no-op costing an
         attribute check on the hot paths.
     executor:
-        Optional :class:`repro.shard.ShardedExecutor` (or any object
-        duck-typing the pool seam plus ``attach_table``) that the
+        Optional :class:`repro.exec.PersistentWorkerPool` that the
         decomposed deletions path routes per-component solves through
         (see :func:`repro.exec.solve_components`).  Pure solvers keep
         the result byte-identical to local execution; executor failure

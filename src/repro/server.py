@@ -77,7 +77,73 @@ from .state import (
     load_snapshot,
 )
 
-__all__ = ["RepairServer", "ServerConfig", "SessionManager"]
+__all__ = ["MAX_LINE_BYTES", "RepairServer", "ServerConfig", "SessionManager"]
+
+#: Longest request line the daemon reads, in bytes, on TCP and stdio
+#: alike.  A longer line is consumed whole and answered with a protocol
+#: error; the connection stays open.
+MAX_LINE_BYTES = 1 << 20
+
+#: What the line readers yield for a line over :data:`MAX_LINE_BYTES`.
+_OVERLONG = object()
+
+
+async def _read_request_line(reader: asyncio.StreamReader):
+    """The next request line from *reader*: bytes, ``None`` at EOF, or
+    :data:`_OVERLONG` once an over-long line has been consumed."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial or None
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+            continue
+        except asyncio.IncompleteReadError:
+            pass
+        return _OVERLONG
+
+
+def _stdin_lines(fd: int):
+    """Request lines read from file descriptor *fd* with ``os.read``
+    (bytes, or :data:`_OVERLONG` for an over-long line), up to EOF.
+
+    Never through ``sys.stdin``: a queue-transport worker forked while
+    a thread blocks in ``sys.stdin.readline()`` inherits stdin's buffer
+    lock held and hangs in ``multiprocessing``'s ``_close_stdin``.
+    Raw reads take no lock, so every spawn — respawns included — is
+    safe."""
+    pending = bytearray()
+    overlong = False
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            if overlong:
+                yield _OVERLONG
+            elif pending:
+                yield bytes(pending)
+            return
+        pending += chunk
+        start = 0
+        while True:
+            end = pending.find(b"\n", start)
+            if end < 0:
+                break
+            if overlong or end - start > MAX_LINE_BYTES:
+                overlong = False
+                yield _OVERLONG
+            else:
+                yield bytes(pending[start:end + 1])
+            start = end + 1
+        del pending[:start]
+        if len(pending) > MAX_LINE_BYTES:
+            overlong = True
+            pending.clear()
 
 
 @dataclass
@@ -97,16 +163,10 @@ class ServerConfig:
     #: Warm worker processes shared by every session (0 = solve
     #: in-process on the executor threads).
     workers: int = 1
-    #: Shard host subprocesses shared by every session (>0 replaces the
-    #: worker pool with a :class:`repro.shard.ShardedExecutor`: solves
-    #: route by consistent hashing with retry/failover, and execution
-    #: degrades to local when shards are exhausted).
+    #: Stdio-transport workers (``python -m repro.shard`` subprocesses)
+    #: shared by every session; > 0 replaces the queue-transport
+    #: ``workers``.
     shards: int = 0
-    #: Per-RPC deadline on the sharded executor.
-    shard_timeout_s: float = 30.0
-    #: RPC retries (capped exponential backoff) before a shard is
-    #: presumed wedged and failed over.
-    shard_retries: int = 2
     #: Bound on the shared content-addressed solution cache.
     cache_entries: Optional[int] = 200_000
     #: Executor threads op execution runs on (per-session sequencing
@@ -114,9 +174,9 @@ class ServerConfig:
     executor_threads: int = 8
     #: Seconds a session waits for one pool solve batch.
     pool_timeout: float = 600.0
-    #: Optional per-solve timeout on the shared pool: an individual
-    #: solve stuck past this long gets its worker terminated and rides
-    #: the supervisor's retry-then-degrade path.
+    #: Optional per-solve deadline on the shared pool: a solve past it
+    #: is sent again with backoff, and its worker is failed over after
+    #: the pool's retries.
     solve_timeout_s: Optional[float] = None
     #: Directory for crash-safe state (op journal, snapshots, frozen
     #: session spool).  ``None`` keeps the daemon stateless: eviction
@@ -239,34 +299,26 @@ class SessionManager:
 
     # -- pool lifecycle (owned here, never by a session) ---------------
     def _shared_pool(self):
-        """The shared executor, started on first use: a
-        :class:`repro.shard.ShardedExecutor` when ``shards`` > 0, the
-        :class:`~repro.exec.PersistentWorkerPool` otherwise; ``None``
-        when ``workers == 0`` or the platform cannot start either."""
-        if self.config.shards <= 0 and self.config.workers <= 0:
+        """The shared :class:`~repro.exec.PersistentWorkerPool`, started
+        on first use — stdio transport when ``shards`` > 0, queue
+        transport otherwise; ``None`` when both are 0 or the platform
+        cannot start it."""
+        config = self.config
+        if config.shards <= 0 and config.workers <= 0:
             return None
         with self._lock:
             if not self._pool_started:
                 self._pool_started = True
-                if self.config.shards > 0:
-                    from .shard import ShardedExecutor
+                from .exec import PersistentWorkerPool
 
-                    pool = ShardedExecutor(
-                        self.config.shards,
-                        rpc_timeout_s=self.config.shard_timeout_s,
-                        rpc_retries=self.config.shard_retries,
-                        faults=self._faults,
-                        recorder=self.recorder,
-                    )
-                else:
-                    from .exec import PersistentWorkerPool
-
-                    pool = PersistentWorkerPool(
-                        self.config.workers,
-                        solve_timeout_s=self.config.solve_timeout_s,
-                        faults=self._faults,
-                        recorder=self.recorder,
-                    )
+                sharded = config.shards > 0
+                pool = PersistentWorkerPool(
+                    config.shards if sharded else config.workers,
+                    transport="stdio" if sharded else "queue",
+                    solve_timeout_s=config.solve_timeout_s,
+                    faults=self._faults,
+                    recorder=self.recorder,
+                )
                 if pool.start():
                     self._pool = pool
                 else:
@@ -750,13 +802,8 @@ class SessionManager:
         }
         if self._pool is not None:
             out["pool_supervision"] = self._pool.supervision_stats()
-            out["pool_kind"] = getattr(self._pool, "executor_kind", "pool")
-            live_shards = getattr(self._pool, "live_shards", None)
-            if callable(live_shards):
-                out["shards"] = {
-                    "count": self._pool.shard_count,
-                    "live": live_shards(),
-                }
+            out["pool_kind"] = self._pool.transport
+            out["pool_live"] = self._pool.live_workers()
         if self._supervision_base or self._pool is not None:
             out["pool_supervision_lifetime"] = self.lifetime_supervision()
         journal = self._journal
@@ -948,6 +995,13 @@ class RepairServer:
                     ok=ok,
                 )
 
+    async def _reject_overlong(self, write) -> None:
+        self.manager.errors += 1
+        await write({
+            "ok": False,
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        })
+
     def _daemon_op(self, req: Request) -> Dict[str, object]:
         if req.op == "ping":
             return {"pong": True}
@@ -975,7 +1029,7 @@ class RepairServer:
         stop = asyncio.ensure_future(self._shutdown.wait())
         try:
             while not self._shutdown.is_set():
-                read = asyncio.ensure_future(reader.readline())
+                read = asyncio.ensure_future(_read_request_line(reader))
                 # Race the read against shutdown so a drain (signal or
                 # ``shutdown`` op) interrupts an idle connection instead
                 # of waiting for its next line.
@@ -994,8 +1048,11 @@ class RepairServer:
                     line = read.result()
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
-                if not line:
+                if line is None:
                     break
+                if line is _OVERLONG:
+                    await self._reject_overlong(write)
+                    continue
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
@@ -1023,7 +1080,7 @@ class RepairServer:
         """Start listening; returns the actual bound port (useful with
         ``port=0``).  Run :meth:`wait_closed` to block until shutdown."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
         )
         return self._server.sockets[0].getsockname()[1]
 
@@ -1048,22 +1105,24 @@ class RepairServer:
 
         Lines are read by a *daemon* thread feeding an asyncio queue
         (portable — no pipe transports — and a drain never hangs on a
-        thread blocked in ``readline``); responses are written
-        synchronously under a lock; per-session concurrency works
-        exactly as over TCP.
+        thread blocked in a read; see :func:`_stdin_lines`); responses
+        are written synchronously under a lock; per-session concurrency
+        works exactly as over TCP.
         """
         loop = asyncio.get_running_loop()
         wlock = asyncio.Lock()
-        inbox: "asyncio.Queue[Optional[str]]" = asyncio.Queue()
+        inbox: "asyncio.Queue" = asyncio.Queue()
 
         def _reader() -> None:
-            while True:
-                line = sys.stdin.readline()
-                loop.call_soon_threadsafe(
-                    inbox.put_nowait, line if line else None
-                )
-                if not line:
-                    break
+            try:
+                try:
+                    for line in _stdin_lines(sys.stdin.fileno()):
+                        loop.call_soon_threadsafe(inbox.put_nowait, line)
+                except OSError:
+                    pass  # unreadable stdin: treated as EOF
+                loop.call_soon_threadsafe(inbox.put_nowait, None)
+            except RuntimeError:
+                pass  # the event loop already closed
 
         threading.Thread(
             target=_reader, name="repro-stdin", daemon=True
@@ -1087,7 +1146,10 @@ class RepairServer:
             line = get.result()
             if line is None:
                 break
-            text = line.strip()
+            if line is _OVERLONG:
+                await self._reject_overlong(write)
+                continue
+            text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue
             tasks.append(asyncio.create_task(self.handle_line(text, write)))

@@ -1,1209 +1,36 @@
-"""Fault-tolerant sharded execution: shard host processes + RPC layer.
+"""``python -m repro.shard`` — one worker of the stdio transport.
 
-:class:`~repro.exec.PersistentWorkerPool` keeps warm *worker* processes
-behind multiprocessing queues; this module is the next rung on the
-ROADMAP's scale-out ladder — **shard hosts**: spawned subprocesses that
-speak the :mod:`repro.protocol` JSONL envelope over their stdio pipes,
-each holding a delta-mirrored copy of every attached session's table and
-owning the arc of a consistent-hash ring that decides *which* components
-it solves.  The same executable-module trick a real deployment would use
-for TCP shard endpoints (``python -m repro.shard``) runs them here as
-local children, so the whole RPC failure matrix — lost requests, lost
-replies, stalls, crashes — exists and is deterministically injectable
-today, without a network.
-
-Why this is safe: FD conflict components are *independent* and every
-solver is a *pure function* of its component's rows (the PR-2/PR-3
-determinism contract).  Routing, retries, failover, and even full
-degradation to local execution can therefore never change an answer —
-they only change where (and how often) it is computed.  Sharded results
-are byte-identical to serial ones by construction; the chaos suite
-(``tests/test_shards.py``) pins it.
-
-Topology and failure semantics
-------------------------------
-- **Delta mirrors.**  The executor keeps the authoritative per-session
-  mirror (rows/weights) *and* a per-session **delta journal** (the exact
-  ``reset``/``append``/``delete`` broadcast history, compacted to one
-  ``reset`` once it grows).  Live shards receive every broadcast; a
-  replacement shard is re-derived by replaying the journal — the
-  journal/replay split PR 9 introduced for the daemon, applied to shard
-  failover.
-- **Routing.**  Components are routed by consistent hashing of
-  ``(session key, component ids)`` over the live membership
-  (:class:`HashRing`, virtual nodes).  Membership change — a death, a
-  respawn — rebalances only the dead/returning arc; the same component
-  always lands on the same shard while membership is stable, and solves
-  re-route to survivors the moment it is not.
-- **RPC discipline.**  Every solve RPC carries a deadline
-  (``rpc_timeout_s``); a timed-out RPC retries with capped exponential
-  backoff up to ``rpc_retries`` times (lost request and lost reply look
-  identical and both recover), after which the routed shard is presumed
-  wedged and is failed over.  Heartbeat pings detect silent deaths;
-  any traffic from a shard counts as liveness, so a shard legitimately
-  busy with a long exact solve is not shot mid-solve.
-- **Failover.**  A dead shard's in-flight solves re-dispatch
-  transparently to survivors (or queue for the replacement when it was
-  the last shard); the supervisor respawns the slot with capped
-  exponential backoff and replays open + journal into it before it
-  rejoins the ring.  A slot that keeps dying is abandoned after
-  ``max_respawns``; when every slot is exhausted the executor
-  **degrades to local execution** — solves run in the calling thread
-  against the authoritative mirror, honestly counted in
-  ``degraded_local``, and answers stay byte-identical.
-
-Fault sites (see :mod:`repro.faults`): ``shard.rpc.send`` (parent,
-before a request/broadcast line is written — ``drop``/``delay``),
-``shard.rpc.recv`` (shard, after decoding a request — ``drop``/
-``delay``/``raise``/``kill``), ``shard.heartbeat`` (shard, on a ping —
-``drop`` swallows the pong), ``shard.kill`` (shard, per message — the
-dedicated crash site chaos schedules use).
+:class:`repro.exec.PersistentWorkerPool` with ``transport="stdio"``
+(``fdrepair ... --shards N``) launches each worker as this module: it
+runs the pool's one worker loop over JSONL on stdin/stdout until the
+parent sends ``stop`` or closes the pipe.
 """
 
 from __future__ import annotations
 
-import base64
-import os
-import pickle
-import subprocess
 import sys
-import threading
-from bisect import bisect_left
-from hashlib import sha1
-from time import monotonic as _monotonic
-from time import perf_counter as _perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from . import faults as _faults
-from . import obs as _obs
 from .core import kernel as _kernel
-from .protocol import decode_line, encode
+from .exec import serve_stdio_worker
 
-__all__ = [
-    "HashRing",
-    "ShardHost",
-    "ShardedExecutor",
-    "shard_serve",
-    "main",
-]
-
-#: Default virtual nodes per shard on the hash ring — enough that one
-#: member's arcs interleave every other member's, so a death spreads its
-#: load across all survivors instead of dumping it on one neighbour.
-DEFAULT_VNODES = 64
-
-#: Mirror-maintenance op names a shard host accepts (one-way, unacked —
-#: exactly the :meth:`~repro.exec.PersistentWorkerPool.broadcast`
-#: vocabulary; a desynced shard surfaces as a ``state`` solve error and
-#: is healed by journal replay).
-_MIRROR_OPS = ("open", "drop", "reset", "append", "delete")
-
-
-def _pack(obj) -> str:
-    """Pickle *obj* into a JSON-safe ASCII blob.  The JSONL envelope
-    carries op/seq routing; payloads (rows with arbitrary Python values,
-    FD sets, kept-id tuples) ride as pickled blobs so shard results are
-    *byte*-identical to serial ones — no JSON round-trip of row values."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def _unpack(blob: str):
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
-# ---------------------------------------------------------------------------
-# Consistent-hash ring
-# ---------------------------------------------------------------------------
-
-
-def _hash64(data: bytes) -> int:
-    return int.from_bytes(sha1(data).digest()[:8], "big")
-
-
-class HashRing:
-    """Deterministic consistent-hash ring over integer shard slots.
-
-    Each member contributes *vnodes* points (``sha1("slot#v")``); a key
-    routes to the first point clockwise of its own hash.  Membership
-    change moves only the keys on the lost/gained arcs — the property
-    that makes failover a re-route, not a reshuffle."""
-
-    __slots__ = ("_points", "_members")
-
-    def __init__(self, members: Sequence[int], vnodes: int = DEFAULT_VNODES):
-        self._members = tuple(sorted(members))
-        points = []
-        for member in self._members:
-            for v in range(vnodes):
-                points.append((_hash64(f"{member}#{v}".encode()), member))
-        points.sort()
-        self._points = points
-
-    @property
-    def members(self) -> Tuple[int, ...]:
-        return self._members
-
-    def __bool__(self) -> bool:
-        return bool(self._points)
-
-    def route(self, key: bytes) -> int:
-        """The member owning *key*; raises :class:`IndexError` when the
-        ring is empty."""
-        points = self._points
-        if not points:
-            raise IndexError("empty hash ring")
-        i = bisect_left(points, (_hash64(key), -1))
-        if i == len(points):
-            i = 0
-        return points[i][1]
-
-
-# ---------------------------------------------------------------------------
-# Shard host process (child side)
-# ---------------------------------------------------------------------------
-
-
-def shard_serve(stdin, stdout, index: int, generation: int,
-                fault_spec=None) -> int:
-    """Serve one shard host over JSONL *stdin*/*stdout* until
-    ``shutdown`` or EOF.  The loop mirrors
-    :func:`repro.exec._session_worker_main` — namespaced mirrors, solves
-    by id list, failures shipped rather than fatal — with the
-    multiprocessing queues replaced by the :mod:`repro.protocol`
-    envelope, which is what lets the same loop sit behind a TCP socket
-    unchanged."""
-    from .core.table import Table
-    from .exec import _solve_s_kept
-
-    plan = _faults.FaultPlan.from_spec(fault_spec)
-    # key -> [schema, fds, node_limit, budget_s, rows, weights]
-    spaces: Dict = {}
-    msg_count = 0
-    ping_count = 0
-
-    def reply(obj) -> None:
-        stdout.write(encode(obj))
-        stdout.flush()
-
-    # Ready greeting: the parent's start()/respawn handshake.
-    reply({"ok": True, "ready": True, "shard": index,
-           "generation": generation})
-
-    for line in stdin:
-        if not line.strip():
-            continue
-        try:
-            msg = decode_line(line)
-        except ValueError:
-            continue  # torn line (parent died mid-write): skip
-        op = msg.get("op")
-        seq = msg.get("seq")
-        msg_count += 1
-        # The dedicated chaos crash site: fires per message so a plan
-        # can kill exactly this incarnation at exactly this point.
-        plan.fire("shard.kill", shard=index, generation=generation,
-                  msg=msg_count, op=op)
-        try:
-            verdict = plan.fire("shard.rpc.recv", shard=index,
-                                generation=generation, op=op,
-                                msg=msg_count, seq=seq)
-        except _faults.FaultInjected as exc:
-            if seq is not None:
-                reply({"ok": False, "seq": seq, "kind": "fault",
-                       "error": repr(exc)})
-            continue
-        if verdict == "drop":
-            continue  # swallowed request: the parent's deadline recovers
-        if op == "shutdown":
-            break
-        if op == "ping":
-            ping_count += 1
-            if plan.fire("shard.heartbeat", shard=index,
-                         generation=generation, n=ping_count) == "drop":
-                continue  # swallowed pong: heartbeat miss on the parent
-            reply({"ok": True, "seq": seq, "pong": True})
-            continue
-        if op in _MIRROR_OPS:
-            try:
-                payload = _unpack(msg["blob"])
-            except Exception:
-                continue
-            key = payload[0]
-            if op == "open":
-                _k, schema, fds, node_limit, budget_s = payload
-                spaces[key] = [tuple(schema), fds, node_limit, budget_s,
-                               {}, {}]
-            elif op == "drop":
-                spaces.pop(key, None)
-            else:
-                space = spaces.get(key)
-                if space is None:
-                    continue
-                if op == "reset":
-                    space[4] = dict(payload[1])
-                    space[5] = dict(payload[2])
-                elif op == "append":
-                    space[4].update(payload[1])
-                    space[5].update(payload[2])
-                elif op == "delete":
-                    for tid in payload[1]:
-                        space[4].pop(tid, None)
-                        space[5].pop(tid, None)
-            continue
-        if op == "solve":
-            try:
-                key, ids, method, budget = _unpack(msg["blob"])
-            except Exception as exc:
-                reply({"ok": False, "seq": seq, "kind": "state",
-                       "error": repr(exc)})
-                continue
-            space = spaces.get(key)
-            if space is None:
-                reply({"ok": False, "seq": seq, "kind": "state",
-                       "error": f"unknown session namespace {key!r}"})
-                continue
-            schema, fds, node_limit, space_budget, rows, weights = space
-            try:
-                subtable = Table(
-                    schema,
-                    {tid: rows[tid] for tid in ids},
-                    {tid: weights[tid] for tid in ids},
-                )
-            except KeyError as exc:
-                # Stale mirror (a lost delta): a *state* error — the
-                # parent heals this shard by journal replay, it is not a
-                # property of the component.
-                reply({"ok": False, "seq": seq, "kind": "state",
-                       "error": f"stale mirror, missing id {exc}"})
-                continue
-            solve_budget = budget if budget is not None else space_budget
-            try:
-                start = _perf_counter()
-                kept, effective = _solve_s_kept(
-                    subtable, fds, method, node_limit,
-                    budget_s=solve_budget,
-                )
-                elapsed = _perf_counter() - start
-            except BaseException as exc:  # ship the failure, don't die
-                reply({"ok": False, "seq": seq, "kind": "solve",
-                       "error": repr(exc)})
-            else:
-                reply({"ok": True, "seq": seq,
-                       "blob": _pack((tuple(kept), effective, elapsed))})
-            continue
-        # Unknown op: ignore (forward compatibility with newer parents).
-    return 0
+__all__ = ["main"]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.shard`` — run one shard host over stdio."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="repro.shard")
-    parser.add_argument("--index", type=int, default=0)
+    parser.add_argument("--worker", type=int, default=0)
     parser.add_argument("--generation", type=int, default=0)
     parser.add_argument("--faults", default=None,
                         help="JSON FaultPlan spec (chaos testing)")
     parser.add_argument("--no-kernel", action="store_true")
     args = parser.parse_args(argv)
     _kernel.set_enabled(not args.no_kernel)
-    return shard_serve(sys.stdin, sys.stdout, args.index, args.generation,
-                       fault_spec=args.faults)
-
-
-# ---------------------------------------------------------------------------
-# Parent-side shard handle
-# ---------------------------------------------------------------------------
-
-
-class ShardHost:
-    """Parent handle of one shard subprocess: the write pipe, a reader
-    thread draining its JSONL responses, and liveness bookkeeping."""
-
-    def __init__(self, slot: int, generation: int, *, use_kernel: bool,
-                 fault_spec=None, on_message=None):
-        self.slot = slot
-        self.generation = generation
-        cmd = [sys.executable, "-u", "-m", "repro.shard",
-               "--index", str(slot), "--generation", str(generation)]
-        if not use_kernel:
-            cmd.append("--no-kernel")
-        if fault_spec:
-            import json as _json
-
-            cmd += ["--faults", _json.dumps(fault_spec)]
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing
-            else src_root + os.pathsep + existing
-        )
-        # The child must not re-resolve the ambient chaos plan: parent
-        # and executor decide what each incarnation sees via --faults.
-        env.pop(_faults.FAULTS_ENV, None)
-        self.proc = subprocess.Popen(
-            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True, env=env,
-        )
-        self._write_lock = threading.Lock()
-        self.last_activity = _monotonic()
-        self.ready = threading.Event()
-        self._on_message = on_message
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"fdrepair-shard-{slot}-reader",
-            daemon=True,
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        try:
-            for line in self.proc.stdout:
-                try:
-                    msg = decode_line(line)
-                except ValueError:
-                    continue
-                self.last_activity = _monotonic()
-                if msg.get("ready"):
-                    self.ready.set()
-                    continue
-                if self._on_message is not None:
-                    self._on_message(self, msg)
-        except (OSError, ValueError):
-            pass  # pipe torn down: the monitor reaps via poll()
-
-    def send(self, obj) -> bool:
-        """Write one JSONL request; False when the pipe is gone."""
-        line = encode(obj)
-        with self._write_lock:
-            try:
-                self.proc.stdin.write(line)
-                self.proc.stdin.flush()
-            except (OSError, ValueError):
-                return False
-        return True
-
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def close(self, kill: bool = False, timeout: float = 2.0) -> None:
-        """Tear the subprocess down (graceful ``shutdown`` already sent
-        by the executor when applicable)."""
-        try:
-            if kill:
-                self.proc.kill()
-            elif self.proc.poll() is None:
-                self.proc.terminate()
-            self.proc.wait(timeout=timeout)
-        except (OSError, ValueError, subprocess.TimeoutExpired):
-            try:
-                self.proc.kill()
-                self.proc.wait(timeout=timeout)
-            except (OSError, ValueError, subprocess.TimeoutExpired):
-                pass
-        for stream in (self.proc.stdin, self.proc.stdout):
-            try:
-                if stream is not None:
-                    stream.close()
-            except (OSError, ValueError):
-                pass
-
-
-# ---------------------------------------------------------------------------
-# Sharded executor (parent side)
-# ---------------------------------------------------------------------------
-
-
-class _ShardTask:
-    """One in-flight sharded solve: routing, retry, and failover state."""
-
-    __slots__ = ("key", "ids", "method", "budget", "route_key", "slot",
-                 "seq", "sent_at", "not_before", "attempts", "failovers",
-                 "local", "claimed", "done", "result", "error")
-
-    def __init__(self, key, ids, method, budget):
-        self.key = key
-        self.ids = tuple(ids)
-        self.method = method
-        self.budget = budget
-        self.route_key = repr((key, self.ids)).encode()
-        self.slot = None        # routed shard slot (None = unrouted)
-        self.seq = None         # current RPC seq (stale seqs are dropped)
-        self.sent_at = None     # monotonic dispatch time (RPC deadline)
-        self.not_before = 0.0   # backoff gate for the next attempt
-        self.attempts = 0       # RPC attempts on the current route
-        self.failovers = 0      # shards failed over away from
-        self.local = False      # degraded to local execution
-        self.claimed = False    # a caller thread is solving it locally
-        self.done = False
-        self.result = None      # (kept ids, effective method, secs)
-        self.error = None
-
-
-class ShardedExecutor:
-    """Drop-in peer of :class:`~repro.exec.PersistentWorkerPool` that
-    executes component solves on shard host subprocesses.
-
-    Duck-types the pool seam (``start``/``alive``/``open_session``/
-    ``broadcast``/``drop_session``/``solve``/``close``/
-    ``supervision_stats``/``worker_count``), so a
-    :class:`~repro.session.RepairSession` or the daemon's shared-pool
-    slot can run sharded by swapping the object — and
-    :func:`repro.exec.solve_components` accepts one directly for the
-    batch path.  See the module docstring for topology and failure
-    semantics; :meth:`supervision_stats` is the honesty channel
-    (``shard_deaths``/``respawns``/``retries``/``timeouts``/
-    ``heartbeat_misses``/``rerouted``/``degraded_local``/``abandoned``/
-    ``rpcs``).
-
-    Construction never fails; :meth:`start` returns ``False`` (and the
-    executor reports dead) on platforms that cannot spawn the shard
-    subprocesses, so callers keep their serial fallback.
-    """
-
-    executor_kind = "shards"
-
-    def __init__(self, shards: int, schema=None, fds=None,
-                 node_limit: int = 2000,
-                 use_kernel: Optional[bool] = None,
-                 budget_s: Optional[float] = None, *,
-                 rpc_timeout_s: float = 30.0,
-                 rpc_retries: int = 2,
-                 retry_backoff_s: float = 0.05,
-                 retry_backoff_cap_s: float = 2.0,
-                 heartbeat_interval_s: float = 0.5,
-                 heartbeat_miss_s: float = 10.0,
-                 max_respawns: int = 8,
-                 respawn_backoff_s: float = 0.05,
-                 respawn_backoff_cap_s: float = 2.0,
-                 spawn_timeout_s: float = 20.0,
-                 journal_compact_every: int = 64,
-                 vnodes: int = DEFAULT_VNODES,
-                 faults=None,
-                 recorder=None):
-        self._shard_count = max(1, int(shards))
-        self._schema = None if schema is None else tuple(schema)
-        self._fds = fds
-        self._node_limit = node_limit
-        self._budget_s = budget_s
-        self._use_kernel = (
-            _kernel.enabled() if use_kernel is None else bool(use_kernel)
-        )
-        self._rpc_timeout_s = max(0.05, float(rpc_timeout_s))
-        self._rpc_retries = max(0, int(rpc_retries))
-        self._retry_backoff_s = max(0.0, float(retry_backoff_s))
-        self._retry_backoff_cap_s = max(
-            self._retry_backoff_s, float(retry_backoff_cap_s)
-        )
-        self._hb_interval_s = max(0.05, float(heartbeat_interval_s))
-        self._hb_miss_s = max(self._hb_interval_s * 2,
-                              float(heartbeat_miss_s))
-        self._max_respawns = max(0, int(max_respawns))
-        self._respawn_backoff_s = max(0.0, float(respawn_backoff_s))
-        self._respawn_backoff_cap_s = max(
-            self._respawn_backoff_s, float(respawn_backoff_cap_s)
-        )
-        self._spawn_timeout_s = max(0.5, float(spawn_timeout_s))
-        self._journal_compact_every = max(2, int(journal_compact_every))
-        self._vnodes = max(1, int(vnodes))
-        self._faults = _faults.resolve(faults)
-        self._recorder = _obs.resolve(recorder)
-
-        self._started = False
-        self._broken = False
-        self._closed = False
-        self._stop = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
-        self._hosts: List[Optional[ShardHost]] = [None] * self._shard_count
-        self._gens: List[int] = [0] * self._shard_count
-        self._dead: set = set(range(self._shard_count))
-        self._abandoned: set = set()
-        self._respawn_at: Dict[int, float] = {}
-        self._respawning: set = set()
-        self._respawn_attempts: Dict[int, int] = {}
-        self._ring = HashRing((), self._vnodes)
-        # Authoritative parent-side state: mirrors + delta journals,
-        # guarded by _state_lock (outer lock; never taken under _cond).
-        # key -> [schema, fds, node_limit, budget_s, rows, weights]
-        self._spaces: Dict = {}
-        self._journal: Dict = {}   # key -> [op tuples since open/compact]
-        self._state_lock = threading.Lock()
-        self._cond = threading.Condition()
-        self._pending: Dict[int, _ShardTask] = {}   # task id -> record
-        self._by_seq: Dict[int, int] = {}           # RPC seq -> task id
-        self._next_task = 0
-        self._next_seq = 0
-        self._last_hb = 0.0
-        self._counters = {
-            "shard_deaths": 0, "respawns": 0, "retries": 0,
-            "timeouts": 0, "heartbeat_misses": 0, "rerouted": 0,
-            "degraded_local": 0, "abandoned": 0, "rpcs": 0,
-        }
-
-    # -- pool-seam surface --------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return self._started and not self._broken and not self._closed
-
-    @property
-    def worker_count(self) -> int:
-        return self._shard_count
-
-    @property
-    def shard_count(self) -> int:
-        return self._shard_count
-
-    def live_shards(self) -> int:
-        with self._cond:
-            return sum(
-                1 for i in range(self._shard_count)
-                if self._hosts[i] is not None and i not in self._dead
-            )
-
-    def supervision_stats(self) -> Dict[str, int]:
-        with self._cond:
-            return dict(self._counters)
-
-    def start(self) -> bool:
-        """Spawn the shard fleet; True once every shard answered the
-        ready handshake (idempotent).  False — executor dead, caller
-        falls back — when the platform cannot run the subprocesses."""
-        if self._started:
-            return not self._broken and not self._closed
-        self._started = True
-        fault_spec = self._faults.to_spec() or None
-        try:
-            for slot in range(self._shard_count):
-                self._hosts[slot] = ShardHost(
-                    slot, 0, use_kernel=self._use_kernel,
-                    fault_spec=fault_spec, on_message=self._on_message,
-                )
-        except (OSError, ValueError) as exc:
-            self._broken = True
-            self._teardown_hosts()
-            return False
-        deadline = _monotonic() + self._spawn_timeout_s
-        for slot in range(self._shard_count):
-            host = self._hosts[slot]
-            if not host.ready.wait(max(0.0, deadline - _monotonic())):
-                self._broken = True
-                self._teardown_hosts()
-                return False
-        with self._cond:
-            self._dead.clear()
-            self._rebuild_ring_locked()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="fdrepair-shard-monitor",
-            daemon=True,
-        )
-        self._monitor.start()
-        if self._schema is not None and self._fds is not None:
-            from .exec import DEFAULT_SESSION_KEY
-
-            if not self.open_session(DEFAULT_SESSION_KEY, self._schema,
-                                     self._fds,
-                                     node_limit=self._node_limit,
-                                     budget_s=self._budget_s):
-                self._broken = True
-                self._teardown_hosts()
-        return not self._broken
-
-    # -- session namespaces -------------------------------------------
-
-    def open_session(self, key, schema, fds, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
-        """Install session *key* on every live shard (mirror starts
-        empty; follow with a ``reset`` broadcast)."""
-        limit = self._node_limit if node_limit is None else node_limit
-        budget = self._budget_s if budget_s is None else budget_s
-        with self._state_lock:
-            self._spaces[key] = [tuple(schema), fds, limit, budget, {}, {}]
-            self._journal[key] = []
-            failed = self._send_mirror_locked(
-                "open", _pack((key, tuple(schema), fds, limit, budget))
-            )
-        self._fail_shards(failed, "open broadcast failed")
-        return self.alive
-
-    def drop_session(self, key) -> bool:
-        with self._state_lock:
-            self._spaces.pop(key, None)
-            self._journal.pop(key, None)
-            failed = self._send_mirror_locked("drop", _pack((key,)))
-        self._fail_shards(failed, "drop broadcast failed")
-        return self.alive
-
-    def broadcast(self, op, key=None) -> bool:
-        """Apply one mirror-maintenance op — ``("reset", rows, weights)``,
-        ``("append", rows, weights)`` or ``("delete", ids)`` — to the
-        authoritative mirror, journal it, and fan it out to every live
-        shard.  False (executor dead) instead of raising."""
-        if key is None:
-            from .exec import DEFAULT_SESSION_KEY
-
-            key = DEFAULT_SESSION_KEY
-        with self._state_lock:
-            space = self._spaces.get(key)
-            if space is None:
-                return self.alive
-            self._apply_mirror(space, op)
-            journal = self._journal.setdefault(key, [])
-            journal.append(tuple(op))
-            if len(journal) > self._journal_compact_every:
-                # Compaction: the whole history collapses to one reset of
-                # the authoritative mirror — replay cost stays bounded.
-                self._journal[key] = [
-                    ("reset", dict(space[4]), dict(space[5]))
-                ]
-            failed = self._send_mirror_locked(
-                op[0], _pack((key,) + tuple(op[1:]))
-            )
-        self._fail_shards(failed, "mirror broadcast failed")
-        return self.alive
-
-    @staticmethod
-    def _apply_mirror(space, op) -> None:
-        kind = op[0]
-        if kind == "reset":
-            space[4] = dict(op[1])
-            space[5] = dict(op[2])
-        elif kind == "append":
-            space[4].update(op[1])
-            space[5].update(op[2])
-        elif kind == "delete":
-            for tid in op[1]:
-                space[4].pop(tid, None)
-                space[5].pop(tid, None)
-
-    def _send_mirror_locked(self, op: str, blob: str) -> List[int]:
-        """Fan one mirror op out to every live shard (caller holds
-        ``_state_lock``); returns the slots whose pipe refused it."""
-        with self._cond:
-            live = [
-                (slot, self._hosts[slot], self._gens[slot])
-                for slot in range(self._shard_count)
-                if self._hosts[slot] is not None and slot not in self._dead
-            ]
-        failed = []
-        for slot, host, gen in live:
-            if self._faults.fire("shard.rpc.send", shard=slot,
-                                 generation=gen, op=op,
-                                 seq=None) == "drop":
-                continue  # lost delta: heals via state error + replay
-            if not host.send({"op": op, "blob": blob}):
-                failed.append(slot)
-        return failed
-
-    def attach_table(self, key, table, fds, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
-        """Batch-path convenience: open *key* and ship *table* as the
-        initial mirror in one call (what
-        :func:`repro.exec.solve_components` uses)."""
-        return (
-            self.open_session(key, table.schema, fds,
-                              node_limit=node_limit, budget_s=budget_s)
-            and self.broadcast(
-                ("reset", dict(table.rows()), dict(table.weights())),
-                key=key,
-            )
-        )
-
-    # -- solving -------------------------------------------------------
-
-    def solve(self, tasks: Sequence[Tuple], timeout: float = 120.0,
-              key=None) -> List[Tuple[Tuple, str, float]]:
-        """Solve ``(component ids, method[, budget_s])`` tasks on the
-        shard fleet; returns ``(kept ids, effective method, seconds)``
-        per task, in task order.  Thread-safe; concurrent daemon
-        sessions interleave.  Shard deaths, dropped RPCs, and stalls are
-        survived inside the call (retry → failover → local degradation);
-        ``RuntimeError`` is raised only for the pool-seam failure modes
-        — executor closed, batch *timeout* expired, or a shard-side
-        solver exception — and callers fall back serially as with the
-        worker pool."""
-        if key is None:
-            from .exec import DEFAULT_SESSION_KEY
-
-            key = DEFAULT_SESSION_KEY
-        if not self.alive:
-            raise RuntimeError("sharded executor is not running")
-        if not tasks:
-            return []
-        deadline = _monotonic() + timeout
-        recs: List[_ShardTask] = []
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("sharded executor is not running")
-            for task in tasks:
-                budget = task[2] if len(task) > 2 else None
-                rec = _ShardTask(key, task[0], task[1], budget)
-                self._pending[self._next_task] = rec
-                self._next_task += 1
-                recs.append(rec)
-        self._dispatch()
-        failure = None
-        try:
-            while True:
-                claimed: List[_ShardTask] = []
-                with self._cond:
-                    for rec in recs:
-                        if rec.local and not rec.done and not rec.claimed:
-                            rec.claimed = True
-                            claimed.append(rec)
-                for rec in claimed:
-                    self._solve_local(rec)
-                with self._cond:
-                    if all(rec.done for rec in recs):
-                        break
-                    if self._closed:
-                        failure = "sharded executor closed"
-                    elif _monotonic() >= deadline:
-                        failure = (
-                            f"sharded solve timed out after {timeout:g}s"
-                        )
-                    if failure is not None:
-                        break
-                    self._cond.wait(0.05)
-        finally:
-            with self._cond:
-                for tid in [
-                    t for t, rec in self._pending.items() if rec in recs
-                ]:
-                    rec = self._pending.pop(tid)
-                    if rec.seq is not None:
-                        self._by_seq.pop(rec.seq, None)
-        if failure is not None:
-            raise RuntimeError(failure)
-        results = []
-        for rec in recs:
-            if rec.error is not None:
-                raise RuntimeError(f"shard solve failed: {rec.error}")
-            results.append(rec.result)
-        return results
-
-    def _solve_local(self, rec: _ShardTask) -> None:
-        """Graceful degradation: run one solve in the calling thread
-        against the authoritative mirror — same rows, same pure solver,
-        byte-identical answer; only the counters tell the difference."""
-        from .core.table import Table
-        from .exec import _solve_s_kept
-
-        with self._state_lock:
-            space = self._spaces.get(rec.key)
-            if space is None:
-                error: Optional[str] = f"unknown session namespace {rec.key!r}"
-                payload = None
-            else:
-                schema, fds, node_limit, space_budget, rows, weights = space
-                try:
-                    payload = (
-                        Table(
-                            schema,
-                            {tid: rows[tid] for tid in rec.ids},
-                            {tid: weights[tid] for tid in rec.ids},
-                        ),
-                        fds, node_limit,
-                        rec.budget if rec.budget is not None
-                        else space_budget,
-                    )
-                    error = None
-                except KeyError as exc:
-                    payload = None
-                    error = f"missing id {exc} in parent mirror"
-        result = None
-        if error is None:
-            subtable, fds, node_limit, solve_budget = payload
-            try:
-                start = _perf_counter()
-                kept, effective = _solve_s_kept(
-                    subtable, fds, rec.method, node_limit,
-                    budget_s=solve_budget,
-                )
-                result = (tuple(kept), effective,
-                          _perf_counter() - start)
-            except Exception as exc:
-                error = repr(exc)
-        with self._cond:
-            if rec.done:
-                return
-            rec.result = result
-            rec.error = error
-            rec.done = True
-            self._counters["degraded_local"] += 1
-            self._cond.notify_all()
-        if self._recorder.enabled:
-            self._recorder.count("shard.degraded_local")
-
-    # -- dispatch / responses -----------------------------------------
-
-    def _dispatch(self) -> None:
-        """Route every unrouted pending solve over the current ring and
-        ship it.  Called after registration, after failures requeue
-        work, after respawns restore capacity, and from the monitor
-        tick (backoff gates)."""
-        now = _monotonic()
-        to_send = []
-        with self._cond:
-            ring = self._ring
-            can_respawn = bool(self._respawn_at or self._respawning)
-            for tid, rec in self._pending.items():
-                if rec.done or rec.local or rec.slot is not None:
-                    continue
-                if now < rec.not_before:
-                    continue
-                if not ring:
-                    if not can_respawn:
-                        # Shards exhausted: graceful local degradation.
-                        rec.local = True
-                        self._cond.notify_all()
-                    continue
-                slot = ring.route(rec.route_key)
-                rec.slot = slot
-                rec.seq = self._next_seq
-                self._next_seq += 1
-                rec.sent_at = now
-                rec.attempts += 1
-                self._by_seq[rec.seq] = tid
-                self._counters["rpcs"] += 1
-                to_send.append((rec.seq, slot, self._gens[slot],
-                                self._hosts[slot], rec))
-        failed = set()
-        for seq, slot, gen, host, rec in to_send:
-            if self._faults.fire("shard.rpc.send", shard=slot,
-                                 generation=gen, op="solve",
-                                 seq=seq) == "drop":
-                continue  # lost request: the RPC deadline recovers it
-            ok = host.send({
-                "op": "solve", "seq": seq,
-                "blob": _pack((rec.key, rec.ids, rec.method, rec.budget)),
-            })
-            if not ok:
-                failed.add(slot)
-        self._fail_shards(failed, "solve dispatch failed")
-
-    def _on_message(self, host: ShardHost, msg: Dict) -> None:
-        """Reader-thread callback: correlate one shard response."""
-        if msg.get("pong"):
-            return  # last_activity already refreshed by the reader
-        seq = msg.get("seq")
-        stale_slot = None
-        with self._cond:
-            tid = self._by_seq.pop(seq, None) if seq is not None else None
-            rec = self._pending.get(tid) if tid is not None else None
-            if rec is None or rec.done or rec.seq != seq:
-                return  # stale attempt (already retried or abandoned)
-            if msg.get("ok"):
-                try:
-                    rec.result = _unpack(msg["blob"])
-                except Exception as exc:
-                    rec.error = f"undecodable shard reply: {exc!r}"
-                rec.done = True
-                self._cond.notify_all()
-                return
-            if msg.get("kind") in ("solve", "fault"):
-                # A solver exception is a property of the component:
-                # surface it to the caller exactly like the worker pool.
-                rec.error = str(msg.get("error"))
-                rec.done = True
-                self._cond.notify_all()
-                return
-            # A *state* error means this shard's mirror is stale (a
-            # dropped delta): requeue the solve and heal the shard by
-            # respawn + journal replay.
-            rec.slot = None
-            rec.seq = None
-            rec.sent_at = None
-            self._counters["rerouted"] += 1
-            stale_slot = host.slot if host.generation == self._gens[host.slot] else None
-        if stale_slot is not None:
-            self._fail_shard(stale_slot, "stale shard mirror")
-        self._dispatch()
-
-    # -- supervision ---------------------------------------------------
-
-    def _monitor_loop(self) -> None:
-        while not self._stop.wait(0.02):
-            now = _monotonic()
-            # 1. Reap exited shard processes.
-            dead = []
-            with self._cond:
-                live = [
-                    (slot, self._hosts[slot])
-                    for slot in range(self._shard_count)
-                    if self._hosts[slot] is not None
-                    and slot not in self._dead
-                ]
-            for slot, host in live:
-                if not host.alive():
-                    dead.append(slot)
-            for slot in dead:
-                self._fail_shard(slot, "shard process died")
-            # 2. Heartbeats: ping, and shoot silent shards.
-            if now - self._last_hb >= self._hb_interval_s:
-                self._last_hb = now
-                self._heartbeat(now)
-            # 3. RPC deadline sweep.
-            self._sweep_rpc_deadlines(now)
-            # 4. Due respawns.
-            self._service_respawns(now)
-            # 5. Backoff gates may have opened.
-            self._dispatch()
-
-    def _heartbeat(self, now: float) -> None:
-        with self._cond:
-            live = [
-                (slot, self._hosts[slot], self._gens[slot])
-                for slot in range(self._shard_count)
-                if self._hosts[slot] is not None and slot not in self._dead
-            ]
-        silent = []
-        for slot, host, gen in live:
-            if now - host.last_activity > self._hb_miss_s:
-                silent.append(slot)
-                continue
-            if self._faults.fire("shard.rpc.send", shard=slot,
-                                 generation=gen, op="ping",
-                                 seq=None) == "drop":
-                continue
-            host.send({"op": "ping", "seq": -1})
-        for slot in silent:
-            with self._cond:
-                self._counters["heartbeat_misses"] += 1
-            self._fail_shard(slot, "missed heartbeats")
-
-    def _sweep_rpc_deadlines(self, now: float) -> None:
-        """Retry RPCs past their deadline (capped exponential backoff);
-        after ``rpc_retries`` attempts the routed shard is presumed
-        wedged and failed over."""
-        suspects = set()
-        with self._cond:
-            for tid, rec in self._pending.items():
-                if (rec.done or rec.local or rec.sent_at is None
-                        or rec.slot is None):
-                    continue
-                if now - rec.sent_at < self._rpc_timeout_s:
-                    continue
-                self._counters["timeouts"] += 1
-                if rec.seq is not None:
-                    self._by_seq.pop(rec.seq, None)
-                slot = rec.slot
-                rec.slot = None
-                rec.seq = None
-                rec.sent_at = None
-                if rec.attempts <= self._rpc_retries:
-                    self._counters["retries"] += 1
-                    backoff = min(
-                        self._retry_backoff_s * (2 ** (rec.attempts - 1)),
-                        self._retry_backoff_cap_s,
-                    )
-                    rec.not_before = now + backoff
-                else:
-                    # Retries exhausted on this route: the shard is
-                    # wedged (or the route is cursed).  Fail it over.
-                    rec.attempts = 0
-                    rec.not_before = now
-                    rec.failovers += 1
-                    suspects.add(slot)
-                    if rec.failovers > self._shard_count:
-                        rec.local = True
-                        self._cond.notify_all()
-        for slot in suspects:
-            self._fail_shard(slot, "rpc deadline exhausted")
-        if suspects:
-            self._dispatch()
-
-    def _fail_shards(self, slots, reason: str) -> None:
-        for slot in slots:
-            self._fail_shard(slot, reason)
-
-    def _fail_shard(self, slot: int, reason: str) -> None:
-        """Take one shard out of service: requeue its in-flight solves
-        (transparent re-dispatch), rebuild the ring, and schedule a
-        replacement with capped exponential backoff — or abandon the
-        slot after ``max_respawns``.  When the last slot is gone every
-        queued solve degrades to local execution."""
-        now = _monotonic()
-        with self._cond:
-            host = self._hosts[slot]
-            if host is None or slot in self._dead:
-                return
-            self._dead.add(slot)
-            self._counters["shard_deaths"] += 1
-            for tid, rec in self._pending.items():
-                if rec.slot == slot and not rec.done:
-                    if rec.seq is not None:
-                        self._by_seq.pop(rec.seq, None)
-                    rec.slot = None
-                    rec.seq = None
-                    rec.sent_at = None
-                    rec.attempts = 0
-                    self._counters["rerouted"] += 1
-            self._rebuild_ring_locked()
-            attempts = self._respawn_attempts.get(slot, 0)
-            if attempts >= self._max_respawns:
-                self._abandoned.add(slot)
-                self._counters["abandoned"] += 1
-                self._respawn_at.pop(slot, None)
-            else:
-                backoff = min(
-                    self._respawn_backoff_s * (2 ** attempts),
-                    self._respawn_backoff_cap_s,
-                )
-                self._respawn_at[slot] = now + backoff
-            if (not self._ring and not self._respawn_at
-                    and not self._respawning):
-                for rec in self._pending.values():
-                    if not rec.done:
-                        rec.local = True
-            self._cond.notify_all()
-        host.close(kill=True)
-        if self._recorder.enabled:
-            self._recorder.count("shard.death", key=reason)
-        self._dispatch()
-
-    def _rebuild_ring_locked(self) -> None:
-        members = [
-            slot for slot in range(self._shard_count)
-            if self._hosts[slot] is not None
-            and slot not in self._dead
-            and slot not in self._abandoned
-        ]
-        self._ring = HashRing(members, self._vnodes)
-
-    def _service_respawns(self, now: float) -> None:
-        due = []
-        with self._cond:
-            for slot, at in list(self._respawn_at.items()):
-                if now >= at and slot not in self._respawning:
-                    self._respawning.add(slot)
-                    del self._respawn_at[slot]
-                    due.append(slot)
-        for slot in due:
-            self._respawn_shard(slot)
-
-    def _respawn_shard(self, slot: int) -> None:
-        """Spawn a replacement for *slot* and re-derive its mirrors by
-        replaying the parent-side delta journal, then let it rejoin the
-        ring (rebalance routes its arc back)."""
-        self._respawn_attempts[slot] = (
-            self._respawn_attempts.get(slot, 0) + 1
-        )
-        gen = self._gens[slot] + 1
-        fault_spec = self._faults.to_spec() or None
-        try:
-            host = ShardHost(slot, gen, use_kernel=self._use_kernel,
-                             fault_spec=fault_spec,
-                             on_message=self._on_message)
-        except (OSError, ValueError):
-            host = None
-        if host is not None and not host.ready.wait(self._spawn_timeout_s):
-            host.close(kill=True)
-            host = None
-        if host is None:
-            with self._cond:
-                self._respawning.discard(slot)
-                if self._respawn_attempts[slot] >= self._max_respawns:
-                    self._abandoned.add(slot)
-                    self._counters["abandoned"] += 1
-                    if (not self._ring and not self._respawn_at
-                            and not self._respawning):
-                        for rec in self._pending.values():
-                            if not rec.done:
-                                rec.local = True
-                        self._cond.notify_all()
-                else:
-                    backoff = min(
-                        self._respawn_backoff_s
-                        * (2 ** self._respawn_attempts[slot]),
-                        self._respawn_backoff_cap_s,
-                    )
-                    self._respawn_at[slot] = _monotonic() + backoff
-            return
-        # Replay under the state lock so no broadcast can slip between
-        # the journal replay and the shard joining the live set.
-        with self._state_lock:
-            for key, space in self._spaces.items():
-                host.send({"op": "open", "blob": _pack(
-                    (key, space[0], space[1], space[2], space[3])
-                )})
-                for op in self._journal.get(key, ()):
-                    host.send({
-                        "op": op[0],
-                        "blob": _pack((key,) + tuple(op[1:])),
-                    })
-            with self._cond:
-                old = self._hosts[slot]
-                self._hosts[slot] = host
-                self._gens[slot] = gen
-                self._dead.discard(slot)
-                self._respawning.discard(slot)
-                self._rebuild_ring_locked()
-                self._counters["respawns"] += 1
-                self._cond.notify_all()
-        if old is not None:
-            old.close(kill=True)
-        if self._recorder.enabled:
-            self._recorder.count("shard.respawn")
-        self._dispatch()
-
-    # -- teardown ------------------------------------------------------
-
-    def _teardown_hosts(self) -> None:
-        for slot in range(self._shard_count):
-            host = self._hosts[slot]
-            if host is not None:
-                host.close(kill=True)
-                self._hosts[slot] = None
-        with self._cond:
-            self._dead = set(range(self._shard_count))
-            self._ring = HashRing((), self._vnodes)
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        """Shut the fleet down; idempotent, never blocks on a wedged
-        shard (graceful ``shutdown`` first, then kill)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=2.0)
-        with self._cond:
-            hosts = [
-                self._hosts[slot]
-                for slot in range(self._shard_count)
-                if self._hosts[slot] is not None
-                and slot not in self._dead
-            ]
-            for rec in self._pending.values():
-                if not rec.done:
-                    rec.error = "sharded executor closed"
-                    rec.done = True
-            self._pending.clear()
-            self._by_seq.clear()
-            self._cond.notify_all()
-        for host in hosts:
-            host.send({"op": "shutdown"})
-        self._teardown_hosts()
-
-    def __enter__(self) -> "ShardedExecutor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            if self._started and not self._closed:
-                self.close()
-        except Exception:
-            pass
+    serve_stdio_worker(sys.stdin.buffer, sys.stdout.buffer, args.worker,
+                       args.generation, fault_spec=args.faults)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess

@@ -31,11 +31,17 @@ from repro.protocol import (
     encode,
     result_summary,
 )
-from repro.server import RepairServer, ServerConfig, SessionManager
+from repro.server import (
+    MAX_LINE_BYTES,
+    RepairServer,
+    ServerConfig,
+    SessionManager,
+)
 from repro.session import RepairSession, SolutionCache
 from repro.testing import random_small_table
 
 SCHEMA = ("A", "B", "C")
+TRANSPORTS = ("queue", "stdio")
 
 
 def _pool_available():
@@ -489,6 +495,11 @@ def test_daemon_error_responses_keep_connection_alive():
             '{"op": "repair", "tenant": "t", "session": "nope"}'
         )
         assert not reply["ok"] and "no open session" in reply["error"]
+        # An over-long line is consumed whole and answered with an
+        # error, not dropped with the connection.
+        pad = "x" * (MAX_LINE_BYTES + 1)
+        reply = await rpc('{"op": "ping", "pad": "' + pad + '"}')
+        assert not reply["ok"] and "exceeds" in reply["error"]
         # The connection (and daemon) survive all of the above.
         assert (await rpc('{"op": "ping"}'))["pong"]
         await rpc('{"op": "shutdown"}')
@@ -567,7 +578,7 @@ async def _rpc(reader, writer, obj):
 
 def test_killed_worker_fails_fast_and_repair_survives():
     """A worker killed mid-stream must not stall ``solve`` for the full
-    timeout: the collector reaps the corpses within its poll interval,
+    timeout: the monitor reaps the corpses within its tick,
     the supervisor respawns them (or the serial fallback kicks in), and
     the session still produces a byte-identical repair — promptly."""
     if not _pool_available():
@@ -589,10 +600,10 @@ def test_killed_worker_fails_fast_and_repair_survives():
         pool = session._pool
         if pool is None:
             pytest.skip("pool did not start")
-        for proc in pool._procs:
-            proc.terminate()
-        for proc in pool._procs:
-            proc.join(timeout=5.0)
+        for slot in pool._slots:
+            slot.proc.terminate()
+        for slot in pool._slots:
+            slot.proc.join(timeout=5.0)
         session.append([("z", 1, 1), ("z", 2, 2)], repair=False)
         start = time.monotonic()
         result = session.repair()
@@ -605,37 +616,12 @@ def test_killed_worker_fails_fast_and_repair_survives():
         session.close()
 
 
-def test_pool_solve_raises_promptly_when_workers_die_unsupervised():
-    """``supervise=False`` keeps the PR-6 fail-fast contract: all
-    workers dead → ``solve`` raises within the liveness sweep interval
-    and the pool reports broken, so callers can drop to serial."""
-    if not _pool_available():
-        pytest.skip("subprocess support unavailable")
-    fds = FDSet("A -> B")
-    pool = PersistentWorkerPool(2, SCHEMA, fds, supervise=False)
-    assert pool.start()
-    try:
-        rows = {i: ("a", str(i), "p") for i in range(1, 11)}
-        weights = {i: 1.0 for i in rows}
-        assert pool.broadcast(("reset", rows, weights))
-        for proc in pool._procs:
-            proc.terminate()
-        for proc in pool._procs:
-            proc.join(timeout=5.0)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError):
-            pool.solve([(tuple(rows), "exact")], timeout=120.0)
-        assert time.monotonic() - start < 10.0
-        assert not pool.alive
-    finally:
-        pool.close()
-
-
 def test_pool_supervisor_heals_worker_death_mid_batch():
-    """The acceptance path, driven through ``repro.faults``: a worker
-    killed mid-batch no longer raises — the supervisor retries its
-    in-flight solves, respawns the slot with the mirror replayed, and
-    the batch result is byte-identical to a no-fault run."""
+    """The acceptance path, driven through ``repro.faults`` on both
+    transports: a worker killed mid-batch does not raise — the
+    supervisor retries its in-flight solves, respawns the slot with the
+    mirror replayed, and the batch result is byte-identical to a
+    no-fault run."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     from repro.faults import FaultPlan, FaultRule
@@ -652,31 +638,33 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
         expected = [(kept, method) for kept, method, _secs
                     in baseline.solve(tasks, timeout=60.0)]
 
-    plan = FaultPlan([FaultRule("worker.solve", "kill",
-                                match={"worker": 0, "generation": 0})])
-    pool = PersistentWorkerPool(2, SCHEMA, fds, faults=plan,
-                                respawn_backoff_s=0.01)
-    assert pool.start()
-    try:
-        assert pool.broadcast(("reset", rows, weights))
-        got = [(kept, method) for kept, method, _secs
-               in pool.solve(tasks, timeout=60.0)]
-        assert got == expected
-        deadline = time.monotonic() + 10.0
-        while (pool.supervision_stats()["respawns"] < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        counters = pool.supervision_stats()
-        assert counters["worker_deaths"] == 1
-        assert counters["retries"] >= 1
-        assert counters["respawns"] == 1
-        assert counters["degraded"] == 0
-        assert pool.live_workers() == 2
-        # The replacement's replayed mirror serves solves byte-identically.
-        assert ([(kept, method) for kept, method, _secs
-                 in pool.solve(tasks, timeout=60.0)] == expected)
-    finally:
-        pool.close()
+    for transport in TRANSPORTS:
+        plan = FaultPlan([FaultRule("worker.solve", "kill",
+                                    match={"worker": 0, "generation": 0})])
+        pool = PersistentWorkerPool(2, SCHEMA, fds, transport=transport,
+                                    faults=plan, backoff_s=0.01)
+        assert pool.start(), transport
+        try:
+            assert pool.broadcast(("reset", rows, weights))
+            got = [(kept, method) for kept, method, _secs
+                   in pool.solve(tasks, timeout=60.0)]
+            assert got == expected, transport
+            deadline = time.monotonic() + 10.0
+            while (pool.supervision_stats()["respawns"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            counters = pool.supervision_stats()
+            assert counters["worker_deaths"] == 1, transport
+            assert counters["retries"] >= 1, transport
+            assert counters["respawns"] == 1, transport
+            assert counters["degraded"] == 0, transport
+            assert pool.live_workers() == 2, transport
+            # The replacement's replayed mirror serves solves
+            # byte-identically.
+            assert ([(kept, method) for kept, method, _secs
+                     in pool.solve(tasks, timeout=60.0)] == expected)
+        finally:
+            pool.close()
 
 
 def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
@@ -695,9 +683,9 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
     # Enqueue a pile of work and close without collecting any of it:
     # items are still queued, results may be mid-flight.
     ids = tuple(rows)
-    for inq in pool._inqs:
+    for slot in pool._slots:
         for _ in range(10):
-            inq.put(("solve", 10_000, "", ids, "approx"))
+            slot.send(("solve", 10_000, "", ids, "approx", None))
     start = time.monotonic()
     pool.close()
     first = time.monotonic() - start
@@ -712,32 +700,109 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
 
 
 def test_pool_namespaces_isolate_sessions():
-    """Two sessions with different Δ share one pool; each namespace
-    solves under its own FD set and mirrors its own deltas."""
+    """Two sessions with different Δ share one pool, on either
+    transport; each namespace solves under its own FD set and mirrors
+    its own deltas."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
-    pool = PersistentWorkerPool(1)
-    assert pool.start()
+    for transport in TRANSPORTS:
+        pool = PersistentWorkerPool(1, transport=transport)
+        assert pool.start(), transport
+        try:
+            fds_a = FDSet("A -> B")
+            fds_b = FDSet("B -> C")
+            assert pool.open_session("one", SCHEMA, fds_a)
+            assert pool.open_session("two", SCHEMA, fds_b)
+            rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
+            weights = {1: 2.0, 2: 1.0}
+            assert pool.broadcast(("reset", rows, weights), key="one")
+            # Same rows violate A -> B but satisfy B -> C.
+            assert pool.broadcast(("reset", rows, weights), key="two")
+            [(kept_a, _, _)] = pool.solve([((1, 2), "exact")], key="one")
+            assert kept_a == (1,)  # heavier tuple wins under A -> B
+            [(kept_b, _, _)] = pool.solve([((1, 2), "exact")], key="two")
+            assert kept_b == (1, 2)  # consistent under B -> C: keep both
+            assert pool.drop_session("two")
+            # Namespace "one" is unaffected by dropping "two".
+            [(kept_a2, _, _)] = pool.solve([((1, 2), "exact")], key="one")
+            assert kept_a2 == (1,)
+        finally:
+            pool.close()
+
+
+def test_daemon_survives_a_solve_deadline_failover(tmp_path):
+    """``serve --solve-timeout``: a solve stalled past its deadline is
+    re-sent, then its worker is failed over and respawned — and the
+    daemon keeps serving.  The failed-over worker is forked from the
+    daemon, so it must be stopped without a signal the daemon's event
+    loop would also see as a shutdown request."""
+    import os
+    import socket
+    import subprocess
+    import sys
+
+    if not _pool_available():
+        pytest.skip("subprocess support unavailable")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")) if p
+    )
+    env["FDREPAIR_FAULTS"] = json.dumps([{
+        "site": "worker.solve", "action": "delay", "delay_s": 3.0,
+        "match": {"generation": 0},
+    }])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--parallel", "1", "--solve-timeout", "0.2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+    )
     try:
-        fds_a = FDSet("A -> B")
-        fds_b = FDSet("B -> C")
-        assert pool.open_session("one", SCHEMA, fds_a)
-        assert pool.open_session("two", SCHEMA, fds_b)
-        rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
-        weights = {1: 2.0, 2: 1.0}
-        assert pool.broadcast(("reset", rows, weights), key="one")
-        # Same rows violate A -> B but satisfy B -> C.
-        assert pool.broadcast(("reset", rows, weights), key="two")
-        [(kept_a, _, _)] = pool.solve([((1, 2), "exact")], key="one")
-        assert kept_a == (1,)  # heavier tuple wins under A -> B
-        [(kept_b, _, _)] = pool.solve([((1, 2), "exact")], key="two")
-        assert kept_b == (1, 2)  # consistent under B -> C: keep both
-        assert pool.drop_session("two")
-        # Namespace "one" is unaffected by dropping "two".
-        [(kept_a2, _, _)] = pool.solve([((1, 2), "exact")], key="one")
-        assert kept_a2 == (1,)
+        port = int(proc.stdout.readline().decode().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=20) as sock:
+            rfile = sock.makefile("rb")
+
+            def rpc(obj):
+                sock.sendall((json.dumps(obj) + "\n").encode())
+                return json.loads(rfile.readline())
+
+            base = {"tenant": "t", "session": "s"}
+            assert rpc({"op": "open", "schema": ["A", "B"], "fds": "A -> B",
+                        **base})["ok"]
+            reply = rpc({"op": "append", "rows": [["a", "x"], ["a", "y"]],
+                         **base})
+            assert reply["ok"] and reply["distance"] == 1.0
+            stats = rpc({"op": "stats"})["pool_supervision"]
+            assert stats["timeouts"] >= 1 and stats["worker_deaths"] == 1
+            assert rpc({"op": "ping"})["pong"]
+            assert rpc({"op": "shutdown"})["ok"]
+        assert proc.wait(timeout=20) == 0
     finally:
-        pool.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_stdio_daemon_answers_through_a_worker_kill():
+    """``fdrepair serve --stdio --parallel 1`` with its pool worker
+    killed at the first solve: the respawn forks while the stdin reader
+    thread is live, and ``open`` → ``append`` → ``repair``, an over-long
+    line and a ``ping`` must each be answered within a short deadline
+    (the CI smoke runs the same script)."""
+    import pathlib
+    import subprocess
+    import sys
+
+    if not _pool_available():
+        pytest.skip("subprocess support unavailable")
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "serve_smoke.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--stdio", "--timeout", "10"],
+        capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")[-2000:]
+    assert b"STDIO SMOKE OK" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

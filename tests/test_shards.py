@@ -1,21 +1,21 @@
-"""Fault-tolerant sharded execution (``repro.shard``).
+"""Supervised execution over the stdio transport (``--shards``), and
+both transports through the same suites.
 
-The suite pins the PR's acceptance property from both ends:
+The suite pins the acceptance property from both ends:
 
-- **Byte-identity.**  Sharded answers — fault-free, under deterministic
-  chaos schedules (kills, dropped RPCs, stalls), and after full
+- **Byte-identity.**  Answers — fault-free, under deterministic chaos
+  schedules (kills, dropped messages, stalls), and after full
   degradation to local execution — are byte-identical to the serial
-  oracle.  Components are independent and solvers pure, so routing,
-  retry, failover, and replay can only move *where* work runs.
-- **Honesty.**  Every recovery the executor performs is visible in
-  ``supervision_stats`` — deaths, respawns, retries, timeouts,
-  re-routes, local degradations — so the identity above is evidence of
-  healing, not of faults never firing.
+  oracle on either transport.  Components are independent and solvers
+  pure, so retry, failover, and replay can only move *where* work runs.
+- **Honesty.**  Every recovery the pool performs is visible in
+  ``supervision_stats`` — deaths, respawns, retries, timeouts, local
+  degradations — so the identity above is evidence of healing, not of
+  faults never firing.
 
-Plus the satellite machinery riding this PR: journal rotation with
-retention (``OpJournal`` keep/max_bytes), the ``fdrepair recover
---dry-run`` inspection verb, and supervision counters surviving daemon
-restarts via the snapshot.
+Plus journal rotation with retention (``OpJournal`` keep/max_bytes),
+the ``fdrepair recover --dry-run`` inspection verb, and supervision
+counters surviving daemon restarts via the snapshot.
 """
 
 import json
@@ -24,15 +24,16 @@ import pytest
 
 from repro.core.fd import FDSet
 from repro.core.table import Table
+from repro.exec import PersistentWorkerPool
 from repro.faults import FaultPlan, FaultRule
 from repro.pipeline import clean
 from repro.protocol import apply_session_op
 from repro.session import RepairSession
-from repro.shard import HashRing, ShardedExecutor
 
 SCHEMA = ("A", "B", "C")
 FDS = FDSet("A -> B; B -> C")
 FDS_TEXT = "A -> B; B -> C"
+TRANSPORTS = ("queue", "stdio")
 
 
 def _conflict_table(clusters=4, size=10, seed=7):
@@ -56,54 +57,16 @@ def _conflict_table(clusters=4, size=10, seed=7):
     return Table(SCHEMA, rows, weights)
 
 
-def _executor(shards, **kwargs):
-    """Start a sharded executor or skip: platforms that cannot spawn
-    the shard subprocesses keep their serial fallback and are not what
-    this suite tests."""
-    kwargs.setdefault("respawn_backoff_s", 0.01)
-    ex = ShardedExecutor(shards, **kwargs)
+def _executor(workers, transport="stdio", **kwargs):
+    """Start a pool or skip: platforms that cannot spawn the worker
+    processes keep their serial fallback and are not what this suite
+    tests."""
+    kwargs.setdefault("backoff_s", 0.01)
+    ex = PersistentWorkerPool(workers, transport=transport, **kwargs)
     if not ex.start():
         ex.close()
-        pytest.skip("platform cannot start shard subprocesses")
+        pytest.skip(f"platform cannot start {transport} workers")
     return ex
-
-
-# ---------------------------------------------------------------------------
-# Consistent-hash ring
-# ---------------------------------------------------------------------------
-
-
-class TestHashRing:
-    KEYS = [f"key-{i}".encode() for i in range(200)]
-
-    def test_deterministic_across_instances(self):
-        a = HashRing((0, 1, 2))
-        b = HashRing((2, 0, 1))  # construction order must not matter
-        assert [a.route(k) for k in self.KEYS] == [
-            b.route(k) for k in self.KEYS
-        ]
-
-    def test_membership_change_moves_only_the_lost_arc(self):
-        full = HashRing((0, 1, 2))
-        survivors = HashRing((0, 2))
-        moved = 0
-        for key in self.KEYS:
-            before = full.route(key)
-            after = survivors.route(key)
-            if before == 1:
-                assert after in (0, 2)
-            else:
-                # The consistent-hashing contract: keys on surviving
-                # members' arcs do not move when a member dies.
-                assert after == before
-                moved += before != after
-        assert moved == 0
-
-    def test_empty_ring(self):
-        ring = HashRing(())
-        assert not ring
-        with pytest.raises(IndexError):
-            ring.route(b"anything")
 
 
 # ---------------------------------------------------------------------------
@@ -112,80 +75,87 @@ class TestHashRing:
 
 
 class TestShardedIdentity:
+    """Each test runs on the stdio transport here and on the queue
+    transport in :class:`TestQueueIdentity`."""
+
+    transport = "stdio"
+
     def _serial(self, table):
         return clean(table, FDS).cleaned.to_string()
 
     def test_fault_free_sharded_clean_matches_serial(self):
         table = _conflict_table()
         expected = self._serial(table)
-        with _executor(2) as ex:
+        with _executor(2, self.transport) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
-        # The work actually went over the RPC layer.
+        # The work actually went to the workers.
         assert stats["rpcs"] > 0
-        assert stats["shard_deaths"] == 0
+        assert stats["worker_deaths"] == 0
         assert stats["degraded_local"] == 0
 
     def test_shard_kill_mid_run_is_invisible_in_results(self):
-        """A shard killed mid-batch: in-flight solves re-dispatch to the
-        survivor, the slot respawns (generation-matched kill spares the
+        """A worker killed mid-batch: its in-flight solves are sent
+        again, the slot respawns (generation-matched kill spares the
         replacement), and the answer is byte-identical."""
         table = _conflict_table()
         expected = self._serial(table)
         plan = FaultPlan([
-            FaultRule("shard.kill", "kill", at=2,
-                      match={"shard": 0, "generation": 0}),
+            FaultRule("worker.recv", "kill", at=2,
+                      match={"worker": 0, "generation": 0}),
         ])
-        with _executor(2, faults=plan) as ex:
+        with _executor(2, self.transport, faults=plan) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
-        assert stats["shard_deaths"] >= 1
-        assert stats["rerouted"] >= 1
+        assert stats["worker_deaths"] >= 1
+        assert stats["retries"] >= 1
 
     def test_dropped_solve_rpcs_recover_via_deadline_and_retry(self):
         """A lost request and a lost reply look identical from the
-        parent: the RPC deadline expires, the solve retries with
+        parent: the solve deadline expires, the solve is sent again with
         backoff, and the answer does not change."""
         table = _conflict_table()
         expected = self._serial(table)
         plan = FaultPlan([
-            FaultRule("shard.rpc.send", "drop", times=2,
+            FaultRule("pool.dispatch", "drop", times=2,
                       match={"op": "solve"}),
         ])
-        with _executor(2, faults=plan, rpc_timeout_s=0.3) as ex:
+        with _executor(2, self.transport, faults=plan,
+                       solve_timeout_s=0.3) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
         assert stats["timeouts"] >= 2
         assert stats["retries"] >= 2
+        assert stats["worker_deaths"] == 0
 
     def test_all_shards_lost_degrades_to_local_execution(self):
-        """The regression the ISSUE names: with every shard dead and no
-        respawns allowed, the executor must *degrade*, not fail — solves
-        run in the calling thread against the authoritative mirror, the
-        answer stays byte-identical, and the counters say so honestly."""
+        """With every worker dead and no respawns allowed, the pool must
+        *degrade*, not fail — solves run in the calling thread against
+        the parent mirror, the answer stays byte-identical, and the
+        counters say so honestly."""
         table = _conflict_table()
         expected = self._serial(table)
         plan = FaultPlan([
-            FaultRule("shard.kill", "kill", at=2, match={"shard": 0}),
-            FaultRule("shard.kill", "kill", at=2, match={"shard": 1}),
+            FaultRule("worker.recv", "kill", at=2, match={"worker": 0}),
+            FaultRule("worker.recv", "kill", at=2, match={"worker": 1}),
         ])
-        with _executor(2, faults=plan, max_respawns=0) as ex:
+        with _executor(2, self.transport, faults=plan, max_respawns=0) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
-            live = ex.live_shards()
+            live = ex.live_workers()
             still_alive = ex.alive
         assert got.cleaned.to_string() == expected
         assert live == 0
         assert still_alive  # degraded, not broken: later solves run local
-        assert stats["shard_deaths"] == 2
+        assert stats["worker_deaths"] == 2
         assert stats["abandoned"] == 2
         assert stats["degraded_local"] > 0
 
     def test_session_deltas_over_shards_match_serial_oracle(self):
-        """The daemon shape: a RepairSession using the executor as its
+        """The daemon shape: a RepairSession using the pool as its
         shared pool, interleaving appends/deletes/repairs — every ack
         equals the isolated serial session's."""
         script = _session_script(seed=3, batches=4)
@@ -195,7 +165,7 @@ class TestShardedIdentity:
             for op, payload in script
         ]
         oracle.close()
-        with _executor(2) as ex:
+        with _executor(2, self.transport) as ex:
             session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
             got = [
                 apply_session_op(session, op, dict(payload))
@@ -205,6 +175,28 @@ class TestShardedIdentity:
             stats = ex.supervision_stats()
         assert got == expected
         assert stats["rpcs"] > 0
+
+
+class TestQueueIdentity(TestShardedIdentity):
+    transport = "queue"
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_stalled_solve_finishes_on_its_first_worker(transport):
+    """Without a deadline nothing shoots a busy worker: a solve stalled
+    1.5 s by a ``delay`` fault finishes where it was sent, with no
+    death, retry, or respawn."""
+    plan = FaultPlan([FaultRule("worker.solve", "delay", delay_s=1.5)])
+    rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
+    with _executor(1, transport, faults=plan) as ex:
+        assert ex.open_session("k", SCHEMA, FDS)
+        assert ex.broadcast(("reset", rows, {1: 2.0, 2: 1.0}), key="k")
+        [(kept, method, secs)] = ex.solve([((1, 2), "exact")], key="k")
+        stats = ex.supervision_stats()
+    assert (kept, method) == ((1,), "exact")
+    assert stats["worker_deaths"] == 0
+    assert stats["retries"] == 0
+    assert stats["respawns"] == 0
 
 
 def _session_script(seed, batches):
@@ -244,17 +236,19 @@ def _session_script(seed, batches):
 
 
 def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
-    """The hypothesis chaos gate: shard kills and dropped solve RPCs at
-    hypothesis-chosen coordinates, over hypothesis-chosen workloads,
-    never change a single acknowledged byte vs the serial oracle.  Fault
-    plans are deterministic, so every failing example replays exactly.
+    """The hypothesis chaos gate, on both transports: worker kills and
+    dropped solve dispatches at hypothesis-chosen coordinates, over
+    hypothesis-chosen workloads, never change a single acknowledged
+    byte vs the serial oracle.  Fault plans are deterministic, so every
+    failing example replays exactly.
     """
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    with _executor(1):
-        pass  # probe once; skip the whole test where spawn fails
+    for transport in TRANSPORTS:
+        with _executor(1, transport):
+            pass  # probe once; skip the whole test where spawn fails
 
     @settings(
         max_examples=3,
@@ -277,31 +271,93 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
         oracle.close()
 
         rules = [
-            FaultRule("shard.kill", "kill", at=kill_msg,
-                      match={"shard": 0, "generation": 0}),
+            FaultRule("worker.recv", "kill", at=kill_msg,
+                      match={"worker": 0, "generation": 0}),
         ]
         if drops:
-            rules.append(FaultRule("shard.rpc.send", "drop", times=drops,
+            rules.append(FaultRule("pool.dispatch", "drop", times=drops,
                                    match={"op": "solve"}))
-        ex = ShardedExecutor(
-            2, faults=FaultPlan(rules),
-            rpc_timeout_s=0.5, respawn_backoff_s=0.01,
-        )
-        if not ex.start():
-            ex.close()
-            pytest.skip("platform cannot start shard subprocesses")
-        try:
-            session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
-            got = [
-                apply_session_op(session, op, dict(payload))
-                for op, payload in script
-            ]
-            session.close()
-        finally:
-            ex.close()
-        assert got == expected
+        for transport in TRANSPORTS:
+            ex = _executor(2, transport, faults=FaultPlan(rules),
+                           solve_timeout_s=0.5)
+            try:
+                session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
+                got = [
+                    apply_session_op(session, op, dict(payload))
+                    for op, payload in script
+                ]
+                session.close()
+            finally:
+                ex.close()
+            assert got == expected, transport
 
     run()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_lost_mirror_delta_heals_by_respawn(transport):
+    """A dropped ``append`` leaves the worker's mirror stale: its solve
+    reports the missing id, the parent (whose mirror has it) re-sends
+    the solve and respawns the worker with the mirror replayed, and the
+    answer is the one a fault-free pool gives."""
+    plan = FaultPlan([FaultRule("pool.dispatch", "drop",
+                                match={"op": "append"})])
+    rows = {1: ("a", "x", "p")}
+    with _executor(1, transport, faults=plan) as ex:
+        assert ex.open_session("k", SCHEMA, FDS)
+        assert ex.broadcast(("reset", rows, {1: 1.0}), key="k")
+        assert ex.broadcast(("append", {2: ("a", "y", "p")}, {2: 2.0}),
+                            key="k")
+        [(kept, method, _secs)] = ex.solve([((1, 2), "exact")], key="k")
+        stats = ex.supervision_stats()
+    assert (kept, method) == ((2,), "exact")
+    assert stats["worker_deaths"] == 1
+    assert stats["respawns"] == 1
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_concurrent_callers_share_the_fleet(transport):
+    """Eight caller threads over three workers (more than the host's
+    cores), with a short switch interval: every caller gets the
+    single-caller answers, every solve is sent exactly once, and the
+    per-worker load accounting returns to zero."""
+    import sys
+    import threading
+
+    table = _conflict_table(clusters=6, size=6)
+    groups = {}
+    for tid, row in table.rows().items():
+        groups.setdefault(row[0].split(".")[0], []).append(tid)
+    tasks = [(tuple(ids), "exact") for ids in groups.values()]
+    results = {}
+    with _executor(3, transport) as ex:
+        assert ex.open_session("k", table.schema, FDS)
+        assert ex.broadcast(
+            ("reset", dict(table.rows()), dict(table.weights())), key="k"
+        )
+        expected = [kept for kept, _m, _s in ex.solve(tasks, key="k")]
+
+        def caller(i):
+            results[i] = [kept for kept, _m, _s
+                          in ex.solve(tasks, timeout=60.0, key="k")]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = ex.supervision_stats()
+        assert ex._load == [0, 0, 0] and not ex._inflight
+    assert results == {i: expected for i in range(8)}
+    assert stats["rpcs"] == 9 * len(tasks)
+    assert stats["retries"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +373,23 @@ class TestExecutorSeam:
             ex.solve([((0,), "exact")])
 
     def test_solver_error_surfaces_as_runtime_error(self):
-        """A shard-side solver exception is a property of the request,
-        not of the transport: it surfaces as RuntimeError (the worker
-        pool's contract) so callers fall back serially."""
+        """A worker-side solver exception is a property of the request,
+        not of the transport: it surfaces as RuntimeError so callers
+        fall back serially."""
         with _executor(1) as ex:
-            assert ex.attach_table("k", _conflict_table(1, 4), FDS,
-                                   node_limit=2000)
+            table = _conflict_table(1, 4)
+            assert ex.open_session("k", table.schema, FDS)
+            assert ex.broadcast(
+                ("reset", dict(table.rows()), dict(table.weights())), key="k"
+            )
             with pytest.raises(RuntimeError):
-                # Unknown tuple ids → stale-state requeue would loop, so
-                # use a bogus method name: shard replies kind="solve".
                 ex.solve([((0, 1), "no-such-method")], key="k")
 
     def test_clean_falls_back_serially_when_executor_unusable(self):
         """The batch path keeps the serial fallback: an executor whose
         start() fails must leave clean() untouched."""
         table = _conflict_table()
-        dead = ShardedExecutor(1)
+        dead = PersistentWorkerPool(1, transport="stdio")
         dead._broken = True  # simulate a platform that cannot spawn
         dead._started = True
         got = clean(table, FDS, executor=dead)
@@ -541,13 +598,16 @@ class _WornPool:
 
     alive = True
     worker_count = 2
-    executor_kind = "fake"
+    transport = "fake"
 
     def __init__(self, counters):
         self._counters = dict(counters)
 
     def supervision_stats(self):
         return dict(self._counters)
+
+    def live_workers(self):
+        return self.worker_count
 
     def close(self):
         pass
@@ -593,16 +653,13 @@ class TestSupervisionPersistence:
 
 
 def test_daemon_shared_pool_can_be_sharded(tmp_path):
-    """``ServerConfig(shards=N)`` swaps the daemon's shared executor for
-    the sharded one at the same seam; sessions repair identically and
-    ``stats`` reports the shard fleet."""
+    """``ServerConfig(shards=N)`` gives the daemon a stdio-transport
+    shared pool at the same seam; sessions repair identically and
+    ``stats`` reports the fleet."""
     from repro.server import ServerConfig, SessionManager
 
-    probe = ShardedExecutor(1)
-    started = probe.start()
-    probe.close()
-    if not started:
-        pytest.skip("platform cannot start shard subprocesses")
+    with _executor(1):
+        pass  # probe; skip where the workers cannot start
 
     oracle = RepairSession(Table(SCHEMA, {}), FDS)
     rows = [["a", "b1", "x"], ["a", "b2", "x"], ["c", "d", "y"]]
@@ -627,6 +684,7 @@ def test_daemon_shared_pool_can_be_sharded(tmp_path):
     finally:
         manager.shutdown()
     assert got == expected
-    assert stats["pool_kind"] == "shards"
-    assert stats["shards"] == {"count": 2, "live": 2}
+    assert stats["pool_kind"] == "stdio"
+    assert stats["pool_workers"] == 2
+    assert stats["pool_live"] == 2
     assert "pool_supervision_lifetime" in stats
