@@ -32,12 +32,7 @@ Quickstart::
 
 from .core import *  # noqa: F401,F403 — the curated core API
 from .core import __all__ as _core_all
-from .exec import (
-    PersistentWorkerPool,
-    decomposed_s_repair,
-    decomposed_u_repair,
-    map_components,
-)
+from .exec import PersistentWorkerPool
 from .pipeline import CleaningResult, DirtinessReport, assess, clean
 from .session import RepairSession, SessionStats
 
@@ -51,7 +46,4 @@ __all__ = list(_core_all) + [
     "SessionStats",
     "assess",
     "clean",
-    "decomposed_s_repair",
-    "decomposed_u_repair",
-    "map_components",
 ]

@@ -47,11 +47,12 @@ per-component solve records, and a closing summary — consumable by the
 two analysis verbs above.
 
 The repair commands run the conflict-decomposed engine: ``--parallel N``
-solves components on N worker processes (``stream`` keeps them warm
-across batches), ``--exact-threshold`` moves the exact-vs-approximate
-component-size boundary, ``--portfolio`` prints the per-component method
-mix, and ``--global`` restores the undecomposed path.  The CSV layout is
-``id,<attributes...>,weight`` (see :mod:`repro.io.tables`).
+solves components on N supervised worker processes (``stream`` keeps
+them warm across batches), ``--exact-threshold`` moves the
+exact-vs-approximate component-size boundary, ``--portfolio`` prints the
+per-component method mix, and ``--global`` restores the undecomposed
+path.  The CSV layout is ``id,<attributes...>,weight`` (see
+:mod:`repro.io.tables`).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _add_repair_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="N",
         default=None,
-        help="solve conflict components on N worker processes",
+        help="solve conflict components on N supervised worker processes",
     )
     parser.add_argument(
         "--exact-threshold",
@@ -202,10 +203,11 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         default=None,
         help=(
-            "per-solve deadline on the supervised workers (--shards, and "
-            "serve's --parallel pool): a solve past it is sent again with "
-            "backoff, and its worker is failed over after 2 misses "
-            "(default: none — a long solve is never shot)"
+            "per-solve deadline on the supervised workers (--shards, "
+            "s-repair's --parallel, and serve's --parallel pool): a solve "
+            "past it is sent again with backoff, and its worker is failed "
+            "over after 2 misses (default: none — a long solve is never "
+            "shot)"
         ),
     )
 
@@ -709,7 +711,7 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     if getattr(args, "approx", False) and guarantee == "best":
         guarantee = "fast"
     recorder = _recorder_for(args)
-    # u-repair takes no --shards: only the deletions path routes solves.
+    # u-repair takes no --shards or --solve-timeout.
     executor = _sharded_pool_for(args) if strategy == "deletions" else None
     try:
         return clean(
@@ -725,6 +727,7 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
             unit_cost_s=args.unit_cost,
             recorder=recorder,
             executor=executor,
+            solve_timeout_s=getattr(args, "solve_timeout", None),
         )
     finally:
         if executor is not None:

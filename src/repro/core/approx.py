@@ -64,8 +64,6 @@ def approx_s_repair(
     table: Table,
     fds: FDSet,
     index: Optional[ConflictIndex] = None,
-    decomposed: bool = False,
-    parallel: Optional[int] = None,
 ) -> SRepairResult:
     """A 2-optimal S-repair in polynomial time (Proposition 3.3).
 
@@ -76,19 +74,11 @@ def approx_s_repair(
 
     Both vertex-cover passes read the (cached or prebuilt)
     :class:`ConflictIndex` directly — no per-call graph rebuild.
-
-    ``decomposed=True`` (implied by ``parallel``) runs the construction
-    per conflict component.  BYE's local-ratio payments and the
-    maximalisation are both component-local operations, so the decomposed
-    repair is *identical* to the global one — decomposition here buys
-    parallelism, not a different answer.
+    BYE's local-ratio payments and the maximalisation are both
+    component-local operations, so running the construction per
+    conflict component (:func:`repro.pipeline.clean`) yields the
+    *identical* repair.
     """
-    if decomposed or (parallel and parallel > 1):
-        from ..exec import decomposed_s_repair  # deferred: exec imports us
-
-        return decomposed_s_repair(
-            table, fds, method="approx", parallel=parallel, index=index
-        )
     if index is None:
         index = table.conflict_index(fds)
     else:
@@ -110,8 +100,6 @@ def greedy_s_repair(
     table: Table,
     fds: FDSet,
     index: Optional[ConflictIndex] = None,
-    decomposed: bool = False,
-    parallel: Optional[int] = None,
 ) -> SRepairResult:
     """A fast heuristic S-repair by greedy conflict-driven deletion.
 
@@ -130,18 +118,9 @@ def greedy_s_repair(
     No approximation guarantee (classic weight/degree greedy can be off
     by Θ(log n)); exists as the cheap entry in benchmark comparisons and
     as the canonical consumer of incremental index maintenance.
-
-    ``decomposed=True`` (implied by ``parallel``) runs the deletion loop
-    per conflict component; victims in one component never change
-    weight/degree keys in another, so the decomposed survivor set equals
-    the global one.
+    Victims in one conflict component never change weight/degree keys
+    in another, so the per-component survivor set equals the global one.
     """
-    if decomposed or (parallel and parallel > 1):
-        from ..exec import decomposed_s_repair  # deferred: exec imports us
-
-        return decomposed_s_repair(
-            table, fds, method="greedy", parallel=parallel, index=index
-        )
     if index is None:
         index = table.conflict_index(fds)
     else:

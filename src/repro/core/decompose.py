@@ -16,7 +16,7 @@ property, the two repair problems decompose along connected components:
   optimal distances sum to at most the global optimum; the merge is
   re-checked globally because updates drawing on the active domain can,
   in rare cases, collide across components (callers fall back to the
-  global path when that happens — see :func:`repro.exec.decomposed_u_repair`).
+  global path when that happens — see :func:`repro.pipeline.clean`).
 
 :func:`decompose` extracts the components from a table's (cached or
 prebuilt) :class:`~repro.core.conflict_index.ConflictIndex` and projects
@@ -54,7 +54,7 @@ __all__ = [
     "ComponentFeatures",
     "ComponentPlan",
     "Decomposition",
-    "PlanDefaults",
+    "SolvePolicy",
     "component_features",
     "decompose",
     "plan_s_method",
@@ -85,7 +85,8 @@ EXACT_COMPONENT_THRESHOLD = 128
 
 #: Branch & bound node budget per exact solve — the single default the
 #: CLI, :func:`repro.pipeline.clean`, :class:`repro.session.RepairSession`
-#: and the worker pool all resolve through :func:`resolve_plan_defaults`.
+#: and the worker pool all resolve through :func:`resolve_plan_defaults`
+#: (the ``node_limit`` of a :class:`SolvePolicy`).
 DEFAULT_NODE_LIMIT = 2000
 
 #: Seconds one unit of :func:`predict_difficulty` is predicted to cost.
@@ -124,25 +125,6 @@ class Component:
     def num_edges(self) -> int:
         return self.index.num_edges
 
-    def code_payload(self, codec) -> Tuple[Tuple[TupleId, ...], Tuple, Tuple[float, ...]]:
-        """The component as column-code arrays: ``(ids, columns, weights)``.
-
-        ``columns[j]`` holds column *j*'s integer codes for the member
-        rows (member order).  This is what the process pool ships
-        instead of a sub-``Table`` of arbitrary values: codes preserve
-        the value equality pattern and the first-seen order — all any
-        S-repair solver observes — at a fraction of the pickle size.
-        The parent-side merge works on the real table, so nothing ever
-        decodes.
-        """
-        row_index = codec.row_index
-        rows = [row_index[tid] for tid in self.ids]
-        columns = tuple(
-            tuple(column[i] for i in rows) for column in codec.columns
-        )
-        weights = tuple(codec.weights[i] for i in rows)
-        return self.ids, columns, weights
-
 
 @dataclass
 class Decomposition:
@@ -172,51 +154,18 @@ class Decomposition:
     def conflicting_tuple_count(self) -> int:
         return sum(c.size for c in self.components)
 
-    def plan_methods(
-        self,
-        tractable: bool,
-        guarantee: str = "best",
-        threshold: int = EXACT_COMPONENT_THRESHOLD,
-    ) -> List[str]:
-        """The portfolio plan: one :func:`plan_s_method` verdict per
-        component, in component order.
-
-        Shared by :func:`repro.pipeline.clean` and the streaming
-        :class:`repro.session.RepairSession`, so both pick byte-identical
-        method mixes for the same instance (the session's cache keys
-        include the planned method, making cached and fresh solves
-        interchangeable).
-        """
-        return [
-            plan_s_method(c.size, tractable, guarantee, threshold)
-            for c in self.components
-        ]
-
     def plan_schedule(
         self,
         tractable: bool,
         guarantee: str = "best",
-        threshold: int = EXACT_COMPONENT_THRESHOLD,
-        exact_budget_s: Optional[float] = None,
-        per_component_budget_s: Optional[float] = None,
-        node_limit: int = DEFAULT_NODE_LIMIT,
-        unit_cost_s: Optional[float] = None,
+        policy: Optional["SolvePolicy"] = None,
     ) -> List["ComponentPlan"]:
         """The difficulty-driven schedule for this decomposition — see
         the module-level :func:`plan_schedule`.  Shared by
         :func:`repro.pipeline.clean`, :func:`repro.pipeline.assess`, and
         the streaming :class:`repro.session.RepairSession`, so all three
-        compute byte-identical plans for the same instance and knobs."""
-        return plan_schedule(
-            self.components,
-            tractable,
-            guarantee,
-            threshold,
-            exact_budget_s,
-            per_component_budget_s,
-            node_limit,
-            unit_cost_s,
-        )
+        compute byte-identical plans for the same instance and policy."""
+        return plan_schedule(self.components, tractable, guarantee, policy)
 
     def merge_kept(self, kept_per_component: Sequence[Iterable[TupleId]]) -> Table:
         """Stitch per-component S-repairs back together.
@@ -434,15 +383,24 @@ class ComponentPlan:
 
 
 @dataclass(frozen=True)
-class PlanDefaults:
-    """Resolved scheduling knobs — one source of truth for the CLI,
-    :func:`repro.pipeline.clean`/`assess`, the streaming session, and
-    the worker pool (see :func:`resolve_plan_defaults`)."""
+class SolvePolicy:
+    """The solver knobs as one resolved value — one source of truth for
+    the CLI, :func:`repro.pipeline.clean`/`assess`, the streaming
+    session, and the worker pool (built by :func:`resolve_plan_defaults`;
+    the defaults are the library defaults).
 
-    threshold: int
-    node_limit: int
-    exact_budget_s: Optional[float]
-    per_component_budget_s: Optional[float]
+    *threshold* is the exact-vs-approximate component-size boundary,
+    *node_limit* the branch & bound node budget per exact solve,
+    *exact_budget_s* the **global** budget of the difficulty scheduler,
+    *per_component_budget_s* the historical per-solve ceiling, and
+    *unit_cost_s* the seconds one unit of predicted difficulty costs.
+    Frozen and hashable, so it can scope cache keys and cross the
+    worker boundary as is."""
+
+    threshold: int = EXACT_COMPONENT_THRESHOLD
+    node_limit: int = DEFAULT_NODE_LIMIT
+    exact_budget_s: Optional[float] = None
+    per_component_budget_s: Optional[float] = None
     unit_cost_s: float = DIFFICULTY_UNIT_COST_S
 
 
@@ -452,8 +410,8 @@ def resolve_plan_defaults(
     exact_budget_s: Optional[float] = None,
     per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
-) -> PlanDefaults:
-    """Resolve the portfolio knobs to their effective values.
+) -> SolvePolicy:
+    """Resolve the portfolio knobs to their effective :class:`SolvePolicy`.
 
     ``None`` means "the library default": *exact_threshold* →
     :data:`EXACT_COMPONENT_THRESHOLD`, *node_limit* →
@@ -468,7 +426,7 @@ def resolve_plan_defaults(
     ``session.py``, ``exec.py``, ``pipeline.py`` and the CLI can never
     drift on what an omitted knob means.
     """
-    return PlanDefaults(
+    return SolvePolicy(
         threshold=(
             EXACT_COMPONENT_THRESHOLD
             if exact_threshold is None
@@ -487,15 +445,11 @@ def plan_schedule(
     components: Sequence[Component],
     tractable: bool,
     guarantee: str = "best",
-    threshold: int = EXACT_COMPONENT_THRESHOLD,
-    exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    unit_cost_s: Optional[float] = None,
+    policy: Optional[SolvePolicy] = None,
 ) -> List[ComponentPlan]:
     """The difficulty-driven successor of per-component
     :func:`plan_s_method`: one :class:`ComponentPlan` per component, in
-    component order.
+    component order, under *policy* (default: the library defaults).
 
     Without a global budget (*exact_budget_s* ``None``) this reproduces
     the historical policy exactly — per-component
@@ -526,6 +480,10 @@ def plan_schedule(
     approximate; tractable Δ plans the polynomial dichotomy recursion
     everywhere (budget-irrelevant).
     """
+    if policy is None:
+        policy = SolvePolicy()
+    exact_budget_s = policy.exact_budget_s
+    per_component_budget_s = policy.per_component_budget_s
     if guarantee == "fast":
         return [ComponentPlan("approx") for _ in components]
     if tractable:
@@ -541,7 +499,7 @@ def plan_schedule(
     if exact_budget_s is None:
         return [
             ComponentPlan(
-                plan_s_method(c.size, tractable, guarantee, threshold),
+                plan_s_method(c.size, tractable, guarantee, policy.threshold),
                 budget_s=per_component_budget_s,
             )
             for c in components
@@ -550,8 +508,8 @@ def plan_schedule(
     # easiest-first while the predicted spend fits.
     from . import kernel as _kernel
 
-    ceiling = min(node_limit, _kernel.MAX_BITMASK_VERTICES)
-    unit = DIFFICULTY_UNIT_COST_S if unit_cost_s is None else unit_cost_s
+    ceiling = min(policy.node_limit, _kernel.MAX_BITMASK_VERTICES)
+    unit = policy.unit_cost_s
     plans: List[Optional[ComponentPlan]] = [None] * len(components)
     ranked: List[Tuple[float, int, float, ComponentFeatures]] = []
     for i, component in enumerate(components):

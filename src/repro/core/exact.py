@@ -85,8 +85,6 @@ def exact_s_repair(
     fds: FDSet,
     node_limit: int = 2000,
     index: Optional[ConflictIndex] = None,
-    decomposed: bool = False,
-    parallel: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
 ) -> Table:
     """Optimal S-repair via exact minimum-weight vertex cover.
@@ -96,26 +94,10 @@ def exact_s_repair(
     by realistic dirtiness levels.  The cover comes from
     :func:`exact_cover_of_index` over the cached (or prebuilt)
     :class:`ConflictIndex`: the bitmask kernel on small kernel-backed
-    instances, the graph-based branch & bound beyond.
-
-    ``decomposed=True`` (implied by ``parallel``) runs the branch & bound
-    per conflict component — ``node_limit`` then guards each *component*
-    rather than the whole table, so instances far beyond the global limit
-    are solved exactly as long as every component fits, optionally on
-    ``parallel`` worker processes.
+    instances, the graph-based branch & bound beyond.  *node_limit*
+    guards the whole instance; :func:`repro.pipeline.clean` runs this
+    per conflict component, where it guards each component instead.
     """
-    if decomposed or (parallel and parallel > 1):
-        from ..exec import decomposed_s_repair  # deferred: exec imports us
-
-        return decomposed_s_repair(
-            table,
-            fds,
-            method="exact",
-            parallel=parallel,
-            index=index,
-            node_limit=node_limit,
-            budget_s=exact_budget_s,
-        ).repair
     if index is None:
         index = table.conflict_index(fds)
     else:

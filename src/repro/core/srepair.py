@@ -186,8 +186,6 @@ def optimal_s_repair(
     fds: FDSet,
     method: str = "auto",
     index=None,
-    decomposed: Optional[bool] = None,
-    parallel: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
 ) -> SRepairResult:
     """High-level optimal S-repair with an automatic method choice.
@@ -202,43 +200,19 @@ def optimal_s_repair(
     A prebuilt :class:`~repro.core.conflict_index.ConflictIndex` may be
     passed to share violation detection across entry points (the exact
     path consumes it; the dichotomy path never builds a conflict graph).
+    Per-component solving is :func:`repro.pipeline.clean`'s job
+    (``guarantee="optimal"``).
 
-    ``decomposed=True`` solves per conflict component instead of
-    globally (the chosen method applied to each component; only the
-    conflicting tuples ever enter a solver), optionally across
-    ``parallel`` worker processes.  Requesting ``parallel`` implies
-    decomposition.  The repair distance is identical either way.
-
-    The result is always a true optimal S-repair (``ratio_bound == 1``)
-    — unless *exact_budget_s* is set and an exact vertex-cover solve
-    outruns it: the decomposed path then re-solves that component with
-    the 2-approximation (reported in the method mix), while the global
-    exact path lets
-    :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` propagate
-    (there is no per-component fallback to offer).  The dichotomy path
-    is polynomial and ignores the budget.
+    The result is always a true optimal S-repair (``ratio_bound == 1``).
+    When *exact_budget_s* is set and the exact vertex-cover solve
+    outruns it, :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded`
+    propagates.  The dichotomy path is polynomial and ignores the budget.
     """
     from .dichotomy import osr_succeeds  # local import to avoid a cycle
     from .exact import exact_s_repair
 
     if method not in ("auto", "dichotomy", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    if decomposed is None:
-        decomposed = bool(parallel and parallel > 1)
-    if decomposed:
-        from ..exec import decomposed_s_repair  # deferred: exec imports us
-
-        if method == "auto":
-            # The "optimal" portfolio: dichotomy where Δ permits, exact
-            # vertex cover otherwise — optimal at every component size.
-            return decomposed_s_repair(
-                table, fds, guarantee="optimal", parallel=parallel,
-                index=index, budget_s=exact_budget_s,
-            )
-        return decomposed_s_repair(
-            table, fds, method=method, parallel=parallel, index=index,
-            budget_s=exact_budget_s,
-        )
     if method == "dichotomy" or (method == "auto" and osr_succeeds(fds)):
         repair = opt_s_repair(fds, table)
         used = "OptSRepair"

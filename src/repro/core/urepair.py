@@ -263,25 +263,17 @@ def u_repair(
     allow_exact_search: bool = True,
     exact_budget: int = 50_000,
     index=None,
-    decomposed: Optional[bool] = None,
-    parallel: Optional[int] = None,
 ) -> URepairResult:
     """Best-effort U-repair: optimal where the paper proves tractability
     (or exhaustive search fits the budget), bounded approximation
     otherwise.
 
     The returned :class:`URepairResult` states exactly which guarantee was
-    achieved, per component.
-
-    ``decomposed=True`` (implied by ``parallel``) dispatches per conflict
-    component of the instance — orthogonal to (and on top of) the
-    attribute-disjoint decomposition of Δ this dispatcher always applies.
-    Only conflicting tuples enter a solver, exhaustive search budgets
-    apply per component (so small hard pockets inside a large table are
-    still searched exactly), and components run on ``parallel`` worker
-    processes when requested.  The merge is globally re-validated with a
-    fall back to this global path, so decomposition never costs
-    soundness.
+    achieved, per component.  :func:`repro.pipeline.clean` runs it per
+    conflict component of the instance — orthogonal to (and on top of)
+    the attribute-disjoint decomposition of Δ this dispatcher always
+    applies — with a global re-check and a fall back to this global
+    path.
 
     A consistent table short-circuits to the zero-update result without
     touching the per-component machinery — read off the prebuilt
@@ -291,19 +283,6 @@ def u_repair(
     The per-component S-repair subcalls share the table's per-FD-set
     index cache either way.
     """
-    if decomposed is None:
-        decomposed = bool(parallel and parallel > 1)
-    if decomposed:
-        from ..exec import decomposed_u_repair  # deferred: exec imports us
-
-        return decomposed_u_repair(
-            table,
-            fds,
-            allow_exact_search=allow_exact_search,
-            exact_budget=exact_budget,
-            parallel=parallel,
-            index=index,
-        )
     normalised = fds.with_singleton_rhs().without_trivial()
     if index is not None:
         index.ensure_for(fds, table)
@@ -347,8 +326,6 @@ def optimal_u_repair(
     fds: FDSet,
     exact_budget: int = 500_000,
     index=None,
-    decomposed: Optional[bool] = None,
-    parallel: Optional[int] = None,
 ) -> URepairResult:
     """A provably optimal U-repair, or :class:`UnknownURepairComplexity`.
 
@@ -356,19 +333,22 @@ def optimal_u_repair(
     consensus FDs, common-lhs FD sets passing ``OSRSucceeds`` (hence all
     chain FD sets, Corollary 4.8), and ``{A→B, B→A}`` — and on any
     instance small enough for exhaustive search.  The conflict-decomposed
-    path (``decomposed=True``, implied by ``parallel``) extends the last
+    ``clean(strategy="updates", guarantee="optimal")`` extends the last
     case: the budget applies per component, so a large table whose hard
     conflicts form small pockets is still solved optimally.
     """
-    result = u_repair(
-        table,
+    return _require_optimal(
+        u_repair(
+            table, fds, allow_exact_search=True, exact_budget=exact_budget,
+            index=index,
+        ),
         fds,
-        allow_exact_search=True,
-        exact_budget=exact_budget,
-        index=index,
-        decomposed=decomposed,
-        parallel=parallel,
     )
+
+
+def _require_optimal(result: URepairResult, fds: FDSet) -> URepairResult:
+    """*result*, or :class:`UnknownURepairComplexity` when it is not
+    provably optimal — the contract of :func:`optimal_u_repair`."""
     if not result.optimal:
         raise UnknownURepairComplexity(
             f"no optimality-preserving technique applies to {fds} and the "

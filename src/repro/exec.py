@@ -1,28 +1,30 @@
-"""Execution layer: map repair solvers over conflict components.
+"""Execution layer: solve conflict components, here or on workers.
 
 :mod:`repro.core.decompose` splits an instance into independent conflict
-components; this module runs a solver over them — serially, or on a
-process pool — and merges the results in deterministic table order.  The
-two are deliberately separate layers: decomposition is pure conflict
-math, execution is scheduling.
+components; this module solves them — serially in the caller's process,
+or on a supervised :class:`PersistentWorkerPool` — and merges the
+results in deterministic table order.  The two are deliberately separate
+layers: decomposition is pure conflict math, execution is scheduling.
+:func:`_solve_component` is the one place a portfolio method name (S or
+U) becomes a solver call, wherever the solve runs.
 
 Determinism contract
 --------------------
-Serial and parallel execution produce *identical* repairs: tasks are
-mapped order-preservingly (``ProcessPoolExecutor.map``), every solver is
-a pure function of its component, merge order is canonical table order,
-and the fresh labelled nulls a U-repair component may introduce are
-relabelled per component (``⊥c<ordinal>.<k>`` in changed-cell order), so
-even the serialised form is byte-identical however the components were
+Serial and pooled execution produce *identical* repairs: results are
+reassembled in task order, every solver is a pure function of its
+component, merge order is canonical table order, and the fresh labelled
+nulls a U-repair component may introduce are relabelled per component
+by the parent (``⊥c<ordinal>.<k>`` in changed-cell order), so even the
+serialised form is byte-identical however the components were
 scheduled.  A worker-side rebuild of a component's
 :class:`~repro.core.conflict_index.ConflictIndex` is equivalent to the
 parent's projected sub-index (pinned by the PR-1 index properties), so
-shipping plain sub-tables across the process boundary is safe.
+shipping plain rows across the process boundary is safe.
 
-The process pool is a genuine pool of *processes* (the solvers are
-CPU-bound Python), forked lazily and only when the task count warrants
-it; environments without working subprocess support degrade to the
-serial path rather than failing.
+Workers are processes (the solvers are CPU-bound Python), started only
+when more than one component asks for them; environments without
+working subprocess support degrade to the serial path rather than
+failing.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import os
 import pickle
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from itertools import count as _iter_count
 from time import monotonic as _monotonic
 from time import perf_counter as _perf_counter
@@ -43,25 +43,21 @@ from . import faults as _faults
 from . import obs as _obs
 from .core import kernel as _kernel
 from .core.decompose import (
-    EXACT_COMPONENT_THRESHOLD,
+    DEFAULT_NODE_LIMIT,
     ComponentPlan,
     Decomposition,
-    decompose,
-    plan_s_method,
-    resolve_plan_defaults,
+    SolvePolicy,
 )
 from .core.fd import FDSet
-from .core.table import FreshValue, Table, TupleId
+from .core.table import Table, TupleId
 
 __all__ = [
     "resolve_workers",
-    "map_components",
     "solve_components",
     "assemble_s_result",
-    "decomposed_s_repair",
-    "decomposed_u_repair",
     "PersistentWorkerPool",
     "DEFAULT_SESSION_KEY",
+    "U_METHODS",
 ]
 
 #: Display name and proven ratio bound per portfolio method.
@@ -78,6 +74,17 @@ S_METHOD_RATIOS = {
     "greedy": float("inf"),
 }
 
+#: U-repair portfolio methods: the ``(allow_exact_search, exact_budget)``
+#: pair each runs the Section 4 dispatcher with — ``clean(strategy=
+#: "updates")`` under the ``"best"``, ``"fast"`` and ``"optimal"``
+#: guarantees.  U methods never degrade: a U solve that keeps killing
+#: workers fails its call, and the caller solves it locally.
+U_METHODS = {
+    "u-best": (True, 50_000),
+    "u-fast": (False, 50_000),
+    "u-optimal": (True, 500_000),
+}
+
 
 def resolve_workers(parallel: Optional[int], task_count: int) -> int:
     """Effective worker count: 1 (serial) unless parallelism is requested
@@ -91,27 +98,6 @@ def resolve_workers(parallel: Optional[int], task_count: int) -> int:
     if not parallel or parallel <= 1 or task_count <= 1:
         return 1
     return min(parallel, task_count)
-
-
-def map_components(worker, tasks: Sequence, parallel: Optional[int] = None) -> List:
-    """Order-preserving map of *worker* over picklable *tasks*.
-
-    Serial for ``parallel`` in (None, 0, 1) or a single task; otherwise a
-    process pool of :func:`resolve_workers` workers.  Results come back
-    in task order either way — parallelism never changes the merge.  If
-    the platform cannot spawn workers (sandboxes, missing semaphores),
-    the pool degrades to the serial path: the workers are pure, so a
-    retry is always safe.
-    """
-    workers = resolve_workers(parallel, len(tasks))
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (workers * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunksize))
-    except (OSError, PermissionError, BrokenProcessPool):
-        return [worker(task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +116,10 @@ _TICK_S = 0.05
 #: counts as failed.
 _SPAWN_TIMEOUT_S = 20.0
 
+#: How often an idle queue-transport worker checks that its parent is
+#: still alive (an orphaned worker exits within this interval).
+_ORPHAN_CHECK_S = 0.5
+
 #: Solves sent ahead to one worker: two keep it busy across the reply
 #: round trip; the rest wait in the parent for whichever worker frees.
 _INFLIGHT_PER_WORKER = 2
@@ -137,24 +127,24 @@ _INFLIGHT_PER_WORKER = 2
 
 def _apply_mirror(space, kind: str, args) -> None:
     """Apply one mirror-maintenance op to a namespace ``[schema, fds,
-    node_limit, budget_s, rows, weights]``: the one definition the
-    parent mirror and every worker mirror share."""
+    policy, rows, weights]``: the one definition the parent mirror and
+    every worker mirror share."""
     if kind == "reset":
-        space[4] = dict(args[0])
-        space[5] = dict(args[1])
+        space[3] = dict(args[0])
+        space[4] = dict(args[1])
     elif kind == "append":
-        space[4].update(args[0])
-        space[5].update(args[1])
+        space[3].update(args[0])
+        space[4].update(args[1])
     elif kind == "delete":
         for tid in args[0]:
+            space[3].pop(tid, None)
             space[4].pop(tid, None)
-            space[5].pop(tid, None)
 
 
 def _space_table(space, ids) -> Table:
     """The sub-table of namespace *space* over *ids* (``KeyError`` for
     an id the mirror lacks)."""
-    rows, weights = space[4], space[5]
+    rows, weights = space[3], space[4]
     return Table(
         space[0],
         {tid: rows[tid] for tid in ids},
@@ -176,12 +166,13 @@ def _worker_loop(recv, send, worker: int, generation: int,
     session-side projection and solves are byte-identical wherever they
     run.
 
-    Messages are tuples — ``("open", key, schema, fds, node_limit,
-    budget_s)``, ``("drop", key)``, ``("reset", key, rows, weights)``,
+    Messages are tuples — ``("open", key, schema, fds, policy)``,
+    ``("drop", key)``, ``("reset", key, rows, weights)``,
     ``("append", key, rows, weights)``, ``("delete", key, ids)``,
     ``("solve", seq, key, ids, method, budget_s)``, ``("stop",)`` — and
     *recv* returns ``None`` at end of input.  Every solve is answered
-    with ``(worker, generation, seq, kept, method, seconds, error)``;
+    with ``(worker, generation, seq, result, method, seconds, error)``,
+    *result* as :func:`_solve_component` returns it;
     *error* is ``None``, ``("state", text)`` when this mirror lacks the
     namespace or an id (the parent heals the worker), or ``("solve",
     text)`` when the solve itself failed (the caller sees it).  Failures
@@ -192,7 +183,7 @@ def _worker_loop(recv, send, worker: int, generation: int,
     ``worker.recv`` fires per message, ``worker.solve`` per solve.
     """
     plan = _faults.FaultPlan.from_spec(fault_spec)
-    # key -> [schema, fds, node_limit, budget_s, rows, weights]
+    # key -> [schema, fds, policy, rows, weights]
     spaces: Dict = {}
     received = solves = 0
     while True:
@@ -217,8 +208,8 @@ def _worker_loop(recv, send, worker: int, generation: int,
             send(_worker_solve(spaces, message, plan, worker, generation,
                                solves))
         elif kind == "open":
-            key, schema, fds, node_limit, budget_s = message[1:]
-            spaces[key] = [tuple(schema), fds, node_limit, budget_s, {}, {}]
+            key, schema, fds, policy = message[1:]
+            spaces[key] = [tuple(schema), fds, policy, {}, {}]
         elif kind == "drop":
             spaces.pop(message[1], None)
         else:
@@ -246,13 +237,20 @@ def _worker_solve(spaces, message, plan, worker, generation, solves):
             return head + (None, None, 0.0,
                            ("state", f"stale mirror, missing id {exc}"))
         start = _perf_counter()
-        kept, effective = _solve_s_kept(
-            subtable, space[1], method, space[2],
-            budget_s=space[3] if budget is None else budget,
-        )
-        return head + (tuple(kept), effective, _perf_counter() - start, None)
+        result, effective = _solve_in_space(space, subtable, method, budget)
+        return head + (result, effective, _perf_counter() - start, None)
     except Exception as exc:  # ship the failure, don't die
         return head + (None, None, 0.0, ("solve", repr(exc)))
+
+
+def _solve_in_space(space, subtable: Table, method: str, budget):
+    """Solve one component of namespace *space* under its policy; a
+    task without its own *budget* takes the policy's per-solve ceiling."""
+    policy = space[2]
+    return _solve_component(
+        subtable, space[1], method, policy.node_limit,
+        budget_s=policy.per_component_budget_s if budget is None else budget,
+    )
 
 
 def _retire_queue(queue) -> None:
@@ -274,9 +272,31 @@ def _queue_worker_main(inq, out, use_kernel, worker, generation,
                        fault_spec) -> None:
     """Process entry of a queue-transport worker.  The kernel choice and
     the fault plan travel as arguments: under spawn/forkserver start
-    methods the worker re-imports this module with both at defaults."""
+    methods the worker re-imports this module with both at defaults.
+
+    The worker holds both ends of its queue's pipe, so a parent killed
+    outright never sends it EOF; it therefore waits in bounded slices
+    and exits once its parent process is gone."""
+    import gc
+    import multiprocessing as mp
+    from queue import Empty
+
+    # A forked worker inherits the parent's whole heap (tables, indexes):
+    # freezing it keeps the worker's collections from walking — and so
+    # copying — those pages.
+    gc.freeze()
     _kernel.set_enabled(use_kernel)
-    _worker_loop(inq.get, out.send, worker, generation, fault_spec)
+    parent = mp.parent_process()
+
+    def recv():
+        while True:
+            try:
+                return inq.get(timeout=_ORPHAN_CHECK_S)
+            except Empty:
+                if parent is not None and not parent.is_alive():
+                    return None
+
+    _worker_loop(recv, out.send, worker, generation, fault_spec)
 
 
 class _QueueSlot:
@@ -353,7 +373,8 @@ def _encode_stdio(op: str, message) -> bytes:
     pickled message tuple, so row values and kept ids cross the pipe
     exactly (no JSON round trip) and replies are byte-identical to the
     queue transport's.  Pickle is sound here only because both ends are
-    this program over private pipes."""
+    this program over private pipes — :func:`repro.shard.main` refuses
+    a stdin that is not a pipe."""
     import base64
 
     blob = base64.b64encode(
@@ -527,22 +548,23 @@ class _Task:
         self.degraded = False     # already fell to the approximation tier
         self.local = False        # handed to the caller's thread
         self.done = False
-        self.result = None        # (kept ids, effective method, seconds)
+        self.result = None        # (result, effective method, seconds)
         self.error = None
 
 
 class PersistentWorkerPool:
-    """Long-lived, supervised worker processes shared by repair sessions.
+    """Supervised worker processes: the one way a component is solved
+    off-process.
 
-    :func:`map_components` forks a fresh process pool per call and ships
-    whole sub-tables — right for one-shot batch repairs, pure overhead
-    for a session issuing many small re-repairs.  This pool keeps warm
-    workers across calls: each worker holds a mirror of each attached
-    session's table (synchronised by broadcasting the same deltas the
-    sessions apply locally), so a solve request is just ``(component
-    ids, method)``.  Solvers are pure functions of component content,
-    so *where* a solve runs — which worker, which transport, after how
-    many retries — never changes its answer.
+    Each worker holds a mirror of each attached namespace's rows
+    (synchronised by broadcasting the same deltas the owner applies
+    locally), so a solve request is just ``(component ids, method)``.
+    A streaming session keeps its namespace for its whole life; a batch
+    :func:`solve_components` call ships its conflict components into a
+    namespace of its own and drops it after the call.  Solvers are pure
+    functions of component content, so *where* a solve runs — which
+    worker, which transport, after how many retries — never changes its
+    answer.
 
     **Transports.**  ``"queue"`` runs the workers as ``multiprocessing``
     processes behind queues (``--parallel``); ``"stdio"`` runs them as
@@ -551,9 +573,9 @@ class PersistentWorkerPool:
     routing and the fault sites below are shared code.
 
     **Multi-tenancy.**  Mirrors are namespaced by a session key:
-    :meth:`open_session` installs a session's schema, Δ, and solver
-    knobs on every worker; :meth:`broadcast` and :meth:`solve` take the
-    key.  Constructing with ``schema``/``fds`` binds the default
+    :meth:`open_session` installs a session's schema, Δ, and
+    :class:`~repro.core.decompose.SolvePolicy` on every worker;
+    :meth:`broadcast` and :meth:`solve` take the key.  Constructing with ``schema``/``fds`` binds the default
     namespace.  The parent keeps one authoritative mirror of every
     namespace, which serves both respawn replay and local degradation.
 
@@ -567,8 +589,9 @@ class PersistentWorkerPool:
     - A worker counts as dead when its process exits.  Its in-flight
       solves are sent again; a solve degrades from ``exact`` or
       ``dichotomy`` to ``approx`` only after more than *retries* deaths
-      (reported in method mixes, like budget exhaustion), and an
-      approximate solve that keeps killing workers fails its call.
+      (reported in method mixes, like budget exhaustion), and any other
+      solve (approximate, or a U-repair method) that keeps killing
+      workers fails its call.
     - With *solve_timeout_s*, a solve past its deadline is sent again
       with capped exponential backoff; after *retries* misses its
       worker is presumed wedged and failed over.  A lost message
@@ -599,9 +622,8 @@ class PersistentWorkerPool:
     """
 
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
-                 node_limit: int = 2000,
-                 use_kernel: Optional[bool] = None,
-                 budget_s: Optional[float] = None, *,
+                 policy: Optional[SolvePolicy] = None,
+                 use_kernel: Optional[bool] = None, *,
                  transport: str = "queue",
                  retries: int = 2,
                  max_respawns: int = 8,
@@ -618,8 +640,7 @@ class PersistentWorkerPool:
         self._worker_count = max(1, int(workers))
         self._schema = None if schema is None else tuple(schema)
         self._fds = fds
-        self._node_limit = node_limit
-        self._budget_s = budget_s
+        self._policy = SolvePolicy() if policy is None else policy
         self._use_kernel = _kernel.enabled() if use_kernel is None else bool(use_kernel)
         self._retries = max(0, int(retries))
         self._max_respawns = max(0, int(max_respawns))
@@ -637,8 +658,8 @@ class PersistentWorkerPool:
         # slot states, counters); never take _io while holding _cond.
         self._io = threading.Lock()
         self._cond = threading.Condition()
-        # Authoritative parent-side mirror: key -> [schema, fds,
-        # node_limit, budget_s, rows, weights].
+        # Authoritative parent-side mirror: key -> [schema, fds, policy,
+        # rows, weights].
         self._mirror: Dict = {}
         self._slots: List = []       # current worker handle per slot
         self._gens: List[int] = []   # incarnation number per slot
@@ -717,20 +738,16 @@ class PersistentWorkerPool:
     # ------------------------------------------------------------------
     # Session namespaces
     # ------------------------------------------------------------------
-    def open_session(self, key, schema, fds: FDSet, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
-        """Install session *key*'s schema/Δ/knobs on every worker (its
-        mirror starts empty; follow with a ``reset`` broadcast)."""
-        space = [
-            tuple(schema), fds,
-            self._node_limit if node_limit is None else node_limit,
-            self._budget_s if budget_s is None else budget_s,
-            {}, {},
-        ]
+    def open_session(self, key, schema, fds: FDSet,
+                     policy: Optional[SolvePolicy] = None) -> bool:
+        """Install session *key*'s schema, Δ and *policy* (default: the
+        pool's) on every worker (its mirror starts empty; follow with a
+        ``reset`` broadcast)."""
+        space = [tuple(schema), fds,
+                 self._policy if policy is None else policy, {}, {}]
         with self._io:
             self._mirror[key] = space
-            self._send_all(("open", key) + tuple(space[:4]))
+            self._send_all(("open", key) + tuple(space[:3]))
         return self.alive
 
     def drop_session(self, key) -> bool:
@@ -775,29 +792,31 @@ class PersistentWorkerPool:
     # Solving
     # ------------------------------------------------------------------
     def solve(self, tasks: Sequence[Tuple],
-              timeout: float = 120.0,
+              timeout: Optional[float] = 120.0,
               key=DEFAULT_SESSION_KEY
-              ) -> List[Tuple[Tuple[TupleId, ...], str, float]]:
+              ) -> List[Tuple[object, str, float]]:
         """Solve ``(component ids, method)`` or ``(component ids, method,
-        budget_s)`` tasks; returns ``(kept ids, effective method, solve
-        seconds)`` per task, in task order.  The optional third task
-        element is a per-task wall-clock budget overriding the
-        namespace default — how the global difficulty scheduler ships
-        each exact solve's slice, so pool and serial runs read the same
-        plan.  The seconds are measured around the solve itself, inside
+        budget_s)`` tasks; returns ``(result, effective method, solve
+        seconds)`` per task, in task order, *result* as
+        :func:`_solve_component` returns it (kept ids for an S method).
+        The optional third task element is a per-task wall-clock budget
+        overriding the namespace policy's per-solve ceiling — how the
+        global difficulty scheduler ships each exact solve's slice, so
+        pool and serial runs read the same plan.  The seconds are measured around the solve itself, inside
         the worker (queueing and pickling excluded) — the telemetry
         layer's predicted-vs-actual training signal.
 
         Worker deaths, lost messages and stalls are survived inside the
         call (see the class docstring).  Raises ``RuntimeError`` when the
-        pool is closed, the batch *timeout* expires, or a solve itself
-        failed; callers fall back to the serial path.
+        pool is closed, the batch *timeout* expires (``None``: the batch
+        has no wall-clock cap), or a solve itself failed; callers fall
+        back to the serial path.
         """
         if not self.alive:
             raise RuntimeError("worker pool is not running")
         if not tasks:
             return []
-        deadline = _monotonic() + timeout
+        deadline = None if timeout is None else _monotonic() + timeout
         call = _Call(len(tasks))
         mine: List[_Task] = []
         with self._cond:
@@ -820,10 +839,14 @@ class PersistentWorkerPool:
                     if not sends and not local:
                         if not call.remaining:
                             break
-                        remaining = deadline - _monotonic()
-                        if remaining <= 0:
-                            failure = f"worker pool timed out after {timeout:g}s"
-                            break
+                        remaining = None
+                        if deadline is not None:
+                            remaining = deadline - _monotonic()
+                            if remaining <= 0:
+                                failure = (
+                                    f"worker pool timed out after {timeout:g}s"
+                                )
+                                break
                         # Replies, deaths and respawns free capacity and
                         # notify, so routing is retried on every wake.
                         self._cond.wait(remaining)
@@ -931,11 +954,10 @@ class PersistentWorkerPool:
         if subtable is not None:
             try:
                 start = _perf_counter()
-                kept, effective = _solve_s_kept(
-                    subtable, space[1], task.method, space[2],
-                    budget_s=space[3] if task.budget is None else task.budget,
+                solved, effective = _solve_in_space(
+                    space, subtable, task.method, task.budget
                 )
-                result = (tuple(kept), effective, _perf_counter() - start)
+                result = (solved, effective, _perf_counter() - start)
             except Exception as exc:  # surfaced like a worker-side failure
                 error = repr(exc)
         with self._cond:
@@ -946,7 +968,7 @@ class PersistentWorkerPool:
     def _on_reply(self, reply) -> None:
         """Correlate one worker reply (collector or reader thread)."""
         try:
-            worker, generation, seq, kept, effective, secs, error = reply
+            worker, generation, seq, result, effective, secs, error = reply
         except (TypeError, ValueError):
             return
         stale = False
@@ -955,7 +977,7 @@ class PersistentWorkerPool:
             if task is None or task.done:
                 return  # a late copy of a re-sent solve, or an abandoned call
             if error is None:
-                self._finish_locked(task, (kept, effective, secs), None)
+                self._finish_locked(task, (result, effective, secs), None)
             elif error[0] == "state" and self._mirror_serves(task):
                 # This worker's mirror is stale (a lost delta): send the
                 # solve again and heal the worker by respawn + replay.
@@ -977,7 +999,7 @@ class PersistentWorkerPool:
         space = self._mirror.get(task.key)
         if space is None:
             return False
-        rows = space[4]
+        rows = space[3]
         return all(tid in rows for tid in task.ids)
 
     # ------------------------------------------------------------------
@@ -1111,9 +1133,9 @@ class PersistentWorkerPool:
             replayed = True
             for key, space in self._mirror.items():
                 replayed = (
-                    slot.send(("open", key) + tuple(space[:4]))
-                    and slot.send(("reset", key, dict(space[4]),
-                                   dict(space[5])))
+                    slot.send(("open", key) + tuple(space[:3]))
+                    and slot.send(("reset", key, dict(space[3]),
+                                   dict(space[4])))
                 )
                 if not replayed:
                     break
@@ -1176,28 +1198,46 @@ class PersistentWorkerPool:
             pass
 
 
-
 # ---------------------------------------------------------------------------
-# S-repairs
+# Solving components
 # ---------------------------------------------------------------------------
 
-def _solve_s_kept(
+def _solve_component(
     table: Table,
     fds: FDSet,
     method: str,
-    node_limit: int = 2000,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     index=None,
     budget_s: Optional[float] = None,
-) -> Tuple[Tuple[TupleId, ...], str]:
-    """Solve one component with the given portfolio method; return the
-    kept identifiers in table order plus the method that actually ran.
+) -> Tuple[object, str]:
+    """Solve one component with portfolio *method* — the one place a
+    method name becomes a solver call, wherever the solve runs (the
+    serial loop, a worker, local degradation, the streaming session).
 
-    The effective method differs from the requested one in exactly one
-    case: an ``"exact"`` solve that outran *budget_s* falls back to the
-    Bar-Yehuda–Even construction and reports ``"approx"`` — so the
-    caller's ratio bound, bracket, and portfolio label stay honest about
-    what was computed.
+    Returns ``(result, effective method)``.  For an S method *result* is
+    the kept identifiers in table order, and the effective method
+    differs from the requested one in exactly one case: an ``"exact"``
+    solve that outran *budget_s* falls back to the Bar-Yehuda–Even
+    construction and reports ``"approx"`` — so the caller's ratio bound,
+    bracket, and portfolio label stay honest about what was computed.
+    For a U method (:data:`U_METHODS`) *result* is ``(cells, optimal,
+    ratio_bound, method text)`` of the Section 4 dispatcher, *cells* the
+    ``((tid, attribute), value)`` changes in changed-cell order, fresh
+    nulls as the dispatcher minted them (the caller relabels them).
     """
+    if method in U_METHODS:
+        from .core.urepair import u_repair
+
+        allow_exact_search, exact_budget = U_METHODS[method]
+        result = u_repair(
+            table, fds, allow_exact_search=allow_exact_search,
+            exact_budget=exact_budget, index=index,
+        )
+        update = result.update
+        cells = tuple(
+            (cell, update.value(*cell)) for cell in update.changed_cells(table)
+        )
+        return (cells, result.optimal, result.ratio_bound, result.method), method
     if method == "dichotomy":
         from .core.srepair import opt_s_repair
 
@@ -1225,90 +1265,45 @@ def _solve_s_kept(
     raise ValueError(f"unknown portfolio method {method!r}")
 
 
-def _s_worker(task) -> Tuple[Tuple[TupleId, ...], str, float]:
-    table, fds, method, node_limit, use_kernel, budget_s = task
-    _kernel.set_enabled(use_kernel)
-    start = _perf_counter()
-    kept, effective = _solve_s_kept(
-        table, fds, method, node_limit, budget_s=budget_s
-    )
-    return kept, effective, _perf_counter() - start
-
-
-def coded_component_table(
-    schema: Tuple[str, ...],
-    ids: Tuple[TupleId, ...],
-    columns: Tuple,
-    weights: Tuple[float, ...],
-) -> Table:
-    """Rebuild a worker-side sub-table from shipped column-code arrays.
-
-    The values are the integer codes themselves: FD satisfaction — and
-    every order-sensitive choice the S-repair solvers make — observes
-    only the value equality pattern and the row order, both of which the
-    codes preserve (codes are assigned in first-seen table order).  The
-    kept identifiers are therefore byte-identical to solving the real
-    sub-table, and identifiers are all that ever crosses back.
-    """
-    rows = dict(zip(ids, zip(*columns))) if columns else {tid: () for tid in ids}
-    return Table._from_trusted(
-        schema,
-        rows,
-        dict(zip(ids, weights)),
-        "R",
-        {a: i for i, a in enumerate(schema)},
-    )
-
-
-def _s_worker_coded(task) -> Tuple[Tuple[TupleId, ...], str, float]:
-    schema, ids, columns, weights, fds, method, node_limit, use_kernel, \
-        budget_s = task
-    _kernel.set_enabled(use_kernel)
-    table = coded_component_table(schema, ids, columns, weights)
-    start = _perf_counter()
-    kept, effective = _solve_s_kept(
-        table, fds, method, node_limit, budget_s=budget_s
-    )
-    return kept, effective, _perf_counter() - start
-
-
-#: Namespace keys for executor-routed batch solves (one per clean call).
+#: Namespace keys for pool-routed batch solves (one per call).
 _EXECUTOR_KEYS = _iter_count()
 
 
 def solve_components(
     decomp: Decomposition,
-    methods: Sequence[str],
+    plans: Sequence[ComponentPlan],
     parallel: Optional[int] = None,
-    node_limit: int = 2000,
-    budget_s: Optional[float] = None,
-    plans: Optional[Sequence[ComponentPlan]] = None,
+    policy: Optional[SolvePolicy] = None,
     recorder=None,
     executor=None,
-) -> Tuple[List[Tuple[TupleId, ...]], List[str]]:
-    """Solve each component with its assigned portfolio method; returns
-    the kept identifiers per component plus the *effective* methods, both
-    in component order (effective ≠ planned exactly when an ``"exact"``
+    solve_timeout_s: Optional[float] = None,
+) -> Tuple[List, List[str]]:
+    """Solve each component under its plan; returns the per-component
+    results (kept identifiers for an S method, see
+    :func:`_solve_component`) plus the *effective* methods, both in
+    component order (effective ≠ planned exactly when an ``"exact"``
     solve outran its wall-clock budget and fell back to ``"approx"``).
 
-    With *plans* (from :func:`repro.core.decompose.plan_schedule`) each
-    component runs under its plan's method and per-solve budget slice,
-    and the solves are *dispatched* in ascending predicted difficulty
-    (easiest first — the scheduler's granted budget slices assume the
-    cheap solves land before the expensive ones); results are still
-    reassembled in component order, and since every plan is pure
-    prediction the serial and parallel runs stay byte-identical.
-    Without *plans*, *budget_s* is the uniform per-component budget
-    (historical semantics).
+    Each component runs under its plan's method and per-solve budget
+    slice (:func:`repro.core.decompose.plan_schedule`), with *policy*'s
+    node limit; the solves are *dispatched* in ascending predicted
+    difficulty (easiest first — the scheduler's granted budget slices
+    assume the cheap solves land before the expensive ones).  Results
+    are still reassembled in component order, and since every plan is
+    pure prediction the serial and pooled runs stay byte-identical.
 
-    The scheduling seam shared by :func:`decomposed_s_repair` and
-    :func:`repro.pipeline.clean` (which derives its dirtiness report from
-    the same solve instead of bracketing components twice).  Serial
-    execution reuses the projected sub-indexes; parallel workers rebuild
-    them from the shipped sub-tables (equivalent by the index-rebuild
-    property).  When the parent index is kernel-backed, components ship
-    as column-code arrays instead of sub-``Table`` dicts (see
-    :func:`coded_component_table`) — same kept ids, smaller payloads.
+    Where the solves run: on *executor* (a started or startable
+    :class:`PersistentWorkerPool`) when one is passed; else, when
+    :func:`resolve_workers` grants more than one worker for *parallel*,
+    on a queue-transport pool of that many workers started for this
+    call (*solve_timeout_s* is its per-solve deadline, see
+    :class:`PersistentWorkerPool`); else in process, reusing the
+    projected sub-indexes.  A pool receives only the conflict
+    components' rows, into a namespace of its own, and solves id-list
+    tasks; any pool failure falls back to the in-process loop.  The
+    call's own pool puts no wall-clock cap on the batch — worker deaths
+    and the per-solve deadline already cover stalls — so a long batch is
+    never abandoned and solved a second time in process.
 
     With an enabled *recorder* (:mod:`repro.obs`), one ``solve`` trace
     record is emitted per component carrying the plan evidence
@@ -1317,109 +1312,94 @@ def solve_components(
     timed in-process on the serial path, inside the worker on the pool
     path.  The default :data:`repro.obs.NULL_RECORDER` costs one
     attribute check.
-
-    An *executor* (a started or startable
-    :class:`PersistentWorkerPool`) takes precedence over *parallel*:
-    the table ships once into a per-call namespace and components route
-    as id-list tasks.  Pure solvers keep the results byte-identical to
-    serial; any executor failure falls back to the local paths below.
     """
     rec = _obs.resolve(recorder)
-    count = len(methods)
-    if plans is not None:
-        methods = [plan.method for plan in plans]
-        budgets = [plan.budget_s for plan in plans]
-        order = sorted(
-            range(count),
-            key=lambda i: (
-                plans[i].difficulty if plans[i].difficulty is not None else 0.0,
-                i,
-            ),
-        )
-    else:
-        budgets = [budget_s] * count
-        order = list(range(count))
+    if policy is None:
+        policy = SolvePolicy()
+    count = len(plans)
+    order = sorted(
+        range(count),
+        key=lambda i: (
+            plans[i].difficulty if plans[i].difficulty is not None else 0.0,
+            i,
+        ),
+    )
     components = decomp.components
     workers = resolve_workers(parallel, count)
     ordered = None
-    path = None
-    if executor is not None and count and executor.start():
-        key = f"clean-{next(_EXECUTOR_KEYS)}"
-        table = decomp.table
-        if (
-            executor.open_session(key, table.schema, decomp.fds,
-                                  node_limit=node_limit)
-            and executor.broadcast(
-                ("reset", dict(table.rows()), dict(table.weights())), key=key
-            )
-        ):
-            tasks = [
-                (components[i].ids, methods[i]) if budgets[i] is None
-                else (components[i].ids, methods[i], budgets[i])
-                for i in order
-            ]
-            try:
-                ordered = executor.solve(tasks, key=key)
-                path = "pool"
-            except RuntimeError:
-                ordered = None  # solver/transport failure: solve locally
-        executor.drop_session(key)
-    if ordered is not None:
-        pass
+    if executor is not None and count:
+        ordered = _solve_on_pool(executor, decomp, plans, order, policy)
     elif workers > 1:
-        # The global kernel flag travels inside each task, as does the
-        # exact budget: workers under spawn/forkserver re-import this
-        # module and would otherwise run the kernel paths even under
-        # --no-kernel (and solve without the requested escape hatch).
-        use_kernel = _kernel.enabled()
-        codec = getattr(decomp.index, "_codec", None)
-        if codec is not None:
-            schema = decomp.table.schema
-            tasks = [
-                (schema, *components[i].code_payload(codec), decomp.fds,
-                 methods[i], node_limit, use_kernel, budgets[i])
-                for i in order
-            ]
-            ordered = map_components(_s_worker_coded, tasks, parallel)
-        else:
-            tasks = [
-                (components[i].table, decomp.fds, methods[i], node_limit,
-                 use_kernel, budgets[i])
-                for i in order
-            ]
-            ordered = map_components(_s_worker, tasks, parallel)
-    else:
+        with PersistentWorkerPool(workers, policy=policy, recorder=rec,
+                                  solve_timeout_s=solve_timeout_s) as pool:
+            ordered = _solve_on_pool(pool, decomp, plans, order, policy,
+                                     timeout=None)
+    path = "pool"
+    if ordered is None:
+        path = "serial"
         timed = rec.enabled
         ordered = []
         for i in order:
             start = _perf_counter() if timed else 0.0
-            kept, effective = _solve_s_kept(
-                components[i].table, decomp.fds, methods[i], node_limit,
-                index=components[i].index, budget_s=budgets[i],
+            result, effective = _solve_component(
+                components[i].table, decomp.fds, plans[i].method,
+                policy.node_limit, index=components[i].index,
+                budget_s=plans[i].budget_s,
             )
             ordered.append(
-                (kept, effective, _perf_counter() - start if timed else 0.0)
+                (result, effective, _perf_counter() - start if timed else 0.0)
             )
     outcomes: List = [None] * count
     for i, outcome in zip(order, ordered):
         outcomes[i] = outcome
     if rec.enabled:
-        if path is None:
-            path = "pool" if workers > 1 else "serial"
-        for i, (_kept, effective, secs) in enumerate(outcomes):
+        for i, (_result, effective, secs) in enumerate(outcomes):
             component = components[i]
             rec.solve_record(
                 ordinal=i,
                 size=component.size,
                 edges=component.index.num_edges,
-                planned=methods[i],
+                planned=plans[i].method,
                 effective=effective,
                 actual_s=secs,
                 path=path,
                 context="clean",
-                plan=plans[i] if plans is not None else None,
+                plan=plans[i],
             )
-    return [kept for kept, _m, _s in outcomes], [m for _k, m, _s in outcomes]
+    return [r for r, _m, _s in outcomes], [m for _r, m, _s in outcomes]
+
+
+def _solve_on_pool(pool, decomp: Decomposition, plans, order, policy,
+                   timeout: Optional[float] = 120.0):
+    """Solve *decomp*'s components on *pool*, in *order*: the member
+    rows ship once into a namespace of this call's own, the tasks are
+    id lists, and *timeout* caps the batch (see
+    :meth:`PersistentWorkerPool.solve`).  ``None`` when the pool cannot
+    run or fails — the caller then solves locally."""
+    if not pool.start():
+        return None
+    key = f"clean-{next(_EXECUTOR_KEYS)}"
+    components = decomp.components
+    rows: Dict = {}
+    weights: Dict = {}
+    for component in components:
+        rows.update(component.table.rows())
+        weights.update(component.table.weights())
+    tasks = [
+        (components[i].ids, plans[i].method) if plans[i].budget_s is None
+        else (components[i].ids, plans[i].method, plans[i].budget_s)
+        for i in order
+    ]
+    try:
+        if pool.open_session(
+            key, decomp.table.schema, decomp.fds, policy
+        ) and pool.broadcast(("reset", rows, weights), key=key):
+            return pool.solve(tasks, timeout=timeout, key=key)
+        return None
+    except RuntimeError:
+        return None  # solver/transport failure: solve locally
+    finally:
+        pool.drop_session(key)
 
 
 def _method_mix(methods: Sequence[str]) -> Dict[str, int]:
@@ -1433,61 +1413,6 @@ def _mix_label(counts: Mapping[str, int]) -> str:
     return ", ".join(
         f"{S_METHOD_NAMES[m]}×{counts[m]}" for m in sorted(counts)
     )
-
-
-def decomposed_s_repair(
-    table: Table,
-    fds: FDSet,
-    guarantee: str = "best",
-    method: Optional[str] = None,
-    parallel: Optional[int] = None,
-    index=None,
-    node_limit: Optional[int] = None,
-    threshold: Optional[int] = None,
-    budget_s: Optional[float] = None,
-    global_budget_s: Optional[float] = None,
-    executor=None,
-):
-    """S-repair via per-component solving with a portfolio of methods.
-
-    With ``method=None`` each component gets the method the difficulty
-    scheduler picks for it (:func:`~repro.core.decompose.plan_schedule`
-    under *guarantee*); passing an explicit ``method`` forces it on every
-    component (this is how the single-method entry points —
-    ``exact_s_repair(..., decomposed=True)`` and friends — reuse this
-    engine).  The result's ``ratio_bound`` is instance-specific: 1.0
-    whenever every component was solved exactly, even for an FD set that
-    is APX-complete in general.  *budget_s* is the per-component exact
-    escape hatch (each solve's own wall-clock ceiling);
-    *global_budget_s* hands the whole instance one exact budget that
-    :func:`~repro.core.decompose.plan_schedule` rations over components
-    in ascending predicted difficulty.  ``None`` knobs resolve through
-    :func:`~repro.core.decompose.resolve_plan_defaults`.
-    """
-    from .core.dichotomy import osr_succeeds
-
-    defaults = resolve_plan_defaults(
-        threshold, node_limit, global_budget_s, budget_s
-    )
-    decomp = decompose(table, fds, index)
-    if method is None:
-        tractable = osr_succeeds(fds)
-        plans = decomp.plan_schedule(
-            tractable, guarantee, defaults.threshold,
-            defaults.exact_budget_s, defaults.per_component_budget_s,
-            defaults.node_limit,
-        )
-        kept_lists, methods = solve_components(
-            decomp, [plan.method for plan in plans], parallel,
-            defaults.node_limit, plans=plans, executor=executor,
-        )
-    else:
-        methods = [method] * len(decomp.components)
-        kept_lists, methods = solve_components(
-            decomp, methods, parallel, defaults.node_limit, budget_s,
-            executor=executor,
-        )
-    return assemble_s_result(decomp, methods, kept_lists, parallel)
 
 
 def assemble_s_result(
@@ -1513,142 +1438,6 @@ def assemble_s_result(
     return SRepairResult(
         repair=repair,
         distance=decomp.table.dist_sub(repair),
-        optimal=optimal,
-        ratio_bound=1.0 if optimal else ratio,
-        method=label,
-        method_counts=counts,
-        component_count=decomp.component_count,
-    )
-
-
-# ---------------------------------------------------------------------------
-# U-repairs
-# ---------------------------------------------------------------------------
-
-def _solve_u_component(
-    ordinal: int,
-    table: Table,
-    fds: FDSet,
-    allow_exact_search: bool,
-    exact_budget: int,
-    index=None,
-):
-    """Run the Section 4 dispatcher on one component sub-table.
-
-    Returns ``(cells, optimal, ratio_bound, method)`` where *cells* maps
-    ``(tid, attribute) → value``.  Fresh labelled nulls are relabelled
-    ``⊥c<ordinal>.<k>`` in changed-cell order: deterministic across
-    serial/parallel execution and collision-free across components, so
-    merged updates serialise identically however they were computed.
-    """
-    from .core.urepair import u_repair
-
-    result = u_repair(
-        table,
-        fds,
-        allow_exact_search=allow_exact_search,
-        exact_budget=exact_budget,
-        index=index,
-    )
-    cells: Dict[Tuple[TupleId, str], object] = {}
-    relabelled: Dict[FreshValue, FreshValue] = {}
-    for tid, attr in result.update.changed_cells(table):
-        value = result.update.value(tid, attr)
-        if isinstance(value, FreshValue):
-            fresh = relabelled.get(value)
-            if fresh is None:
-                fresh = FreshValue(f"⊥c{ordinal}.{len(relabelled)}")
-                relabelled[value] = fresh
-            value = fresh
-        cells[(tid, attr)] = value
-    return cells, result.optimal, result.ratio_bound, result.method
-
-
-def _u_worker(task):
-    ordinal, table, fds, allow_exact_search, exact_budget, use_kernel = task
-    _kernel.set_enabled(use_kernel)
-    return _solve_u_component(ordinal, table, fds, allow_exact_search, exact_budget)
-
-
-def decomposed_u_repair(
-    table: Table,
-    fds: FDSet,
-    allow_exact_search: bool = True,
-    exact_budget: int = 50_000,
-    parallel: Optional[int] = None,
-    index=None,
-):
-    """U-repair via per-component dispatch of :func:`repro.core.urepair.u_repair`.
-
-    Per-component optimal distances sum to at most the global optimum
-    (the restriction of any consistent update to a component is a
-    consistent update of its sub-table), so when every component reports
-    ``optimal`` the merged update is optimal.  Updates that draw
-    replacement values from the active domain can — rarely — collide
-    across components (a changed cell coming to agree with a tuple of
-    another component); the merge is therefore re-checked globally and
-    falls back to the global dispatcher when a collision is detected,
-    keeping the decomposed path unconditionally sound.
-    """
-    from .core.urepair import URepairResult, u_repair
-    from .core.violations import satisfies
-
-    normalised = fds.with_singleton_rhs().without_trivial()
-    decomp = decompose(table, fds, index)
-    if not decomp.components:
-        return URepairResult(
-            update=table,
-            distance=0.0,
-            optimal=True,
-            ratio_bound=1.0,
-            method="already consistent",
-            component_count=0,
-        )
-    workers = resolve_workers(parallel, decomp.component_count)
-    if workers > 1:
-        tasks = [
-            (c.ordinal, c.table, fds, allow_exact_search, exact_budget,
-             _kernel.enabled())
-            for c in decomp.components
-        ]
-        outcomes = map_components(_u_worker, tasks, parallel)
-    else:
-        outcomes = [
-            _solve_u_component(
-                c.ordinal, c.table, fds, allow_exact_search, exact_budget,
-                index=c.index,
-            )
-            for c in decomp.components
-        ]
-    update = decomp.merge_updates([cells for cells, _opt, _ratio, _m in outcomes])
-    if not satisfies(update, normalised):
-        fallback = u_repair(
-            table,
-            fds,
-            allow_exact_search=allow_exact_search,
-            exact_budget=exact_budget,
-            index=decomp.index,
-        )
-        return URepairResult(
-            update=fallback.update,
-            distance=fallback.distance,
-            optimal=fallback.optimal,
-            ratio_bound=fallback.ratio_bound,
-            method=f"global fallback (cross-component collision): {fallback.method}",
-            component_count=decomp.component_count,
-        )
-    optimal = all(opt for _c, opt, _r, _m in outcomes)
-    ratio = max((r for _c, _opt, r, _m in outcomes), default=1.0)
-    counts = _method_mix([m for _c, _opt, _r, m in outcomes])
-    label = (
-        f"decomposed[{decomp.component_count} components"
-        + (f", parallel={workers}" if workers > 1 else "")
-        + "]: "
-        + "; ".join(f"{m} ×{n}" if n > 1 else m for m, n in sorted(counts.items()))
-    )
-    return URepairResult(
-        update=update,
-        distance=table.dist_upd(update),
         optimal=optimal,
         ratio_bound=1.0 if optimal else ratio,
         method=label,

@@ -30,15 +30,16 @@ from .core.approx import approx_s_repair
 from .core.conflict_index import ConflictIndex
 from .graphs.vertex_cover import ExactBudgetExceeded
 from .core.decompose import (
-    EXACT_COMPONENT_THRESHOLD,
+    ComponentPlan,
+    SolvePolicy,
     decompose,
     polynomial_bracket,
     resolve_plan_defaults,
 )
 from .core.dichotomy import DichotomyResult, classify
 from .core.fd import FDSet
-from .core.srepair import SRepairResult, optimal_s_repair
-from .core.table import Table
+from .core.srepair import optimal_s_repair
+from .core.table import FreshValue, Table
 from .core.urepair import URepairResult, u_repair
 
 __all__ = [
@@ -233,7 +234,24 @@ def assess(
     tightening).  The default no-op recorder costs a handful of empty
     context managers per call.
     """
-    rec = _obs.resolve(recorder)
+    policy = resolve_plan_defaults(
+        exact_threshold, None, exact_budget_s, per_component_budget_s,
+        unit_cost_s,
+    )
+    return _assess(table, fds, index, decomposed, policy, detailed,
+                   _obs.resolve(recorder))
+
+
+def _assess(
+    table: Table,
+    fds: FDSet,
+    index: Optional[ConflictIndex],
+    decomposed: bool,
+    policy: SolvePolicy,
+    detailed: bool,
+    rec,
+) -> DirtinessReport:
+    """:func:`assess` under a resolved *policy*."""
     with rec.span("pipeline.assess", decomposed=decomposed):
         with rec.span("phase.index"):
             if index is None:
@@ -242,12 +260,6 @@ def assess(
                 index.ensure_for(fds, table)
 
         verdict = classify(fds)
-        defaults = resolve_plan_defaults(
-            exact_threshold, None, exact_budget_s, per_component_budget_s,
-            unit_cost_s,
-        )
-        threshold = defaults.threshold
-
         component_count = 0
         largest = 0
         exact_components = 0
@@ -255,7 +267,7 @@ def assess(
         if decomposed and index.num_edges:
             lower, upper, component_count, largest, exact_components = (
                 _assess_decomposed_bracket(
-                    table, fds, index, defaults, threshold, details, rec
+                    table, fds, index, policy, details, rec
                 )
             )
         else:
@@ -285,8 +297,7 @@ def _assess_decomposed_bracket(
     table: Table,
     fds: FDSet,
     index: ConflictIndex,
-    defaults,
-    threshold: int,
+    policy: SolvePolicy,
     details,
     rec,
 ):
@@ -302,15 +313,8 @@ def _assess_decomposed_bracket(
     # the dichotomy, so the schedule is planned on the hard side
     # (tractable=False: exact-vs-approx, never dichotomy).
     with rec.span("phase.plan"):
-        plans = decomp.plan_schedule(
-            False,
-            "best",
-            threshold,
-            defaults.exact_budget_s,
-            defaults.per_component_budget_s,
-            defaults.node_limit,
-            defaults.unit_cost_s,
-        )
+        plans = decomp.plan_schedule(False, "best", policy)
+    threshold = policy.threshold
     exact_components = 0
     lower = upper = 0.0
     with rec.span("phase.solve"):
@@ -334,7 +338,7 @@ def _assess_decomposed_bracket(
             elif plan.method == "exact":
                 try:
                     cover = exact_cover_of_index(
-                        component.index, node_limit=defaults.node_limit,
+                        component.index, node_limit=policy.node_limit,
                         budget_s=plan.budget_s,
                     )
                 except ExactBudgetExceeded:
@@ -435,10 +439,16 @@ def _decomposed_outcome(
         exact_components=exact_components,
     )
     result = assemble_s_result(decomp, methods, kept_lists, parallel)
+    return _cleaning_result(result.repair, result, report, "deletions")
+
+
+def _cleaning_result(cleaned: Table, result, report, strategy: str
+                     ) -> CleaningResult:
+    """Wrap an S- or U-repair result and its report."""
     return CleaningResult(
-        cleaned=result.repair,
+        cleaned=cleaned,
         report=report,
-        strategy="deletions",
+        strategy=strategy,
         distance=result.distance,
         optimal=result.optimal,
         ratio_bound=result.ratio_bound,
@@ -471,12 +481,10 @@ def _clean_deletions_decomposed(
     guarantee: str,
     index: ConflictIndex,
     parallel: Optional[int],
-    exact_threshold: int = EXACT_COMPONENT_THRESHOLD,
-    exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
-    unit_cost_s: Optional[float] = None,
-    recorder=None,
+    policy: SolvePolicy,
+    rec,
     executor=None,
+    solve_timeout_s: Optional[float] = None,
 ) -> CleaningResult:
     """The decomposed S-repair pipeline: decompose once, schedule the
     portfolio (:func:`repro.core.decompose.plan_schedule` — difficulty-
@@ -492,28 +500,21 @@ def _clean_deletions_decomposed(
     :func:`repro.exec.solve_components`)."""
     from .exec import solve_components
 
-    rec = _obs.resolve(recorder)
     verdict = classify(fds)
     with rec.span("phase.decompose"):
         decomp = decompose(table, fds, index)
     with rec.span("phase.plan"):
-        plans = decomp.plan_schedule(
-            verdict.tractable,
-            guarantee,
-            exact_threshold,
-            exact_budget_s,
-            per_component_budget_s,
-            unit_cost_s=unit_cost_s,
-        )
+        plans = decomp.plan_schedule(verdict.tractable, guarantee, policy)
     with rec.span("phase.solve"):
         kept_lists, methods = solve_components(
-            decomp, [plan.method for plan in plans], parallel, plans=plans,
-            recorder=rec, executor=executor,
+            decomp, plans, parallel, policy, recorder=rec, executor=executor,
+            solve_timeout_s=solve_timeout_s,
         )
     with rec.span("phase.merge"):
         lower_bounds = [None] * len(plans)
         for i, (component, plan) in enumerate(zip(decomp.components, plans)):
-            if _lp_qualifies(plan, component.size, exact_threshold, guarantee):
+            if _lp_qualifies(plan, component.size, policy.threshold,
+                             guarantee):
                 lp = component.index.lp_lower_bound()
                 if lp is not None:
                     matching = component.index.matching_lower_bound()
@@ -537,6 +538,7 @@ def clean(
     unit_cost_s: Optional[float] = None,
     recorder=None,
     executor=None,
+    solve_timeout_s: Optional[float] = None,
 ) -> CleaningResult:
     """Repair *table* end to end.
 
@@ -567,8 +569,10 @@ def clean(
         path (one solver for the whole instance, exact-vs-approx decided
         by total table size).
     parallel:
-        Number of worker processes for per-component solving (implies
-        nothing when ≤ 1; the merge is deterministic regardless).
+        Number of supervised worker processes for per-component solving
+        (see :func:`repro.exec.solve_components`; implies nothing when
+        ≤ 1 or with a single component — the merge is deterministic
+        regardless).
     exact_threshold:
         Component-size boundary between exact and approximate solving on
         the APX-hard side of the dichotomy (default
@@ -621,21 +625,26 @@ def clean(
         attribute check on the hot paths.
     executor:
         Optional :class:`repro.exec.PersistentWorkerPool` that the
-        decomposed deletions path routes per-component solves through
-        (see :func:`repro.exec.solve_components`).  Pure solvers keep
-        the result byte-identical to local execution; executor failure
-        falls back locally.
+        decomposed paths (deletions and updates) route per-component
+        solves through, in place of a pool of *parallel* workers (see
+        :func:`repro.exec.solve_components`).  Pure solvers keep the
+        result byte-identical to local execution; executor failure falls
+        back locally.
+    solve_timeout_s:
+        Per-solve deadline on the pool of *parallel* workers (default:
+        none — a long solve is never shot); see
+        :class:`repro.exec.PersistentWorkerPool`.  An *executor* carries
+        its own.
     """
     if strategy not in ("deletions", "updates"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if guarantee not in ("best", "optimal", "fast"):
         raise ValueError(f"unknown guarantee {guarantee!r}")
     rec = _obs.resolve(recorder)
-    defaults = resolve_plan_defaults(
+    policy = resolve_plan_defaults(
         exact_threshold, None, exact_budget_s, per_component_budget_s,
         unit_cost_s,
     )
-    threshold = defaults.threshold
     with rec.span("pipeline.clean", strategy=strategy, guarantee=guarantee):
         with rec.span("phase.index"):
             if index is None:
@@ -643,7 +652,11 @@ def clean(
             else:
                 index.ensure_for(fds, table)
 
-        if strategy == "deletions" and decomposed:
+        if not decomposed:
+            return _clean_global(
+                table, fds, strategy, guarantee, index, policy, rec
+            )
+        if strategy == "deletions":
             # One decomposition drives both the report and the repair:
             # the components each portfolio method solved *exactly*
             # contribute their solved cost to the bracket (lower =
@@ -652,13 +665,12 @@ def clean(
             # as standalone assessment, without solving any component
             # twice.
             return _clean_deletions_decomposed(
-                table, fds, guarantee, index, parallel, threshold,
-                exact_budget_s, per_component_budget_s,
-                defaults.unit_cost_s, recorder=rec, executor=executor,
+                table, fds, guarantee, index, parallel, policy, rec,
+                executor, solve_timeout_s,
             )
-        return _clean_global(
-            table, fds, strategy, guarantee, index, decomposed, parallel,
-            threshold, exact_budget_s, per_component_budget_s, rec,
+        return _clean_updates_decomposed(
+            table, fds, guarantee, index, parallel, policy, rec, executor,
+            solve_timeout_s,
         )
 
 
@@ -668,34 +680,25 @@ def _clean_global(
     strategy: str,
     guarantee: str,
     index: ConflictIndex,
-    decomposed: bool,
-    parallel: Optional[int],
-    threshold: int,
-    exact_budget_s: Optional[float],
-    per_component_budget_s: Optional[float],
+    policy: SolvePolicy,
     rec,
 ) -> CleaningResult:
-    """The non-decomposed-deletions tail of :func:`clean` (global
-    S-repair and both U-repair paths): assess, then one global solve
-    under a ``phase.solve`` span."""
-    report = assess(
-        table, fds, index=index, decomposed=decomposed,
-        exact_threshold=threshold, exact_budget_s=exact_budget_s,
-        per_component_budget_s=per_component_budget_s, recorder=rec,
-    )
+    """The ``decomposed=False`` tail of :func:`clean`: the global
+    assessment, then one global solve under a ``phase.solve`` span."""
+    report = _assess(table, fds, index, False, policy, False, rec)
 
     if strategy == "deletions":
         # One global solve: the global budget and the per-solve ceiling
         # coincide, whichever is set bounds it.
         solve_budget_s = (
-            exact_budget_s if exact_budget_s is not None
-            else per_component_budget_s
+            policy.exact_budget_s if policy.exact_budget_s is not None
+            else policy.per_component_budget_s
         )
         with rec.span("phase.solve"):
             if guarantee == "fast" or (
                 guarantee == "best"
                 and not report.dichotomy.tractable
-                and len(table) > threshold
+                and len(table) > policy.threshold
             ):
                 result = approx_s_repair(table, fds, index=index)
             else:
@@ -709,40 +712,10 @@ def _clean_global(
                         # IS the failure mode the caller signed up for.
                         raise
                     result = approx_s_repair(table, fds, index=index)
-        return CleaningResult(
-            cleaned=result.repair,
-            report=report,
-            strategy=strategy,
-            distance=result.distance,
-            optimal=result.optimal,
-            ratio_bound=result.ratio_bound,
-            method=result.method,
-            method_counts=result.method_counts,
-            component_count=result.component_count,
-        )
+        return _cleaning_result(result.repair, result, report, strategy)
 
-    # strategy == "updates"
     with rec.span("phase.solve"):
-        if decomposed:
-            from .core.urepair import optimal_u_repair
-            from .exec import decomposed_u_repair
-
-            if guarantee == "optimal":
-                u_result = optimal_u_repair(
-                    table, fds, index=index, decomposed=True, parallel=parallel
-                )
-            else:
-                # "fast" disables per-component exhaustive search,
-                # keeping the whole path polynomial; "best" allows it
-                # within budget.
-                u_result = decomposed_u_repair(
-                    table,
-                    fds,
-                    allow_exact_search=guarantee == "best",
-                    parallel=parallel,
-                    index=index,
-                )
-        elif guarantee == "fast":
+        if guarantee == "fast":
             from .core.approx import approx_u_repair
 
             u_result: URepairResult = approx_u_repair(table, fds, index=index)
@@ -752,14 +725,139 @@ def _clean_global(
             u_result = optimal_u_repair(table, fds, index=index)
         else:
             u_result = u_repair(table, fds, index=index)
-    return CleaningResult(
-        cleaned=u_result.update,
-        report=report,
-        strategy=strategy,
-        distance=u_result.distance,
-        optimal=u_result.optimal,
-        ratio_bound=u_result.ratio_bound,
-        method=u_result.method,
-        method_counts=u_result.method_counts,
-        component_count=u_result.component_count,
+    return _cleaning_result(u_result.update, u_result, report, strategy)
+
+
+#: The U-repair portfolio method (:data:`repro.exec.U_METHODS`) each
+#: guarantee solves components with: ``"fast"`` disables per-component
+#: exhaustive search, keeping the whole path polynomial; ``"best"``
+#: allows it within budget; ``"optimal"`` grants the larger budget.
+_U_METHOD_BY_GUARANTEE = {
+    "best": "u-best", "fast": "u-fast", "optimal": "u-optimal",
+}
+
+
+def _clean_updates_decomposed(
+    table: Table,
+    fds: FDSet,
+    guarantee: str,
+    index: ConflictIndex,
+    parallel: Optional[int],
+    policy: SolvePolicy,
+    rec,
+    executor=None,
+    solve_timeout_s: Optional[float] = None,
+) -> CleaningResult:
+    """The decomposed U-repair: the Section 4 dispatcher per conflict
+    component (:func:`repro.exec.solve_components`), merged.
+
+    Per-component optimal distances sum to at most the global optimum
+    (the restriction of any consistent update to a component is a
+    consistent update of its sub-table), so when every component reports
+    ``optimal`` the merged update is optimal.  Updates that draw
+    replacement values from the active domain can — rarely — collide
+    across components (a changed cell coming to agree with a tuple of
+    another component); the merge is therefore re-checked globally and
+    falls back to the global dispatcher when a collision is detected,
+    keeping the decomposed path unconditionally sound.
+    ``guarantee="optimal"`` raises
+    :class:`~repro.core.urepair.UnknownURepairComplexity` when the
+    result is not provably optimal."""
+    from .core.urepair import _require_optimal
+
+    report = _assess(table, fds, index, True, policy, False, rec)
+    with rec.span("phase.solve"):
+        result = _merge_u_components(
+            decompose(table, fds, index), _U_METHOD_BY_GUARANTEE[guarantee],
+            parallel, policy, rec, executor, solve_timeout_s,
+        )
+    if guarantee == "optimal":
+        _require_optimal(result, fds)
+    return _cleaning_result(result.update, result, report, "updates")
+
+
+def _merge_u_components(
+    decomp, method: str, parallel: Optional[int], policy: SolvePolicy, rec,
+    executor, solve_timeout_s: Optional[float],
+) -> URepairResult:
+    """Solve every component of *decomp* with U *method* and merge the
+    relabelled updates, falling back to the global dispatcher on a
+    cross-component collision."""
+    from .core.violations import satisfies
+    from .exec import U_METHODS, _method_mix, resolve_workers, solve_components
+
+    table, fds = decomp.table, decomp.fds
+    if not decomp.components:
+        return URepairResult(
+            update=table,
+            distance=0.0,
+            optimal=True,
+            ratio_bound=1.0,
+            method="already consistent",
+            component_count=0,
+        )
+    outcomes, _methods = solve_components(
+        decomp, [ComponentPlan(method)] * decomp.component_count, parallel,
+        policy, recorder=rec, executor=executor,
+        solve_timeout_s=solve_timeout_s,
     )
+    update = decomp.merge_updates([
+        _relabel_fresh(component.ordinal, cells)
+        for component, (cells, _opt, _ratio, _m)
+        in zip(decomp.components, outcomes)
+    ])
+    if not satisfies(update, fds.with_singleton_rhs().without_trivial()):
+        allow_exact_search, exact_budget = U_METHODS[method]
+        fallback = u_repair(
+            table,
+            fds,
+            allow_exact_search=allow_exact_search,
+            exact_budget=exact_budget,
+            index=decomp.index,
+        )
+        return URepairResult(
+            update=fallback.update,
+            distance=fallback.distance,
+            optimal=fallback.optimal,
+            ratio_bound=fallback.ratio_bound,
+            method=f"global fallback (cross-component collision): {fallback.method}",
+            component_count=decomp.component_count,
+        )
+    optimal = all(opt for _c, opt, _r, _m in outcomes)
+    ratio = max((r for _c, _opt, r, _m in outcomes), default=1.0)
+    counts = _method_mix([m for _c, _opt, _r, m in outcomes])
+    workers = resolve_workers(parallel, decomp.component_count)
+    label = (
+        f"decomposed[{decomp.component_count} components"
+        + (f", parallel={workers}" if workers > 1 else "")
+        + "]: "
+        + "; ".join(f"{m} ×{n}" if n > 1 else m for m, n in sorted(counts.items()))
+    )
+    return URepairResult(
+        update=update,
+        distance=table.dist_upd(update),
+        optimal=optimal,
+        ratio_bound=1.0 if optimal else ratio,
+        method=label,
+        method_counts=counts,
+        component_count=decomp.component_count,
+    )
+
+
+def _relabel_fresh(ordinal: int, cells) -> dict:
+    """One U component's ``((tid, attribute), value)`` changes as an
+    update mapping, fresh labelled nulls relabelled ``⊥c<ordinal>.<k>``
+    in changed-cell order: deterministic however the component was
+    solved, and collision-free across components, so merged updates
+    serialise identically however they were computed."""
+    out = {}
+    relabelled: dict = {}
+    for cell, value in cells:
+        if isinstance(value, FreshValue):
+            fresh = relabelled.get(value)
+            if fresh is None:
+                fresh = FreshValue(f"⊥c{ordinal}.{len(relabelled)}")
+                relabelled[value] = fresh
+            value = fresh
+        out[cell] = value
+    return out

@@ -331,16 +331,11 @@ class RepairSession:
         self._recorder = _obs.resolve(recorder)
         self._fds = fds
         self._guarantee = guarantee
-        defaults = resolve_plan_defaults(
+        self._policy = policy = resolve_plan_defaults(
             exact_threshold, node_limit, exact_budget_s,
             per_component_budget_s, unit_cost_s,
         )
-        self._threshold = defaults.threshold
-        self._exact_budget_s = defaults.exact_budget_s
-        self._per_component_budget_s = defaults.per_component_budget_s
-        self._unit_cost_s = defaults.unit_cost_s
         self._parallel = parallel
-        self._node_limit = defaults.node_limit
         self._max_cache_entries = max_cache_entries
         self._pool_timeout = pool_timeout
         self._verdict = classify(fds)
@@ -377,10 +372,10 @@ class RepairSession:
             (
                 fds,
                 self._schema,
-                self._node_limit,
-                self._exact_budget_s,
-                self._per_component_budget_s,
-                self._unit_cost_s,
+                policy.node_limit,
+                policy.exact_budget_s,
+                policy.per_component_budget_s,
+                policy.unit_cost_s,
             )
             if solutions is not None
             else None
@@ -714,7 +709,7 @@ class RepairSession:
         paths — and the batch pipeline — report the same number."""
         bound = entry.lower_bound
         if bound is None or not _lp_qualifies(
-            plan, component.size, self._threshold, self._guarantee
+            plan, component.size, self._policy.threshold, self._guarantee
         ):
             return bound
         lp = entry.lp_bound
@@ -743,19 +738,11 @@ class RepairSession:
             # bound to this session's namespace for its whole life.
             from .exec import PersistentWorkerPool
 
-            # The namespace default budget is the *per-solve* ceiling:
-            # globally-scheduled exact solves ship their slice per task,
-            # so the namespace default only governs tasks without one.
-            pool = PersistentWorkerPool(
-                self._parallel, node_limit=self._node_limit,
-                budget_s=self._per_component_budget_s,
-            )
+            pool = PersistentWorkerPool(self._parallel, policy=self._policy)
             if (
                 pool.start()
                 and pool.open_session(
-                    self._session_key, self._schema, self._fds,
-                    node_limit=self._node_limit,
-                    budget_s=self._per_component_budget_s,
+                    self._session_key, self._schema, self._fds, self._policy
                 )
                 and pool.broadcast(
                     ("reset", self._mirror_rows(self._rows), dict(self._weights)),
@@ -774,9 +761,7 @@ class RepairSession:
             ok = (
                 self._pool.start()
                 and self._pool.open_session(
-                    self._session_key, self._schema, self._fds,
-                    node_limit=self._node_limit,
-                    budget_s=self._per_component_budget_s,
+                    self._session_key, self._schema, self._fds, self._policy
                 )
                 and self._pool.broadcast(
                     ("reset", self._mirror_rows(self._rows), dict(self._weights)),
@@ -818,7 +803,7 @@ class RepairSession:
         Each miss carries its :class:`~repro.core.decompose.ComponentPlan`;
         a plan with a budget ships it per task (the globally-scheduled
         slice, or the per-solve ceiling on the legacy path), one without
-        defers to the worker namespace default.  On the warm pool when
+        defers to the namespace policy's per-solve ceiling.  On the warm pool when
         available (ids-only payloads), in-process otherwise; any pool
         failure falls back serially — the solvers are pure and the plan
         is the same either way, so the retry is safe and byte-identical.
@@ -828,7 +813,7 @@ class RepairSession:
         timed inside the worker on the pool path, in-process on the
         serial path (where an untraced run skips the clock entirely).
         """
-        from .exec import _solve_s_kept
+        from .exec import _solve_component
 
         rec = self._recorder
         solved: Dict[int, Tuple[Tuple[TupleId, ...], str, float]] = {}
@@ -874,16 +859,16 @@ class RepairSession:
         timed = rec.enabled
         for i, component, plan in misses:
             start = _perf_counter() if timed else 0.0
-            kept, effective = _solve_s_kept(
+            kept, effective = _solve_component(
                 component.table,
                 self._fds,
                 plan.method,
-                self._node_limit,
+                self._policy.node_limit,
                 index=component.index,
                 budget_s=plan.budget_s,
             )
             elapsed = _perf_counter() - start if timed else 0.0
-            solved[i] = (tuple(kept), effective, elapsed)
+            solved[i] = (kept, effective, elapsed)
             self.stats.serial_solves += 1
         if rec.enabled:
             self._record_solves(misses, solved, "serial")
@@ -928,13 +913,7 @@ class RepairSession:
                 decomp = self._decompose()
             with rec.span("phase.plan"):
                 plans = decomp.plan_schedule(
-                    self._verdict.tractable,
-                    self._guarantee,
-                    self._threshold,
-                    self._exact_budget_s,
-                    self._per_component_budget_s,
-                    self._node_limit,
-                    self._unit_cost_s,
+                    self._verdict.tractable, self._guarantee, self._policy
                 )
             methods = [plan.method for plan in plans]
             kept_lists: List[Optional[Tuple[TupleId, ...]]] = (
@@ -948,7 +927,7 @@ class RepairSession:
             ):
                 epoch = (
                     plan.budget_s
-                    if self._exact_budget_s is not None
+                    if self._policy.exact_budget_s is not None
                     and plan.method == "exact"
                     else None
                 )
@@ -1090,12 +1069,12 @@ class RepairSession:
             "next_auto_id": self._next_auto_id,
             "options": {
                 "guarantee": self._guarantee,
-                "exact_threshold": self._threshold,
-                "exact_budget_s": self._exact_budget_s,
-                "per_component_budget_s": self._per_component_budget_s,
-                "unit_cost_s": self._unit_cost_s,
+                "exact_threshold": self._policy.threshold,
+                "exact_budget_s": self._policy.exact_budget_s,
+                "per_component_budget_s": self._policy.per_component_budget_s,
+                "unit_cost_s": self._policy.unit_cost_s,
                 "parallel": self._parallel,
-                "node_limit": self._node_limit,
+                "node_limit": self._policy.node_limit,
                 "max_cache_entries": self._max_cache_entries,
                 "pool_timeout": self._pool_timeout,
             },

@@ -4,10 +4,16 @@
 (``fdrepair ... --shards N``) launches each worker as this module: it
 runs the pool's one worker loop over JSONL on stdin/stdout until the
 parent sends ``stop`` or closes the pipe.
+
+The lines carry pickled messages, which is sound only between this
+program's own processes.  The worker therefore refuses to run (exit 2)
+unless its stdin is a pipe, so no socket or file can ever feed it.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -27,6 +33,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="JSON FaultPlan spec (chaos testing)")
     parser.add_argument("--no-kernel", action="store_true")
     args = parser.parse_args(argv)
+    if not stat.S_ISFIFO(os.fstat(sys.stdin.fileno()).st_mode):
+        print("repro.shard: stdin must be a pipe from the worker pool; "
+              "refusing to unpickle from any other source", file=sys.stderr)
+        return 2
     _kernel.set_enabled(not args.no_kernel)
     serve_stdio_worker(sys.stdin.buffer, sys.stdout.buffer, args.worker,
                        args.generation, fault_spec=args.faults)

@@ -13,19 +13,20 @@ import pytest
 
 from repro.core.decompose import (
     EXACT_COMPONENT_THRESHOLD,
+    ComponentPlan,
     decompose,
     plan_s_method,
 )
 from repro.core.approx import approx_s_repair, greedy_s_repair
 from repro.core.exact import exact_s_repair
 from repro.core.fd import FDSet
-from repro.core.srepair import optimal_s_repair
 from repro.core.table import Table
 from repro.core.urepair import u_repair
 from repro.core.violations import satisfies
 from repro.datagen.synthetic import clustered_conflicts_table
-from repro.exec import map_components, resolve_workers
+from repro.exec import assemble_s_result, resolve_workers, solve_components
 from repro.io.tables import table_to_csv
+from repro.pipeline import clean
 from repro.testing import random_small_table
 
 HARD = FDSet("A -> B; B -> C")
@@ -38,6 +39,15 @@ def clustered(n=120, clusters=6, cluster_size=8, seed=0, **kwargs):
         ("A", "B", "C"), n, clusters=clusters, cluster_size=cluster_size,
         seed=seed, **kwargs
     )
+
+
+def forced(table, fds, method, parallel=None):
+    """The per-component S-repair with one *method* forced on every
+    component."""
+    decomp = decompose(table, fds)
+    plans = [ComponentPlan(method)] * decomp.component_count
+    kept_lists, methods = solve_components(decomp, plans, parallel)
+    return assemble_s_result(decomp, methods, kept_lists, parallel)
 
 
 class TestDecompose:
@@ -116,7 +126,7 @@ class TestDecomposedSRepairEquivalence:
     def test_exact_distance_matches_global(self, fds):
         table = clustered(seed=4)
         global_repair = exact_s_repair(table, fds, node_limit=5000)
-        decomposed = exact_s_repair(table, fds, decomposed=True)
+        decomposed = forced(table, fds, "exact").repair
         assert table.dist_sub(decomposed) == table.dist_sub(global_repair)
         assert satisfies(decomposed, fds)
 
@@ -127,20 +137,18 @@ class TestDecomposedSRepairEquivalence:
         # *same* repair.
         table = clustered(seed=6)
         assert (
-            approx_s_repair(table, fds, decomposed=True).repair
+            forced(table, fds, "approx").repair
             == approx_s_repair(table, fds).repair
         )
 
     def test_greedy_repair_identical_to_global(self):
         table = clustered(seed=7)
         assert (
-            greedy_s_repair(table, HARD, decomposed=True).repair
+            forced(table, HARD, "greedy").repair
             == greedy_s_repair(table, HARD).repair
         )
 
     def test_random_tables_all_guarantees(self, rng):
-        from repro.pipeline import clean
-
         for trial in range(8):
             table = random_small_table(
                 rng, ("A", "B", "C"), 14, domain=2, weighted=True
@@ -163,10 +171,10 @@ class TestDecomposedSRepairEquivalence:
         for trial in range(6):
             table = random_small_table(rng, ("A", "B", "C"), 10, domain=2)
             for fds in (TRACTABLE, FDSet("A -> B")):
-                dec = u_repair(table, fds, decomposed=True)
+                dec = clean(table, fds, strategy="updates")
                 glob = u_repair(table, fds)
-                assert satisfies(dec.update, fds)
-                assert dec.update.is_update_of(table)
+                assert satisfies(dec.cleaned, fds)
+                assert dec.cleaned.is_update_of(table)
                 assert dec.distance == glob.distance
                 assert dec.optimal == glob.optimal
 
@@ -174,8 +182,6 @@ class TestDecomposedSRepairEquivalence:
         """An APX-complete Δ whose conflicts form small components is
         solved exactly — the decomposed path certifies ratio 1.0 where
         the global heuristic settled for the 2-approximation."""
-        from repro.pipeline import clean
-
         table = clustered(n=200, clusters=5, cluster_size=10, seed=9)
         result = clean(table, HARD, guarantee="best")
         assert result.optimal and result.ratio_bound == 1.0
@@ -188,9 +194,17 @@ class TestDecomposedSRepairEquivalence:
 class TestSerialParallelIdentical:
     def test_s_repair_byte_identical(self):
         table = clustered(seed=8)
-        serial = optimal_s_repair(table, HARD, decomposed=True)
-        parallel = optimal_s_repair(table, HARD, parallel=4)
-        assert serial.repair == parallel.repair
+        serial = clean(table, HARD, guarantee="optimal")
+        parallel = clean(table, HARD, guarantee="optimal", parallel=4)
+        assert serial.cleaned == parallel.cleaned
+        assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
+        assert serial.distance == parallel.distance
+
+    @pytest.mark.parametrize("method", ("exact", "approx", "greedy"))
+    def test_forced_method_byte_identical(self, method):
+        table = clustered(seed=8)
+        serial = forced(table, HARD, method)
+        parallel = forced(table, HARD, method, parallel=4)
         assert table_to_csv(serial.repair) == table_to_csv(parallel.repair)
         assert serial.distance == parallel.distance
 
@@ -199,20 +213,27 @@ class TestSerialParallelIdentical:
         # deterministic changed-cell order, so even the serialised form
         # is identical however the components were scheduled.
         table = clustered(seed=10)
-        serial = u_repair(table, HARD, decomposed=True)
-        parallel = u_repair(table, HARD, parallel=4)
+        serial = clean(table, HARD, strategy="updates")
+        parallel = clean(table, HARD, strategy="updates", parallel=4)
         assert serial.distance == parallel.distance
-        assert table_to_csv(serial.update) == table_to_csv(parallel.update)
+        assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
 
     def test_clean_parallel_matches_serial(self):
-        from repro.pipeline import clean
-
         table = clustered(seed=11)
         for strategy in ("deletions", "updates"):
-            serial = clean(table, HARD, strategy=strategy)
-            parallel = clean(table, HARD, strategy=strategy, parallel=4)
-            assert serial.distance == parallel.distance
-            assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
+            for guarantee in ("best", "fast", "optimal"):
+                serial = clean(table, HARD, strategy=strategy,
+                               guarantee=guarantee)
+                parallel = clean(table, HARD, strategy=strategy,
+                                 guarantee=guarantee, parallel=4)
+                assert serial.distance == parallel.distance
+                assert table_to_csv(serial.cleaned) == table_to_csv(
+                    parallel.cleaned
+                )
+                assert serial.report == parallel.report
+                assert serial.method == parallel.method.replace(
+                    ", parallel=4", ""
+                )
 
 
 class TestExecLayer:
@@ -224,13 +245,6 @@ class TestExecLayer:
         assert resolve_workers(2, 10) == 2
         assert resolve_workers(8, 3) == 3
 
-    def test_map_components_preserves_order(self):
-        tasks = list(range(20))
-        assert map_components(_square, tasks, parallel=4) == [
-            x * x for x in tasks
-        ]
-        assert map_components(_square, tasks) == [x * x for x in tasks]
-
     def test_table_pickle_drops_cache(self):
         import pickle
 
@@ -240,7 +254,3 @@ class TestExecLayer:
         assert clone == table
         assert clone.ids() == table.ids()
         assert clone.conflict_index(HARD).num_edges == table.conflict_index(HARD).num_edges
-
-
-def _square(x):
-    return x * x

@@ -372,8 +372,9 @@ def test_assess_byte_identical_with_and_without_kernel(data):
 
 
 def test_parallel_coded_shipping_byte_identical():
-    """The process pool receives column-code arrays; kept ids (and hence
-    the merged repair and its report) match the serial solve."""
+    """Components solved on the worker pool from a kernel-backed index:
+    kept ids (and hence the merged repair and its report) match the
+    serial solve."""
     rng = random.Random(5)
     rows = {}
     for cluster in range(6):
@@ -387,22 +388,6 @@ def test_parallel_coded_shipping_byte_identical():
     assert serial.cleaned == parallel.cleaned
     assert serial.distance == parallel.distance
     assert serial.report == parallel.report
-
-
-def test_coded_component_table_round_trip():
-    from repro.core.decompose import Component
-    from repro.exec import coded_component_table
-
-    table = Table(SCHEMA, {7: ("x", "y", "z"), 9: ("x", "q", "z")},
-                  {7: 2.0, 9: 1.5})
-    codec = kernel.TableCodec.encode(table)
-    component = Component(0, (7, 9), table, ConflictIndex(table, FDSet("A -> B")))
-    ids, columns, weights = component.code_payload(codec)
-    rebuilt = coded_component_table(SCHEMA, ids, columns, weights)
-    assert rebuilt.ids() == (7, 9)
-    assert rebuilt[7] == (0, 0, 0)
-    assert rebuilt[9] == (0, 1, 0)
-    assert rebuilt.weight(7) == 2.0 and rebuilt.weight(9) == 1.5
 
 
 # ---------------------------------------------------------------------------

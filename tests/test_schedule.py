@@ -38,7 +38,7 @@ from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.datagen.synthetic import portfolio_mix_table
 from repro.io.tables import table_to_csv
-from repro.pipeline import clean
+from repro.pipeline import assess, clean
 
 OVERLAY = FDSet("A -> B; B -> C")
 
@@ -133,18 +133,24 @@ def test_budget_exhaustion_same_kept_set_serial_vs_parallel():
 
 def test_zero_budget_downgrades_every_component():
     decomp = decompose(_small_mix(), OVERLAY)
-    plans = decomp.plan_schedule(False, "best", exact_budget_s=0.0)
+    plans = decomp.plan_schedule(
+        False, "best", resolve_plan_defaults(exact_budget_s=0.0)
+    )
     assert len(plans) == len(decomp.components)
     assert all(plan.method == "approx" for plan in plans)
     assert all(plan.downgraded for plan in plans)
     # And deterministic: planning is pure arithmetic over features.
-    again = decomp.plan_schedule(False, "best", exact_budget_s=0.0)
+    again = decomp.plan_schedule(
+        False, "best", resolve_plan_defaults(exact_budget_s=0.0)
+    )
     assert plans == again
 
 
 def test_generous_budget_plans_by_difficulty():
     decomp = decompose(_small_mix(), OVERLAY)
-    plans = decomp.plan_schedule(False, "best", exact_budget_s=3600.0)
+    plans = decomp.plan_schedule(
+        False, "best", resolve_plan_defaults(exact_budget_s=3600.0)
+    )
     assert len(plans) == len(decomp.components)
     # A generous budget grants everything eligible; every plan carries
     # its difficulty evidence.
@@ -219,3 +225,21 @@ def test_patched_components_kernel_matches_dict():
         reference.components()
         reference.remove_many(victims)
         assert reference.components() == patched
+
+
+def test_clean_report_honours_unit_cost_on_every_path():
+    # The updates strategy and the global path assess under the same
+    # policy as the decomposed deletions path: a unit cost that prices
+    # every exact bracket out of the global budget shows in the report.
+    table = _small_mix()
+    knobs = dict(exact_budget_s=30.0, unit_cost_s=1e6)
+    priced_out = assess(table, OVERLAY, **knobs)
+    assert priced_out != assess(table, OVERLAY, exact_budget_s=30.0)
+    updates = clean(table, OVERLAY, strategy="updates", guarantee="fast",
+                    **knobs)
+    assert updates.report == priced_out
+    for strategy in ("deletions", "updates"):
+        global_run = clean(table, OVERLAY, strategy=strategy,
+                           guarantee="fast", decomposed=False, **knobs)
+        assert global_run.report == assess(table, OVERLAY,
+                                           decomposed=False, **knobs)

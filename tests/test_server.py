@@ -317,7 +317,7 @@ class TestSessionState:
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
             raise AssertionError("status touched a solver")
 
-        monkeypatch.setattr(exec_mod, "_solve_s_kept", boom)
+        monkeypatch.setattr(exec_mod, "_solve_component", boom)
         status = session.status()
         assert status.conflicts == 2 and status.components == 2
         assert status.lower_bound == status.upper_bound == 2.0

@@ -19,13 +19,21 @@ counters surviving daemon restarts via the snapshot.
 """
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.exec import PersistentWorkerPool
 from repro.faults import FaultPlan, FaultRule
+from repro.io.tables import table_to_csv
 from repro.pipeline import clean
 from repro.protocol import apply_session_op
 from repro.session import RepairSession
@@ -176,9 +184,105 @@ class TestShardedIdentity:
         assert got == expected
         assert stats["rpcs"] > 0
 
+    def test_u_repair_kill_mid_solve_is_invisible_in_results(self):
+        """U-repair components ride the same pool: a worker killed in
+        its first solve is replaced, the solve is sent again, and the
+        update — fresh nulls relabelled by the parent — is
+        byte-identical to the serial one."""
+        table = _conflict_table(size=6)
+        expected = clean(table, FDS, strategy="updates")
+        plan = FaultPlan([
+            FaultRule("worker.solve", "kill", at=1,
+                      match={"worker": 0, "generation": 0}),
+        ])
+        with _executor(2, self.transport, faults=plan) as ex:
+            got = clean(table, FDS, strategy="updates", executor=ex)
+            stats = ex.supervision_stats()
+        assert table_to_csv(got.cleaned) == table_to_csv(expected.cleaned)
+        assert got.distance == expected.distance
+        assert got.method == expected.method
+        assert got.report == expected.report
+        assert stats["worker_deaths"] >= 1
+
 
 class TestQueueIdentity(TestShardedIdentity):
     transport = "queue"
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_queue_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed pool owner never sends its workers EOF; they must
+    notice the dead parent and exit instead of blocking forever."""
+    script = (
+        "import time\n"
+        "from repro.exec import PersistentWorkerPool\n"
+        "pool = PersistentWorkerPool(2)\n"
+        "started = pool.start()\n"
+        "print(' '.join(str(s.proc.pid) for s in pool._slots)"
+        " if started else '', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    owner = subprocess.Popen([sys.executable, "-c", script],
+                             stdout=subprocess.PIPE, env=_subprocess_env())
+    try:
+        ready, _, _ = select.select([owner.stdout], [], [], 60.0)
+        assert ready, "the pool owner never reported its workers"
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+    finally:
+        owner.kill()
+        owner.wait(timeout=10.0)
+        owner.stdout.close()
+    if not pids:
+        pytest.skip("platform cannot start queue workers")
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _running(pid)]
+    for pid in survivors:  # don't leak them past a failing test
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors
+
+
+def test_stdio_worker_refuses_stdin_that_is_not_a_pipe(tmp_path):
+    """The stdio transport unpickles what it reads, so the worker runs
+    only behind a pipe: fed a well-formed line from a regular file it
+    exits 2 without replying (no greeting, no result)."""
+    from repro.core.decompose import SolvePolicy
+    from repro.exec import _encode_stdio
+
+    feed = tmp_path / "feed.jsonl"
+    feed.write_bytes(
+        _encode_stdio("open", ("open", "k", SCHEMA, FDS, SolvePolicy()))
+        + _encode_stdio("reset", ("reset", "k", {1: ("a", "x", "p")},
+                                  {1: 1.0}))
+        + _encode_stdio("solve", ("solve", 0, "k", (1,), "exact", None))
+    )
+    with open(feed, "rb") as stdin:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.shard"], stdin=stdin,
+            capture_output=True, env=_subprocess_env(), timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert b"pipe" in done.stderr
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -394,6 +498,76 @@ class TestExecutorSeam:
         dead._started = True
         got = clean(table, FDS, executor=dead)
         assert got.cleaned.to_string() == clean(table, FDS).cleaned.to_string()
+
+
+def test_s_repair_parallel_carries_the_solve_timeout(tmp_path, monkeypatch):
+    """``s-repair --parallel N --solve-timeout S`` solves on the call's
+    queue pool, built with the deadline, and writes what the serial run
+    writes; a one-component table starts no pool at all."""
+    import repro.exec as exec_mod
+    from repro.cli import main
+
+    built = []
+
+    class RecordingPool(exec_mod.PersistentWorkerPool):
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(exec_mod, "PersistentWorkerPool", RecordingPool)
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(table_to_csv(_conflict_table()), encoding="utf-8")
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["s-repair", str(csv_path), FDS_TEXT,
+                 "--out", str(serial)]) == 0
+    assert main(["s-repair", str(csv_path), FDS_TEXT, "--parallel", "2",
+                 "--solve-timeout", "30", "--out", str(pooled)]) == 0
+    assert len(built) == 1
+    assert built[0][0] == (2,) and built[0][1]["solve_timeout_s"] == 30.0
+    assert pooled.read_bytes() == serial.read_bytes()
+    single = tmp_path / "single.csv"
+    single.write_text(table_to_csv(_conflict_table(clusters=1)),
+                      encoding="utf-8")
+    assert main(["s-repair", str(single), FDS_TEXT, "--parallel", "2",
+                 "--solve-timeout", "30"]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("strategy", ["deletions", "updates"])
+def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
+    """``clean(parallel=N)``'s own pool puts no cap on the batch: with
+    every finite batch cap shrunk to 10 ms and the first solve on each
+    worker stalled, the batch is still solved once, on the workers —
+    not abandoned and solved again in process."""
+    import repro.exec as exec_mod
+    from repro.faults import FAULTS_ENV
+
+    fds = FDSet(FDS_TEXT)
+    serial = clean(_conflict_table(), fds, strategy=strategy,
+                   guarantee="fast")
+    pool_solve = exec_mod.PersistentWorkerPool.solve
+
+    def tiny_cap(self, tasks, timeout=120.0, key=exec_mod.DEFAULT_SESSION_KEY):
+        return pool_solve(self, tasks,
+                          timeout=None if timeout is None else 0.01, key=key)
+
+    in_process = []
+    solve_component = exec_mod._solve_component
+
+    def counting(*args, **kwargs):
+        in_process.append(args[2])
+        return solve_component(*args, **kwargs)
+
+    monkeypatch.setattr(exec_mod.PersistentWorkerPool, "solve", tiny_cap)
+    monkeypatch.setattr(exec_mod, "_solve_component", counting)
+    monkeypatch.setenv(FAULTS_ENV, json.dumps(
+        FaultPlan([FaultRule("worker.solve", "delay", delay_s=0.2)]).to_spec()
+    ))
+    pooled = clean(_conflict_table(), fds, strategy=strategy,
+                   guarantee="fast", parallel=2)
+    assert in_process == []
+    assert table_to_csv(pooled.cleaned) == table_to_csv(serial.cleaned)
+    assert pooled.distance == serial.distance
 
 
 # ---------------------------------------------------------------------------
