@@ -21,6 +21,12 @@ via ``kernel.disabled()`` / ``use_kernel=False`` as the comparison arm
   faster end-to-end than the dict build + assessment, and produce the
   identical report (ISSUE-4).
 
+* **Index build scaling** (clustered 30k → 300k, chain Δ
+  ``A → B; B → C``): the kernel index build at 300k rows must cost at
+  most :data:`BUILD_SCALING_BOUND` times the build at 30k — linear
+  work plus the GC and cache effects of a 10× larger heap.  Per-tuple
+  containers show up here first, as GC work that grows with the heap.
+
 Results land in ``BENCH_kernel.json`` next to the other bench suites;
 the committed baselines double as the CI regression reference (the
 workflow fails on a > 30% drop of any gated ``speedup``).  For context,
@@ -47,6 +53,10 @@ from repro.pipeline import assess
 from conftest import measure_best, print_table, record_bench
 
 CHAIN = FDSet("A -> B; A B -> C")
+ROADMAP_CHAIN = FDSet("A -> B; B -> C")
+
+#: Ceiling on build(300k) / build(30k) for the kernel index build.
+BUILD_SCALING_BOUND = 20.0
 MARRIAGE = FDSet("A -> B; B -> A; B -> C")
 
 
@@ -316,3 +326,49 @@ def test_bye_and_components_fast_paths_identical(benchmark):
     )
     assert fast_components == slow_components
     assert fast_cover == slow_cover
+
+
+def _roadmap_clustered(n):
+    """The scaling workload of the roadmap's layer table."""
+    return clustered_conflicts_table(
+        ("A", "B", "C"), n, clusters=n // 167, cluster_size=16, seed=1
+    )
+
+
+def test_index_build_scaling_30k_300k(benchmark):
+    """Gate: the kernel index build scales near-linearly from 30k to
+    300k rows (best of 5 each, one run, tables built outside the
+    timers)."""
+    times = {}
+    edges = {}
+    for n in (30_000, 300_000):
+        table = _roadmap_clustered(n)
+        index, times[n], _ = measure_best(
+            lambda: ConflictIndex(table, ROADMAP_CHAIN, use_kernel=True)
+        )
+        edges[n] = index.num_edges
+        del index, table
+    ratio = times[300_000] / times[30_000]
+    small = _roadmap_clustered(30_000)
+    benchmark.pedantic(
+        lambda: ConflictIndex(small, ROADMAP_CHAIN, use_kernel=True),
+        rounds=1, iterations=1,
+    )
+    print_table(
+        "Kernel index build scaling (clustered, A -> B; B -> C)",
+        ("rows", "best of 5", "conflict edges"),
+        [
+            ("30k", f"{times[30_000] * 1e3:.0f} ms", edges[30_000]),
+            ("300k", f"{times[300_000] * 1e3:.0f} ms", edges[300_000]),
+            ("ratio", f"{ratio:.1f}×", ""),
+        ],
+    )
+    record_bench(
+        "BENCH_kernel.json",
+        "index-build-scaling-30k-300k",
+        times[300_000],
+        build_30k_s=round(times[30_000], 6),
+        ratio=round(ratio, 2),
+        bound=BUILD_SCALING_BOUND,
+    )
+    assert ratio <= BUILD_SCALING_BOUND

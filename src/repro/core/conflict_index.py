@@ -6,25 +6,35 @@ over a shrinking table: greedy vertex cover deletes one tuple at a time,
 assessment pipeline both need the full conflict graph.  The seed
 implementation rebuilt the lhs/rhs hash groupings from scratch on every
 call; this module materialises them once per ``(table, Δ)`` and keeps
-them **live** under tuple removal.
+them **live** under tuple removal and insertion.
 
-A :class:`ConflictIndex` holds, per (nontrivial) FD ``X → Y``:
+A :class:`ConflictIndex` holds the *materialised conflict graph* with
+degree and weight bookkeeping, plus, per (nontrivial) FD ``X → Y``, the
+lhs grouping of the live tuples.  It has exactly one adjacency, in one
+of two representations:
 
-* a two-level bucket index ``lhs-key → rhs-key → {tuple ids}`` — the
-  same hash grouping :func:`repro.core.violations.violating_pairs_of_fd`
-  streams over, made persistent;
-* the reverse map ``tuple id → (lhs-key, rhs-key)`` enabling O(1) bucket
-  eviction;
+* **kernel-built** (the default): the
+  :class:`~repro.core.kernel.ConflictKernel` CSR arrays, patched in
+  place under mutation (tombstones, overflow adjacency, live degrees),
+  and the per-FD grouping :func:`~repro.core.kernel.build_conflict_edges`
+  computed on the coded columns (``lhs-key → row ints``).  No per-tuple
+  container exists: neighbours, degrees, edges and components are
+  served from the arrays.
+* **dict-backed**: an adjacency map of sets plus a two-level bucket
+  index ``lhs-key → rhs-key → {tuple ids}`` per FD — the same hash
+  grouping :func:`repro.core.violations.violating_pairs_of_fd` streams
+  over, made persistent.  This is the ``--no-kernel`` oracle and the
+  representation of the small per-component projections
+  (:meth:`project`), whose bucket half is built lazily.
 
-plus the *materialised conflict graph* as an adjacency map with degree
-and weight bookkeeping.  :meth:`remove` evicts one tuple in
-O(degree + |Δ|) — the affected buckets only — instead of an O(|T|·|Δ|)
-rebuild, which is what makes index-driven greedy deletion loops linear
-instead of quadratic.  :meth:`insert` is the symmetric counterpart: a
-new tuple joins its lhs buckets and gains exactly the conflict edges
-its rhs disagreement implies, in O(lhs-group size + |Δ|) — the substrate
-of the streaming :class:`repro.session.RepairSession`, which re-repairs
-only the components a tuple delta touches.
+:meth:`remove` evicts one tuple in O(degree + |Δ|) — the affected edges
+and buckets only — instead of an O(|T|·|Δ|) rebuild, which is what makes
+index-driven greedy deletion loops linear instead of quadratic.
+:meth:`insert` is the symmetric counterpart: a new tuple probes its lhs
+group per FD and gains exactly the conflict edges its rhs disagreement
+implies, in O(lhs-group size + |Δ|) — the substrate of the streaming
+:class:`repro.session.RepairSession`, which re-repairs only the
+components a tuple delta touches.
 
 The index quacks like :class:`repro.graphs.graph.Graph` for the read
 access :func:`~repro.graphs.vertex_cover.bar_yehuda_even` and
@@ -42,7 +52,17 @@ are pristine and shared; call :meth:`copy` before mutating.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import compress, filterfalse
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..graphs.graph import Graph
 from . import kernel as _kernel
@@ -53,7 +73,8 @@ __all__ = ["ConflictIndex"]
 
 
 class _FDBuckets:
-    """The live two-level hash grouping of one FD over the current tuples."""
+    """The live two-level hash grouping of one FD over the current tuples
+    (dict-backed indexes only)."""
 
     __slots__ = ("fd", "groups", "keys")
 
@@ -97,8 +118,20 @@ class _FDBuckets:
         return dup
 
 
+def _cross_pairs(
+    fd: FD, parts: Iterable[Iterable[TupleId]]
+) -> Iterator[Tuple[TupleId, TupleId, FD]]:
+    """Every pair drawn from two different rhs parts of one lhs group."""
+    parts = list(parts)
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            for t1 in parts[i]:
+                for t2 in parts[j]:
+                    yield t1, t2, fd
+
+
 class ConflictIndex:
-    """Per-FD bucket indexes + the materialised conflict graph of a table.
+    """The materialised conflict graph of a table, with per-FD groupings.
 
     Parameters
     ----------
@@ -108,6 +141,9 @@ class ConflictIndex:
         only (tables themselves are immutable).
     fds:
         The FD set Δ.  Trivial FDs are skipped (they cannot be violated).
+    use_kernel:
+        Build on the columnar kernel (default: the global switch, see
+        :func:`repro.core.kernel.enabled`) or on the dict reference.
     """
 
     __slots__ = (
@@ -128,6 +164,7 @@ class ConflictIndex:
         "_use_kernel",
         "_codec",
         "_kernel",
+        "_groups",
         "_mask_cache",
     )
 
@@ -137,9 +174,6 @@ class ConflictIndex:
         self.fds = fds
         self._source: "weakref.ref[Table]" = weakref.ref(table)
         self._live: Dict[TupleId, float] = dict(table._weights)
-        self._position: Dict[TupleId, int] = {
-            tid: i for i, tid in enumerate(self._live)
-        }
         self._next_position = len(self._live)
         self._position_shared = False
         self._num_edges = 0
@@ -162,71 +196,62 @@ class ConflictIndex:
         if use_kernel is None:
             use_kernel = _kernel.enabled()
         self._use_kernel: bool = bool(use_kernel)
-        self._codec: Optional[_kernel.TableCodec] = None
-        self._kernel: Optional[_kernel.ConflictKernel] = None
         self._mask_cache: Optional[Tuple[List[TupleId], List[float], List[int]]] = None
+        self._lazy_bucket_table: Optional[Table] = None
         # _conflicting: live tuples with at least one conflict,
         # maintained under insert/remove so components() costs
         # O(conflicting) instead of O(|T|) — on realistic dirtiness (a
         # few % of tuples conflicting) that is the difference between
         # re-decomposing per streaming delta and scanning the whole
-        # table each time.  Each build branch derives it from what it
-        # already has in hand.
+        # table each time.
         if self._use_kernel:
             self._build_with_kernel(table)
-        else:
-            self._adj: Dict[TupleId, Set[TupleId]] = {
-                tid: set() for tid in self._live
-            }
-            self._lazy_bucket_table: Optional[Table] = None
-            self._buckets: Optional[List[_FDBuckets]] = []
-            for fd, _lhs_pos, rhs_pos in self._fd_specs:
-                self._buckets.append(self._build_fd_buckets(table, fd, rhs_pos))
-            self._conflicting: Set[TupleId] = {
-                tid for tid, nbrs in self._adj.items() if nbrs
-            }
+            return
+        self._codec: Optional[_kernel.TableCodec] = None
+        self._kernel: Optional[_kernel.ConflictKernel] = None
+        self._groups: Optional[List[_kernel.Groups]] = None
+        self._position: Dict[TupleId, int] = {
+            tid: i for i, tid in enumerate(self._live)
+        }
+        self._adj: Optional[Dict[TupleId, Set[TupleId]]] = {
+            tid: set() for tid in self._live
+        }
+        self._buckets: Optional[List[_FDBuckets]] = [
+            self._build_fd_buckets(table, fd, rhs_pos)
+            for fd, _lhs_pos, rhs_pos in self._fd_specs
+        ]
+        self._conflicting: Set[TupleId] = {
+            tid for tid, nbrs in self._adj.items() if nbrs
+        }
 
     def _build_with_kernel(self, table: Table) -> None:
-        """The columnar build: intern columns once, group by combined
-        integer keys, and materialise the conflict graph from the flat
-        edge arrays.
+        """The columnar build: intern columns once, group by integer
+        keys, and keep the CSR arrays and the per-FD groupings as the
+        index's only structures.
 
-        Produces the same live/adjacency/edge-count state as the dict
-        build (the kernel grouping is grouping by value equality, which
-        is all the dict build observes); the per-FD buckets are left
-        lazy — most consumers (the vertex-cover solvers, decomposition)
-        never read them, and :meth:`_ensure_buckets` reconstructs them
-        exactly when :meth:`insert` or :meth:`violating_pairs` does.
+        Observably the same as the dict build (the kernel grouping is
+        grouping by value equality, which is all the dict build
+        observes).  The codec's row map doubles as the position map: a
+        row index *is* the table position, and both grow by one per
+        insert.
         """
         codec = _kernel.TableCodec.encode(table)
-        kern = _kernel.ConflictKernel(
-            codec, _kernel.build_conflict_edges(codec, self._fd_specs)
-        )
-        ids = codec.ids
-        adj: Dict[TupleId, Set[TupleId]] = {tid: set() for tid in self._live}
-        for u, v in zip(kern.edges_u, kern.edges_v):
-            tu = ids[u]
-            tv = ids[v]
-            adj[tu].add(tv)
-            adj[tv].add(tu)
-        self._adj = adj
-        self._num_edges = kern.num_edges
-        self._conflicting = {ids[i] for i in kern.conflicting_rows}
+        edges, groups = _kernel.build_conflict_edges(codec, self._fd_specs)
+        kern = _kernel.ConflictKernel(codec, edges)
         self._codec = codec
         self._kernel = kern
-        # Lazy buckets, rebuilt on first use from the *codec* (which
-        # holds every value) — deliberately NOT a strong table ref: the
-        # index lives in table._cache, so holding the table here would
-        # cycle table → cache → index → table and defeat the module's
-        # weakref design.
+        self._groups = groups
+        self._position = codec.row_index
+        self._adj = None
         self._buckets = None
-        self._lazy_bucket_table = None
+        self._num_edges = kern.num_edges
+        self._conflicting = set(map(codec.ids.__getitem__, kern.conflicting_rows))
 
     def _build_fd_buckets(
         self, table: Table, fd: FD, rhs_pos: List[int]
     ) -> _FDBuckets:
         """Bucket every tuple by (lhs, rhs) projection and materialise the
-        conflict edges this FD contributes.
+        conflict edges this FD contributes (the dict build).
 
         *rhs_pos* holds the positions of the (canonically sorted) rhs
         attributes, resolved once per FD: projecting via raw row indexing
@@ -314,11 +339,23 @@ class ConflictIndex:
         """Total weight of the tuples removed so far."""
         return self._removed_weight
 
+    def _row(self, tid: TupleId) -> int:
+        """The kernel row of live tuple *tid* (KeyError otherwise)."""
+        if tid not in self._live:
+            raise KeyError(tid)
+        return self._codec.row_index[tid]
+
     def degree(self, tid: TupleId) -> int:
+        if self._kernel is not None:
+            return self._kernel.degree[self._row(tid)]
         return len(self._adj[tid])
 
     def neighbors(self, tid: TupleId) -> Set[TupleId]:
-        """The live conflict partners of *tid* (read-only view)."""
+        """The live conflict partners of *tid* (treat as read-only)."""
+        kern = self._kernel
+        if kern is not None:
+            ids = self._codec.ids
+            return set(map(ids.__getitem__, kern.live_neighbors(self._row(tid))))
         return self._adj[tid]
 
     @property
@@ -330,6 +367,11 @@ class ConflictIndex:
     def is_consistent(self) -> bool:
         """True iff no violating pair survives among the live tuples."""
         return self._num_edges == 0
+
+    @property
+    def conflicting_count(self) -> int:
+        """Number of live tuples in at least one conflict — O(1)."""
+        return len(self._conflicting)
 
     def conflicting_tuples(self) -> List[TupleId]:
         """Live tuples involved in at least one conflict, in table order."""
@@ -345,6 +387,10 @@ class ConflictIndex:
         — adjacency *sets* iterate differently depending on their
         insertion/removal history.
         """
+        kern = self._kernel
+        if kern is not None:
+            ids = self._codec.ids
+            return [(ids[u], ids[v]) for u, v in kern.iter_live_edges()]
         position = self._position
         out: List[Tuple[TupleId, TupleId]] = []
         for tid, nbrs in self._adj.items():
@@ -371,7 +417,7 @@ class ConflictIndex:
         """
         buckets_list = self._buckets
         if buckets_list is None:
-            rows = self._lazy_bucket_rows()
+            rows = self._lazy_bucket_table._rows
             buckets_list = []
             for fd, lhs_pos, rhs_pos in self._fd_specs:
                 buckets = _FDBuckets(fd)
@@ -387,72 +433,44 @@ class ConflictIndex:
             self._lazy_bucket_table = None
         return buckets_list
 
-    def _lazy_bucket_rows(self) -> Dict[TupleId, Row]:
-        """The live rows a deferred bucket rebuild reads from.
-
-        Projections hold their sub-table strongly
-        (``_lazy_bucket_table``); a kernel-built full index decodes from
-        its codec instead (same value objects, no table → index → table
-        cycle); last resort is the construction-time weakref — alive in
-        every supported flow, since whoever triggers a rebuild (insert,
-        violating_pairs) reached the index through the table.
-        """
-        table = self._lazy_bucket_table
-        if table is not None:
-            return table._rows
-        codec = self._codec
-        if codec is not None:
-            row_index = codec.row_index
-            decode = codec.decode_row
-            return {tid: decode(row_index[tid]) for tid in self._live}
-        table = self._source()
-        if table is None:
-            raise RuntimeError(
-                "deferred bucket rebuild needs the source table, which "
-                "has been garbage-collected"
-            )
-        return table._rows
-
     def violating_pairs(self) -> Iterator[Tuple[TupleId, TupleId, FD]]:
-        """Yield ``(t1, t2, fd)`` per violated FD from the live buckets.
+        """Yield ``(t1, t2, fd)`` per violated FD from the live groupings.
 
         Like :func:`repro.core.violations.violating_pairs` but served from
-        the materialised buckets; a pair violating several FDs is yielded
-        once per FD.
+        the materialised groupings; a pair violating several FDs is
+        yielded once per FD.
         """
-        for buckets in self._ensure_buckets():
-            for group in buckets.groups.values():
-                if len(group) < 2:
+        kern = self._kernel
+        if kern is None:
+            for buckets in self._ensure_buckets():
+                for group in buckets.groups.values():
+                    if len(group) > 1:
+                        yield from _cross_pairs(buckets.fd, group.values())
+            return
+        alive = kern.alive
+        codec = self._codec
+        ids = codec.ids
+        for (fd, _lhs_pos, rhs_pos), groups in zip(self._fd_specs, self._groups):
+            rhs_of = codec.key_of(rhs_pos)
+            for members in groups.values():
+                if type(members) is int:
                     continue
-                parts = list(group.values())
-                for i in range(len(parts)):
-                    for j in range(i + 1, len(parts)):
-                        for t1 in parts[i]:
-                            for t2 in parts[j]:
-                                yield t1, t2, buckets.fd
+                # Sets filled in table order, exactly like the dict
+                # buckets, so a fresh build yields the same sequence.
+                parts: Dict[int, Set[TupleId]] = {}
+                for r in compress(members, map(alive.__getitem__, members)):
+                    key = rhs_of(r)
+                    part = parts.get(key)
+                    if part is None:
+                        parts[key] = {ids[r]}
+                    else:
+                        part.add(ids[r])
+                if len(parts) > 1:
+                    yield from _cross_pairs(fd, parts.values())
 
     # ------------------------------------------------------------------
     # Connected components (the decomposition substrate)
     # ------------------------------------------------------------------
-    def _kernel_view(self) -> Optional[_kernel.ConflictKernel]:
-        """The live kernel view, sync-checked — or ``None`` (dict paths).
-
-        The O(1) guard against the stale-snapshot hazard: every
-        :meth:`insert`/:meth:`remove` patches the view's live-row count
-        in lockstep with ``_live``, so a mutation that bypassed the
-        patch hooks (the bug class this defends against — it would
-        silently serve pre-mutation adjacency) trips the comparison and
-        fails loudly instead.
-        """
-        kern = self._kernel
-        if kern is not None and kern.live_count != len(self._live):
-            raise RuntimeError(
-                f"ConflictKernel view out of sync with the live index "
-                f"({kern.live_count} kernel rows vs {len(self._live)} live "
-                f"tuples): a mutation bypassed insert()/remove()"
-            )
-        return kern
-
     def components(self) -> List[List[TupleId]]:
         """Connected components of the live conflict graph, restricted to
         tuples with at least one conflict.
@@ -462,29 +480,20 @@ class ConflictIndex:
         table order.  Conflict-free tuples never appear — they belong to
         every repair verbatim (see :meth:`consistent_ids`).
 
-        A pristine kernel-built index answers from the CSR arrays (row
-        index *is* table position, so ascending row order is table order
-        and the listing is identical).  A **patched** view stays
-        array-native too:
-        :func:`~repro.core.kernel.components_csr_patched` walks the CSR
-        slices merged with the overflow adjacency under byte-flag
-        alive/seen filters, rooted at the index's live conflicting rows
-        (construction-time roots are stale after mutations, which is why
-        :func:`~repro.core.kernel.components_csr` refuses patched views
-        outright).  The dict sweep below remains the reference and the
+        A kernel-built index sweeps its arrays
+        (:func:`~repro.core.kernel.components_csr`), rooted at the live
+        conflicting rows; row index is table position, so ascending row
+        order is table order and the listing is identical.  The dict
+        sweep below is the reference and serves projections and the
         ``--no-kernel`` path.
         """
-        kern = self._kernel_view()
+        kern = self._kernel
         if kern is not None:
-            ids = kern.codec.ids
-            if not kern.patched:
-                row_components = _kernel.components_csr(kern)
-            else:
-                row_index = kern.codec.row_index
-                roots = sorted(row_index[tid] for tid in self._conflicting)
-                row_components = _kernel.components_csr_patched(kern, roots)
+            ids = self._codec.ids
+            roots = sorted(map(self._position.__getitem__, self._conflicting))
             return [
-                [ids[i] for i in members] for members in row_components
+                [ids[i] for i in members]
+                for members in _kernel.components_csr(kern, roots)
             ]
         position = self._position
         adj = self._adj
@@ -516,7 +525,7 @@ class ConflictIndex:
     def consistent_ids(self) -> List[TupleId]:
         """Live tuples with no conflict, in table order — the tuples every
         S-repair keeps and every U-repair leaves untouched."""
-        return [tid for tid, nbrs in self._adj.items() if not nbrs]
+        return list(filterfalse(self._conflicting.__contains__, self._live))
 
     def project(self, subtable: Table, ids: Set[TupleId]) -> "ConflictIndex":
         """The restriction of this index to *ids*, re-anchored on
@@ -530,7 +539,10 @@ class ConflictIndex:
         — this is what makes decomposition O(conflicting tuples) on top
         of the one shared parent build.
 
-        Bucket projection is **lazy**: the vertex-cover solvers consume a
+        A projection is dict-backed whatever its parent: components are
+        small, and the solvers read them through neighbour bitmasks
+        (:meth:`_mask_view`) built from the adjacency sets.  Bucket
+        projection is **lazy**: the vertex-cover solvers consume a
         component index adjacency-only, and a streaming session's
         cache-hit components are never solved at all, so the per-FD
         buckets are rebuilt from the (strongly held) sub-table's rows
@@ -552,8 +564,18 @@ class ConflictIndex:
         num_edges = 0
         adj: Dict[TupleId, Set[TupleId]] = {}
         conflicting: Set[TupleId] = set()
+        kern = self._kernel
+        if kern is not None:
+            row_index = self._codec.row_index
+            row_id = self._codec.ids.__getitem__
+            live_neighbors = kern.live_neighbors
+
+            def neighbors(tid: TupleId) -> Iterable[TupleId]:
+                return map(row_id, live_neighbors(row_index[tid]))
+        else:
+            neighbors = self._adj.__getitem__
         for tid in dup._live:
-            nbrs = self._adj[tid] & ids
+            nbrs = ids.intersection(neighbors(tid))
             adj[tid] = nbrs
             if nbrs:
                 conflicting.add(tid)
@@ -564,14 +586,12 @@ class ConflictIndex:
         dup._removed_weight = 0.0
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
-        # Kernel view: the fast-path flag carries over (components run
-        # the bitmask BYE/exact paths); the parent's CSR arrays and
-        # codec are row-indexed against the *parent* snapshot and are
-        # not projected — the mask view rebuilds from the filtered
-        # adjacency in O(component) when a fast path asks for it.
+        # The fast-path flag carries over (components run the bitmask
+        # BYE/exact paths over the filtered adjacency).
         dup._use_kernel = self._use_kernel
         dup._codec = None
         dup._kernel = None
+        dup._groups = None
         dup._mask_cache = None
         dup._buckets = None
         dup._lazy_bucket_table = subtable
@@ -609,11 +629,11 @@ class ConflictIndex:
             return cached
         members = list(self._live)
         position = {tid: i for i, tid in enumerate(members)}
-        adjacency = self._adj
+        neighbors = self.neighbors
         masks = [0] * len(members)
         for i, tid in enumerate(members):
             mask = 0
-            for other in adjacency[tid]:
+            for other in neighbors(tid):
                 mask |= 1 << position[other]
             masks[i] = mask
         weights = [self._live[tid] for tid in members]
@@ -635,9 +655,9 @@ class ConflictIndex:
         the cover is identical.  ``None`` means "no fast path; run the
         reference loop".
         """
-        kern = self._kernel_view()
+        kern = self._kernel
         if kern is not None:
-            ids = kern.codec.ids
+            ids = self._codec.ids
             return {ids[i] for i in _kernel.bye_cover_csr(kern)}
         view = self._mask_view()
         if view is None:
@@ -658,9 +678,9 @@ class ConflictIndex:
         small live index) and return the surviving tuple ids.  ``None``
         means "no fast path; run the reference loop on an index copy".
         """
-        kern = self._kernel_view()
+        kern = self._kernel
         if kern is not None:
-            ids = kern.codec.ids
+            ids = self._codec.ids
             removed = _kernel.greedy_cover_csr(kern)
             # One C-level copy minus the (few) removed ids — never a
             # per-live-tuple membership loop.
@@ -682,7 +702,7 @@ class ConflictIndex:
         (same candidate order and blocking test, hence the identical
         maximal set).  ``None`` means "no fast path; run the reference".
         """
-        kern = self._kernel_view()
+        kern = self._kernel
         if kern is not None:
             return _kernel.mis_maximalize_csr(kern, independent)
         view = self._mask_view()
@@ -760,39 +780,46 @@ class ConflictIndex:
     # Incremental maintenance
     # ------------------------------------------------------------------
     def remove(self, tid: TupleId) -> None:
-        """Evict *tid*, updating buckets and adjacency incrementally.
+        """Evict *tid*, updating the adjacency incrementally.
 
-        O(degree(tid) + |Δ|): only the buckets and edges touching *tid*
-        are visited — never the rest of the table.  A kernel view is
-        patched in place (tombstone + live degree bookkeeping, see
-        :meth:`~repro.core.kernel.ConflictKernel.apply_remove`) so the
-        array fast paths survive the mutation; the cached mask view is
-        per-state and rebuilds on demand.
+        O(degree(tid) + |Δ|): only the edges and buckets touching *tid*
+        are visited — never the rest of the table.  A kernel-built index
+        tombstones the row and decrements its neighbours' live degrees
+        (:meth:`~repro.core.kernel.ConflictKernel.apply_remove`); its lhs
+        groupings keep the dead row until compaction, filtered by
+        ``alive`` meanwhile.  The cached mask view is per-state and
+        rebuilds on demand.
         """
         weight = self._live.pop(tid, None)
         if weight is None:
             raise KeyError(f"unknown or already-removed identifier {tid!r}")
-        kern = self._kernel
-        if kern is not None:
-            kern.apply_remove(self._codec.row_index[tid])
         self._mask_cache = None
         self._removed_weight += weight
+        conflicting = self._conflicting
+        conflicting.discard(tid)
+        kern = self._kernel
+        if kern is not None:
+            row = self._codec.row_index[tid]
+            self._num_edges -= kern.degree[row]
+            ids = self._codec.ids
+            for other in kern.apply_remove(row):
+                conflicting.discard(ids[other])
+            if kern.should_compact():
+                self.refresh_kernel()
+            return
         nbrs = self._adj.pop(tid)
         self._num_edges -= len(nbrs)
-        self._conflicting.discard(tid)
         adj = self._adj
         for other in nbrs:
             other_nbrs = adj[other]
             other_nbrs.remove(tid)
             if not other_nbrs:
-                self._conflicting.discard(other)
+                conflicting.discard(other)
+        # While the buckets are still lazy there is nothing to maintain:
+        # materialisation only ever buckets the tuples live at that time.
         if self._buckets is not None:
             for buckets in self._buckets:
                 buckets.discard(tid)
-        # While the buckets are still lazy there is nothing to maintain:
-        # materialisation only ever buckets the tuples live at that time.
-        if kern is not None and kern.should_compact():
-            self.refresh_kernel()
 
     def remove_many(self, ids: Iterable[TupleId]) -> None:
         for tid in ids:
@@ -801,11 +828,11 @@ class ConflictIndex:
     def insert(
         self, tid: TupleId, row: Sequence[Value], weight: float = 1.0
     ) -> int:
-        """Add a tuple, updating buckets and adjacency incrementally —
-        the symmetric counterpart of :meth:`remove`.
+        """Add a tuple, updating the groupings and adjacency
+        incrementally — the symmetric counterpart of :meth:`remove`.
 
-        The new tuple joins, per FD, the bucket of its lhs/rhs projection
-        and gains a conflict edge to every live tuple sharing its lhs key
+        The new tuple joins, per FD, the group of its lhs projection and
+        gains a conflict edge to every live tuple sharing its lhs key
         under a different rhs key (deduplicated across FDs, exactly as
         the from-scratch build does).  Cost: O(lhs-group size + |Δ|).
 
@@ -826,12 +853,8 @@ class ConflictIndex:
         weight = float(weight)
         if weight <= 0:
             raise ValueError(f"tuple {tid!r} has non-positive weight {weight}")
-        buckets_list = self._ensure_buckets()
+        buckets_list = self._ensure_buckets() if self._kernel is None else None
         self._mask_cache = None
-        if self._codec is not None:
-            # Keep the codes live: the appended tuple interns its values
-            # so coded shipping (worker pools) keeps working mid-stream.
-            self._codec.append_row(tid, row, weight)
         if self._position_shared and tid in self._position:
             # Copy-on-write: the position map may be shared with the
             # pristine cached index, a projection's parent, or sibling
@@ -842,13 +865,61 @@ class ConflictIndex:
             # is the case that forces a private map.
             self._position = dict(self._position)
             self._position_shared = False
+            if self._codec is not None:
+                self._codec.row_index = self._position
         self._live[tid] = weight
         self._position[tid] = self._next_position
         self._next_position += 1
+        if buckets_list is None:
+            new_edges = self._insert_row(tid, row, weight)
+        else:
+            new_edges = self._insert_dict(tid, row, buckets_list)
+        self._num_edges += new_edges
+        return new_edges
+
+    def _insert_row(self, tid: TupleId, row: Row, weight: float) -> int:
+        """Kernel arm of :meth:`insert`: intern the row, probe each FD's
+        lhs group for live rows with a different rhs key, and graft the
+        edges onto the kernel's overflow adjacency."""
+        codec = self._codec
+        kern = self._kernel
+        r = codec.append_row(tid, row, weight)
+        alive = kern.alive
+        partners: Set[int] = set()
+        for (_fd, lhs_pos, rhs_pos), groups in zip(self._fd_specs, self._groups):
+            key = codec.key_of(lhs_pos)(r)
+            members = groups.get(key)
+            if members is None:
+                groups[key] = r
+                continue
+            if type(members) is int:
+                if not alive[members]:
+                    groups[key] = r
+                    continue
+                members = [members]
+            rhs_of = codec.key_of(rhs_pos)
+            rhs_key = rhs_of(r)
+            for other in members:
+                if alive[other] and rhs_of(other) != rhs_key:
+                    partners.add(other)
+            # A fresh list, never an in-place append: copies share lists.
+            groups[key] = members + [r]
+        kern.apply_insert(r, sorted(partners))
+        if partners:
+            ids = codec.ids
+            self._conflicting.add(tid)
+            self._conflicting.update(map(ids.__getitem__, partners))
+        if kern.should_compact():
+            self.refresh_kernel()
+        return len(partners)
+
+    def _insert_dict(
+        self, tid: TupleId, row: Row, buckets_list: List[_FDBuckets]
+    ) -> int:
+        """Dict arm of :meth:`insert`: probe and join the per-FD buckets."""
         nbrs: Set[TupleId] = set()
         self._adj[tid] = nbrs
         adj = self._adj
-        new_edges = 0
         for buckets, (_fd, lhs_pos, rhs_pos) in zip(buckets_list, self._fd_specs):
             lhs_key = tuple(row[i] for i in lhs_pos)
             rhs_key = tuple(row[i] for i in rhs_pos)
@@ -860,24 +931,11 @@ class ConflictIndex:
                             if other not in nbrs:
                                 nbrs.add(other)
                                 adj[other].add(tid)
-                                new_edges += 1
             buckets.add(tid, lhs_key, rhs_key)
-        self._num_edges += new_edges
-        if new_edges:
+        if nbrs:
             self._conflicting.add(tid)
             self._conflicting.update(nbrs)
-        kern = self._kernel
-        if kern is not None:
-            # Patch the kernel view: the appended row grafts onto the
-            # overflow adjacency with exactly the edges the bucket probe
-            # above discovered (ascending row order = table order).
-            row_index = self._codec.row_index
-            kern.apply_insert(
-                row_index[tid], sorted(row_index[other] for other in nbrs)
-            )
-            if kern.should_compact():
-                self.refresh_kernel()
-        return new_edges
+        return len(nbrs)
 
     def insert_many(
         self, tuples: Iterable[Tuple[TupleId, Sequence[Value], float]]
@@ -904,35 +962,41 @@ class ConflictIndex:
         return self
 
     def refresh_kernel(self) -> bool:
-        """Rebuild the CSR view from the live adjacency (compaction).
+        """Compact the kernel: rebuild the CSR arrays over the live rows
+        and prune dead rows from the lhs groupings.
 
         Folds accumulated tombstones and overflow adjacency back into
         plain flat arrays — O(live tuples + live edges).  Called
         automatically once churn passes
         :meth:`~repro.core.kernel.ConflictKernel.should_compact`; public
-        because the streaming benchmarks use it as the
-        snapshot-invalidate comparison arm (rebuild per delta instead of
-        patch per delta).  Returns ``False`` when this index has no
-        kernel to refresh (kernel off, or a projection).
+        because the streaming benchmarks use it as the rebuild-per-delta
+        comparison arm.  Returns ``False`` when this index has no kernel
+        (kernel off, or a projection).
         """
-        codec = self._codec
-        if codec is None or not self._use_kernel:
+        kern = self._kernel
+        if kern is None:
             return False
-        n = len(codec.ids)
-        row_index = codec.row_index
-        packed: List[int] = []
-        append = packed.append
-        for tid, nbrs in self._adj.items():
-            u = row_index[tid]
-            base = u * n
-            for other in nbrs:
-                v = row_index[other]
-                if u < v:
-                    append(base + v)
-        packed.sort()
+        n = len(self._codec.ids)
+        # iter_live_edges is already in ascending (u, v) order, so the
+        # packed codes come out sorted.
+        packed = [u * n + v for u, v in kern.iter_live_edges()]
+        alive = kern.alive
         self._kernel = _kernel.ConflictKernel(
-            codec, packed, alive_rows=[row_index[tid] for tid in self._live]
+            self._codec, packed, alive=bytearray(alive)
         )
+        for groups in self._groups:
+            for key, members in list(groups.items()):
+                if type(members) is int:
+                    if not alive[members]:
+                        del groups[key]
+                    continue
+                live = list(compress(members, map(alive.__getitem__, members)))
+                if not live:
+                    del groups[key]
+                elif len(live) == 1:
+                    groups[key] = live[0]
+                elif len(live) < len(members):
+                    groups[key] = live
         return True
 
     def copy(self) -> "ConflictIndex":
@@ -941,26 +1005,36 @@ class ConflictIndex:
         dup.fds = self.fds
         dup._source = self._source
         dup._live = dict(self._live)
-        # Positions only ever grow; share until an insert re-positions
-        # (copy-on-write, see :meth:`insert`).
-        dup._position = self._position
-        dup._position_shared = True
-        self._position_shared = True
         dup._next_position = self._next_position
-        dup._adj = {tid: set(nbrs) for tid, nbrs in self._adj.items()}
         dup._num_edges = self._num_edges
         dup._removed_weight = self._removed_weight
         dup._conflicting = set(self._conflicting)
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
         dup._use_kernel = self._use_kernel
-        # Neither the codec (mutable, extended by insert) nor the CSR
-        # snapshot is shared with a mutable duplicate: a copy exists to
-        # be mutated, and the mask view rebuilds from adjacency anyway.
-        dup._codec = None
-        dup._kernel = None
         dup._mask_cache = None
         dup._lazy_bucket_table = self._lazy_bucket_table
+        kern = self._kernel
+        if kern is not None:
+            codec = self._codec.copy()
+            dup._codec = codec
+            dup._kernel = kern.copy(codec)
+            # Shallow: group lists are replaced, never appended to.
+            dup._groups = [dict(groups) for groups in self._groups]
+            dup._position = codec.row_index
+            dup._position_shared = False
+            dup._adj = None
+            dup._buckets = None
+            return dup
+        # Positions only ever grow; share until an insert re-positions
+        # (copy-on-write, see :meth:`insert`).
+        dup._position = self._position
+        dup._position_shared = True
+        self._position_shared = True
+        dup._adj = {tid: set(nbrs) for tid, nbrs in self._adj.items()}
+        dup._codec = None
+        dup._kernel = None
+        dup._groups = None
         dup._buckets = (
             [buckets.copy() for buckets in self._buckets]
             if self._buckets is not None

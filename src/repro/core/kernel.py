@@ -19,14 +19,18 @@ This module is the representation-level answer:
   the dichotomy recursion's block order — behaves identically on coded
   rows and on the original values: the coded table is FD-equivalent
   *and* iteration-equivalent.
-* :func:`build_conflict_edges` re-runs the per-FD hash grouping of the
+* :func:`build_conflict_edges` runs the per-FD hash grouping of the
   conflict-index build on the coded columns: grouping keys are single
-  machine ints (mixed-radix combinations of column codes), so the
-  grouping loop allocates no tuples and hashes no strings.
+  machine ints (fixed-width packings of column codes), so the grouping
+  loop allocates no tuples and hashes no strings.  The grouping it
+  computes is kept — row ints per lhs key, a bare int for a singleton
+  group — and is what an insert probes.
 * :class:`ConflictKernel` holds the resulting conflict graph as
   CSR-style flat adjacency arrays (``indptr`` / ``indices``) with
-  parallel weight and degree arrays — the substrate of the
-  ``components()`` and Bar-Yehuda–Even array fast paths.
+  parallel weight and degree arrays.  It is the *only* adjacency of a
+  kernel-built :class:`~repro.core.conflict_index.ConflictIndex`:
+  neighbours, degrees, edges, components and the Bar-Yehuda–Even /
+  greedy / maximalisation fast paths all read it.
 * :class:`BitsetVC` is a memoised multi-word bitset branch & bound for
   components of at most :data:`MAX_BITMASK_VERTICES` vertices: component
   vertices map to bits of one Python int, neighbour masks are
@@ -69,7 +73,11 @@ from __future__ import annotations
 import heapq
 import time
 from contextlib import contextmanager
+from collections import defaultdict
+from itertools import accumulate, compress, count, repeat
+from operator import floordiv, itemgetter, mod, ne
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -78,6 +86,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..graphs.vertex_cover import ExactBudgetExceeded
@@ -98,7 +107,6 @@ __all__ = [
     "bye_cover_csr",
     "bye_cover_masks",
     "components_csr",
-    "components_csr_patched",
     "greedy_cover_csr",
     "greedy_cover_masks",
     "lp_half_integral_bound",
@@ -126,6 +134,19 @@ _BUDGET_CHECK_INTERVAL = 256
 #: (O(E·√V)-ish in practice); past this size the polynomial matching
 #: bound stands alone — the bracket stays valid, just looser.
 LP_BOUND_MAX_VERTICES = 1024
+
+#: Bits per column code in a multi-column grouping key.  The width is
+#: fixed rather than the column's current alphabet size, so a key stays
+#: the same after :meth:`TableCodec.append_row` grows an alphabet — an
+#: appended row keys into the same group as an equal row of the build.
+#: A code is below the row count, so 32 bits never overflow into the
+#: neighbouring column.
+KEY_BITS = 32
+
+#: One FD's kept lhs grouping: key → row (singleton group) or the
+#: ascending list of rows sharing the key.  Lists are never mutated in
+#: place, so copies of an index may share them.
+Groups = Dict[int, Union[int, List[int]]]
 
 _ENABLED = True
 
@@ -223,16 +244,16 @@ class TableCodec:
         interns: List[Dict[Value, int]] = []
         decoders: List[List[Value]] = []
         columns: List[List[int]] = []
-        for column_values in zip(*rows.values()):
-            intern = {v: i for i, v in enumerate(dict.fromkeys(column_values))}
+        values = list(rows.values())
+        # One itemgetter pass per column: transposing with zip(*values)
+        # would allocate a GC-tracked iterator per row.
+        for j in range(len(schema)):
+            column_values = list(map(itemgetter(j), values))
+            intern = dict(zip(dict.fromkeys(column_values), count()))
             interns.append(intern)
             decoders.append(list(intern))
             columns.append(list(map(intern.__getitem__, column_values)))
-        if not rows:  # zip(*()) yields nothing: still shape the columns
-            interns = [{} for _ in schema]
-            decoders = [[] for _ in schema]
-            columns = [[] for _ in schema]
-        row_index = {tid: i for i, tid in enumerate(ids)}
+        row_index = dict(zip(ids, count()))
         return cls(schema, ids, row_index, columns, decoders, weights, interns)
 
     def __len__(self) -> int:
@@ -271,14 +292,28 @@ class TableCodec:
         weights = {tid: self.weights[i] for i, tid in enumerate(self.ids)}
         return Table(self.schema, rows, weights, name=name)
 
+    def copy(self) -> "TableCodec":
+        """An independent codec over the same rows (C-level list and
+        dict copies): :meth:`append_row` on either side leaves the other
+        untouched."""
+        return TableCodec(
+            self.schema,
+            list(self.ids),
+            dict(self.row_index),
+            [list(column) for column in self.columns],
+            [list(decoder) for decoder in self.decoders],
+            list(self.weights),
+            [dict(intern) for intern in self._interns],
+        )
+
     def combined_codes(self, positions: Sequence[int]) -> List[int]:
         """One machine-int grouping key per row for the given columns.
 
-        Mixed-radix combination: with ``positions = [p1, …, pk]`` and
-        column alphabet sizes ``n1, …, nk`` the key of row *i* is the
-        rank of ``(c1, …, ck)`` in row-major order — a bijection, so
-        grouping by the combined int is exactly grouping by the value
-        tuple, with no tuple allocation and single-int hashing.
+        The codes of ``positions = [p1, …, pk]`` packed :data:`KEY_BITS`
+        apart — a bijection on code tuples, so grouping by the combined
+        int is exactly grouping by the value tuple, with no tuple
+        allocation and single-int hashing.  The fixed width keeps keys
+        valid across :meth:`append_row` (see :meth:`key_of`).
         """
         if not positions:
             return [0] * len(self.ids)
@@ -287,10 +322,25 @@ class TableCodec:
             return first  # shared read-only: callers never mutate keys
         keys = list(first)
         for p in positions[1:]:
-            column = self.columns[p]
-            base = len(self.decoders[p])
-            keys = [k * base + c for k, c in zip(keys, column)]
+            keys = [k << KEY_BITS | c for k, c in zip(keys, self.columns[p])]
         return keys
+
+    def key_of(self, positions: Sequence[int]) -> Callable[[int], int]:
+        """Row index → the :meth:`combined_codes` key of that row, for
+        rows appended after the bulk keys were computed too."""
+        columns = [self.columns[p] for p in positions]
+        if not columns:
+            return lambda _row: 0
+        if len(columns) == 1:
+            return columns[0].__getitem__
+
+        def key(row: int) -> int:
+            out = 0
+            for column in columns:
+                out = out << KEY_BITS | column[row]
+            return out
+
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +350,50 @@ class TableCodec:
 def build_conflict_edges(
     codec: TableCodec,
     fd_specs: Sequence[Tuple[object, Sequence[int], Sequence[int]]],
-) -> List[int]:
-    """All conflict edges implied by *fd_specs*, as sorted packed ints.
+) -> Tuple[List[int], List[Groups]]:
+    """All conflict edges implied by *fd_specs*, plus each FD's lhs
+    grouping.
 
-    Mirrors the per-FD hash grouping of the dict build: rows sharing an
-    FD's lhs key but disagreeing on its rhs key conflict.  Edges are
-    deduplicated across FDs and returned as ``u * n + v`` with
-    ``u < v`` row indices — sorted, which is exactly canonical
-    ``(position(u), position(v))`` order.
+    Rows sharing an FD's lhs key but disagreeing on its rhs key
+    conflict.  Edges are deduplicated across FDs and returned as
+    ``u * n + v`` with ``u < v`` row indices — sorted, which is exactly
+    canonical ``(position(u), position(v))`` order.
+
+    The grouping of each FD (see :data:`Groups`) is returned alongside
+    for the owning index to probe on insert.  It is built mostly at C
+    level: ``dict(zip(keys, rows))`` keeps each key's last row, a row
+    whose key maps elsewhere is an earlier member of a shared group, and
+    only groups with a row whose rhs differs from their last row's are
+    partitioned by rhs in Python.  Singleton groups get no per-row
+    container.
     """
-    from collections import defaultdict
-
     n = len(codec.ids)
+    rows = list(range(n))  # one set of row ints, shared by every grouping
     edge_set: Set[int] = set()
     add_edge = edge_set.add
+    groupings: List[Groups] = []
     for _fd, lhs_pos, rhs_pos in fd_specs:
         keys = codec.combined_codes(lhs_pos)
-        groups: Dict[int, List[int]] = defaultdict(list)
-        for i, key in enumerate(keys):
-            groups[key].append(i)
-        rhs: Optional[List[int]] = None
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            if rhs is None:
-                rhs = codec.combined_codes(rhs_pos)
+        groups: Groups = dict(zip(keys, rows))
+        groupings.append(groups)
+        if len(groups) == n:
+            continue
+        last_of = groups.__getitem__
+        rhs = codec.combined_codes(rhs_pos)
+        # Keys of the groups holding a row whose rhs differs from the
+        # group's last row's: the only groups with conflicts.
+        last_rhs = map(rhs.__getitem__, map(last_of, keys))
+        split = set(compress(keys, map(ne, last_rhs, rhs)))
+        shared: Dict[int, List[int]] = defaultdict(list)
+        for r in compress(rows, map(ne, map(last_of, keys), rows)):
+            shared[keys[r]].append(r)
+        for key, members in shared.items():
+            members.append(groups[key])
+        groups.update(shared)
+        for key in split:
             parts: Dict[int, List[int]] = defaultdict(list)
-            for i in members:
-                parts[rhs[i]].append(i)
-            if len(parts) < 2:
-                continue
+            for r in shared[key]:
+                parts[rhs[r]].append(r)
             part_list = list(parts.values())
             for a in range(len(part_list) - 1):
                 part_a = part_list[a]
@@ -337,11 +401,11 @@ def build_conflict_edges(
                     for u in part_a:
                         for v in part_list[b]:
                             add_edge(u * n + v if u < v else v * n + u)
-    return sorted(edge_set)
+    return sorted(edge_set), groupings
 
 
 class ConflictKernel:
-    """Flat-array view of a table's conflict graph, patchable in place.
+    """Flat-array conflict graph of a table, patchable in place.
 
     ``edges_u`` / ``edges_v`` hold each construction-time conflict pair
     once in canonical ascending ``(u, v)`` row order; ``indptr`` /
@@ -350,27 +414,24 @@ class ConflictKernel:
     position (removals preserve order, inserts append), so ascending row
     order is table order everywhere.
 
-    The view stays **live** under index mutation instead of being
-    invalidated: :meth:`apply_remove` tombstones a row in the ``alive``
-    byte-flags and keeps ``degree`` / ``live_edges`` current, and
+    The view stays **live** under index mutation:
+    :meth:`apply_remove` tombstones a row in the ``alive`` byte-flags
+    and keeps ``degree`` / ``live_count`` / ``live_edges`` current, and
     :meth:`apply_insert` records an appended row's edges in the overflow
     adjacency ``extra_adj`` (CSR arrays are append-hostile; the overflow
     lists stay position-sorted by construction, so canonical edge order
     is a cheap merge).  ``patched`` flips on the first mutation; readers
-    take the original zero-overhead loops while it is unset and the
-    tombstone/overflow-aware loops after.  ``live_count`` is the sync
-    guard the owning index asserts against its own live-tuple count —
-    a mutation that bypassed the patch hooks fails loudly instead of
-    serving stale adjacency.  Once churn passes :meth:`should_compact`
-    the index rebuilds the view over the live rows (tombstones and
-    overflow fold back into plain CSR, ``alive_rows`` marks the live
-    subset of the codec's row space).
+    skip the tombstone filter while it is unset.  Once churn passes
+    :meth:`should_compact` the owning index rebuilds the view over the
+    live rows (tombstones and overflow fold back into plain CSR; the
+    *alive* flags passed to the constructor mark the live subset of the
+    codec's row space, and dead rows carry no edges).
     """
 
     __slots__ = (
         "codec", "edges_u", "edges_v", "indptr", "indices", "degree",
         "conflicting_rows", "alive", "csr_rows", "extra_adj", "patched",
-        "live_count", "live_edges", "dead_count", "appended_count",
+        "live_count", "live_edges", "appended_count",
         "removed_count",
     )
 
@@ -378,25 +439,22 @@ class ConflictKernel:
         self,
         codec: TableCodec,
         packed_edges: List[int],
-        alive_rows: Optional[Iterable[int]] = None,
+        alive: Optional[bytearray] = None,
     ) -> None:
         self.codec = codec
         n = len(codec.ids)
-        m = len(packed_edges)
-        edges_u = [0] * m
-        edges_v = [0] * m
+        edges_u = list(map(floordiv, packed_edges, repeat(n)))
+        edges_v = list(map(mod, packed_edges, repeat(n)))
         degree = [0] * n
-        for e, code in enumerate(packed_edges):
-            u, v = divmod(code, n)
-            edges_u[e] = u
-            edges_v[e] = v
+        for u in edges_u:
             degree[u] += 1
+        for v in edges_v:
             degree[v] += 1
-        indptr = [0] * (n + 1)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + degree[i]
-        fill = list(indptr)
-        indices = [0] * (2 * m)
+        indptr = list(accumulate(degree, initial=0))
+        fill = indptr[:-1]
+        indices = [0] * (2 * len(packed_edges))
+        # Edges arrive in ascending (u, v) order, so each row's slice
+        # lists its backward then its forward neighbours, each ascending.
         for u, v in zip(edges_u, edges_v):
             indices[fill[u]] = v
             fill[u] += 1
@@ -407,34 +465,22 @@ class ConflictKernel:
         self.indptr = indptr
         self.indices = indices
         self.degree = degree
-        # Rows with at least one conflict, ascending — the only roots a
-        # component sweep needs to visit (typically a few % of |T|).
-        # Valid while unpatched; afterwards the owning index supplies
-        # live roots from its conflicting-tuple set.
-        self.conflicting_rows = [i for i, d in enumerate(degree) if d]
+        # Rows with at least one conflict, ascending, as of this build.
+        self.conflicting_rows = list(compress(range(n), degree))
         self.csr_rows = n
         self.extra_adj: Dict[int, List[int]] = {}
         self.patched = False
-        self.dead_count = 0
         # Churn *since this build* — what should_compact measures.  A
         # compaction rebuild carries the codec's dead slots over (the
-        # codec never reclaims rows), so dead_count alone would re-trip
+        # codec never reclaims rows), so counting dead rows would re-trip
         # the bound forever after the first rebuild.
         self.removed_count = 0
         self.appended_count = 0
-        self.live_edges = m
-        if alive_rows is None:
-            self.alive = bytearray(b"\x01") * n
-            self.live_count = n
-        else:
-            alive = bytearray(n)
-            count = 0
-            for r in alive_rows:
-                alive[r] = 1
-                count += 1
-            self.alive = alive
-            self.live_count = count
-            self.dead_count = n - count
+        self.live_edges = len(packed_edges)
+        if alive is None:
+            alive = bytearray(b"\x01") * n
+        self.alive = alive
+        self.live_count = alive.count(1)
 
     @property
     def weights(self) -> List[float]:
@@ -444,70 +490,87 @@ class ConflictKernel:
     def num_edges(self) -> int:
         return len(self.edges_u)
 
+    def copy(self, codec: TableCodec) -> "ConflictKernel":
+        """An independently patchable duplicate over *codec* (a copy of
+        this view's codec).  The CSR and edge arrays are never written
+        after construction, so they are shared; the per-row mutable
+        state is copied."""
+        dup = object.__new__(ConflictKernel)
+        for slot in ConflictKernel.__slots__:
+            setattr(dup, slot, getattr(self, slot))
+        dup.codec = codec
+        dup.alive = bytearray(self.alive)
+        dup.degree = list(self.degree)
+        dup.extra_adj = {row: list(rows) for row, rows in self.extra_adj.items()}
+        return dup
+
     # ------------------------------------------------------------------
-    # Incremental patching (tombstones + overflow adjacency)
+    # Adjacency reads and incremental patching
     # ------------------------------------------------------------------
-    def row_neighbors(self, row: int) -> Iterator[int]:
-        """All recorded neighbours of *row* (dead ones included — filter
-        with ``alive`` at the read site)."""
-        if row < self.csr_rows:
-            yield from self.indices[self.indptr[row]:self.indptr[row + 1]]
+    def row_neighbors(self, row: int) -> List[int]:
+        """All recorded neighbours of *row*, ascending (dead ones
+        included on a patched view — filter with ``alive``).  CSR slices
+        list backward then forward neighbours, each ascending (the
+        packed-edge build order); overflow lists hold appended rows in
+        append order, which is ascending too."""
+        out = (
+            self.indices[self.indptr[row]:self.indptr[row + 1]]
+            if row < self.csr_rows
+            else []
+        )
         extra = self.extra_adj.get(row)
         if extra is not None:
-            yield from extra
+            out += extra
+        return out
 
-    def forward_live_neighbors(self, row: int) -> Iterator[int]:
-        """Live neighbours of *row* with a higher row index, ascending.
-
-        CSR slices list backward then forward neighbours, each ascending
-        (a consequence of the packed-edge build order); overflow lists
-        hold appended rows in append order, which is ascending too — so
-        the concatenation below is already in canonical position order.
-        """
-        alive = self.alive
-        if row < self.csr_rows:
-            for v in self.indices[self.indptr[row]:self.indptr[row + 1]]:
-                if v > row and alive[v]:
-                    yield v
-        extra = self.extra_adj.get(row)
-        if extra is not None:
-            for v in extra:
-                if v > row and alive[v]:
-                    yield v
+    def live_neighbors(self, row: int) -> List[int]:
+        """The live neighbours of *row*, ascending.  An unpatched view
+        needs no filter: its dead rows (if compacted) carry no edges."""
+        out = self.row_neighbors(row)
+        if self.patched:
+            out = list(compress(out, map(self.alive.__getitem__, out)))
+        return out
 
     def iter_live_edges(self) -> Iterator[Tuple[int, int]]:
         """Every live conflict pair once, in canonical ascending row
-        order — the patched-view equivalent of ``zip(edges_u, edges_v)``.
-        """
-        alive = self.alive
-        for u in range(len(alive)):
-            if alive[u] and self.degree[u]:
-                for v in self.forward_live_neighbors(u):
-                    yield u, v
+        order: the flat edge arrays while unpatched, the CSR slices
+        merged with the overflow adjacency after."""
+        if not self.patched:
+            return zip(self.edges_u, self.edges_v)
+        live_neighbors = self.live_neighbors
+        # Dead and conflict-free rows both carry degree 0.
+        return (
+            (u, v)
+            for u in compress(range(len(self.degree)), self.degree)
+            for v in live_neighbors(u)
+            if v > u
+        )
 
-    def apply_remove(self, row: int) -> None:
-        """Tombstone *row*: O(recorded degree) flag-and-decrement."""
+    def apply_remove(self, row: int) -> List[int]:
+        """Tombstone *row*: O(recorded degree) flag-and-decrement.
+        Returns the neighbour rows the removal left conflict-free."""
         alive = self.alive
         if not alive[row]:
             raise ValueError(f"row {row} is already dead in the kernel view")
         alive[row] = 0
         self.patched = True
         self.live_count -= 1
-        self.dead_count += 1
         self.removed_count += 1
         degree = self.degree
-        dropped = 0
+        isolated: List[int] = []
+        self.live_edges -= degree[row]
         for v in self.row_neighbors(row):
             if alive[v]:
                 degree[v] -= 1
-                dropped += 1
-        self.live_edges -= dropped
+                if not degree[v]:
+                    isolated.append(v)
         degree[row] = 0
+        return isolated
 
     def apply_insert(self, row: int, neighbor_rows: Sequence[int]) -> None:
         """Graft an appended row (codec row index *row*) and its conflict
         edges onto the view.  *neighbor_rows* must be the live conflict
-        partners, ascending — exactly what the index's bucket probe
+        partners, ascending — exactly what the index's group probe
         produced."""
         if row != len(self.alive):
             raise ValueError(
@@ -541,82 +604,39 @@ class ConflictKernel:
         return churn > 64 and 2 * churn > self.live_count
 
 
-def components_csr(kernel: ConflictKernel) -> List[List[int]]:
-    """Connected components over the CSR arrays, canonically ordered.
+def components_csr(
+    kernel: ConflictKernel, roots: Optional[Iterable[int]] = None
+) -> List[List[int]]:
+    """Connected components over the kernel arrays, canonically ordered.
 
     Matches :meth:`ConflictIndex.components` exactly: components listed
     by their earliest row, members ascending — row index is table
     position, so ascending ints *is* table order.  Only rows with at
-    least one edge appear.
+    least one live edge appear.
 
-    Accepts **unpatched** views only, and raises otherwise — the
-    construction-time ``conflicting_rows`` roots and the
-    tombstone-check-free slice loop are stale the moment a mutation
-    lands.  This is the "raise" arm of the stale-view contract: the
-    other direct readers (:func:`bye_cover_csr`, :func:`greedy_cover_csr`,
-    :func:`mis_maximalize_csr`) patch transparently because the arrays
-    win there; for the component sweep the owning index's C-level
-    set-difference traversal over the live adjacency is the faster
-    patched path, so a patched view has no array sweep to offer.
+    A byte-flag visited array, an explicit stack, and C-level iteration
+    over CSR slices merged with the overflow adjacency; dead rows are
+    filtered through ``alive``.  *roots* must list the live conflicting
+    rows in ascending order (the owning index supplies them from its
+    conflicting-tuple set).  Without *roots* the sweep starts from the
+    construction-time ``conflicting_rows``, which are stale the moment
+    a mutation lands — so a patched view without roots raises.
     """
-    if kernel.patched:
-        raise RuntimeError(
-            "components_csr reads a patched kernel view: its "
-            "construction-time roots are stale — use "
-            "ConflictIndex.components(), whose live sweep takes over "
-            "after mutations"
-        )
-    indptr = kernel.indptr
-    indices = kernel.indices
-    seen = bytearray(len(kernel.alive))
-    out: List[List[int]] = []
-    for root in kernel.conflicting_rows:
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        members: List[int] = []
-        append = members.append
-        while stack:
-            current = stack.pop()
-            append(current)
-            # Slice, not per-index loops: the slice materialises at C
-            # speed and its iteration beats repeated indptr indexing.
-            for other in indices[indptr[current]:indptr[current + 1]]:
-                if not seen[other]:
-                    seen[other] = 1
-                    stack.append(other)
-        members.sort()
-        out.append(members)
-    return out
-
-
-def components_csr_patched(
-    kernel: ConflictKernel, roots: Iterable[int]
-) -> List[List[int]]:
-    """Connected components over a **patched** kernel view.
-
-    The array-native successor to the owning index's dict-of-sets sweep
-    after mutations: a byte-flag visited array, explicit stack, and
-    C-level iteration over CSR slices merged with the overflow adjacency
-    — no per-row Python set differences.  *roots* must be the live
-    conflicting rows in ascending row order (the owning index supplies
-    them from its conflicting-tuple set; construction-time
-    ``conflicting_rows`` is stale on a patched view).  Dead rows are
-    filtered through ``alive``; output matches
-    :meth:`ConflictIndex.components` exactly (components by earliest
-    row, members ascending).
-    """
+    if roots is None:
+        if kernel.patched:
+            raise RuntimeError(
+                "components_csr reads a patched kernel view without roots: "
+                "its construction-time roots are stale — use "
+                "ConflictIndex.components(), which supplies live roots"
+            )
+        roots = kernel.conflicting_rows
     alive = kernel.alive
-    indptr = kernel.indptr
-    indices = kernel.indices
-    csr_rows = kernel.csr_rows
-    extra = kernel.extra_adj
     degree = kernel.degree
+    row_neighbors = kernel.row_neighbors
     seen = bytearray(len(alive))
     out: List[List[int]] = []
     for root in roots:
-        if seen[root] or not alive[root] or not degree[root]:
+        if seen[root] or not degree[root]:
             continue
         seen[root] = 1
         stack = [root]
@@ -625,17 +645,10 @@ def components_csr_patched(
         while stack:
             current = stack.pop()
             append(current)
-            if current < csr_rows:
-                for other in indices[indptr[current]:indptr[current + 1]]:
-                    if not seen[other] and alive[other]:
-                        seen[other] = 1
-                        stack.append(other)
-            overflow = extra.get(current)
-            if overflow is not None:
-                for other in overflow:
-                    if not seen[other] and alive[other]:
-                        seen[other] = 1
-                        stack.append(other)
+            for other in row_neighbors(current):
+                if not seen[other] and alive[other]:
+                    seen[other] = 1
+                    stack.append(other)
         members.sort()
         out.append(members)
     return out
@@ -653,12 +666,7 @@ def bye_cover_csr(kernel: ConflictKernel) -> Set[int]:
     """
     residual = list(kernel.weights)
     cover: Set[int] = set()
-    edges = (
-        zip(kernel.edges_u, kernel.edges_v)
-        if not kernel.patched
-        else kernel.iter_live_edges()
-    )
-    for u, v in edges:
+    for u, v in kernel.iter_live_edges():
         if u in cover or v in cover:
             continue
         ru = residual[u]
@@ -1115,13 +1123,7 @@ def greedy_cover_csr(kern: ConflictKernel) -> Set[int]:
     ]
     heapq.heapify(heap)
     removed: Set[int] = set()
-    # Adjacency inlined (CSR slice + overflow list) rather than routed
-    # through the row_neighbors generator: the deletion loop touches
-    # every edge a few times and generator resumption would dominate it.
-    indptr = kern.indptr
-    indices = kern.indices
-    csr_rows = kern.csr_rows
-    extra = kern.extra_adj
+    row_neighbors = kern.row_neighbors
     while edges > 0:
         key, label, r = heapq.heappop(heap)
         if not alive[r]:
@@ -1135,15 +1137,9 @@ def greedy_cover_csr(kern: ConflictKernel) -> Set[int]:
             continue
         alive[r] = 0
         removed.add(r)
-        if r < csr_rows:
-            for v in indices[indptr[r]:indptr[r + 1]]:
-                if alive[v]:
-                    degree[v] -= 1
-        overflow = extra.get(r)
-        if overflow is not None:
-            for v in overflow:
-                if alive[v]:
-                    degree[v] -= 1
+        for v in row_neighbors(r):
+            if alive[v]:
+                degree[v] -= 1
         degree[r] = 0
         edges -= d
     return removed
@@ -1210,25 +1206,11 @@ def mis_maximalize_csr(
         r for r, tid in enumerate(ids) if alive[r] and tid not in result
     ]
     candidates.sort(key=lambda r: (-weights[r], str(ids[r])))
-    indptr = kern.indptr
-    indices = kern.indices
-    csr_rows = kern.csr_rows
-    extra = kern.extra_adj
     for r in candidates:
-        blocked = False
-        if r < csr_rows:
-            for v in indices[indptr[r]:indptr[r + 1]]:
-                if alive[v] and ids[v] in result:
-                    blocked = True
-                    break
-        if not blocked:
-            overflow = extra.get(r)
-            if overflow is not None:
-                for v in overflow:
-                    if alive[v] and ids[v] in result:
-                        blocked = True
-                        break
-        if not blocked:
+        for v in kern.row_neighbors(r):
+            if alive[v] and ids[v] in result:
+                break
+        else:
             result.add(ids[r])
     return result
 

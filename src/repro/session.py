@@ -1031,7 +1031,7 @@ class RepairSession:
             tuples=len(self._rows),
             total_weight=self._table.total_weight(),
             conflicts=self._index.num_edges,
-            conflicting_tuples=len(self._index.conflicting_tuples()),
+            conflicting_tuples=self._index.conflicting_count,
             components=len(self._bracket_by_key),
             lower_bound=lower,
             upper_bound=upper,
