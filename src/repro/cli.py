@@ -620,8 +620,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(Exception):
+    """Bad command-line input — an unparsable FD set, an unreadable or
+    malformed CSV, an FD attribute the table lacks.  :func:`main`
+    reports it as one ``error:`` line on stderr with exit code 2;
+    anything raised after the inputs parsed propagates as before."""
+
+
+def _parse_fds(text: str) -> FDSet:
+    try:
+        return parse_fd_set(text)
+    except ValueError as exc:
+        raise _InputError(f"bad FD set {text!r}: {exc}") from None
+
+
+def _check_schema(schema, fds: FDSet) -> None:
+    missing = sorted(set(fds.attributes) - set(schema))
+    if missing:
+        raise _InputError(
+            "FD set mentions attributes the table does not have: "
+            + ", ".join(missing)
+        )
+
+
+def _read_inputs(args: argparse.Namespace):
+    """The ``(table, fds)`` of a command taking a CSV table and an FD
+    set, validated against each other."""
+    fds = _parse_fds(args.fds)
+    try:
+        table = table_from_csv(args.table)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot read table {args.table}: {exc}") from None
+    _check_schema(table.schema, fds)
+    return table, fds
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    fds = parse_fd_set(args.fds)
+    fds = _parse_fds(args.fds)
     result = classify(fds)
     print(f"FD set: {fds}")
     print(f"optimal S-repair complexity: {result.complexity}")
@@ -634,8 +669,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     _apply_kernel_choice(args)
-    table = table_from_csv(args.table)
-    fds = parse_fd_set(args.fds)
+    table, fds = _read_inputs(args)
     recorder = _recorder_for(args)
     try:
         report = assess(
@@ -703,8 +737,7 @@ def _print_portfolio(result: CleaningResult) -> None:
 
 def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     _apply_kernel_choice(args)
-    table = table_from_csv(args.table)
-    fds = parse_fd_set(args.fds)
+    table, fds = _read_inputs(args)
     guarantee = args.guarantee
     # The deprecated --approx alias must not override an explicit
     # --guarantee choice; it only strengthens the default.
@@ -761,8 +794,7 @@ def _cmd_u_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_mpd(args: argparse.Namespace) -> int:
-    table = table_from_csv(args.table)
-    fds = parse_fd_set(args.fds)
+    table, fds = _read_inputs(args)
     result = most_probable_database(table, fds)
     print(f"method: {result.method}")
     print(f"probability: {result.probability:.6g}")
@@ -814,14 +846,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .session import RepairSession
 
     _apply_kernel_choice(args)
-    fds = parse_fd_set(args.fds)
     if args.table:
-        table = table_from_csv(args.table)
+        table, fds = _read_inputs(args)
     elif args.schema:
         schema = [a.strip() for a in args.schema.split(",") if a.strip()]
         if not schema:
             print("error: --schema is empty", file=sys.stderr)
             return 2
+        fds = _parse_fds(args.fds)
+        _check_schema(schema, fds)
         table = Table(schema, {})
     else:
         print("error: stream needs --table or --schema", file=sys.stderr)
@@ -1099,11 +1132,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     recovered = manager.recovered_sessions
     replayed = manager.replayed_ops
     errors = manager.errors
+    dropped = manager.dropped_cache_entries
     manager.shutdown()
     result = {
         "recovered_sessions": recovered,
         "replayed_ops": replayed,
         "errors": errors,
+        "dropped_cache_entries": dropped,
         "compacted": True,
     }
     if args.json:
@@ -1113,6 +1148,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(
             f"recovered {recovered} sessions, replayed {replayed} ops"
             + (f" ({errors} errors)" if errors else "")
+            + (f", dropped {dropped} version-1 cache entries"
+               if dropped else "")
             + "; state compacted"
         )
     return 0 if not errors else 1
@@ -1234,7 +1271,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ from typing import (
 from ..graphs.graph import Graph
 from . import kernel as _kernel
 from .fd import FD, FDSet
-from .table import Row, Table, TupleId, Value
+from .table import Row, Table, TupleId, Value, checked_weight
 
 __all__ = ["ConflictIndex"]
 
@@ -850,9 +850,13 @@ class ConflictIndex:
             raise ValueError(
                 f"tuple {tid!r} has arity {len(row)}, index expects {self._arity}"
             )
-        weight = float(weight)
-        if weight <= 0:
-            raise ValueError(f"tuple {tid!r} has non-positive weight {weight}")
+        weight = checked_weight(weight, tid)
+        try:
+            hash(row)  # an unhashable value must fail before any mutation
+        except TypeError:
+            raise ValueError(
+                f"tuple {tid!r} holds an unhashable value"
+            ) from None
         buckets_list = self._ensure_buckets() if self._kernel is None else None
         self._mask_cache = None
         if self._position_shared and tid in self._position:

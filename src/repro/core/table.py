@@ -42,8 +42,24 @@ __all__ = [
     "FreshValue",
     "fresh_value_factory",
     "Table",
+    "checked_weight",
     "hamming_distance",
 ]
+
+_INF = float("inf")
+
+
+def checked_weight(weight, tid: Optional[TupleId] = None) -> float:
+    """*weight* as a float, or ``ValueError`` unless it is finite and
+    positive — the one weight check behind :class:`Table`, the conflict
+    index's ``insert`` and the streaming session's ``append`` (NaN and
+    ±inf fail it: a NaN weight would make every distance NaN)."""
+    value = float(weight)
+    if 0.0 < value < _INF:
+        return value
+    who = "" if tid is None else f"tuple {tid!r} has "
+    kind = "non-positive" if value <= 0 else "non-finite"
+    raise ValueError(f"{who}{kind} weight {value}")
 
 
 class FreshValue:
@@ -140,11 +156,9 @@ class Table:
         self._rows = normalised
         w: Dict[TupleId, float] = {}
         weights = weights or {}
+        weight_of = weights.get
         for tid in normalised:
-            weight = float(weights.get(tid, 1.0))
-            if weight <= 0:
-                raise ValueError(f"tuple {tid!r} has non-positive weight {weight}")
-            w[tid] = weight
+            w[tid] = checked_weight(weight_of(tid, 1.0), tid)
         extra = set(weights) - set(normalised)
         if extra:
             raise ValueError(f"weights for unknown identifiers: {sorted(map(str, extra))}")

@@ -750,6 +750,17 @@ class PersistentWorkerPool:
             self._send_all(("open", key) + tuple(space[:3]))
         return self.alive
 
+    def attach(self, key, schema, fds: FDSet, policy: Optional[SolvePolicy],
+               rows: Mapping, weights: Mapping) -> bool:
+        """Start the pool if needed, open namespace *key* and ship its
+        full state (``reset`` with *rows*/*weights*): the one way a
+        session or a batch call attaches.  False when any step fails."""
+        return (
+            self.start()
+            and self.open_session(key, schema, fds, policy)
+            and self.broadcast(("reset", rows, weights), key=key)
+        )
+
     def drop_session(self, key) -> bool:
         """Forget session *key*'s mirrors on every worker."""
         with self._io:
@@ -1277,12 +1288,20 @@ def solve_components(
     recorder=None,
     executor=None,
     solve_timeout_s: Optional[float] = None,
+    *,
+    only: Optional[Sequence[int]] = None,
+    key=None,
+    timeout: Optional[float] = 120.0,
+    stats=None,
 ) -> Tuple[List, List[str]]:
     """Solve each component under its plan; returns the per-component
     results (kept identifiers for an S method, see
     :func:`_solve_component`) plus the *effective* methods, both in
     component order (effective ≠ planned exactly when an ``"exact"``
     solve outran its wall-clock budget and fell back to ``"approx"``).
+    With *only* (component positions, ascending) just those components
+    are solved, and both lists follow *only* — how a streaming session
+    solves its cache misses.
 
     Each component runs under its plan's method and per-solve budget
     slice (:func:`repro.core.decompose.plan_schedule`), with *policy*'s
@@ -1293,47 +1312,54 @@ def solve_components(
     pure prediction the serial and pooled runs stay byte-identical.
 
     Where the solves run: on *executor* (a started or startable
-    :class:`PersistentWorkerPool`) when one is passed; else, when
-    :func:`resolve_workers` grants more than one worker for *parallel*,
-    on a queue-transport pool of that many workers started for this
-    call (*solve_timeout_s* is its per-solve deadline, see
-    :class:`PersistentWorkerPool`); else in process, reusing the
-    projected sub-indexes.  A pool receives only the conflict
-    components' rows, into a namespace of its own, and solves id-list
-    tasks; any pool failure falls back to the in-process loop.  The
-    call's own pool puts no wall-clock cap on the batch — worker deaths
-    and the per-solve deadline already cover stalls — so a long batch is
-    never abandoned and solved a second time in process.
+    :class:`PersistentWorkerPool`) when one is passed, with *timeout*
+    capping the batch; else, when :func:`resolve_workers` grants more
+    than one worker for *parallel*, on a queue-transport pool of that
+    many workers started for this call (*solve_timeout_s* is its
+    per-solve deadline, see :class:`PersistentWorkerPool`; no batch
+    cap, since worker deaths and the deadline already cover stalls);
+    else in process, reusing the projected sub-indexes.  Without *key*
+    the pool receives only the conflict components' rows, into a
+    namespace of this call's own; with *key* the caller's namespace is
+    already attached and kept in sync (a streaming session's mirror).
+    Tasks are id lists either way, and any pool failure falls back to
+    the in-process loop.  *stats*, when given, is an object whose
+    ``pool_solves`` / ``serial_solves`` / ``pool_fallbacks`` counters
+    are advanced (a :class:`~repro.session.SessionStats`).
 
     With an enabled *recorder* (:mod:`repro.obs`), one ``solve`` trace
     record is emitted per component carrying the plan evidence
     (difficulty, predicted seconds, budget slice, downgrade flag,
     features), the effective method, and the measured solve seconds —
     timed in-process on the serial path, inside the worker on the pool
-    path.  The default :data:`repro.obs.NULL_RECORDER` costs one
-    attribute check.
+    path — in context ``"session"`` tagged with *key* when one is
+    given, ``"clean"`` otherwise.  The default
+    :data:`repro.obs.NULL_RECORDER` costs one attribute check.
     """
     rec = _obs.resolve(recorder)
     if policy is None:
         policy = SolvePolicy()
-    count = len(plans)
+    positions = range(len(plans)) if only is None else only
     order = sorted(
-        range(count),
+        positions,
         key=lambda i: (
             plans[i].difficulty if plans[i].difficulty is not None else 0.0,
             i,
         ),
     )
     components = decomp.components
-    workers = resolve_workers(parallel, count)
+    workers = resolve_workers(parallel, len(order))
     ordered = None
-    if executor is not None and count:
-        ordered = _solve_on_pool(executor, decomp, plans, order, policy)
+    if executor is not None and order:
+        ordered = _solve_on_pool(executor, decomp, plans, order, policy,
+                                 timeout, key)
+        if ordered is None and stats is not None:
+            stats.pool_fallbacks += 1
     elif workers > 1:
         with PersistentWorkerPool(workers, policy=policy, recorder=rec,
                                   solve_timeout_s=solve_timeout_s) as pool:
             ordered = _solve_on_pool(pool, decomp, plans, order, policy,
-                                     timeout=None)
+                                     None)
     path = "pool"
     if ordered is None:
         path = "serial"
@@ -1349,11 +1375,17 @@ def solve_components(
             ordered.append(
                 (result, effective, _perf_counter() - start if timed else 0.0)
             )
-    outcomes: List = [None] * count
-    for i, outcome in zip(order, ordered):
-        outcomes[i] = outcome
+    if stats is not None:
+        if path == "pool":
+            stats.pool_solves += len(order)
+        else:
+            stats.serial_solves += len(order)
+    outcomes = dict(zip(order, ordered))
     if rec.enabled:
-        for i, (_result, effective, secs) in enumerate(outcomes):
+        context = "clean" if key is None else "session"
+        tag = None if key is None else str(key)
+        for i in positions:
+            _result, effective, secs = outcomes[i]
             component = components[i]
             rec.solve_record(
                 ordinal=i,
@@ -1363,43 +1395,47 @@ def solve_components(
                 effective=effective,
                 actual_s=secs,
                 path=path,
-                context="clean",
+                context=context,
                 plan=plans[i],
+                key=tag,
             )
-    return [r for r, _m, _s in outcomes], [m for _r, m, _s in outcomes]
+    return ([outcomes[i][0] for i in positions],
+            [outcomes[i][1] for i in positions])
 
 
 def _solve_on_pool(pool, decomp: Decomposition, plans, order, policy,
-                   timeout: Optional[float] = 120.0):
-    """Solve *decomp*'s components on *pool*, in *order*: the member
-    rows ship once into a namespace of this call's own, the tasks are
-    id lists, and *timeout* caps the batch (see
-    :meth:`PersistentWorkerPool.solve`).  ``None`` when the pool cannot
-    run or fails — the caller then solves locally."""
-    if not pool.start():
-        return None
-    key = f"clean-{next(_EXECUTOR_KEYS)}"
+                   timeout: Optional[float], key=None):
+    """Solve *decomp*'s components on *pool*, in *order*, as id-list
+    tasks; *timeout* caps the batch (see
+    :meth:`PersistentWorkerPool.solve`).  With *key* the caller's
+    attached namespace serves them; otherwise the member rows ship once
+    into a namespace of this call's own, dropped afterwards.  ``None``
+    when the pool cannot run or fails — the caller then solves
+    locally."""
     components = decomp.components
-    rows: Dict = {}
-    weights: Dict = {}
-    for component in components:
-        rows.update(component.table.rows())
-        weights.update(component.table.weights())
     tasks = [
         (components[i].ids, plans[i].method) if plans[i].budget_s is None
         else (components[i].ids, plans[i].method, plans[i].budget_s)
         for i in order
     ]
+    own = key is None
+    if own:
+        key = f"clean-{next(_EXECUTOR_KEYS)}"
+        rows: Dict = {}
+        weights: Dict = {}
+        for component in components:
+            rows.update(component.table.rows())
+            weights.update(component.table.weights())
     try:
-        if pool.open_session(
-            key, decomp.table.schema, decomp.fds, policy
-        ) and pool.broadcast(("reset", rows, weights), key=key):
-            return pool.solve(tasks, timeout=timeout, key=key)
-        return None
+        if own and not pool.attach(key, decomp.table.schema, decomp.fds,
+                                   policy, rows, weights):
+            return None
+        return pool.solve(tasks, timeout=timeout, key=key)
     except RuntimeError:
         return None  # solver/transport failure: solve locally
     finally:
-        pool.drop_session(key)
+        if own:
+            pool.drop_session(key)
 
 
 def _method_mix(methods: Sequence[str]) -> Dict[str, int]:

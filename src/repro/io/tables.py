@@ -73,7 +73,12 @@ def table_from_csv(
         raw_id, *values, raw_weight = record
         tid = int(raw_id) if raw_id.lstrip("-").isdigit() else raw_id
         rows[tid] = tuple(values)
-        weights[tid] = float(raw_weight)
+        try:
+            weights[tid] = float(raw_weight)
+        except ValueError:
+            raise ValueError(
+                f"tuple {tid!r} has a non-numeric weight {raw_weight!r}"
+            ) from None
     return Table(schema, rows, weights, name=name)
 
 

@@ -23,7 +23,7 @@ dichotomy verdict for Δ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
 from . import obs as _obs
 from .core.approx import approx_s_repair
@@ -39,7 +39,7 @@ from .core.decompose import (
 from .core.dichotomy import DichotomyResult, classify
 from .core.fd import FDSet
 from .core.srepair import optimal_s_repair
-from .core.table import FreshValue, Table
+from .core.table import FreshValue, Table, TupleId
 from .core.urepair import URepairResult, u_repair
 
 __all__ = [
@@ -176,15 +176,6 @@ class CleaningResult:
     component_count: Optional[int] = None
 
 
-def _bracket_component(index, table: Table) -> tuple:
-    """Polynomial [matching, Bar-Yehuda–Even] bracket of one (sub-)index.
-
-    Kept as an alias of :func:`repro.core.decompose.polynomial_bracket`
-    (where the body moved when the bracket became a difficulty feature)
-    for the streaming session's bracket refresh."""
-    return polynomial_bracket(index, table)
-
-
 def assess(
     table: Table,
     fds: FDSet,
@@ -271,7 +262,7 @@ def _assess(
                 )
             )
         else:
-            lower, upper = _bracket_component(index, table)
+            lower, upper = polynomial_bracket(index, table)
             if index.num_edges:
                 components = index.components()
                 component_count = len(components)
@@ -380,51 +371,87 @@ def _assess_decomposed_bracket(
     )
 
 
+@dataclass
+class _ComponentSolve:
+    """One component's solved repair: the kept ids, the method that
+    actually ran (differs from the planned one exactly when an exact
+    solve fell back to ``"approx"`` under its wall-clock budget), and
+    the report lower bounds :func:`_lower_bound` memoises on first use —
+    the matching bound and the half-integral LP bound.  Every field is a
+    pure function of the component's content and plan, which is what
+    lets a streaming session cache the whole record: serving it is
+    indistinguishable from re-solving, and a cached budget fallback
+    stays sticky while the component is unchanged."""
+
+    kept: Tuple[TupleId, ...]
+    method: str
+    lower_bound: Optional[float] = None
+    lp_bound: Optional[float] = None
+
+
+def _lower_bound(solve: _ComponentSolve, component, plan, guarantee: str,
+                 threshold: int) -> float:
+    """The report lower bound an approximated component contributes: its
+    matching bound, tightened to the half-integral LP relaxation bound
+    when the *plan* leaves the component approximate (too large for the
+    threshold, or downgraded by the global scheduler) under a
+    bound-seeking guarantee.  A component whose exact solve fell back at
+    *run* time keeps the matching bound — the fallback is wall-clock
+    dependent, and the bound must stay a pure function of the plan for
+    serial/pool and session/clean byte-identity.  Both bounds are
+    memoised on *solve*."""
+    if solve.lower_bound is None:
+        solve.lower_bound = component.index.matching_lower_bound()
+    bound = solve.lower_bound
+    if (
+        guarantee == "fast"
+        or plan.method != "approx"
+        or not (plan.downgraded or component.size > threshold)
+    ):
+        return bound
+    if solve.lp_bound is None:
+        solve.lp_bound = component.index.lp_lower_bound()
+    lp = solve.lp_bound
+    return lp if lp is not None and lp > bound else bound
+
+
 def _decomposed_outcome(
     decomp,
     verdict: DichotomyResult,
-    methods,
-    kept_lists,
+    plans,
+    solves,
     parallel: Optional[int],
-    lower_bounds=None,
+    guarantee: str,
+    threshold: int,
 ) -> CleaningResult:
     """Assemble the :class:`CleaningResult` (report included) of a
-    decomposed S-repair from its per-component kept sets.
+    decomposed S-repair from its per-component :class:`_ComponentSolve`
+    records.
 
     Shared by :func:`_clean_deletions_decomposed` and the streaming
     :class:`repro.session.RepairSession`: both feed per-component solves
     — freshly computed or cache-served — through the same assembly, so a
     session result is byte-identical to a from-scratch ``clean``.
-
-    *lower_bounds*, when given, supplies a precomputed lower bound per
-    component — the matching bound, or ``max(matching, LP)`` for
-    components that qualify under :func:`_lp_qualifies` (``None``
-    entries fall back to recomputing the matching bound from the
-    component index); every bound involved is a pure function of the
-    component, so cached and recomputed values coincide exactly.
+    Exactly solved components contribute their solved cost to both ends
+    of the bracket; approximated ones their :func:`_lower_bound` and, as
+    upper bound, the deleted weight (the solver already ran BYE +
+    maximalisation: that *is* the Proposition 3.3 bound).
     """
     from .exec import assemble_s_result
 
     table = decomp.table
     lower = upper = 0.0
     exact_components = 0
-    for i, (component, method, kept) in enumerate(
-        zip(decomp.components, methods, kept_lists)
-    ):
-        deleted = component.table.total_weight() - component.table.total_weight(kept)
-        if method in ("dichotomy", "exact"):
+    for component, plan, solve in zip(decomp.components, plans, solves):
+        deleted = (component.table.total_weight()
+                   - component.table.total_weight(solve.kept))
+        upper += deleted
+        if solve.method in ("dichotomy", "exact"):
             lower += deleted
-            upper += deleted
             exact_components += 1
         else:
-            # The solver already ran BYE + maximalisation for this
-            # component: its deleted weight *is* the Proposition 3.3
-            # upper bound; only the matching lower bound is left.
-            bound = lower_bounds[i] if lower_bounds is not None else None
-            if bound is None:
-                bound = component.index.matching_lower_bound()
-            lower += bound
-            upper += deleted
+            lower += _lower_bound(solve, component, plan, guarantee,
+                                  threshold)
     report = DirtinessReport(
         total_tuples=len(table),
         total_weight=table.total_weight(),
@@ -438,7 +465,10 @@ def _decomposed_outcome(
         largest_component=decomp.largest_component,
         exact_components=exact_components,
     )
-    result = assemble_s_result(decomp, methods, kept_lists, parallel)
+    result = assemble_s_result(
+        decomp, [s.method for s in solves], [s.kept for s in solves],
+        parallel,
+    )
     return _cleaning_result(result.repair, result, report, "deletions")
 
 
@@ -458,23 +488,6 @@ def _cleaning_result(cleaned: Table, result, report, strategy: str
     )
 
 
-def _lp_qualifies(plan, size: int, threshold: int, guarantee: str) -> bool:
-    """Whether a component's lower bound should be tightened by the
-    half-integral LP relaxation: only components the *plan* leaves
-    approximate (too large for the threshold, or downgraded by the
-    global scheduler) under a bound-seeking guarantee.  A component
-    whose exact solve fell back at *run* time keeps the matching bound —
-    the fallback is wall-clock dependent, and the bound must stay a pure
-    function of the plan for serial/pool and session/clean byte-identity.
-    The rule lives here so the streaming session and the one-shot
-    pipeline can never disagree on it."""
-    return (
-        guarantee != "fast"
-        and plan.method == "approx"
-        and (plan.downgraded or size > threshold)
-    )
-
-
 def _clean_deletions_decomposed(
     table: Table,
     fds: FDSet,
@@ -490,13 +503,12 @@ def _clean_deletions_decomposed(
     portfolio (:func:`repro.core.decompose.plan_schedule` — difficulty-
     ranked under a global *exact_budget_s*, the historical size rule
     otherwise), solve each component by its plan, and derive the
-    dirtiness report from the same per-component solutions.  The
-    *effective* methods come back from the solve — an exact component
-    that outran its wall-clock slice re-solved approximately — so report
-    and label describe what ran.  Approximated components that qualify
-    (:func:`_lp_qualifies`) report ``max(matching, LP)`` as their lower
-    bound.  An enabled *recorder* times the decompose / plan / solve /
-    merge phases and receives one ``solve`` record per component (via
+    dirtiness report from the same per-component solutions
+    (:func:`_decomposed_outcome`).  The *effective* methods come back
+    from the solve — an exact component that outran its wall-clock slice
+    re-solved approximately — so report and label describe what ran.  An
+    enabled *recorder* times the decompose / plan / solve / merge phases
+    and receives one ``solve`` record per component (via
     :func:`repro.exec.solve_components`)."""
     from .exec import solve_components
 
@@ -511,16 +523,10 @@ def _clean_deletions_decomposed(
             solve_timeout_s=solve_timeout_s,
         )
     with rec.span("phase.merge"):
-        lower_bounds = [None] * len(plans)
-        for i, (component, plan) in enumerate(zip(decomp.components, plans)):
-            if _lp_qualifies(plan, component.size, policy.threshold,
-                             guarantee):
-                lp = component.index.lp_lower_bound()
-                if lp is not None:
-                    matching = component.index.matching_lower_bound()
-                    lower_bounds[i] = max(matching, lp)
         return _decomposed_outcome(
-            decomp, verdict, methods, kept_lists, parallel, lower_bounds
+            decomp, verdict, plans,
+            [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)],
+            parallel, guarantee, policy.threshold,
         )
 
 

@@ -79,6 +79,11 @@ from .state import (
 
 __all__ = ["MAX_LINE_BYTES", "RepairServer", "ServerConfig", "SessionManager"]
 
+#: Daemon snapshot format.  Version 2 keys the shared cache's entries
+#: by ``(Δ, schema, SolvePolicy)``; recovery from a version-1 snapshot
+#: keeps its sessions and drops (and counts) its cache entries.
+SNAPSHOT_VERSION = 2
+
 #: Longest request line the daemon reads, in bytes, on TCP and stdio
 #: alike.  A longer line is consumed whole and answered with a protocol
 #: error; the connection stays open.
@@ -278,6 +283,7 @@ class SessionManager:
         self.snapshots = 0
         self.recovered_sessions = 0
         self.replayed_ops = 0
+        self.dropped_cache_entries = 0
         self._closed = False
         self._replaying = False
         # Lifetime supervision totals from previous daemon incarnations
@@ -636,10 +642,20 @@ class SessionManager:
                         self._touch(entry)
                         self._account(entry)
                 cached = snapshot.get("solutions")
-                if cached:
+                if cached and snapshot.get("version", 1) >= 2:
                     # Warm the shared cache: the recovered daemon's
                     # first repairs are hits, not re-solves.
                     self.solutions.load_entries(cached)
+                elif cached:
+                    # Version 1 scoped its keys by a knob tuple without
+                    # the exact threshold, so they cannot be re-keyed on
+                    # the SolvePolicy: drop them (they re-solve on
+                    # demand) and report how many went.
+                    self.dropped_cache_entries = len(cached)
+                    if self.recorder.enabled:
+                        self.recorder.count(
+                            "server.cache_dropped", len(cached)
+                        )
                 supervision = snapshot.get("supervision")
                 if isinstance(supervision, dict):
                     self._supervision_base = {
@@ -730,7 +746,7 @@ class SessionManager:
                 {"tenant": entry.tenant, "name": entry.name, "blob": blob}
             )
         snapshot = {
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "journal_seq": journal.seq,
             "sessions": sessions,
             "solutions": self.solutions.export_entries(),
@@ -799,6 +815,7 @@ class SessionManager:
             "snapshots": self.snapshots,
             "recovered_sessions": self.recovered_sessions,
             "replayed_ops": self.replayed_ops,
+            "dropped_cache_entries": self.dropped_cache_entries,
         }
         if self._pool is not None:
             out["pool_supervision"] = self._pool.supervision_stats()
@@ -848,19 +865,17 @@ class SessionManager:
             entries = list(self._entries.values())
             self._entries.clear()
             self._tenant_bytes.clear()
+        # The pool closes wholesale first, so the sessions below skip
+        # per-session namespace teardown chatter.
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
         for entry in entries:
             if entry.live is not None:
-                # The pool is about to close wholesale; skip per-session
-                # namespace teardown chatter.
-                entry.live._pool = None
                 entry.live.close()
                 entry.live = None
             entry.frozen = False
         self.store.clear()
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.close()
         if self._journal is not None:
             self._journal.close()
         self.recorder.close()

@@ -16,12 +16,18 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
   maintained by :meth:`~repro.core.conflict_index.ConflictIndex.insert` /
   :meth:`~repro.core.conflict_index.ConflictIndex.remove` in
   O(delta · (lhs-group + |Δ|)) instead of a per-call O(|T|·|Δ|) rebuild,
-* a **content-addressed per-component repair cache** keyed on
-  ``(method, frozen member rows + weights)`` — components untouched by
-  the delta hit the cache and are never re-solved,
+* a **content-addressed per-component repair cache** — always a
+  :class:`SolutionCache`, private or shared across sessions — keyed on
+  ``(Δ, schema, SolvePolicy)`` plus ``(method, frozen member rows +
+  weights)``: components untouched by the delta hit the cache and are
+  never re-solved,
 * optionally a :class:`~repro.exec.PersistentWorkerPool` of warm worker
   processes that mirror the table via the same deltas and solve cache
   misses shipped as component ids only.
+
+The session is a thin cache layer over the batch path: its misses are
+solved by :func:`repro.exec.solve_components` and its results assembled
+by the same merge ``pipeline.clean`` uses.
 
 The load-bearing contract, pinned by ``tests/test_session.py`` property
 tests: after **any** sequence of appends and deletes,
@@ -39,7 +45,6 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import asdict, dataclass
-from time import perf_counter as _perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import obs as _obs
@@ -47,22 +52,26 @@ from .core.conflict_index import ConflictIndex
 from .core.decompose import (
     Component,
     Decomposition,
+    polynomial_bracket,
     resolve_plan_defaults,
 )
 from .core.dichotomy import classify
 from .core.fd import FDSet
-from .core.table import Row, Table, TupleId
-from .pipeline import (
-    CleaningResult,
-    _bracket_component,
-    _decomposed_outcome,
-    _lp_qualifies,
-)
+from .core.table import Row, Table, TupleId, checked_weight
+from .pipeline import CleaningResult, _ComponentSolve, _decomposed_outcome
 
 __all__ = ["RepairSession", "SessionStats", "SessionStatus", "SolutionCache"]
 
 #: Distinct namespace keys for sessions attached to a shared pool.
 _SESSION_KEYS = itertools.count(1)
+
+#: :meth:`RepairSession.export_state` format.  Version 2 scopes every
+#: cache key by ``(Δ, schema, SolvePolicy)``; version 1 states keyed
+#: their private entries without the scope, which :meth:`restore` adds.
+STATE_VERSION = 2
+
+#: The name version-1 states pickled their cache entries under.
+_CachedSolve = _ComponentSolve
 
 
 class SolutionCache:
@@ -78,11 +87,12 @@ class SolutionCache:
     tenants cleaning near-identical dimension tables), one tenant's
     solve becomes every other tenant's cache hit.
 
-    Sessions sharing a cache additionally scope their keys by FD set,
-    schema, and solver knobs (see ``RepairSession._cache_scope``), so
-    content can never leak between sessions for which the same member
-    rows would repair differently.  Mutations take a lock — sessions
-    running on different executor threads hit this cache concurrently.
+    Every session scopes its keys by FD set, schema, and
+    :class:`~repro.core.decompose.SolvePolicy`, so content can never
+    leak between sessions for which the same member rows would repair
+    differently.  A session given no cache builds a private one.
+    Mutations take a lock — sessions running on different executor
+    threads hit a shared cache concurrently.
     """
 
     def __init__(self, max_entries: Optional[int] = 200_000,
@@ -95,6 +105,22 @@ class SolutionCache:
         self.misses = 0
         self.evictions = 0
 
+    @property
+    def max_entries(self) -> Optional[int]:
+        """The size bound (``None``: unbounded)."""
+        return self._max
+
+    def _trim_locked(self) -> int:
+        """Evict least-recently-used entries down to the bound (caller
+        holds the lock); returns how many went."""
+        evicted = 0
+        if self._max is not None:
+            while len(self._data) > self._max:
+                self._data.pop(next(iter(self._data)))
+                evicted += 1
+        self.evictions += evicted
+        return evicted
+
     def get(self, key):
         with self._lock:
             entry = self._data.pop(key, None)
@@ -106,14 +132,9 @@ class SolutionCache:
             return entry
 
     def put(self, key, entry) -> None:
-        evicted = 0
         with self._lock:
             self._data[key] = entry
-            if self._max is not None:
-                while len(self._data) > self._max:
-                    self._data.pop(next(iter(self._data)))
-                    evicted += 1
-            self.evictions += evicted
+            evicted = self._trim_locked()
         if evicted and self._recorder.enabled:
             self._recorder.count("session.cache_evict", evicted)
 
@@ -135,10 +156,7 @@ class SolutionCache:
             for key, entry in data.items():
                 if key not in self._data:
                     self._data[key] = entry
-            if self._max is not None:
-                while len(self._data) > self._max:
-                    self._data.pop(next(iter(self._data)))
-                    self.evictions += 1
+            self._trim_locked()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -195,32 +213,6 @@ class SessionStats:
         return self.cache_hits / total if total else 0.0
 
 
-@dataclass
-class _CachedSolve:
-    """One component's solved repair: the kept ids, the method that
-    actually ran (differs from the planned one exactly when an exact
-    solve fell back to ``"approx"`` under the session's exact budget),
-    plus — for approximate methods — the matching lower bound its report
-    bracket needs (kept ids and bound are pure functions of the
-    component, so serving them from cache is indistinguishable from
-    recomputing; the cached method makes a budget fallback *sticky*, so
-    repeated repairs of an unchanged component stay deterministic).
-
-    ``lp_bound`` memoises the half-integral LP relaxation bound.  It is
-    computed lazily — only when a *reading* plan qualifies for LP
-    tightening (:func:`repro.pipeline._lp_qualifies`) — because the
-    solve itself never needs it and whether it applies depends on the
-    reader's guarantee/plan, which the cache key deliberately omits so
-    sessions with different guarantees can share solves.  The bound is a
-    pure function of component content, so back-filling the shared entry
-    is an idempotent write."""
-
-    kept: Tuple[TupleId, ...]
-    method: str
-    lower_bound: Optional[float] = None
-    lp_bound: Optional[float] = None
-
-
 class RepairSession:
     """An incremental repair service over one table and FD set.
 
@@ -262,7 +254,9 @@ class RepairSession:
     node_limit:
         Branch & bound node budget per exact component solve.
     max_cache_entries:
-        Cap on the per-component cache (default 10 000 entries) —
+        Bound on the private per-component cache the session builds
+        when no shared *solutions* cache is given (default 10 000
+        entries) —
         superseded entries are not invalidated eagerly, so an unbounded
         cache would grow for as long as the stream runs.  Least-recently
         -used entries are evicted; correctness is unaffected (evicted
@@ -286,8 +280,9 @@ class RepairSession:
         Namespace key on the shared *pool* (auto-generated when omitted;
         must be unique per attached session).
     solutions:
-        A :class:`SolutionCache` shared with other sessions.  Keys are
-        scoped by FD set, schema, and solver knobs, so sharing is always
+        A :class:`SolutionCache` shared with other sessions, used in
+        place of a private one.  Keys are scoped by FD set, schema, and
+        :class:`~repro.core.decompose.SolvePolicy`, so sharing is always
         byte-identical-safe; ``max_cache_entries`` is ignored in favour
         of the shared cache's own bound.
     recorder:
@@ -295,9 +290,9 @@ class RepairSession:
         — it is thread-safe).  When enabled, every :meth:`repair` is a
         ``session.repair`` span with phase children, each solved
         component emits a ``solve`` trace record (plan evidence +
-        serial/pool-measured actual seconds), and cache hits / misses /
-        evictions tick ``session.cache_*`` counters tagged with the
-        session key.  The default no-op recorder costs an attribute
+        serial/pool-measured actual seconds), cache hits / misses tick
+        ``session.cache_*`` counters tagged with the session key, and
+        the cache's evictions tick ``session.cache_evict``.  The default no-op recorder costs an attribute
         check per guard.
 
     Only the ``"deletions"`` strategy is supported: update repairs mint
@@ -336,8 +331,18 @@ class RepairSession:
             per_component_budget_s, unit_cost_s,
         )
         self._parallel = parallel
-        self._max_cache_entries = max_cache_entries
-        self._pool_timeout = pool_timeout
+        # The constructor options as :meth:`export_state` records them.
+        self._options = {
+            "guarantee": guarantee,
+            "exact_threshold": policy.threshold,
+            "exact_budget_s": policy.exact_budget_s,
+            "per_component_budget_s": policy.per_component_budget_s,
+            "unit_cost_s": policy.unit_cost_s,
+            "parallel": parallel,
+            "node_limit": policy.node_limit,
+            "max_cache_entries": max_cache_entries,
+            "pool_timeout": pool_timeout,
+        }
         self._verdict = classify(fds)
         self._schema = table.schema
         self._attr_index: Dict[str, int] = {
@@ -359,27 +364,19 @@ class RepairSession:
         # and cache key of an untouched component carry over verbatim
         # instead of being re-derived per delta.
         self._component_reuse: Dict[Tuple[TupleId, ...], Tuple[Component, Tuple]] = {}
-        self._solutions: Dict[Tuple, _CachedSolve] = {}
-        # Cross-session solution sharing: keys into a shared cache are
-        # prefixed with everything besides component content that can
-        # change a solve's outcome — Δ, the schema (it fixes which
-        # columns each FD reads), and the exact-solver knobs (budget
-        # fallbacks and node limits are sticky in cached methods) — so
-        # two sessions share an entry exactly when serving it is
-        # indistinguishable from re-solving.
-        self._shared_solutions = solutions
-        self._cache_scope = (
-            (
-                fds,
-                self._schema,
-                policy.node_limit,
-                policy.exact_budget_s,
-                policy.per_component_budget_s,
-                policy.unit_cost_s,
-            )
-            if solutions is not None
-            else None
+        # One cache, private or shared.  Keys are prefixed with
+        # everything besides component content that can change a
+        # solve's outcome — Δ, the schema (it fixes which columns each
+        # FD reads), and the solver policy (budget fallbacks and node
+        # limits are sticky in cached methods) — so two sessions share
+        # an entry exactly when serving it is indistinguishable from
+        # re-solving.
+        self._owns_cache = solutions is None
+        self._cache = (
+            SolutionCache(max_cache_entries, recorder=self._recorder)
+            if solutions is None else solutions
         )
+        self._cache_scope = (fds, self._schema, policy)
         # Worker-pool wiring: the pool is either owned (created lazily
         # from the ``parallel`` knob, closed with the session) or shared
         # (passed in by a daemon; the session only attaches/detaches its
@@ -388,6 +385,7 @@ class RepairSession:
         self._pool = pool
         self._pool_owned = pool is None
         self._pool_ready = False
+        self._pool_disabled = False
         if session_key is not None:
             self._session_key = session_key
         elif pool is not None:
@@ -403,7 +401,6 @@ class RepairSession:
         # ints.  Decided once, here, so reset and delta broadcasts agree
         # for the pool's whole life.
         self._pool_coded = self._index._codec is not None
-        self._pool_disabled = False
         # Delta-maintained dirtiness bracket: per-component polynomial
         # [matching, BYE] brackets keyed by member-id tuple, invalidated
         # exactly like the component-reuse map, summed lazily so
@@ -431,20 +428,29 @@ class RepairSession:
         """The live conflict index (treat as read-only)."""
         return self._index
 
+    @property
+    def solutions(self) -> SolutionCache:
+        """The cache this session stores its solves in: the shared one
+        it was given, or its private one (bounded by
+        ``max_cache_entries``)."""
+        return self._cache
+
+    @property
+    def pool(self):
+        """The worker pool this session solves on, owned or shared;
+        ``None`` before an owned pool starts and after :meth:`close`."""
+        return self._pool
+
     def __len__(self) -> int:
         return len(self._rows)
 
     def cache_size(self) -> int:
-        if self._shared_solutions is not None:
-            return len(self._shared_solutions)
-        return len(self._solutions)
+        return len(self._cache)
 
     def clear_cache(self) -> None:
         """Drop all cached component repairs (they rebuild on demand).
         On a shared cache this clears *every* session's entries."""
-        if self._shared_solutions is not None:
-            self._shared_solutions.clear()
-        self._solutions.clear()
+        self._cache.clear()
 
     # ------------------------------------------------------------------
     # Deltas
@@ -453,8 +459,9 @@ class RepairSession:
         """A fresh immutable table over the current rows/weights.
 
         Trusted construction: the session validated every row on entry
-        (arity via the index's insert, weights positive), so re-checking
-        per snapshot would make each delta O(|T|·k) for no information.
+        (arity, hashability and weights in :meth:`append`), so
+        re-checking per snapshot would make each delta O(|T|·k) for no
+        information.
         """
         return Table._from_trusted(
             self._schema,
@@ -517,12 +524,16 @@ class RepairSession:
                 raise ValueError(
                     f"row has arity {len(row)}, schema has {arity}"
                 )
+            try:
+                hash(row)
+            except TypeError:
+                raise ValueError(
+                    f"row {list(row)!r} holds an unhashable value"
+                ) from None
         new_weights = [
-            float(w) for w in (weights if weights is not None else [1.0] * len(rows))
+            checked_weight(w)
+            for w in (weights if weights is not None else [1.0] * len(rows))
         ]
-        for weight in new_weights:
-            if weight <= 0:
-                raise ValueError(f"non-positive weight {weight}")
         new_ids = list(ids) if ids is not None else [
             self._allocate_id() for _ in rows
         ]
@@ -542,13 +553,9 @@ class RepairSession:
         self._bracket_fresh = False
         self.stats.appends += 1
         self.stats.tuples_appended += len(rows)
-        if self._pool_ready and self._pool is not None and self._pool.alive and rows:
-            delta_rows = self._mirror_rows(new_ids)
-            delta_weights = dict(zip(new_ids, new_weights))
-            if not self._pool.broadcast(
-                ("append", delta_rows, delta_weights), key=self._session_key
-            ):
-                self._drop_pool()
+        if rows and self._pool_ready:
+            self._mirror("append", self._mirror_rows(new_ids),
+                         dict(zip(new_ids, new_weights)))
         return self.repair() if repair else None
 
     def delete(
@@ -573,11 +580,8 @@ class RepairSession:
         self._bracket_fresh = False
         self.stats.deletes += 1
         self.stats.tuples_deleted += len(ids)
-        if self._pool_ready and self._pool is not None and self._pool.alive and ids:
-            if not self._pool.broadcast(
-                ("delete", tuple(ids)), key=self._session_key
-            ):
-                self._drop_pool()
+        if ids and self._pool_ready:
+            self._mirror("delete", tuple(ids))
         return self.repair() if repair else None
 
     def _invalidate_components(self, ids: Iterable[TupleId]) -> None:
@@ -605,6 +609,57 @@ class RepairSession:
         ]
         for key in stale_brackets:
             del self._bracket_by_key[key]
+
+    # ------------------------------------------------------------------
+    # Worker pool: one attach routine, one release routine
+    # ------------------------------------------------------------------
+    def _mirror_rows(self, ids: Iterable[TupleId]) -> Dict[TupleId, Row]:
+        """The rows a worker mirror stores for *ids*: coded when the
+        session's index carries a live codec, verbatim otherwise."""
+        if self._pool_coded:
+            coded_row = self._index._codec.coded_row
+            return {tid: coded_row(tid) for tid in ids}
+        rows = self._rows
+        return {tid: rows[tid] for tid in ids}
+
+    def _mirror(self, *op) -> None:
+        """Apply one delta to the attached namespace's mirrors; a pool
+        that refuses it is dropped and the session goes on serially."""
+        if self._pool.alive and not self._pool.broadcast(
+            op, key=self._session_key
+        ):
+            self._drop_pool()
+
+    def _attach_pool(self):
+        """The pool to solve this repair's misses on, attached on first
+        use: an owned pool is created from the ``parallel`` knob, a
+        shared one is used as given, and either way the session's
+        namespace is opened and its full state shipped once
+        (:meth:`~repro.exec.PersistentWorkerPool.attach`); deltas keep
+        it synchronised from then on.  ``None`` — solve in process —
+        when the pool is disabled, fails to attach, or is not alive."""
+        if not self._pool_ready:
+            if self._pool_disabled:
+                return None
+            if self._pool is None:
+                from .exec import PersistentWorkerPool
+
+                self._pool = PersistentWorkerPool(
+                    self._parallel, policy=self._policy
+                )
+            if not self._pool.attach(
+                self._session_key, self._schema, self._fds, self._policy,
+                self._mirror_rows(self._rows), dict(self._weights),
+            ):
+                self._drop_pool()
+                return None
+            self._pool_ready = True
+        return self._pool if self._pool.alive else None
+
+    def _drop_pool(self) -> None:
+        """Stop using a pool that failed (counted as a fallback)."""
+        self.close()
+        self.stats.pool_fallbacks += 1
 
     # ------------------------------------------------------------------
     # Repair
@@ -646,251 +701,20 @@ class RepairSession:
             consistent_ids=tuple(self._index.consistent_ids()),
         )
 
-    def _component_key(
-        self,
-        method: str,
-        member_ids: Tuple[TupleId, ...],
-        epoch: Optional[float] = None,
-    ) -> Tuple:
-        """Cache key of one component solve: ``(method, content)``, or
-        ``(method, epoch, content)`` when *epoch* is given.  The epoch is
-        the scheduled wall-clock slice of an exact solve under a global
-        budget: whether such a solve succeeds (and stays sticky on
-        fallback) depends on its slice, which shifts as the schedule
+    def _cache_key(self, component: Component, plan) -> Tuple:
+        """Cache key of one component solve: ``(scope, method,
+        content)``, or ``(scope, method, epoch, content)`` for an exact
+        solve under a global budget.  The epoch is its scheduled
+        wall-clock slice: whether such a solve succeeds (and stays sticky
+        on fallback) depends on its slice, which shifts as the schedule
         around the component changes — keying on it keeps cached
-        fallbacks honest.  Legacy (no global budget) keys are unchanged,
-        so existing sticky-fallback behaviour is untouched."""
-        cached = self._component_reuse.get(tuple(member_ids))
-        if cached is not None:
-            content = cached[1]
-        else:
-            rows = self._rows
-            weights = self._weights
-            content = tuple(
-                (tid, rows[tid], weights[tid]) for tid in member_ids
-            )
-        if epoch is not None:
-            return (method, epoch, content)
-        return (method, content)
-
-    def _cache_lookup(self, key: Tuple) -> Optional[_CachedSolve]:
-        if self._shared_solutions is not None:
-            return self._shared_solutions.get((self._cache_scope, key))
-        entry = self._solutions.get(key)
-        if entry is not None:
-            # Refresh recency for the LRU eviction order.
-            self._solutions[key] = self._solutions.pop(key)
-        return entry
-
-    def _cache_store(self, key: Tuple, entry: _CachedSolve) -> None:
-        if self._shared_solutions is not None:
-            self._shared_solutions.put((self._cache_scope, key), entry)
-            return
-        self._solutions[key] = entry
-        cap = self._max_cache_entries
-        if cap is not None:
-            evicted = 0
-            while len(self._solutions) > cap:
-                self._solutions.pop(next(iter(self._solutions)))
-                evicted += 1
-            if evicted and self._recorder.enabled:
-                self._recorder.count(
-                    "session.cache_evict", evicted, key=self._session_key
-                )
-
-    def _effective_lower_bound(
-        self, entry: _CachedSolve, component, plan
-    ) -> Optional[float]:
-        """The report lower bound one component contributes: the cached
-        matching bound, tightened to the LP relaxation bound when the
-        current plan qualifies (:func:`repro.pipeline._lp_qualifies`).
-        The LP bound is memoised on the cache entry on first use; both
-        bounds are pure functions of component content, so hit and miss
-        paths — and the batch pipeline — report the same number."""
-        bound = entry.lower_bound
-        if bound is None or not _lp_qualifies(
-            plan, component.size, self._policy.threshold, self._guarantee
-        ):
-            return bound
-        lp = entry.lp_bound
-        if lp is None:
-            lp = component.index.lp_lower_bound()
-            if lp is not None:
-                entry.lp_bound = lp
-        if lp is not None and lp > bound:
-            return lp
-        return bound
-
-    def _mirror_rows(self, ids: Iterable[TupleId]) -> Dict[TupleId, Row]:
-        """The rows a worker mirror stores for *ids*: coded when the
-        session's index carries a live codec, verbatim otherwise."""
-        if self._pool_coded:
-            coded_row = self._index._codec.coded_row
-            return {tid: coded_row(tid) for tid in ids}
-        rows = self._rows
-        return {tid: rows[tid] for tid in ids}
-
-    def _ensure_pool(self):
-        if self._pool_disabled:
-            return None
-        if self._pool is None:
-            # Owned pool: created lazily from the ``parallel`` knob and
-            # bound to this session's namespace for its whole life.
-            from .exec import PersistentWorkerPool
-
-            pool = PersistentWorkerPool(self._parallel, policy=self._policy)
-            if (
-                pool.start()
-                and pool.open_session(
-                    self._session_key, self._schema, self._fds, self._policy
-                )
-                and pool.broadcast(
-                    ("reset", self._mirror_rows(self._rows), dict(self._weights)),
-                    key=self._session_key,
-                )
-            ):
-                self._pool = pool
-                self._pool_ready = True
-            else:
-                pool.close()
-                self._pool_disabled = True
-                self.stats.pool_fallbacks += 1
-        elif not self._pool_ready:
-            # Shared pool: attach this session's mirror namespace; the
-            # full state ships once, deltas keep it synchronised.
-            ok = (
-                self._pool.start()
-                and self._pool.open_session(
-                    self._session_key, self._schema, self._fds, self._policy
-                )
-                and self._pool.broadcast(
-                    ("reset", self._mirror_rows(self._rows), dict(self._weights)),
-                    key=self._session_key,
-                )
-            )
-            if ok:
-                self._pool_ready = True
-            else:
-                self._pool_disabled = True
-                self.stats.pool_fallbacks += 1
-                return None
-        if self._pool is not None and self._pool.alive:
-            return self._pool
-        return None
-
-    def _drop_pool(self) -> None:
-        """Stop using the pool: close it when owned, detach the mirror
-        namespace when shared — a shared pool keeps serving its other
-        sessions."""
-        if self._pool is not None:
-            if self._pool_owned:
-                self._pool.close()
-            elif self._pool_ready and self._pool.alive:
-                self._pool.drop_session(self._session_key)
-            self._pool = None
-        self._pool_ready = False
-        self._pool_disabled = True
-        self.stats.pool_fallbacks += 1
-
-    def _solve_misses(
-        self, misses: List[Tuple[int, object, object]]
-    ) -> Dict[int, Tuple[Tuple[TupleId, ...], str, float]]:
-        """Solve the cache-missed components; returns ordinal →
-        ``(kept ids, effective method, solve seconds)`` (effective ≠
-        planned exactly when an exact solve fell back under its
-        wall-clock budget).
-
-        Each miss carries its :class:`~repro.core.decompose.ComponentPlan`;
-        a plan with a budget ships it per task (the globally-scheduled
-        slice, or the per-solve ceiling on the legacy path), one without
-        defers to the namespace policy's per-solve ceiling.  On the warm pool when
-        available (ids-only payloads), in-process otherwise; any pool
-        failure falls back serially — the solvers are pure and the plan
-        is the same either way, so the retry is safe and byte-identical.
-
-        With an enabled recorder, each miss emits one ``solve`` trace
-        record carrying the plan evidence and the measured seconds —
-        timed inside the worker on the pool path, in-process on the
-        serial path (where an untraced run skips the clock entirely).
-        """
-        from .exec import _solve_component
-
-        rec = self._recorder
-        solved: Dict[int, Tuple[Tuple[TupleId, ...], str, float]] = {}
-        # An owned pool pays off once a batch has ≥ 2 misses; a shared
-        # (daemon) pool is offloaded even for a single miss, so a slow
-        # solve runs in a worker process and the caller's thread only
-        # waits — keeping the daemon's event loop and every co-tenant
-        # session responsive.
-        want_pool = bool(misses) and (
-            not self._pool_owned
-            or (self._parallel is not None and self._parallel > 1
-                and len(misses) > 1)
-        )
-        if want_pool:
-            pool = self._ensure_pool()
-            if pool is not None:
-                tasks = [
-                    (c.ids, plan.method) if plan.budget_s is None
-                    else (c.ids, plan.method, plan.budget_s)
-                    for _i, c, plan in misses
-                ]
-                try:
-                    outcomes = pool.solve(
-                        tasks,
-                        timeout=self._pool_timeout,
-                        key=self._session_key,
-                    )
-                except RuntimeError:
-                    if pool.alive:
-                        # One failed batch (worker-side exception or
-                        # timeout): re-solve serially below, keep the
-                        # pool for the next repair.
-                        self.stats.pool_fallbacks += 1
-                    else:
-                        self._drop_pool()
-                else:
-                    for (i, _c, _p), outcome in zip(misses, outcomes):
-                        solved[i] = outcome
-                    self.stats.pool_solves += len(misses)
-                    if rec.enabled:
-                        self._record_solves(misses, solved, "pool")
-                    return solved
-        timed = rec.enabled
-        for i, component, plan in misses:
-            start = _perf_counter() if timed else 0.0
-            kept, effective = _solve_component(
-                component.table,
-                self._fds,
-                plan.method,
-                self._policy.node_limit,
-                index=component.index,
-                budget_s=plan.budget_s,
-            )
-            elapsed = _perf_counter() - start if timed else 0.0
-            solved[i] = (kept, effective, elapsed)
-            self.stats.serial_solves += 1
-        if rec.enabled:
-            self._record_solves(misses, solved, "serial")
-        return solved
-
-    def _record_solves(self, misses, solved, path: str) -> None:
-        """Emit one ``solve`` trace record per cache miss (plan evidence,
-        effective method, measured seconds, serial-vs-pool path)."""
-        for i, component, plan in misses:
-            _kept, effective, secs = solved[i]
-            self._recorder.solve_record(
-                ordinal=i,
-                size=component.size,
-                edges=component.index.num_edges,
-                planned=plan.method,
-                effective=effective,
-                actual_s=secs,
-                path=path,
-                context="session",
-                plan=plan,
-                key=str(self._session_key),
-            )
+        fallbacks honest.  One flat tuple per component: a repair builds
+        a key for every component, and on a large table each extra
+        container per component brings the next full collection closer."""
+        content = self._component_reuse[component.ids][1]
+        if self._policy.exact_budget_s is not None and plan.method == "exact":
+            return (self._cache_scope, plan.method, plan.budget_s, content)
+        return (self._cache_scope, plan.method, content)
 
     def repair(self) -> CleaningResult:
         """Re-repair the current table, re-solving only the components
@@ -900,79 +724,68 @@ class RepairSession:
         ``pipeline.clean(session.table, fds, guarantee=..., parallel=...,
         exact_threshold=..., exact_budget_s=...,
         per_component_budget_s=...)`` — same cleaned table, distance,
-        dirtiness report, and portfolio label.  The schedule is re-planned
-        per call (it is pure arithmetic over the current components);
-        under a global budget an exact solve's cache key carries its
-        scheduled slice, so a slice change — the schedule shifting as
-        components come and go — re-solves rather than serving a result
-        computed under a different ceiling.
+        dirtiness report, and portfolio label: the misses are solved by
+        :func:`repro.exec.solve_components` and the result assembled by
+        the batch path's own merge.  The schedule is re-planned per call
+        (it is pure arithmetic over the current components); under a
+        global budget an exact solve's cache key carries its scheduled
+        slice, so a slice change — the schedule shifting as components
+        come and go — re-solves rather than serving a result computed
+        under a different ceiling.
+
+        An owned pool is used once a repair has ≥ 2 misses; a shared
+        (daemon) pool even for a single miss, so a slow solve runs in a
+        worker process and the caller's thread only waits — keeping the
+        daemon's event loop and every co-tenant session responsive.
         """
+        from .exec import resolve_workers, solve_components
+
         rec = self._recorder
-        with rec.span("session.repair", key=str(self._session_key)):
+        tag = str(self._session_key)
+        with rec.span("session.repair", key=tag):
             with rec.span("phase.decompose"):
                 decomp = self._decompose()
             with rec.span("phase.plan"):
                 plans = decomp.plan_schedule(
                     self._verdict.tractable, self._guarantee, self._policy
                 )
-            methods = [plan.method for plan in plans]
-            kept_lists: List[Optional[Tuple[TupleId, ...]]] = (
-                [None] * len(methods)
-            )
-            lower_bounds: List[Optional[float]] = [None] * len(methods)
-            misses: List[Tuple[int, object, object]] = []
-            keys: Dict[int, Tuple] = {}
-            for i, (component, plan) in enumerate(
-                zip(decomp.components, plans)
-            ):
-                epoch = (
-                    plan.budget_s
-                    if self._policy.exact_budget_s is not None
-                    and plan.method == "exact"
-                    else None
-                )
-                key = self._component_key(plan.method, component.ids, epoch)
-                keys[i] = key
-                entry = self._cache_lookup(key)
-                if entry is None:
-                    misses.append((i, component, plan))
-                else:
-                    kept_lists[i] = entry.kept
-                    lower_bounds[i] = self._effective_lower_bound(
-                        entry, component, plan
-                    )
-                    methods[i] = entry.method
-                    self.stats.cache_hits += 1
+            keys = [
+                self._cache_key(component, plan)
+                for component, plan in zip(decomp.components, plans)
+            ]
+            solves: List[Optional[_ComponentSolve]] = [
+                self._cache.get(key) for key in keys
+            ]
+            misses = [i for i, solve in enumerate(solves) if solve is None]
+            hits = len(solves) - len(misses)
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += len(misses)
             if rec.enabled:
-                session_tag = str(self._session_key)
-                hits = len(methods) - len(misses)
                 if hits:
-                    rec.count("session.cache_hit", hits, key=session_tag)
+                    rec.count("session.cache_hit", hits, key=tag)
                 if misses:
-                    rec.count(
-                        "session.cache_miss", len(misses), key=session_tag
-                    )
+                    rec.count("session.cache_miss", len(misses), key=tag)
             with rec.span("phase.solve"):
-                solved = self._solve_misses(misses)
+                pool = None
+                if misses and (
+                    not self._pool_owned
+                    or resolve_workers(self._parallel, len(misses)) > 1
+                ):
+                    pool = self._attach_pool()
+                kept_lists, methods = solve_components(
+                    decomp, plans, policy=self._policy, recorder=rec,
+                    executor=pool, only=misses, key=self._session_key,
+                    timeout=self._options["pool_timeout"], stats=self.stats,
+                )
+                if pool is not None and not pool.alive:
+                    self.close()
             with rec.span("phase.merge"):
-                for i, component, plan in misses:
-                    kept, effective, _secs = solved[i]
-                    kept_lists[i] = kept
-                    methods[i] = effective
-                    bound = (
-                        component.index.matching_lower_bound()
-                        if effective == "approx"
-                        else None
-                    )
-                    entry = _CachedSolve(kept, effective, bound)
-                    lower_bounds[i] = self._effective_lower_bound(
-                        entry, component, plan
-                    )
-                    self._cache_store(keys[i], entry)
-                    self.stats.cache_misses += 1
+                for i, kept, method in zip(misses, kept_lists, methods):
+                    solves[i] = _ComponentSolve(kept, method)
+                    self._cache.put(keys[i], solves[i])
                 result = _decomposed_outcome(
-                    decomp, self._verdict, methods, kept_lists,
-                    self._parallel, lower_bounds,
+                    decomp, self._verdict, plans, solves, self._parallel,
+                    self._guarantee, self._policy.threshold,
                 )
         self.stats.repairs += 1
         self.last_result = result
@@ -1007,7 +820,7 @@ class RepairSession:
                 else:
                     subtable = self._table.subset(key)
                     subindex = self._index.project(subtable, set(key))
-                entry = _bracket_component(subindex, subtable)
+                entry = polynomial_bracket(subindex, subtable)
             fresh[key] = entry
             lower += entry[0]
             upper += entry[1]
@@ -1044,11 +857,11 @@ class RepairSession:
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """A picklable snapshot from which :meth:`restore` rebuilds an
-        equivalent session.
+        equivalent session (format :data:`STATE_VERSION`).
 
         Engine *state* serialises — rows, weights (in insertion order,
         which the mirrors and solvers observe), id-allocator bookkeeping,
-        options, stats, and the private component cache.  Process
+        options, stats, and the entries of a private cache.  Process
         *lifecycle* does not: pools and shared caches re-attach on
         restore, and the conflict index, kernel view, and component
         structures rebuild on demand (a rebuild equals the
@@ -1059,7 +872,7 @@ class RepairSession:
         *in the cache itself*, which is the point of content addressing.
         """
         return {
-            "version": 1,
+            "version": STATE_VERSION,
             "schema": self._schema,
             "name": self._name,
             "fds": self._fds,
@@ -1067,19 +880,9 @@ class RepairSession:
             "weights": dict(self._weights),
             "used_ids": set(self._used_ids),
             "next_auto_id": self._next_auto_id,
-            "options": {
-                "guarantee": self._guarantee,
-                "exact_threshold": self._policy.threshold,
-                "exact_budget_s": self._policy.exact_budget_s,
-                "per_component_budget_s": self._policy.per_component_budget_s,
-                "unit_cost_s": self._policy.unit_cost_s,
-                "parallel": self._parallel,
-                "node_limit": self._policy.node_limit,
-                "max_cache_entries": self._max_cache_entries,
-                "pool_timeout": self._pool_timeout,
-            },
+            "options": dict(self._options),
             "solutions": (
-                dict(self._solutions) if self._shared_solutions is None else {}
+                self._cache.export_entries() if self._owns_cache else {}
             ),
             "stats": asdict(self.stats),
         }
@@ -1097,7 +900,16 @@ class RepairSession:
         """Rebuild a session from :meth:`export_state` output, attaching
         it to the given (possibly shared) pool, solution cache, and
         recorder (recorders are process-lifecycle, not engine state, so
-        they re-attach like pools rather than serialising)."""
+        they re-attach like pools rather than serialising).
+
+        Exported cache entries load into whichever cache the restored
+        session uses, private or shared (their keys are scoped, so that
+        is always safe).  A version-1 state's entries, keyed without the
+        scope, get this session's scope: version 1 wrote them only for
+        private caches, whose scope was implicitly the session's own."""
+        version = state.get("version", 1)
+        if version > STATE_VERSION:
+            raise ValueError(f"unsupported session state version {version}")
         schema = tuple(state["schema"])
         table = Table._from_trusted(
             schema,
@@ -1124,8 +936,11 @@ class RepairSession:
         # keeps a rehydrated session's future auto ids byte-identical
         # to one that was never evicted.
         session._next_auto_id = int(state["next_auto_id"])
-        if solutions is None:
-            session._solutions.update(state["solutions"])
+        entries = state["solutions"]
+        if version < 2:
+            scope = (session._cache_scope,)
+            entries = {scope + key: entry for key, entry in entries.items()}
+        session._cache.load_entries(entries)
         session.stats = SessionStats(**state["stats"])
         return session
 
@@ -1133,7 +948,7 @@ class RepairSession:
         """A cheap resident-memory estimate for admission control.
 
         Counts the dominant structures — rows, the conflict index +
-        kernel view (both scale with the row count), and the private
+        kernel view (both scale with the row count), and a private
         component cache — at calibrated per-entry costs rather than
         walking objects with ``sys.getsizeof`` (which would cost more
         than the eviction decision it feeds).  Entries on a shared
@@ -1143,11 +958,7 @@ class RepairSession:
         arity = len(self._schema)
         per_tuple = 120 + 64 * arity
         index_factor = 3  # rows + live index + kernel/codec arrays
-        cached = (
-            0
-            if self._shared_solutions is not None
-            else len(self._solutions) * (160 + 48 * arity)
-        )
+        cached = len(self._cache) * (160 + 48 * arity) if self._owns_cache else 0
         return 512 + len(self._rows) * per_tuple * index_factor + cached
 
     # ------------------------------------------------------------------
@@ -1157,12 +968,12 @@ class RepairSession:
         """Release the worker pool (the session stays usable serially).
         An owned pool is stopped; a shared pool only sheds this
         session's mirror namespace and keeps serving other sessions."""
-        if self._pool is not None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
             if self._pool_owned:
-                self._pool.close()
-            elif self._pool_ready and self._pool.alive:
-                self._pool.drop_session(self._session_key)
-            self._pool = None
+                pool.close()
+            elif self._pool_ready and pool.alive:
+                pool.drop_session(self._session_key)
         self._pool_ready = False
         self._pool_disabled = True
 
@@ -1176,5 +987,5 @@ class RepairSession:
         return (
             f"RepairSession({len(self)} tuples, {self._fds}, "
             f"{self._index.num_edges} conflicts, "
-            f"cache={len(self._solutions)})"
+            f"cache={len(self._cache)})"
         )

@@ -10,6 +10,7 @@ Equivalence tests then pin the contract the repair entry points rely on:
 passing a prebuilt index never changes a repair result.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -266,6 +267,31 @@ def test_insert_validation():
     assert index.ids() == (1,)
     assert index.insert(2, (1, 2, 3), 2.0) == 1
     assert index.num_edges == 1
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_insert_rejects_bad_rows_before_any_mutation(use_kernel):
+    """An unhashable value or a NaN/inf weight fails ``insert`` before
+    the id is registered or the codec interns a column, so the index
+    stays usable and equal to a from-scratch build."""
+    from repro.core import kernel
+
+    with contextlib.nullcontext() if use_kernel else kernel.disabled():
+        table = Table.from_rows(SCHEMA, [(1, 1, 1), (1, 2, 1)])
+        index = ConflictIndex(table, FDSet("A -> B; B -> C"))
+        with pytest.raises(ValueError, match="unhashable"):
+            index.insert(3, (1, [2], 3))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="weight"):
+                index.insert(3, (1, 3, 3), bad)
+        assert index.ids() == (1, 2)
+        index.insert(3, (1, 3, 3))
+        rebuilt = ConflictIndex(
+            Table.from_rows(SCHEMA, [(1, 1, 1), (1, 2, 1), (1, 3, 3)]),
+            FDSet("A -> B; B -> C"),
+        )
+        assert index.components() == rebuilt.components()
+        assert index.num_edges == rebuilt.num_edges
 
 
 def test_insert_into_copy_does_not_leak_positions():

@@ -187,3 +187,57 @@ class TestSerialisationSemantics:
         capsys.readouterr()
         result = table_from_csv(out)
         assert len(result) == 4  # updates preserve all identifiers
+
+
+class TestCliInputDiagnostics:
+    """Bad inputs end in one ``error:`` line on stderr and exit code 2,
+    never a traceback; failures after the inputs parsed still raise."""
+
+    @staticmethod
+    def _csv(tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("id,A,B,weight\n" + body, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _single_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_malformed_fd_set(self, capsys):
+        assert main(["classify", "A -> "]) == 2
+        assert "empty rhs" in self._single_error(capsys)
+
+    def test_fd_attribute_missing_from_header(self, tmp_path, capsys):
+        path = self._csv(tmp_path, "1,a,b,1\n2,a,c,1\n")
+        assert main(["s-repair", path, "A -> Z"]) == 2
+        assert "Z" in self._single_error(capsys)
+
+    @pytest.mark.parametrize("weight,why", [
+        ("heavy", "non-numeric weight 'heavy'"),
+        ("nan", "non-finite weight nan"),
+        ("inf", "non-finite weight inf"),
+    ])
+    def test_bad_csv_weight(self, tmp_path, capsys, weight, why):
+        path = self._csv(tmp_path, f"1,a,b,1\n2,a,c,{weight}\n")
+        assert main(["s-repair", path, "A -> B"]) == 2
+        assert why in self._single_error(capsys)
+
+    def test_missing_table_and_swapped_arguments(self, tmp_path, capsys):
+        assert main(["assess", str(tmp_path / "nope.csv"), "A -> B"]) == 2
+        self._single_error(capsys)
+        path = self._csv(tmp_path, "1,a,b,1\n")
+        assert main(["s-repair", "A -> B", path]) == 2
+        self._single_error(capsys)
+
+    def test_errors_after_parsing_propagate(self, tmp_path, monkeypatch):
+        import repro.cli
+
+        def boom(*_args, **_kwargs):
+            raise ValueError("solver failure")
+
+        monkeypatch.setattr(repro.cli, "clean", boom)
+        path = self._csv(tmp_path, "1,a,b,1\n2,a,c,1\n")
+        with pytest.raises(ValueError, match="solver failure"):
+            main(["s-repair", path, "A -> B"])

@@ -597,7 +597,7 @@ def test_killed_worker_fails_fast_and_repair_survives():
     session = RepairSession(table, fds, parallel=2, pool_timeout=120.0)
     try:
         session.repair()  # warm the pool
-        pool = session._pool
+        pool = session.pool
         if pool is None:
             pytest.skip("pool did not start")
         for slot in pool._slots:
@@ -987,6 +987,88 @@ class TestCrashRecovery:
         assert m2.stats()["cache_hits"] > base_hits
         assert pre_hits >= 0  # both managers count hits independently
         m2.shutdown()
+
+    def test_v1_snapshot_recovers_and_reports_dropped_cache(self, tmp_path):
+        """A daemon snapshot in the version-1 format (written by the
+        previous release, cache keys scoped by a knob tuple without the
+        exact threshold) still recovers: every session comes back with
+        its rows, ids, next auto id, options and stats, repairs like
+        ``clean``, and the old cache entries — which cannot be re-keyed
+        on the SolvePolicy — are dropped and counted, never silently."""
+        import os
+        import shutil
+
+        from repro.state import SNAPSHOT_NAME, load_snapshot
+
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "v1", "daemon_snapshot.pkl"
+        )
+        with open(fixture, "rb") as handle:
+            snapshot = pickle.load(handle)
+        assert snapshot["version"] == 1 and snapshot["solutions"]
+        state = tmp_path / "state"
+        state.mkdir()
+        shutil.copy(fixture, state / SNAPSHOT_NAME)
+        manager = SessionManager(ServerConfig(workers=0, state_dir=str(state)))
+        try:
+            stats = manager.stats()
+            assert stats["recovered_sessions"] == len(snapshot["sessions"])
+            assert stats["dropped_cache_entries"] == len(
+                snapshot["solutions"]
+            )
+            for item in snapshot["sessions"]:
+                old = pickle.loads(item["blob"])
+                session = manager._ensure_live(
+                    manager.entry(item["tenant"], item["name"])
+                )
+                new = session.export_state()
+                for field in ("rows", "weights", "used_ids", "next_auto_id",
+                              "options", "stats"):
+                    assert new[field] == old[field], field
+                assert list(new["rows"]) == list(old["rows"])
+                fresh = Table(SCHEMA, old["rows"], old["weights"])
+                _assert_identical(session.repair(), clean(
+                    fresh, old["fds"],
+                    exact_threshold=old["options"]["exact_threshold"],
+                ))
+        finally:
+            manager.shutdown()
+        assert load_snapshot(str(state / SNAPSHOT_NAME))["version"] == 2
+
+    def test_unhashable_and_nan_appends_do_not_wedge_a_session(
+        self, tmp_path
+    ):
+        """Daemon appends carrying an unhashable value or a NaN weight
+        (Python's ``json`` parses a bare ``NaN``) are rejected without
+        touching the session or the journal: the session keeps working,
+        and a restart recovers the same state."""
+        state = str(tmp_path / "state")
+        manager = SessionManager(ServerConfig(workers=0, state_dir=state))
+        _open(manager, "t", "s", rows=[["a", "x", "p"], ["a", "y", "p"]])
+        entry = manager.entry("t", "s")
+        for line in (
+            '{"rows": [["a", ["y"], "p"]]}',
+            '{"rows": [["a", "z", "p"]], "weights": [NaN]}',
+            '{"rows": [["a", "z", "p"]], "weights": [Infinity]}',
+        ):
+            with pytest.raises(ProtocolError):
+                manager.run_op(entry, "append", json.loads(line))
+        manager.run_op(entry, "append", {"rows": [["a", "z", "p"]]})
+        reply = manager.run_op(entry, "repair", {})
+        session = entry.live
+        expected = clean(
+            Table(SCHEMA, session.table.rows(), session.table.weights()),
+            FDSet("A -> B"),
+        )
+        assert reply == result_summary(expected)
+        expected_blobs = _export_blobs(manager)
+        del manager  # crash: the journal alone must replay to the same state
+        recovered = SessionManager(ServerConfig(workers=0, state_dir=state))
+        try:
+            assert recovered.stats()["errors"] == 0
+            assert _export_blobs(recovered) == expected_blobs
+        finally:
+            recovered.shutdown()
 
     def test_compaction_truncates_journal_and_bounds_replay(self, tmp_path):
         state = str(tmp_path / "state")

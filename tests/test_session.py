@@ -27,7 +27,7 @@ from repro.core.violations import satisfies
 from repro.exec import PersistentWorkerPool
 from repro.io.tables import table_to_csv
 from repro.pipeline import clean
-from repro.session import RepairSession
+from repro.session import RepairSession, SolutionCache
 from repro.testing import random_small_table
 
 SCHEMA = ("A", "B", "C")
@@ -202,7 +202,7 @@ def test_cache_is_bounded_by_default():
     default cap evicts LRU entries (superseded content is never
     invalidated eagerly, so unbounded retention would be O(stream))."""
     session = RepairSession(Table(SCHEMA, {}), FDSet("A -> B"))
-    assert session._max_cache_entries == 10_000
+    assert session.solutions.max_entries == 10_000
     small = RepairSession(Table(SCHEMA, {}), FDSet("A -> B"),
                           max_cache_entries=2)
     for i in range(6):
@@ -277,6 +277,112 @@ def test_append_is_atomic_on_mid_batch_failure():
     assert len(session) == 2
     assert len(session.index) == 2
     _assert_identical(session.repair(), clean(_fresh_equivalent(session), fds))
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_unhashable_value_leaves_session_usable(use_kernel):
+    """An append carrying an unhashable JSON value (a nested list) is
+    rejected before the first mutation, on the kernel and the dict index
+    alike: later appends, deletes and repairs work, and the next repair
+    is byte-identical to ``clean``."""
+    import contextlib
+
+    from repro.core import kernel
+    from repro.protocol import ProtocolError, apply_session_op
+
+    fds = FDSet("A -> B")
+    with contextlib.nullcontext() if use_kernel else kernel.disabled():
+        session = RepairSession(
+            Table(SCHEMA, {1: ("a", "x", "p"), 2: ("a", "y", "p")}), fds
+        )
+        session.repair()
+        with pytest.raises(ProtocolError, match="unhashable"):
+            apply_session_op(
+                session, "append", {"rows": [["a", ["y"], "p"]]}
+            )
+        with pytest.raises(ProtocolError, match="unhashable"):
+            apply_session_op(
+                session, "append",
+                {"rows": [["b", "z", "q"], ["a", {"k": 1}, "p"]]},
+            )
+        assert len(session) == len(session.index) == 2
+        apply_session_op(session, "append", {"rows": [["a", "z", "p"]]})
+        apply_session_op(session, "delete", {"ids": [1]})
+        _assert_identical(
+            session.repair(), clean(_fresh_equivalent(session), fds)
+        )
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                    -float("inf")])
+def test_non_finite_weights_rejected(weight):
+    session = RepairSession(Table(SCHEMA, {}), FDSet("A -> B"))
+    with pytest.raises(ValueError, match="weight"):
+        session.append([("a", "x", "p")], weights=[weight])
+    with pytest.raises(ValueError, match="weight"):
+        Table(SCHEMA, {1: ("a", "x", "p")}, {1: weight})
+    assert len(session) == 0
+    session.append([("a", "x", "p")], weights=[2.0])
+    assert session.repair().distance == 0.0
+
+
+def test_cli_stream_rejects_nan_weight(tmp_path, capsys):
+    """Python's ``json`` parses a bare ``NaN``; the stream rejects the
+    batch and keeps the session alive."""
+    batches = tmp_path / "ops.jsonl"
+    batches.write_text(
+        '{"op": "append", "rows": [["a", "x", "p"]], "weights": [NaN]}\n'
+        '{"op": "append", "rows": [["a", "y", "p"]], "weights": [2]}\n',
+        encoding="utf-8",
+    )
+    code = cli_main(["stream", "A -> B", str(batches), "--schema", "A,B,C"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "batch 1: non-finite weight nan" in captured.err
+    assert "deleted weight: 0" in captured.out
+
+
+def _v1_fixture(name):
+    import os
+    import pickle
+
+    path = os.path.join(os.path.dirname(__file__), "data", "v1", name)
+    with open(path, "rb") as handle:
+        return pickle.load(handle)
+
+
+#: The state fields a restore must bring back unchanged.
+_STATE_FIELDS = ("rows", "weights", "used_ids", "next_auto_id", "options",
+                 "stats")
+
+
+def test_v1_state_restores_with_its_cache():
+    """A session state in the version-1 format (private cache keyed
+    without the scope, written by the previous release) restores: rows,
+    ids, the next auto id, options and stats come back identical, and
+    the cache entries are carried over under this session's scope, so
+    the first repair is all hits."""
+    old = _v1_fixture("session_state.pkl")
+    assert old["version"] == 1 and old["solutions"]
+    session = RepairSession.restore(old)
+    new = session.export_state()
+    assert new["version"] == 2
+    for field in _STATE_FIELDS:
+        assert new[field] == old[field], field
+    assert list(new["rows"]) == list(old["rows"])
+    assert session.cache_size() == len(old["solutions"])
+    result = session.repair()
+    assert session.stats.cache_misses == old["stats"]["cache_misses"]
+    options = old["options"]
+    _assert_identical(result, clean(
+        _fresh_equivalent(session), old["fds"],
+        exact_threshold=options["exact_threshold"],
+        exact_budget_s=options["exact_budget_s"],
+    ))
+    # Onto a shared cache the entries are carried over too.
+    shared = SolutionCache()
+    RepairSession.restore(old, solutions=shared)
+    assert len(shared) == len(old["solutions"])
 
 
 def test_reappended_id_with_new_content_invalidates_reuse():
@@ -394,8 +500,8 @@ def test_pool_failure_falls_back_to_serial():
         session.repair()
         # Kill the pool behind the session's back; the next repair must
         # fall back to in-process solving with identical results.
-        if session._pool is not None:
-            session._pool.close()
+        if session.pool is not None:
+            session.pool.close()
         session.append([(9, 9, 9), (9, 8, 8)])
         result = session.repair()
         _assert_identical(
