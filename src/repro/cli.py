@@ -63,9 +63,11 @@ import sys
 import time
 from typing import List, Optional
 
+from .core.decompose import resolve_plan_defaults
 from .core.dichotomy import classify
 from .core.fd import FDSet, parse_fd_set
 from .core.mpd import most_probable_database
+from .graphs.vertex_cover import ExactBudgetExceeded
 from .io.tables import table_from_csv, table_to_csv
 from .pipeline import CleaningResult, assess, clean
 
@@ -132,19 +134,6 @@ def _add_exact_budget_option(parser: argparse.ArgumentParser) -> None:
             "up front (default: unlimited).  Bounds deletion repairs "
             "and assessment brackets; u-repair's update search has its "
             "own node budget"
-        ),
-    )
-    parser.add_argument(
-        "--per-component-budget",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "wall-clock ceiling per exact vertex-cover solve — the "
-            "historical semantics of --exact-budget: a component whose "
-            "branch & bound runs longer falls back to the "
-            "2-approximation; combinable with --exact-budget, which "
-            "then additionally caps each scheduled slice"
         ),
     )
     parser.add_argument(
@@ -311,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srepair = sub.add_parser("s-repair", help="compute an S-repair")
     p_srepair.add_argument("table", help="CSV file (id,<attrs...>,weight)")
     p_srepair.add_argument("fds", help="FD set string")
-    p_srepair.add_argument(
-        "--approx",
-        action="store_true",
-        help="deprecated alias for --guarantee fast",
-    )
     _add_repair_options(p_srepair)
     _add_executor_options(p_srepair)
 
@@ -655,6 +639,21 @@ def _read_inputs(args: argparse.Namespace):
     return table, fds
 
 
+def _check_policy_args(args: argparse.Namespace) -> None:
+    """Refuse malformed solver knobs (a negative or NaN budget, a
+    negative threshold, a non-positive unit cost) by the library's own
+    rules, before any input is read — ``serve`` before it binds."""
+    try:
+        resolve_plan_defaults(
+            getattr(args, "exact_threshold", None),
+            None,
+            getattr(args, "exact_budget", None),
+            getattr(args, "unit_cost", None),
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     fds = _parse_fds(args.fds)
     result = classify(fds)
@@ -678,7 +677,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
             decomposed=args.decomposed,
             exact_threshold=args.exact_threshold,
             exact_budget_s=args.exact_budget,
-            per_component_budget_s=args.per_component_budget,
             unit_cost_s=args.unit_cost,
             detailed=args.json,
             recorder=recorder,
@@ -738,11 +736,6 @@ def _print_portfolio(result: CleaningResult) -> None:
 def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     _apply_kernel_choice(args)
     table, fds = _read_inputs(args)
-    guarantee = args.guarantee
-    # The deprecated --approx alias must not override an explicit
-    # --guarantee choice; it only strengthens the default.
-    if getattr(args, "approx", False) and guarantee == "best":
-        guarantee = "fast"
     recorder = _recorder_for(args)
     # u-repair takes no --shards or --solve-timeout.
     executor = _sharded_pool_for(args) if strategy == "deletions" else None
@@ -751,12 +744,11 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
             table,
             fds,
             strategy=strategy,
-            guarantee=guarantee,
+            guarantee=args.guarantee,
             decomposed=args.decomposed,
             parallel=args.parallel,
             exact_threshold=args.exact_threshold,
             exact_budget_s=args.exact_budget,
-            per_component_budget_s=args.per_component_budget,
             unit_cost_s=args.unit_cost,
             recorder=recorder,
             executor=executor,
@@ -875,7 +867,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         pool=executor,
         exact_threshold=args.exact_threshold,
         exact_budget_s=args.exact_budget,
-        per_component_budget_s=args.per_component_budget,
         unit_cost_s=args.unit_cost,
         recorder=recorder,
     ) as session:
@@ -1148,8 +1139,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(
             f"recovered {recovered} sessions, replayed {replayed} ops"
             + (f" ({errors} errors)" if errors else "")
-            + (f", dropped {dropped} version-1 cache entries"
-               if dropped else "")
+            + (f", dropped {dropped} cache entries that cannot be "
+               "re-keyed" if dropped else "")
             + "; state compacted"
         )
     return 0 if not errors else 1
@@ -1272,10 +1263,16 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_policy_args(args)
         return _COMMANDS[args.command](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExactBudgetExceeded as exc:
+        # --guarantee optimal under --exact-budget: "provably optimal
+        # or fail", and this is the failure.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

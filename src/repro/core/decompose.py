@@ -39,6 +39,7 @@ for the exact per-component brackets of :func:`repro.pipeline.assess`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -360,18 +361,17 @@ class ComponentPlan:
     """One component's scheduled solve: the method, the difficulty
     evidence behind it, and the wall-clock slice it ships with.
 
-    ``difficulty``/``predicted_s`` are ``None`` on the legacy
-    (per-component budget) path, where no features are computed;
-    ``downgraded`` marks a component the global scheduler *would* have
-    solved exactly by size but left approximate because the budget ran
-    out — exactly the components whose brackets the LP bound tightens.
-    ``budget_s`` is the per-solve wall-clock ceiling shipped with the
-    task (serial and pool paths read the same plan, which is what keeps
-    them byte-identical: the plan is pure arithmetic over predictions,
-    never wall-clock measurements).  ``features`` carries the computed
-    :class:`ComponentFeatures` when the scheduler computed them — the
-    polynomial bracket is among them, so assessment never brackets the
-    same component twice.
+    ``difficulty``/``predicted_s`` are ``None`` without a global budget,
+    where no features are computed; ``downgraded`` marks a component the
+    global scheduler *would* have solved exactly by size but left
+    approximate because the budget ran out — exactly the components
+    whose brackets the LP bound tightens.  ``budget_s`` is the
+    wall-clock ceiling shipped with the task (``None``: none); serial
+    and pool paths read the same plan, and the plan is pure arithmetic
+    over predictions, never wall-clock measurements.  ``features``
+    carries the computed :class:`ComponentFeatures` when the scheduler
+    computed them — the polynomial bracket is among them, so assessment
+    never brackets the same component twice.
     """
 
     method: str
@@ -391,53 +391,83 @@ class SolvePolicy:
 
     *threshold* is the exact-vs-approximate component-size boundary,
     *node_limit* the branch & bound node budget per exact solve,
-    *exact_budget_s* the **global** budget of the difficulty scheduler,
-    *per_component_budget_s* the historical per-solve ceiling, and
-    *unit_cost_s* the seconds one unit of predicted difficulty costs.
-    Frozen and hashable, so it can scope cache keys and cross the
-    worker boundary as is."""
+    *exact_budget_s* the **global** budget of the difficulty scheduler
+    (the only wall-clock budget), and *unit_cost_s* the seconds one unit
+    of predicted difficulty costs.  Frozen and hashable, so it can scope
+    cache keys and cross the worker boundary as is."""
 
     threshold: int = EXACT_COMPONENT_THRESHOLD
     node_limit: int = DEFAULT_NODE_LIMIT
     exact_budget_s: Optional[float] = None
-    per_component_budget_s: Optional[float] = None
     unit_cost_s: float = DIFFICULTY_UNIT_COST_S
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def resolve_plan_defaults(
     exact_threshold: Optional[int] = None,
     node_limit: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
 ) -> SolvePolicy:
-    """Resolve the portfolio knobs to their effective :class:`SolvePolicy`.
+    """Resolve and validate the portfolio knobs to their effective
+    :class:`SolvePolicy`.
 
     ``None`` means "the library default": *exact_threshold* →
     :data:`EXACT_COMPONENT_THRESHOLD`, *node_limit* →
-    :data:`DEFAULT_NODE_LIMIT`.  The budgets stay ``None`` when unset
-    (= unlimited); *exact_budget_s* is the **global** budget of the
-    difficulty scheduler, *per_component_budget_s* the historical
-    per-solve ceiling — both may be set, in which case every exact slice
-    is additionally capped per component.  *unit_cost_s* overrides the
-    hand-calibrated :data:`DIFFICULTY_UNIT_COST_S` (``None`` keeps it)
-    — how a machine-specific ``fdrepair calibrate`` fit is deployed
-    without monkeypatching the module constant.  Centralised here so
-    ``session.py``, ``exec.py``, ``pipeline.py`` and the CLI can never
-    drift on what an omitted knob means.
+    :data:`DEFAULT_NODE_LIMIT`.  *exact_budget_s* stays ``None`` when
+    unset (= unlimited); it is the **global** budget of the difficulty
+    scheduler.  *unit_cost_s* overrides the hand-calibrated
+    :data:`DIFFICULTY_UNIT_COST_S` (``None`` keeps it) — how a
+    machine-specific ``fdrepair calibrate`` fit is deployed without
+    monkeypatching the module constant.  Centralised here so
+    ``session.py``, ``exec.py``, ``pipeline.py``, the daemon and the CLI
+    can never drift on what an omitted knob means — or on what a
+    malformed one is: a threshold must be an integer ≥ 0, a node limit
+    an integer ≥ 1, a budget a finite number ≥ 0 and a unit cost a
+    finite number > 0 (booleans are not numbers here); anything else
+    raises ``ValueError``.
     """
+    if exact_threshold is None:
+        exact_threshold = EXACT_COMPONENT_THRESHOLD
+    elif not (_is_int(exact_threshold) and exact_threshold >= 0):
+        raise ValueError(
+            f"exact_threshold must be an integer >= 0, got {exact_threshold!r}"
+        )
+    if node_limit is None:
+        node_limit = DEFAULT_NODE_LIMIT
+    elif not (_is_int(node_limit) and node_limit >= 1):
+        raise ValueError(
+            f"node_limit must be an integer >= 1, got {node_limit!r}"
+        )
+    if exact_budget_s is not None and not (
+        _is_finite(exact_budget_s) and exact_budget_s >= 0
+    ):
+        raise ValueError(
+            f"exact_budget_s must be a finite number >= 0, got "
+            f"{exact_budget_s!r}"
+        )
+    if unit_cost_s is None:
+        unit_cost_s = DIFFICULTY_UNIT_COST_S
+    elif not (_is_finite(unit_cost_s) and unit_cost_s > 0):
+        raise ValueError(
+            f"unit_cost_s must be a finite number > 0, got {unit_cost_s!r}"
+        )
     return SolvePolicy(
-        threshold=(
-            EXACT_COMPONENT_THRESHOLD
-            if exact_threshold is None
-            else exact_threshold
-        ),
-        node_limit=DEFAULT_NODE_LIMIT if node_limit is None else node_limit,
+        threshold=exact_threshold,
+        node_limit=node_limit,
         exact_budget_s=exact_budget_s,
-        per_component_budget_s=per_component_budget_s,
-        unit_cost_s=(
-            DIFFICULTY_UNIT_COST_S if unit_cost_s is None else unit_cost_s
-        ),
+        unit_cost_s=unit_cost_s,
     )
 
 
@@ -451,12 +481,10 @@ def plan_schedule(
     :func:`plan_s_method`: one :class:`ComponentPlan` per component, in
     component order, under *policy* (default: the library defaults).
 
-    Without a global budget (*exact_budget_s* ``None``) this reproduces
-    the historical policy exactly — per-component
-    :func:`plan_s_method` with *per_component_budget_s* as each exact
-    solve's ceiling, and **no feature computation at all** (streaming
-    sessions plan on every delta; the legacy path must stay O(1) per
-    component).
+    Without a global budget (*exact_budget_s* ``None``) this is the size
+    rule — per-component :func:`plan_s_method`, no wall-clock ceiling,
+    and **no feature computation at all** (streaming sessions plan on
+    every delta; this path must stay O(1) per component).
 
     With a global budget, hard-Δ components under ``guarantee="best"``
     are scheduled by ascending :func:`predict_difficulty`: the scheduler
@@ -467,15 +495,18 @@ def plan_schedule(
     the exact solvers accept (≤ ``min(node_limit, MAX_BITMASK_VERTICES)``
     vertices) may be granted exactness, which is the point: many easy
     *large* components beat one hard small one.  Each granted solve
-    ships a wall-clock slice of ``budget − predicted spend so far``
-    (capped by *per_component_budget_s* when given) as its hard ceiling.
-    The plan is pure arithmetic over predictions — no wall-clock reads —
-    so serial and worker-pool runs of the same instance compute the
-    identical plan, and a zero budget deterministically plans every
-    hard-Δ component approximate.
+    ships a wall-clock slice of ``budget − predicted spend so far`` as
+    its hard ceiling.  The *plan* is pure arithmetic over predictions —
+    no wall-clock reads — so serial and worker-pool runs of the same
+    instance compute the identical plan, and a zero budget
+    deterministically plans every hard-Δ component approximate.  The
+    *result* is not: a granted solve that outruns its slice falls back
+    to the 2-approximation by the wall clock, so a component near its
+    slice may come out exact on one run and approximate on the next.
 
     ``guarantee="optimal"`` plans every component exact with the full
-    budget as each slice (the exact solver raises on expiry, true to
+    budget as each slice (a solve that outruns it raises
+    :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded`, true to
     "provably optimal or fail"); ``"fast"`` plans every component
     approximate; tractable Δ plans the polynomial dichotomy recursion
     everywhere (budget-irrelevant).
@@ -483,24 +514,19 @@ def plan_schedule(
     if policy is None:
         policy = SolvePolicy()
     exact_budget_s = policy.exact_budget_s
-    per_component_budget_s = policy.per_component_budget_s
     if guarantee == "fast":
         return [ComponentPlan("approx") for _ in components]
     if tractable:
         return [ComponentPlan("dichotomy") for _ in components]
     if guarantee == "optimal":
-        slice_s = (
-            exact_budget_s if exact_budget_s is not None
-            else per_component_budget_s
-        )
         return [
-            ComponentPlan("exact", budget_s=slice_s) for _ in components
+            ComponentPlan("exact", budget_s=exact_budget_s)
+            for _ in components
         ]
     if exact_budget_s is None:
         return [
             ComponentPlan(
-                plan_s_method(c.size, tractable, guarantee, policy.threshold),
-                budget_s=per_component_budget_s,
+                plan_s_method(c.size, tractable, guarantee, policy.threshold)
             )
             for c in components
         ]
@@ -523,14 +549,11 @@ def plan_schedule(
     spent = 0.0
     for difficulty, i, predicted, feats in ranked:
         if exact_budget_s > 0 and spent + predicted <= exact_budget_s:
-            slice_s = exact_budget_s - spent
-            if per_component_budget_s is not None:
-                slice_s = min(slice_s, per_component_budget_s)
             plans[i] = ComponentPlan(
                 "exact",
                 difficulty=difficulty,
                 predicted_s=predicted,
-                budget_s=slice_s,
+                budget_s=exact_budget_s - spent,
                 features=feats,
             )
             spent += predicted

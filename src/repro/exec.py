@@ -244,12 +244,10 @@ def _worker_solve(spaces, message, plan, worker, generation, solves):
 
 
 def _solve_in_space(space, subtable: Table, method: str, budget):
-    """Solve one component of namespace *space* under its policy; a
-    task without its own *budget* takes the policy's per-solve ceiling."""
-    policy = space[2]
+    """Solve one component of namespace *space* under its policy's node
+    limit, with the task's own wall-clock *budget*."""
     return _solve_component(
-        subtable, space[1], method, policy.node_limit,
-        budget_s=policy.per_component_budget_s if budget is None else budget,
+        subtable, space[1], method, space[2].node_limit, budget_s=budget
     )
 
 
@@ -806,16 +804,15 @@ class PersistentWorkerPool:
               timeout: Optional[float] = 120.0,
               key=DEFAULT_SESSION_KEY
               ) -> List[Tuple[object, str, float]]:
-        """Solve ``(component ids, method)`` or ``(component ids, method,
-        budget_s)`` tasks; returns ``(result, effective method, solve
-        seconds)`` per task, in task order, *result* as
-        :func:`_solve_component` returns it (kept ids for an S method).
-        The optional third task element is a per-task wall-clock budget
-        overriding the namespace policy's per-solve ceiling — how the
-        global difficulty scheduler ships each exact solve's slice, so
-        pool and serial runs read the same plan.  The seconds are measured around the solve itself, inside
-        the worker (queueing and pickling excluded) — the telemetry
-        layer's predicted-vs-actual training signal.
+        """Solve ``(component ids, method, budget_s)`` tasks; returns
+        ``(result, effective method, solve seconds)`` per task, in task
+        order, *result* as :func:`_solve_component` returns it (kept ids
+        for an S method).  *budget_s* is the solve's wall-clock slice
+        from the plan (``None``, or left out: no ceiling), so pool and
+        serial runs read the same plan.  The seconds are measured
+        around the solve itself, inside the worker (queueing and
+        pickling excluded) — the telemetry layer's predicted-vs-actual
+        training signal.
 
         Worker deaths, lost messages and stalls are survived inside the
         call (see the class docstring).  Raises ``RuntimeError`` when the
@@ -833,10 +830,9 @@ class PersistentWorkerPool:
         with self._cond:
             if self._closed:
                 raise RuntimeError("worker pool is not running")
-            for task in tasks:
-                record = _Task(call, key, tuple(task[0]), task[1],
-                               task[2] if len(task) > 2 else None,
-                               self._next_seq)
+            for ids, method, *budget in tasks:
+                record = _Task(call, key, tuple(ids), method,
+                               budget[0] if budget else None, self._next_seq)
                 self._next_seq += 1
                 self._tasks[record.seq] = record
                 self._queue.append(record)
@@ -1303,13 +1299,15 @@ def solve_components(
     are solved, and both lists follow *only* — how a streaming session
     solves its cache misses.
 
-    Each component runs under its plan's method and per-solve budget
+    Each component runs under its plan's method and wall-clock budget
     slice (:func:`repro.core.decompose.plan_schedule`), with *policy*'s
     node limit; the solves are *dispatched* in ascending predicted
     difficulty (easiest first — the scheduler's granted budget slices
     assume the cheap solves land before the expensive ones).  Results
     are still reassembled in component order, and since every plan is
-    pure prediction the serial and pooled runs stay byte-identical.
+    pure prediction the serial and pooled runs stay byte-identical —
+    unless a solve outruns its slice, whose wall-clock fallback no plan
+    can fix in advance.
 
     Where the solves run: on *executor* (a started or startable
     :class:`PersistentWorkerPool`) when one is passed, with *timeout*
@@ -1414,8 +1412,7 @@ def _solve_on_pool(pool, decomp: Decomposition, plans, order, policy,
     locally."""
     components = decomp.components
     tasks = [
-        (components[i].ids, plans[i].method) if plans[i].budget_s is None
-        else (components[i].ids, plans[i].method, plans[i].budget_s)
+        (components[i].ids, plans[i].method, plans[i].budget_s)
         for i in order
     ]
     own = key is None

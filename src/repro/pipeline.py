@@ -183,7 +183,6 @@ def assess(
     decomposed: bool = True,
     exact_threshold: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     detailed: bool = False,
     recorder=None,
@@ -196,11 +195,11 @@ def assess(
     (:func:`repro.core.decompose.plan_schedule`): without a global
     budget, every component of at most *exact_threshold* tuples (default
     :data:`~repro.core.decompose.EXACT_COMPONENT_THRESHOLD`) gets a
-    branch & bound attempt — empirically instantaneous at that size —
-    each capped by *per_component_budget_s*; with *exact_budget_s* set,
-    components are ranked by predicted difficulty and granted exact
-    attempts easiest-first while the predicted spend fits the **global**
-    budget, so the same wall-clock buys the most certified components.
+    branch & bound attempt — empirically instantaneous at that size;
+    with *exact_budget_s* set, components are ranked by predicted
+    difficulty and granted exact attempts easiest-first while the
+    predicted spend fits the **global** budget, so the same wall-clock
+    buys the most certified components.
     A component left approximate contributes its matching lower bound —
     tightened to the half-integral LP relaxation bound when that is
     larger (strictly tighter on non-bipartite components) — and the
@@ -226,8 +225,7 @@ def assess(
     context managers per call.
     """
     policy = resolve_plan_defaults(
-        exact_threshold, None, exact_budget_s, per_component_budget_s,
-        unit_cost_s,
+        exact_threshold, None, exact_budget_s, unit_cost_s
     )
     return _assess(table, fds, index, decomposed, policy, detailed,
                    _obs.resolve(recorder))
@@ -472,6 +470,25 @@ def _decomposed_outcome(
     return _cleaning_result(result.repair, result, report, "deletions")
 
 
+def _require_planned(plans, positions, methods) -> None:
+    """``guarantee="optimal"``: raise
+    :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` when a solve
+    (of the components at *positions*) came back with another method
+    than planned — an exact solve that outran its wall-clock slice, or
+    one the worker pool degraded after it kept killing workers.  Either
+    way the answer is not provably optimal, so the call fails before
+    anything is merged or cached."""
+    for i, method in zip(positions, methods):
+        if method != plans[i].method:
+            budget = plans[i].budget_s
+            raise ExactBudgetExceeded(
+                f"guarantee 'optimal': the exact solve of conflict "
+                f"component {i} "
+                + (f"outran its {budget:g} s budget" if budget is not None
+                   else "did not complete")
+            )
+
+
 def _cleaning_result(cleaned: Table, result, report, strategy: str
                      ) -> CleaningResult:
     """Wrap an S- or U-repair result and its report."""
@@ -522,6 +539,8 @@ def _clean_deletions_decomposed(
             decomp, plans, parallel, policy, recorder=rec, executor=executor,
             solve_timeout_s=solve_timeout_s,
         )
+    if guarantee == "optimal":
+        _require_planned(plans, range(len(plans)), methods)
     with rec.span("phase.merge"):
         return _decomposed_outcome(
             decomp, verdict, plans,
@@ -540,7 +559,6 @@ def clean(
     parallel: Optional[int] = None,
     exact_threshold: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     recorder=None,
     executor=None,
@@ -596,25 +614,23 @@ def clean(
         ranked by predicted branch & bound difficulty, granted exact
         solves easiest-first while the *predicted* cumulative cost fits
         the budget, and the residual tail is planned approximate up
-        front — so the plan, and with it the serial and worker-pool
-        results, is deterministic (the budget buys certified components,
-        not a race).  Each granted solve still carries the unspent
-        budget as a hard wall-clock ceiling; one that outruns it is
-        re-solved with the Bar-Yehuda–Even 2-approximation —
-        ``guarantee="optimal"`` raises instead, true to "provably
-        optimal or fail" — and the report/ratio bound describe the
-        fallback honestly.  On the updates strategy the budget bounds
-        the assessment bracket only: the U-repair solvers search update
-        space, not vertex covers, and carry their own node-count budget
-        (``exact_budget`` in :mod:`repro.core.urepair`).
-    per_component_budget_s:
-        The historical *per-solve* wall-clock ceiling (default:
-        unlimited) — the pre-scheduler semantics of ``exact_budget_s``.
-        Usable alone (every ≤-threshold component attempted, each solve
-        individually capped) or together with the global budget (each
-        scheduled slice additionally capped).  With a per-solve budget
-        set and no global one, results may legitimately differ run to
-        run on components near the budget boundary.
+        front — so the *plan* is deterministic and identical on the
+        serial and worker-pool paths (the budget buys certified
+        components, not a race).  The result is deterministic only as
+        far as every granted solve finishes inside its slice: each
+        carries the unspent budget as a hard wall-clock ceiling, and one
+        that outruns it is re-solved with the Bar-Yehuda–Even
+        2-approximation, so a component near its slice may come out
+        exact on one run and approximate on the next; the report/ratio
+        bound describe the fallback honestly.  ``guarantee="optimal"``
+        gives each exact solve the whole budget and raises
+        :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` instead
+        of falling back, on every path (serial, *parallel*, *executor*,
+        ``decomposed=False``), true to "provably optimal or fail".  On
+        the updates strategy the budget bounds the assessment bracket
+        only: the U-repair solvers search update space, not vertex
+        covers, and carry their own node-count budget (``exact_budget``
+        in :mod:`repro.core.urepair`).
     unit_cost_s:
         Seconds one unit of predicted difficulty costs on this machine
         (default: the hand-calibrated
@@ -648,8 +664,7 @@ def clean(
         raise ValueError(f"unknown guarantee {guarantee!r}")
     rec = _obs.resolve(recorder)
     policy = resolve_plan_defaults(
-        exact_threshold, None, exact_budget_s, per_component_budget_s,
-        unit_cost_s,
+        exact_threshold, None, exact_budget_s, unit_cost_s
     )
     with rec.span("pipeline.clean", strategy=strategy, guarantee=guarantee):
         with rec.span("phase.index"):
@@ -694,12 +709,6 @@ def _clean_global(
     report = _assess(table, fds, index, False, policy, False, rec)
 
     if strategy == "deletions":
-        # One global solve: the global budget and the per-solve ceiling
-        # coincide, whichever is set bounds it.
-        solve_budget_s = (
-            policy.exact_budget_s if policy.exact_budget_s is not None
-            else policy.per_component_budget_s
-        )
         with rec.span("phase.solve"):
             if guarantee == "fast" or (
                 guarantee == "best"
@@ -710,7 +719,8 @@ def _clean_global(
             else:
                 try:
                     result = optimal_s_repair(
-                        table, fds, index=index, exact_budget_s=solve_budget_s
+                        table, fds, index=index,
+                        exact_budget_s=policy.exact_budget_s,
                     )
                 except ExactBudgetExceeded:
                     if guarantee == "optimal":

@@ -11,7 +11,8 @@ op             payload
 ``open``       ``schema`` (attribute list) **or** ``rows``/CSV-shaped
                seed content, ``fds`` (FD set string), optional solver
                knobs (``guarantee``, ``exact_threshold``,
-               ``exact_budget_s``, ``node_limit``)
+               ``exact_budget_s``, ``node_limit``, ``unit_cost_s``;
+               a malformed knob fails the ``open``)
 ``append``     ``rows`` (value lists or attribute-keyed objects),
                optional ``weights``, ``ids``, ``repair: false``
 ``delete``     ``ids``, optional ``repair: false``

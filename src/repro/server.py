@@ -48,6 +48,7 @@ import pickle
 import signal
 import sys
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
@@ -57,6 +58,7 @@ from . import faults as _faults
 from . import obs as _obs
 from .core.fd import parse_fd_set
 from .core.table import Table
+from .graphs.vertex_cover import ExactBudgetExceeded
 from .protocol import (
     DAEMON_OPS,
     JOURNALED_OPS,
@@ -66,7 +68,7 @@ from .protocol import (
     decode_line,
     encode,
 )
-from .session import RepairSession, SolutionCache
+from .session import RepairSession, SolutionCache, uncapped_entries
 from .state import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
@@ -463,21 +465,31 @@ class SessionManager:
 
         Caller must hold ``entry.lock`` (or be otherwise single-threaded
         for this entry); the registry lock is only taken for the brief
-        bookkeeping moments, never across a solve.  Successful mutating
-        ops are appended to the op journal *before* this returns (i.e.
-        before the client sees the acknowledgement), so an acknowledged
-        op is always recoverable.
+        bookkeeping moments, never across a solve.  Mutating ops are
+        appended to the op journal *before* this returns (i.e. before
+        the client sees the reply), so an acknowledged op is always
+        recoverable — and so is one that failed past validation: an
+        append/delete whose repair then raised has applied its delta,
+        and replay re-runs it, failure included.  Only a
+        :class:`ProtocolError` (raised before the session changed) is
+        not journaled.
         """
         self._faults.fire("server.op", op=op, tenant=entry.tenant,
                           session=entry.name)
         session = self._ensure_live(entry)
         self.ops += 1
-        fields = apply_session_op(session, op, payload)
-        self._journal_op(op, entry.tenant, entry.name, payload)
-        with self._lock:
-            self._touch(entry)
-            self._account(entry)
-        return fields
+        journal = True
+        try:
+            return apply_session_op(session, op, payload)
+        except ProtocolError:
+            journal = False
+            raise
+        finally:
+            if journal:
+                self._journal_op(op, entry.tenant, entry.name, payload)
+                with self._lock:
+                    self._touch(entry)
+                    self._account(entry)
 
     def _journal_op(
         self, op: str, tenant: str, name: str, payload: Mapping[str, object]
@@ -641,21 +653,21 @@ class SessionManager:
                     with self._lock:
                         self._touch(entry)
                         self._account(entry)
-                cached = snapshot.get("solutions")
-                if cached and snapshot.get("version", 1) >= 2:
+                cached = snapshot.get("solutions") or {}
+                dropped = len(cached)
+                if snapshot.get("version", 1) >= 2:
                     # Warm the shared cache: the recovered daemon's
-                    # first repairs are hits, not re-solves.
+                    # first repairs are hits, not re-solves — except
+                    # entries solved under the retired per-solve cap.
+                    cached, dropped = uncapped_entries(cached)
                     self.solutions.load_entries(cached)
-                elif cached:
-                    # Version 1 scoped its keys by a knob tuple without
-                    # the exact threshold, so they cannot be re-keyed on
-                    # the SolvePolicy: drop them (they re-solve on
-                    # demand) and report how many went.
-                    self.dropped_cache_entries = len(cached)
-                    if self.recorder.enabled:
-                        self.recorder.count(
-                            "server.cache_dropped", len(cached)
-                        )
+                # Version 1 scoped its keys by a knob tuple without the
+                # exact threshold, so they cannot be re-keyed on the
+                # SolvePolicy.  Dropped entries re-solve on demand;
+                # report how many went.
+                self.dropped_cache_entries = dropped
+                if dropped and self.recorder.enabled:
+                    self.recorder.count("server.cache_dropped", dropped)
                 supervision = snapshot.get("supervision")
                 if isinstance(supervision, dict):
                     self._supervision_base = {
@@ -692,7 +704,7 @@ class SessionManager:
                             self.close(tenant, name)
                         else:
                             self.run_op(self.entry(tenant, name), op, payload)
-                    except (ProtocolError, RuntimeError):
+                    except Exception:  # failed live too (journaled)
                         self.errors += 1
                     replayed += 1
             finally:
@@ -993,6 +1005,16 @@ class RepairServer:
             ok = False
             self.manager.errors += 1
             await write(req.error(f"internal: {exc}"))
+        except Exception as exc:
+            # Any other failure is answered too, and the session stays
+            # open: a guarantee="optimal" repair whose exact solve
+            # outran its budget is the expected one, anything else is a
+            # defect whose traceback goes to stderr.
+            ok = False
+            self.manager.errors += 1
+            if not isinstance(exc, ExactBudgetExceeded):
+                traceback.print_exc(file=sys.stderr)
+            await write(req.error(f"{type(exc).__name__}: {exc}"))
         finally:
             if rec.enabled:
                 dur = _perf_counter() - start

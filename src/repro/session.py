@@ -58,7 +58,12 @@ from .core.decompose import (
 from .core.dichotomy import classify
 from .core.fd import FDSet
 from .core.table import Row, Table, TupleId, checked_weight
-from .pipeline import CleaningResult, _ComponentSolve, _decomposed_outcome
+from .pipeline import (
+    CleaningResult,
+    _ComponentSolve,
+    _decomposed_outcome,
+    _require_planned,
+)
 
 __all__ = ["RepairSession", "SessionStats", "SessionStatus", "SolutionCache"]
 
@@ -72,6 +77,28 @@ STATE_VERSION = 2
 
 #: The name version-1 states pickled their cache entries under.
 _CachedSolve = _ComponentSolve
+
+#: The retired per-solve wall-clock cap.  States written while it
+#: existed carry it in their session options and in the ``__dict__`` of
+#: every pickled :class:`~repro.core.decompose.SolvePolicy`.
+_RETIRED_CAP = "per_component_budget_s"
+
+
+def uncapped_entries(entries: Mapping) -> Tuple[Dict, int]:
+    """Scoped cache *entries* without those solved under the retired
+    per-solve cap, and how many those were.
+
+    A policy pickled while the cap existed unpickles with the cap still
+    in its ``__dict__``, but ``==`` and ``hash`` read only the current
+    fields: a capped scope would collide with the uncapped one and serve
+    fallbacks computed under a cap no policy has any more.  Such entries
+    are dropped (they re-solve on demand); the caller reports the count.
+    """
+    kept = {
+        key: entry for key, entry in entries.items()
+        if vars(key[0][2]).get(_RETIRED_CAP) is None
+    }
+    return kept, len(entries) - len(kept)
 
 
 class SolutionCache:
@@ -234,17 +261,16 @@ class RepairSession:
         unlimited), as in :func:`repro.pipeline.clean`: each repair's
         components are ranked by predicted difficulty and granted exact
         solves easiest-first while the predicted spend fits; the
-        residual tail is planned approximate up front.  Each granted
-        solve ships its slice as a hard ceiling; one that outruns it
-        falls back to the 2-approximation, recorded in the component
+        residual tail is planned approximate up front.  The plan is
+        deterministic; the result only as far as each granted solve
+        finishes inside its slice.  One that outruns it falls back to
+        the 2-approximation by the wall clock, recorded in the component
         cache so the fallback is sticky while the component's content
-        (and scheduled slice) is unchanged.
-    per_component_budget_s:
-        The historical *per-solve* wall-clock ceiling (default:
-        unlimited) — every exact solve is individually capped, with no
-        difficulty scheduling.  May be combined with the global budget,
-        in which case each scheduled slice is additionally capped.
-        Ships to the warm workers alongside the kernel flag.
+        (and scheduled slice) is unchanged — so two sessions fed the
+        same deltas can differ near a slice boundary.  Under
+        ``guarantee="optimal"`` such a solve raises
+        :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` from
+        :meth:`repair` instead, and nothing of that repair is cached.
     parallel:
         Worker count for solving cache misses.  With ``> 1`` the session
         keeps a :class:`~repro.exec.PersistentWorkerPool` of warm
@@ -310,7 +336,6 @@ class RepairSession:
         guarantee: str = "best",
         exact_threshold: Optional[int] = None,
         exact_budget_s: Optional[float] = None,
-        per_component_budget_s: Optional[float] = None,
         unit_cost_s: Optional[float] = None,
         parallel: Optional[int] = None,
         node_limit: Optional[int] = None,
@@ -327,8 +352,7 @@ class RepairSession:
         self._fds = fds
         self._guarantee = guarantee
         self._policy = policy = resolve_plan_defaults(
-            exact_threshold, node_limit, exact_budget_s,
-            per_component_budget_s, unit_cost_s,
+            exact_threshold, node_limit, exact_budget_s, unit_cost_s
         )
         self._parallel = parallel
         # The constructor options as :meth:`export_state` records them.
@@ -336,7 +360,6 @@ class RepairSession:
             "guarantee": guarantee,
             "exact_threshold": policy.threshold,
             "exact_budget_s": policy.exact_budget_s,
-            "per_component_budget_s": policy.per_component_budget_s,
             "unit_cost_s": policy.unit_cost_s,
             "parallel": parallel,
             "node_limit": policy.node_limit,
@@ -410,6 +433,8 @@ class RepairSession:
         self._bracket_fresh = False
         self.stats = SessionStats()
         self.last_result: Optional[CleaningResult] = None
+        #: Cache entries :meth:`restore` could not carry over.
+        self.dropped_cache_entries = 0
 
     # ------------------------------------------------------------------
     # State access
@@ -722,16 +747,15 @@ class RepairSession:
 
         The result is byte-identical to
         ``pipeline.clean(session.table, fds, guarantee=..., parallel=...,
-        exact_threshold=..., exact_budget_s=...,
-        per_component_budget_s=...)`` — same cleaned table, distance,
-        dirtiness report, and portfolio label: the misses are solved by
-        :func:`repro.exec.solve_components` and the result assembled by
-        the batch path's own merge.  The schedule is re-planned per call
-        (it is pure arithmetic over the current components); under a
-        global budget an exact solve's cache key carries its scheduled
-        slice, so a slice change — the schedule shifting as components
-        come and go — re-solves rather than serving a result computed
-        under a different ceiling.
+        exact_threshold=..., exact_budget_s=...)`` — same cleaned table,
+        distance, dirtiness report, and portfolio label: the misses are
+        solved by :func:`repro.exec.solve_components` and the result
+        assembled by the batch path's own merge.  The schedule is
+        re-planned per call (it is pure arithmetic over the current
+        components); under a global budget an exact solve's cache key
+        carries its scheduled slice, so a slice change — the schedule
+        shifting as components come and go — re-solves rather than
+        serving a result computed under a different ceiling.
 
         An owned pool is used once a repair has ≥ 2 misses; a shared
         (daemon) pool even for a single miss, so a slow solve runs in a
@@ -779,6 +803,8 @@ class RepairSession:
                 )
                 if pool is not None and not pool.alive:
                     self.close()
+            if self._guarantee == "optimal":
+                _require_planned(plans, misses, methods)
             with rec.span("phase.merge"):
                 for i, kept, method in zip(misses, kept_lists, methods):
                     solves[i] = _ComponentSolve(kept, method)
@@ -906,7 +932,13 @@ class RepairSession:
         session uses, private or shared (their keys are scoped, so that
         is always safe).  A version-1 state's entries, keyed without the
         scope, get this session's scope: version 1 wrote them only for
-        private caches, whose scope was implicitly the session's own."""
+        private caches, whose scope was implicitly the session's own.
+
+        A state written while the per-solve cap existed restores without
+        it (its options carry ``per_component_budget_s``), and the
+        entries solved under a cap are not loaded: their fallbacks would
+        be served to an uncapped policy.  How many were dropped is
+        :attr:`dropped_cache_entries` (0 otherwise)."""
         version = state.get("version", 1)
         if version > STATE_VERSION:
             raise ValueError(f"unsupported session state version {version}")
@@ -918,6 +950,8 @@ class RepairSession:
             state["name"],
             {a: i for i, a in enumerate(schema)},
         )
+        options = dict(state["options"])
+        capped = options.pop(_RETIRED_CAP, None) is not None
         session = cls(
             table,
             state["fds"],
@@ -925,7 +959,7 @@ class RepairSession:
             session_key=session_key,
             solutions=solutions,
             recorder=recorder,
-            **state["options"],
+            **options,
         )
         session._used_ids |= set(state["used_ids"])
         # Adopt the exported allocator reading *exactly* (the
@@ -937,9 +971,14 @@ class RepairSession:
         # to one that was never evicted.
         session._next_auto_id = int(state["next_auto_id"])
         entries = state["solutions"]
+        dropped = 0
         if version < 2:
+            if capped:
+                dropped, entries = len(entries), {}
             scope = (session._cache_scope,)
             entries = {scope + key: entry for key, entry in entries.items()}
+        entries, capped_entries = uncapped_entries(entries)
+        session.dropped_cache_entries = dropped + capped_entries
         session._cache.load_entries(entries)
         session.stats = SessionStats(**state["stats"])
         return session

@@ -85,7 +85,9 @@ class TestCli:
         assert len(repaired) == 2
 
     def test_s_repair_approx(self, office_csv, capsys):
-        assert main(["s-repair", office_csv, OFFICE_FDS, "--approx"]) == 0
+        assert main(
+            ["s-repair", office_csv, OFFICE_FDS, "--guarantee", "fast"]
+        ) == 0
         out = capsys.readouterr().out
         assert "2-approximation" in out
 

@@ -172,18 +172,15 @@ def test_resolve_plan_defaults():
     assert defaults.threshold == EXACT_COMPONENT_THRESHOLD
     assert defaults.node_limit == DEFAULT_NODE_LIMIT
     assert defaults.exact_budget_s is None
-    assert defaults.per_component_budget_s is None
 
     explicit = resolve_plan_defaults(
         exact_threshold=32,
         node_limit=500,
         exact_budget_s=1.5,
-        per_component_budget_s=0.25,
     )
     assert explicit.threshold == 32
     assert explicit.node_limit == 500
     assert explicit.exact_budget_s == 1.5
-    assert explicit.per_component_budget_s == 0.25
 
 
 def test_assess_json_emits_component_schedule(tmp_path, capsys):

@@ -351,6 +351,11 @@ def _v1_fixture(name):
         return pickle.load(handle)
 
 
+def _without_cap(options):
+    """*options* without the retired per-solve cap."""
+    return {k: v for k, v in options.items() if k != "per_component_budget_s"}
+
+
 #: The state fields a restore must bring back unchanged.
 _STATE_FIELDS = ("rows", "weights", "used_ids", "next_auto_id", "options",
                  "stats")
@@ -367,8 +372,12 @@ def test_v1_state_restores_with_its_cache():
     session = RepairSession.restore(old)
     new = session.export_state()
     assert new["version"] == 2
+    # The retired per-solve cap (None here) is dropped from the options.
+    expected = {**old, "options": _without_cap(old["options"])}
+    assert "per_component_budget_s" in old["options"]
     for field in _STATE_FIELDS:
-        assert new[field] == old[field], field
+        assert new[field] == expected[field], field
+    assert session.dropped_cache_entries == 0
     assert list(new["rows"]) == list(old["rows"])
     assert session.cache_size() == len(old["solutions"])
     result = session.repair()
