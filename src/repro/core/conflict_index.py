@@ -471,7 +471,9 @@ class ConflictIndex:
     # ------------------------------------------------------------------
     # Connected components (the decomposition substrate)
     # ------------------------------------------------------------------
-    def components(self) -> List[List[TupleId]]:
+    def components(
+        self, roots: Optional[Iterable[TupleId]] = None
+    ) -> List[List[TupleId]]:
         """Connected components of the live conflict graph, restricted to
         tuples with at least one conflict.
 
@@ -480,6 +482,10 @@ class ConflictIndex:
         table order.  Conflict-free tuples never appear — they belong to
         every repair verbatim (see :meth:`consistent_ids`).
 
+        With *roots*, only the components holding one of those ids are
+        swept (dead or conflict-free roots are skipped), listed by their
+        earliest root.
+
         A kernel-built index sweeps its arrays
         (:func:`~repro.core.kernel.components_csr`), rooted at the live
         conflicting rows; row index is table position, so ascending row
@@ -487,13 +493,16 @@ class ConflictIndex:
         sweep below is the reference and serves projections and the
         ``--no-kernel`` path.
         """
+        conflicting = self._conflicting
+        if roots is not None:
+            conflicting = conflicting.intersection(roots)
         kern = self._kernel
         if kern is not None:
             ids = self._codec.ids
-            roots = sorted(map(self._position.__getitem__, self._conflicting))
+            rows = sorted(map(self._position.__getitem__, conflicting))
             return [
                 [ids[i] for i in members]
-                for members in _kernel.components_csr(kern, roots)
+                for members in _kernel.components_csr(kern, rows)
             ]
         position = self._position
         adj = self._adj
@@ -505,7 +514,7 @@ class ConflictIndex:
         # is C-level set arithmetic (adj[v] - seen) rather than a
         # per-neighbour membership loop; traversal order becomes
         # arbitrary, which the final member sort erases.
-        for tid in sorted(self._conflicting, key=position.__getitem__):
+        for tid in sorted(conflicting, key=position.__getitem__):
             if tid in seen:
                 continue
             stack = [tid]

@@ -616,8 +616,9 @@ def components_csr(
 
     A byte-flag visited array, an explicit stack, and C-level iteration
     over CSR slices merged with the overflow adjacency; dead rows are
-    filtered through ``alive``.  *roots* must list the live conflicting
-    rows in ascending order (the owning index supplies them from its
+    filtered through ``alive``.  *roots* must list live conflicting rows
+    in ascending order — all of them for a full sweep, or those whose
+    components are wanted (the owning index supplies them from its
     conflicting-tuple set).  Without *roots* the sweep starts from the
     construction-time ``conflicting_rows``, which are stale the moment
     a mutation lands — so a patched view without roots raises.

@@ -556,7 +556,8 @@ class PersistentWorkerPool:
 
     Each worker holds a mirror of each attached namespace's rows
     (synchronised by broadcasting the same deltas the owner applies
-    locally), so a solve request is just ``(component ids, method)``.
+    locally), so a solve request is just ``(component ids, method,
+    budget_s)``.
     A streaming session keeps its namespace for its whole life; a batch
     :func:`solve_components` call ships its conflict components into a
     namespace of its own and drops it after the call.  Solvers are pure
@@ -808,8 +809,8 @@ class PersistentWorkerPool:
         ``(result, effective method, solve seconds)`` per task, in task
         order, *result* as :func:`_solve_component` returns it (kept ids
         for an S method).  *budget_s* is the solve's wall-clock slice
-        from the plan (``None``, or left out: no ceiling), so pool and
-        serial runs read the same plan.  The seconds are measured
+        from the plan (``None``: no ceiling), so pool and serial runs
+        read the same plan.  The seconds are measured
         around the solve itself, inside the worker (queueing and
         pickling excluded) — the telemetry layer's predicted-vs-actual
         training signal.
@@ -830,9 +831,9 @@ class PersistentWorkerPool:
         with self._cond:
             if self._closed:
                 raise RuntimeError("worker pool is not running")
-            for ids, method, *budget in tasks:
-                record = _Task(call, key, tuple(ids), method,
-                               budget[0] if budget else None, self._next_seq)
+            for ids, method, budget_s in tasks:
+                record = _Task(call, key, tuple(ids), method, budget_s,
+                               self._next_seq)
                 self._next_seq += 1
                 self._tasks[record.seq] = record
                 self._queue.append(record)

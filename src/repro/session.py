@@ -16,6 +16,10 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
   maintained by :meth:`~repro.core.conflict_index.ConflictIndex.insert` /
   :meth:`~repro.core.conflict_index.ConflictIndex.remove` in
   O(delta · (lhs-group + |Δ|)) instead of a per-call O(|T|·|Δ|) rebuild,
+* one **live-component store**, a record per conflict component (ids,
+  sub-table, sub-index, content key, bracket): deltas drop the records
+  they touch, and the next read re-sweeps only from those records'
+  members and the new tuples — never the whole table,
 * a **content-addressed per-component repair cache** — always a
   :class:`SolutionCache`, private or shared across sessions — keyed on
   ``(Δ, schema, SolvePolicy)`` plus ``(method, frozen member rows +
@@ -36,8 +40,10 @@ byte-identical to a from-scratch ``pipeline.clean`` of the current table
 — same repaired table, distance, report bracket, and portfolio label.
 This holds because every ingredient is shared with the batch path: the
 live index equals a rebuild (the PR-1/PR-3 index algebra properties),
-decomposition and the portfolio plan are the same code, and the cached
-per-component solves are pure functions of content the cache key freezes.
+the store holds exactly the components a fresh sweep yields (a delta
+changes only the components it touches), the portfolio plan is the same
+code, and the cached per-component solves are pure functions of content
+the cache key freezes.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from . import obs as _obs
 from .core.conflict_index import ConflictIndex
@@ -189,17 +196,26 @@ class SolutionCache:
         return len(self._data)
 
 
+@dataclass
+class _LiveComponent:
+    """One record of a session's live-component store; the bracket is
+    computed on the first :meth:`RepairSession.status` that reads it."""
+
+    component: Component
+    content: Tuple
+    bracket: Optional[Tuple[float, float]] = None
+
+
 @dataclass(frozen=True)
 class SessionStatus:
     """A solver-free snapshot of one session's dirtiness.
 
-    Served entirely from delta-maintained bookkeeping: the bracket is
-    the sum of per-component polynomial ``[matching, Bar-Yehuda–Even]``
-    brackets, cached per component and recomputed only for components
-    the deltas since the last reading actually touched — no exact
-    branch & bound, no OptSRepair, no worker-pool round trip.  The true
-    optimal deletion cost always lies inside ``[lower_bound,
-    upper_bound]`` (Proposition 3.3).
+    Served from the session's live-component store: the bracket sums
+    the polynomial ``[matching, Bar-Yehuda–Even]`` bracket each record
+    computes once, on its first reading — no exact branch & bound, no
+    OptSRepair, no worker-pool round trip.  The true optimal deletion
+    cost always lies inside ``[lower_bound, upper_bound]``
+    (Proposition 3.3).
     """
 
     tuples: int
@@ -274,9 +290,9 @@ class RepairSession:
     parallel:
         Worker count for solving cache misses.  With ``> 1`` the session
         keeps a :class:`~repro.exec.PersistentWorkerPool` of warm
-        processes mirroring the table via deltas; platforms without
-        subprocess support degrade to in-process solving silently (the
-        results are identical either way).
+        processes mirroring the table via deltas.  A pool that cannot
+        start or fails degrades to in-process solving, counted in
+        ``stats.pool_fallbacks`` (the results are identical either way).
     node_limit:
         Branch & bound node budget per exact component solve.
     max_cache_entries:
@@ -380,13 +396,12 @@ class RepairSession:
         )
         self._table = self._snapshot()
         self._index = ConflictIndex(self._table, fds)
-        # Component reuse across deltas: member-id tuple → (Component,
-        # content key).  A tuple's row and weight never change while it
-        # lives (sessions have no update op), so identical member ids
-        # mean identical content — the sub-table, projected sub-index,
-        # and cache key of an untouched component carry over verbatim
-        # instead of being re-derived per delta.
-        self._component_reuse: Dict[Tuple[TupleId, ...], Tuple[Component, Tuple]] = {}
+        # The live-component store, keyed by the table position of each
+        # component's earliest member, and its tid → record map.
+        self._store: Dict[int, _LiveComponent] = {}
+        self._record_of: Dict[TupleId, _LiveComponent] = {}
+        self._touched: Set[TupleId] = set()
+        self._store_components(self._index.components())
         # One cache, private or shared.  Keys are prefixed with
         # everything besides component content that can change a
         # solve's outcome — Δ, the schema (it fixes which columns each
@@ -424,13 +439,6 @@ class RepairSession:
         # ints.  Decided once, here, so reset and delta broadcasts agree
         # for the pool's whole life.
         self._pool_coded = self._index._codec is not None
-        # Delta-maintained dirtiness bracket: per-component polynomial
-        # [matching, BYE] brackets keyed by member-id tuple, invalidated
-        # exactly like the component-reuse map, summed lazily so
-        # :meth:`status` never touches a solver.
-        self._bracket_by_key: Dict[Tuple[TupleId, ...], Tuple[float, float]] = {}
-        self._bracket_totals: Tuple[float, float] = (0.0, 0.0)
-        self._bracket_fresh = False
         self.stats = SessionStats()
         self.last_result: Optional[CleaningResult] = None
         #: Cache entries :meth:`restore` could not carry over.
@@ -562,20 +570,17 @@ class RepairSession:
         new_ids = list(ids) if ids is not None else [
             self._allocate_id() for _ in rows
         ]
-        # A re-appended identifier may carry different content than it
-        # did in a past life; drop any reusable component that remembers
-        # it (the content-addressed solution cache needs no such care).
-        recycled = [tid for tid in new_ids if tid in self._used_ids]
-        if recycled:
-            self._invalidate_components(recycled)
         for tid, row, weight in zip(new_ids, rows, new_weights):
-            self._index.insert(tid, row, weight)
+            # A new conflict merges the components of the new tuple's
+            # partners: their records go, and the sweep starts from it.
+            if self._index.insert(tid, row, weight):
+                self._touched.add(tid)
+                self._drop_components(self._index.neighbors(tid))
             self._rows[tid] = row
             self._weights[tid] = weight
             self._used_ids.add(tid)
         self._table = self._snapshot()
         self._index.reanchor(self._table)
-        self._bracket_fresh = False
         self.stats.appends += 1
         self.stats.tuples_appended += len(rows)
         if rows and self._pool_ready:
@@ -595,45 +600,64 @@ class RepairSession:
             )
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate identifiers in delete")
-        self._invalidate_components(ids)
+        self._drop_components(ids)
         for tid in ids:
             self._index.remove(tid)
             del self._rows[tid]
             del self._weights[tid]
         self._table = self._snapshot()
         self._index.reanchor(self._table)
-        self._bracket_fresh = False
         self.stats.deletes += 1
         self.stats.tuples_deleted += len(ids)
         if ids and self._pool_ready:
             self._mirror("delete", tuple(ids))
         return self.repair() if repair else None
 
-    def _invalidate_components(self, ids: Iterable[TupleId]) -> None:
-        """Drop reusable components that remember any of *ids*.
+    # ------------------------------------------------------------------
+    # The live-component store
+    # ------------------------------------------------------------------
+    def _store_components(self, components: Iterable[List[TupleId]]) -> None:
+        """Add one record per component (member ids in table order).  A
+        live tuple's row and weight never change (sessions have no update
+        op), so a record stays valid until a delta drops it."""
+        rows, weights, table, index = (self._rows, self._weights,
+                                       self._table, self._index)
+        position = index._position
+        for ids in components:
+            key = tuple(ids)
+            subtable = table.subset(key)
+            record = _LiveComponent(
+                Component(0, key, subtable, index.project(subtable, set(key))),
+                tuple((tid, rows[tid], weights[tid]) for tid in key),
+            )
+            self._store[position[key[0]]] = record
+            for tid in key:
+                self._record_of[tid] = record
 
-        The reuse map assumes a member's row and weight are fixed for as
-        long as its id appears in a component key.  A deleted id — which
-        may later be re-appended with different content — breaks that
-        assumption, so every component holding one is forgotten before
-        the delta applies.  O(conflicting tuples) scan, only run when a
-        delta actually touches a previously-seen id.
-        """
-        touched = set(ids)
-        stale = [
-            key
-            for key in self._component_reuse
-            if not touched.isdisjoint(key)
-        ]
-        for key in stale:
-            del self._component_reuse[key]
-        stale_brackets = [
-            key
-            for key in self._bracket_by_key
-            if not touched.isdisjoint(key)
-        ]
-        for key in stale_brackets:
-            del self._bracket_by_key[key]
+    def _drop_components(self, ids: Iterable[TupleId]) -> None:
+        """Drop the records holding any of *ids* — a delete's own ids, an
+        append's new conflict partners; their members are re-swept at
+        the next read."""
+        record_of = self._record_of
+        position = self._index._position
+        for tid in ids:
+            record = record_of.get(tid)
+            if record is not None:
+                members = record.component.ids
+                del self._store[position[members[0]]]
+                for member in members:
+                    del record_of[member]
+                self._touched.update(members)
+
+    def _live_components(self) -> List[_LiveComponent]:
+        """The store's records in earliest-member order (a fresh
+        ``ConflictIndex.components()`` order), after sweeping just the
+        components the deltas since the last read touched."""
+        if self._touched:
+            touched, self._touched = self._touched, set()
+            self._store_components(self._index.components(roots=touched))
+        store = self._store
+        return [store[key] for key in sorted(store)]
 
     # ------------------------------------------------------------------
     # Worker pool: one attach routine, one release routine
@@ -689,44 +713,26 @@ class RepairSession:
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def _decompose(self) -> Decomposition:
-        """The current decomposition, reusing untouched components.
-
-        Components whose member-id tuple already exists in the reuse map
-        keep their sub-table, (lazily-bucketed) sub-index, and content
-        key; only components the delta actually changed are re-projected.
-        The assembled :class:`Decomposition` is content-identical to
+    def _decompose(self) -> Tuple[Decomposition, List[Tuple]]:
+        """The current decomposition, assembled from the store, and the
+        content key of each component.  Content-identical to
         :func:`repro.core.decompose.decompose` on the current snapshot —
         component order, member order, and sub-instances all match, so
         everything downstream stays byte-identical to the batch path.
         """
-        rows = self._rows
-        weights = self._weights
-        components: List[Component] = []
-        reuse: Dict[Tuple[TupleId, ...], Tuple[Component, Tuple]] = {}
-        for ordinal, ids in enumerate(self._index.components()):
-            key = tuple(ids)
-            cached = self._component_reuse.get(key)
-            if cached is None:
-                subtable = self._table.subset(ids)
-                subindex = self._index.project(subtable, set(ids))
-                component = Component(ordinal, key, subtable, subindex)
-                content = tuple((tid, rows[tid], weights[tid]) for tid in key)
-                cached = (component, content)
-            else:
-                cached[0].ordinal = ordinal
-            reuse[key] = cached
-            components.append(cached[0])
-        self._component_reuse = reuse
-        return Decomposition(
+        records = self._live_components()
+        for ordinal, record in enumerate(records):
+            record.component.ordinal = ordinal
+        decomp = Decomposition(
             table=self._table,
             fds=self._fds,
             index=self._index,
-            components=components,
+            components=[record.component for record in records],
             consistent_ids=tuple(self._index.consistent_ids()),
         )
+        return decomp, [record.content for record in records]
 
-    def _cache_key(self, component: Component, plan) -> Tuple:
+    def _cache_key(self, content: Tuple, plan) -> Tuple:
         """Cache key of one component solve: ``(scope, method,
         content)``, or ``(scope, method, epoch, content)`` for an exact
         solve under a global budget.  The epoch is its scheduled
@@ -736,7 +742,6 @@ class RepairSession:
         fallbacks honest.  One flat tuple per component: a repair builds
         a key for every component, and on a large table each extra
         container per component brings the next full collection closer."""
-        content = self._component_reuse[component.ids][1]
         if self._policy.exact_budget_s is not None and plan.method == "exact":
             return (self._cache_scope, plan.method, plan.budget_s, content)
         return (self._cache_scope, plan.method, content)
@@ -745,7 +750,8 @@ class RepairSession:
         """Re-repair the current table, re-solving only the components
         the deltas since the last call actually changed.
 
-        The result is byte-identical to
+        Components come from the live-component store (see
+        :meth:`_decompose`).  The result is byte-identical to
         ``pipeline.clean(session.table, fds, guarantee=..., parallel=...,
         exact_threshold=..., exact_budget_s=...)`` — same cleaned table,
         distance, dirtiness report, and portfolio label: the misses are
@@ -768,14 +774,14 @@ class RepairSession:
         tag = str(self._session_key)
         with rec.span("session.repair", key=tag):
             with rec.span("phase.decompose"):
-                decomp = self._decompose()
+                decomp, contents = self._decompose()
             with rec.span("phase.plan"):
                 plans = decomp.plan_schedule(
                     self._verdict.tractable, self._guarantee, self._policy
                 )
             keys = [
-                self._cache_key(component, plan)
-                for component, plan in zip(decomp.components, plans)
+                self._cache_key(content, plan)
+                for content, plan in zip(contents, plans)
             ]
             solves: List[Optional[_ComponentSolve]] = [
                 self._cache.get(key) for key in keys
@@ -818,60 +824,36 @@ class RepairSession:
         return result
 
     # ------------------------------------------------------------------
-    # Solver-free status: the delta-maintained dirtiness bracket
+    # Solver-free status
     # ------------------------------------------------------------------
-    def _refresh_bracket(self) -> None:
-        """Bring the per-component bracket cache up to date.
-
-        Components whose member-id tuple survives from the last reading
-        keep their cached ``[matching, BYE]`` bracket (member content is
-        immutable while an id lives, and recycled ids invalidate their
-        components eagerly — the same contract the component-reuse map
-        relies on); only delta-touched components recompute, via one
-        polynomial matching + Bar-Yehuda–Even pass each.  Projections
-        are shared with :meth:`_decompose`'s reuse map, so a status
-        reading right after a repair touches nothing at all.
-        """
-        if self._bracket_fresh:
-            return
-        fresh: Dict[Tuple[TupleId, ...], Tuple[float, float]] = {}
-        lower = upper = 0.0
-        for ids in self._index.components():
-            key = tuple(ids)
-            entry = self._bracket_by_key.get(key)
-            if entry is None:
-                cached = self._component_reuse.get(key)
-                if cached is not None:
-                    subtable, subindex = cached[0].table, cached[0].index
-                else:
-                    subtable = self._table.subset(key)
-                    subindex = self._index.project(subtable, set(key))
-                entry = polynomial_bracket(subindex, subtable)
-            fresh[key] = entry
-            lower += entry[0]
-            upper += entry[1]
-        self._bracket_by_key = fresh
-        self._bracket_totals = (lower, upper)
-        self._bracket_fresh = True
-
     def status(self) -> SessionStatus:
         """A dirtiness snapshot served without touching any solver.
 
-        The bracket is the delta-maintained per-component polynomial
-        ``[matching lower bound, Bar-Yehuda–Even upper bound]`` sum —
-        the optimal deletion cost provably lies inside it — and every
-        other field reads O(1) bookkeeping.  A monitoring endpoint can
+        The bracket sums, in component order, each store record's
+        polynomial ``[matching lower bound, Bar-Yehuda–Even upper
+        bound]`` (computed once per record) — the optimal deletion cost
+        provably lies inside it — and every other field reads O(1)
+        bookkeeping; a reading right after a repair sweeps nothing.
+        A monitoring endpoint can
         therefore poll ``status`` at any rate without ever queueing
         behind (or triggering) exact solves.
         """
-        self._refresh_bracket()
-        lower, upper = self._bracket_totals
+        records = self._live_components()
+        lower = upper = 0.0
+        for record in records:
+            if record.bracket is None:
+                component = record.component
+                record.bracket = polynomial_bracket(
+                    component.index, component.table
+                )
+            lower += record.bracket[0]
+            upper += record.bracket[1]
         return SessionStatus(
             tuples=len(self._rows),
             total_weight=self._table.total_weight(),
             conflicts=self._index.num_edges,
             conflicting_tuples=self._index.conflicting_count,
-            components=len(self._bracket_by_key),
+            components=len(records),
             lower_bound=lower,
             upper_bound=upper,
             cache_entries=self.cache_size(),

@@ -629,7 +629,7 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
     fds = FDSet("A -> B")
     rows = {i: ("a" if i % 2 else "b", str(i), "p") for i in range(1, 13)}
     weights = {i: 1.0 for i in rows}
-    tasks = [(tuple(rows), "exact")] * 4
+    tasks = [(tuple(rows), "exact", None)] * 4
 
     with PersistentWorkerPool(2, SCHEMA, fds) as baseline:
         if not baseline.alive:
@@ -718,13 +718,14 @@ def test_pool_namespaces_isolate_sessions():
             assert pool.broadcast(("reset", rows, weights), key="one")
             # Same rows violate A -> B but satisfy B -> C.
             assert pool.broadcast(("reset", rows, weights), key="two")
-            [(kept_a, _, _)] = pool.solve([((1, 2), "exact")], key="one")
+            [(kept_a, _, _)] = pool.solve([((1, 2), "exact", None)], key="one")
             assert kept_a == (1,)  # heavier tuple wins under A -> B
-            [(kept_b, _, _)] = pool.solve([((1, 2), "exact")], key="two")
+            [(kept_b, _, _)] = pool.solve([((1, 2), "exact", None)], key="two")
             assert kept_b == (1, 2)  # consistent under B -> C: keep both
             assert pool.drop_session("two")
             # Namespace "one" is unaffected by dropping "two".
-            [(kept_a2, _, _)] = pool.solve([((1, 2), "exact")], key="one")
+            [(kept_a2, _, _)] = pool.solve([((1, 2), "exact", None)],
+                                           key="one")
             assert kept_a2 == (1,)
         finally:
             pool.close()

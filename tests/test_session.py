@@ -410,6 +410,137 @@ def test_reappended_id_with_new_content_invalidates_reuse():
     assert result.distance == 1.0  # the light tuple goes, not the heavy one
 
 
+# ---------------------------------------------------------------------------
+# The live-component store: deltas re-sweep only what they touch
+# ---------------------------------------------------------------------------
+
+def _kernel_mode(use_kernel):
+    import contextlib
+
+    from repro.core import kernel
+
+    return contextlib.nullcontext() if use_kernel else kernel.disabled()
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_component_sweeps_visit_only_touched_rows(use_kernel, monkeypatch):
+    """After construction the session sweeps only the components a
+    delta touched: a status reading right after a repair visits no row
+    at all, a single-tuple append into one cluster visits at most that
+    cluster plus the new tuple, and a delete at most its survivors."""
+    from repro.core import kernel
+    from repro.core.conflict_index import ConflictIndex
+    from repro.datagen.synthetic import clustered_conflicts_table
+
+    fds = FDSet("A -> B; B -> C")
+    cluster_size = 16
+    with _kernel_mode(use_kernel):
+        table = clustered_conflicts_table(
+            SCHEMA, size=3000, clusters=18, cluster_size=cluster_size, seed=1
+        )
+        session = RepairSession(table, fds)
+        assert (session.index._kernel is not None) == use_kernel
+        visited = []
+        if use_kernel:
+            sweep = kernel.components_csr
+
+            def counting_sweep(*args, **kwargs):
+                out = sweep(*args, **kwargs)
+                visited.append(sum(map(len, out)))
+                return out
+
+            monkeypatch.setattr(kernel, "components_csr", counting_sweep)
+        else:
+            components = ConflictIndex.components
+
+            def counting_components(index, *args, **kwargs):
+                out = components(index, *args, **kwargs)
+                if index is session.index:
+                    visited.append(sum(map(len, out)))
+                return out
+
+            monkeypatch.setattr(ConflictIndex, "components",
+                                counting_components)
+        session.repair()
+        assert sum(visited) == 0
+        session.status()
+        assert sum(visited) == 0
+        cluster = [tid for tid, row in table.rows().items() if row[0] == "a3"]
+        assert len(cluster) == cluster_size
+        result = session.append([("a3", "b3.new", "x3")])
+        assert 0 < sum(visited) <= cluster_size + 1
+        visited.clear()
+        session.status()
+        assert sum(visited) == 0
+        _assert_identical(result, clean(_fresh_equivalent(session), fds))
+        # A delete re-sweeps the survivors of its own component only.
+        visited.clear()
+        result = session.delete(cluster[:1])
+        assert 0 < sum(visited) <= cluster_size
+        _assert_identical(result, clean(_fresh_equivalent(session), fds))
+        # A restored session sweeps once, while it is built.
+        restored = RepairSession.restore(session.export_state())
+        visited.clear()
+        _assert_identical(restored.repair(), result)
+        restored.status()
+        assert sum(visited) == 0
+
+
+def _status_fields(session):
+    fields = session.status().as_dict()
+    del fields["repairs"], fields["cache_entries"]
+    return fields
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_status_matches_fresh_session_after_any_delta_sequence(
+    use_kernel, data
+):
+    """After any appends and deletes — including ids deleted and then
+    re-appended with new rows and weights, and reads interleaved or
+    deferred — ``status()`` equals that of a session built fresh on an
+    equivalent table, field for field and float for float."""
+    fds = data.draw(st.sampled_from(FD_SETS))
+    value = st.integers(min_value=0, max_value=2)
+    row_st = st.tuples(value, value, value)
+    weight_st = st.sampled_from((1.0, 0.5, 2.0, 3.25))
+    with _kernel_mode(use_kernel):
+        start = data.draw(st.lists(st.tuples(row_st, weight_st), max_size=8))
+        table = Table.from_rows(SCHEMA, [r for r, _w in start],
+                                [w for _r, w in start])
+        session = RepairSession(table, fds)
+        for _step in range(data.draw(st.integers(min_value=1, max_value=6))):
+            live = list(session.table.ids())
+            kind = data.draw(st.sampled_from(("append", "delete", "recycle")))
+            repair = data.draw(st.booleans())
+            if kind != "append" and live:
+                victims = data.draw(
+                    st.lists(st.sampled_from(live), min_size=1,
+                             max_size=min(3, len(live)), unique=True)
+                )
+                session.delete(victims, repair=repair)
+                if kind == "recycle":
+                    rows = data.draw(st.lists(row_st, min_size=len(victims),
+                                              max_size=len(victims)))
+                    weights = data.draw(st.lists(
+                        weight_st, min_size=len(victims),
+                        max_size=len(victims)))
+                    session.append(rows, weights=weights, ids=victims,
+                                   repair=repair)
+            else:
+                rows = data.draw(st.lists(row_st, min_size=1, max_size=3))
+                weights = data.draw(st.lists(weight_st, min_size=len(rows),
+                                             max_size=len(rows)))
+                session.append(rows, weights=weights, repair=repair)
+            if data.draw(st.booleans()):
+                fresh = RepairSession(_fresh_equivalent(session), fds)
+                assert _status_fields(session) == _status_fields(fresh)
+        fresh = RepairSession(_fresh_equivalent(session), fds)
+        assert _status_fields(session) == _status_fields(fresh)
+
+
 def test_delete_validation():
     table = Table.from_rows(SCHEMA, [(1, 1, 1)])
     session = RepairSession(table, FDSet("A -> B"))
@@ -528,13 +659,13 @@ def test_pool_broadcast_and_solve_roundtrip():
         rows = {1: ("a", "x", "p"), 2: ("a", "y", "p"), 3: ("b", "z", "q")}
         weights = {1: 1.0, 2: 2.0, 3: 1.0}
         assert pool.broadcast(("reset", rows, weights))
-        [(kept, effective, secs)] = pool.solve([((1, 2), "exact")])
+        [(kept, effective, secs)] = pool.solve([((1, 2), "exact", None)])
         assert secs >= 0.0
         assert kept == (2,)  # heavier tuple wins
         assert effective == "exact"
         assert pool.broadcast(("delete", (2,)))
         assert pool.broadcast(("append", {4: ("a", "w", "p")}, {4: 5.0}))
-        [(kept, effective, _secs)] = pool.solve([((1, 4), "exact")])
+        [(kept, effective, _secs)] = pool.solve([((1, 4), "exact", None)])
         assert kept == (4,)
         assert effective == "exact"
     assert not pool.alive

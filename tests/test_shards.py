@@ -295,7 +295,7 @@ def test_stalled_solve_finishes_on_its_first_worker(transport):
     with _executor(1, transport, faults=plan) as ex:
         assert ex.open_session("k", SCHEMA, FDS)
         assert ex.broadcast(("reset", rows, {1: 2.0, 2: 1.0}), key="k")
-        [(kept, method, secs)] = ex.solve([((1, 2), "exact")], key="k")
+        [(kept, method, secs)] = ex.solve([((1, 2), "exact", None)], key="k")
         stats = ex.supervision_stats()
     assert (kept, method) == ((1,), "exact")
     assert stats["worker_deaths"] == 0
@@ -412,7 +412,7 @@ def test_lost_mirror_delta_heals_by_respawn(transport):
         assert ex.broadcast(("reset", rows, {1: 1.0}), key="k")
         assert ex.broadcast(("append", {2: ("a", "y", "p")}, {2: 2.0}),
                             key="k")
-        [(kept, method, _secs)] = ex.solve([((1, 2), "exact")], key="k")
+        [(kept, method, _secs)] = ex.solve([((1, 2), "exact", None)], key="k")
         stats = ex.supervision_stats()
     assert (kept, method) == ((2,), "exact")
     assert stats["worker_deaths"] == 1
@@ -432,7 +432,7 @@ def test_concurrent_callers_share_the_fleet(transport):
     groups = {}
     for tid, row in table.rows().items():
         groups.setdefault(row[0].split(".")[0], []).append(tid)
-    tasks = [(tuple(ids), "exact") for ids in groups.values()]
+    tasks = [(tuple(ids), "exact", None) for ids in groups.values()]
     results = {}
     with _executor(3, transport) as ex:
         assert ex.open_session("k", table.schema, FDS)
@@ -474,7 +474,7 @@ class TestExecutorSeam:
         ex = _executor(1)
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.solve([((0,), "exact")])
+            ex.solve([((0,), "exact", None)])
 
     def test_solver_error_surfaces_as_runtime_error(self):
         """A worker-side solver exception is a property of the request,
@@ -487,7 +487,7 @@ class TestExecutorSeam:
                 ("reset", dict(table.rows()), dict(table.weights())), key="k"
             )
             with pytest.raises(RuntimeError):
-                ex.solve([((0, 1), "no-such-method")], key="k")
+                ex.solve([((0, 1), "no-such-method", None)], key="k")
 
     def test_clean_falls_back_serially_when_executor_unusable(self):
         """The batch path keeps the serial fallback: an executor whose
