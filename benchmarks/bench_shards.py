@@ -1,13 +1,14 @@
-"""PR-10 — what sharded execution buys, and what failover costs.
+"""PR-10 — what pooled execution buys, and what failover costs.
 
-Two gates for the stdio transport of the supervised worker pool
-(``--shards``):
+Two gates for the supervised worker pool (``--parallel``); a "shard" is
+one pool worker, and the names below are kept so the recorded series
+stays continuous:
 
 1. **Scale-out ≥ 1.5× on 2 shards** (multi-core hosts).  The same
    hard-Δ component portfolio solved serially vs routed round-robin
-   over two stdio worker subprocesses.  Components are independent
-   and solvers pure, so the only question is whether the transport's
-   costs (pickled mirrors, JSONL framing) stay small enough for the
+   over two pool workers.  Components are independent and solvers
+   pure, so the only question is whether the pool's costs (pickled
+   mirrors and solve messages) stay small enough for the
    parallelism to show.  On single-core hosts parallel
    efficiency is unmeasurable — the gate degrades to bounding the
    *sharding tax*: the sharded run must stay within 1.6× serial plus a
@@ -21,7 +22,7 @@ Two gates for the stdio transport of the supervised worker pool
    lives).  Detection, transparent re-dispatch of the in-flight solve,
    and respawn + mirror replay must all fit in 25 % of the
    fault-free wall time (plus an absolute epsilon for the replacement
-   interpreter's fixed start cost).  Results stay byte-identical to the
+   worker's fixed start cost).  Results stay byte-identical to the
    serial oracle in every arm — failover is re-derivation, never
    re-interpretation.
 
@@ -52,7 +53,7 @@ HARD = FDSet("A -> B; B -> C")
 CLUSTERS = 6
 #: Sized so every cluster stays under the exact-solver threshold: ~3 s
 #: of genuine branch & bound serially, which is what makes a ≤ 25 %
-#: failover budget a real constraint (a respawned interpreter's fixed
+#: failover budget a real constraint (a respawned worker's fixed
 #: start cost must amortise against actual solve time).
 CLUSTER_SIZE = 120
 
@@ -82,10 +83,10 @@ def _conflict_table():
 
 
 def _started_executor(**kwargs):
-    ex = PersistentWorkerPool(SHARDS, transport="stdio", **kwargs)
+    ex = PersistentWorkerPool(SHARDS, **kwargs)
     if not ex.start():
         ex.close()
-        pytest.skip("platform cannot start shard subprocesses")
+        pytest.skip("platform cannot start pool workers")
     return ex
 
 
@@ -112,7 +113,7 @@ def test_scale_out_on_two_shards(benchmark):
 
     # Byte-identity first: routing may move work, never answers.
     assert shard_result.cleaned.to_string() == serial_result.cleaned.to_string()
-    # And the work really crossed the transport, fault-free.
+    # And the work really went to the workers, fault-free.
     assert stats["rpcs"] > 0
     assert stats["worker_deaths"] == 0
     assert stats["degraded_local"] == 0
@@ -223,6 +224,6 @@ def test_failover_overhead_under_25_percent(benchmark):
         retries=kill_stats["retries"],
     )
     # The acceptance gate: detection + re-dispatch + respawn + replay
-    # within 25 %, plus 200 ms for the replacement interpreter's fixed
+    # within 25 %, plus 200 ms for the replacement worker's fixed
     # start cost (absolute, so small hosts are not gated on it).
     assert kill_s <= plain_s * 1.25 + 0.2

@@ -15,11 +15,11 @@ plan kills a pool worker mid-solve (the supervisor must heal it and the
 repair distances must still come out right), the daemon is then
 hard-killed (SIGKILL, no shutdown op) and restarted on the same
 ``--state-dir``, which must recover both tenant sessions from the op
-journal; SIGTERM must drain gracefully and exit 0.  A sharded phase
-boots ``fdrepair serve --shards 2`` (stdio-transport workers) under a
-``worker.recv`` kill plan: the fleet must heal the kill (death +
-respawn visible in ``stats``) and every acknowledged reply must be
-byte-identical to an unsharded reference daemon's.
+journal; SIGTERM must drain gracefully and exit 0.  A pooled phase
+boots ``fdrepair serve --parallel 2`` under a ``worker.recv`` kill
+plan: the fleet must heal the kill (death + respawn visible in
+``stats``) and every acknowledged reply must be byte-identical to a
+``--parallel 0`` reference daemon's.
 
 With ``--stdio`` it drives ``fdrepair serve --stdio --parallel 1``
 instead: ``open`` → ``append`` → ``repair`` under a plan that kills the
@@ -51,11 +51,11 @@ FAULTS_ENV = "FDREPAIR_FAULTS"
 CHAOS_PLAN = [{"site": "worker.solve", "action": "kill",
                "match": {"worker": 0, "generation": 0}}]
 
-#: Kill stdio worker 0's first incarnation at its second message (the
+#: Kill pool worker 0's first incarnation at its second message (the
 #: mirror delta right after ``open``); the replacement generation
 #: survives and is rebuilt by mirror replay, so the repair must still be
-#: byte-identical to an unsharded daemon's.
-SHARD_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 2,
+#: byte-identical to an in-process daemon's.
+POOL_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 2,
                      "match": {"worker": 0, "generation": 0}}]
 
 #: A request line longer than the daemon's 1 MiB ``MAX_LINE_BYTES``.
@@ -197,36 +197,35 @@ def run_chaos(args) -> None:
     print(f"chaos phases 1-3 OK: healed kill, journal recovery, clean "
           f"SIGTERM drain (state in {state_dir})")
 
-    # Phase 4: sharded execution under a shard-kill plan.  A daemon on
-    # --shards 2 loses shard 0 to the fault plan mid-stream; the fleet
-    # must heal it (death + respawn in stats) and every acknowledged
-    # reply must match an unsharded reference daemon byte for byte.
+    # Phase 4: pooled execution under a worker-kill plan.  A daemon on
+    # --parallel 2 loses worker 0 to the fault plan mid-stream; the
+    # fleet must heal it (death + respawn in stats) and every
+    # acknowledged reply must match a --parallel 0 reference daemon
+    # byte for byte.
     script = [
-        {"op": "open", "tenant": "acme", "session": "shard",
+        {"op": "open", "tenant": "acme", "session": "pool",
          "schema": ["A", "B", "C"], "fds": "A -> B; B -> C"},
-        {"op": "append", "tenant": "acme", "session": "shard",
+        {"op": "append", "tenant": "acme", "session": "pool",
          "rows": [["a", "x", "1"], ["a", "y", "1"], ["b", "z", "2"],
                   ["c", "w", "3"], ["c", "w", "3"], ["c", "v", "4"]]},
-        {"op": "repair", "tenant": "acme", "session": "shard"},
-        {"op": "status", "tenant": "acme", "session": "shard"},
+        {"op": "repair", "tenant": "acme", "session": "pool"},
+        {"op": "status", "tenant": "acme", "session": "pool"},
     ]
 
-    def _drive_script(extra_argv, drive_env):
-        proc, port = _spawn(extra_argv, drive_env, deadline)
+    def _drive_script(workers, drive_env):
+        proc, port = _spawn(["--parallel", str(workers)], drive_env,
+                            deadline)
         sock, rpc = _connect(port, deadline, proc)
         replies = [rpc(dict(msg)) for msg in script]
         healed = {}
         poll_until = time.monotonic() + deadline
-        while extra_argv and time.monotonic() < poll_until:
-            stats = rpc({"op": "stats"})
-            healed = stats.get("pool_supervision", {})
-            if stats.get("pool_kind") != "stdio":
-                fail(f"expected a stdio-transport pool: {stats}", proc)
+        while workers and time.monotonic() < poll_until:
+            healed = rpc({"op": "stats"}).get("pool_supervision", {})
             if healed.get("respawns", 0) >= 1:
                 break
             time.sleep(0.2)
         if not rpc({"op": "shutdown"}).get("ok"):
-            fail("sharded shutdown not acknowledged", proc)
+            fail("pooled shutdown not acknowledged", proc)
         sock.close()
         try:
             code = proc.wait(timeout=deadline)
@@ -234,25 +233,25 @@ def run_chaos(args) -> None:
             fail(f"daemon still running {deadline}s after shutdown", proc)
         if code != 0:
             _out, err = proc.communicate()
-            fail(f"sharded daemon exited {code}: "
+            fail(f"pooled daemon exited {code}: "
                  f"{err.decode('utf-8', 'replace')[-500:]}")
         return replies, healed
 
-    reference, _ = _drive_script([], _smoke_env())
-    shard_env = _smoke_env()
-    shard_env[FAULTS_ENV] = json.dumps(SHARD_CHAOS_PLAN)
-    sharded, healed = _drive_script(["--shards", "2"], shard_env)
-    if sharded != reference:
-        fail(f"sharded replies diverge from reference:\n"
-             f"  sharded:   {sharded}\n  reference: {reference}")
+    reference, _ = _drive_script(0, _smoke_env())
+    pool_env = _smoke_env()
+    pool_env[FAULTS_ENV] = json.dumps(POOL_CHAOS_PLAN)
+    pooled, healed = _drive_script(2, pool_env)
+    if pooled != reference:
+        fail(f"pooled replies diverge from reference:\n"
+             f"  pooled:    {pooled}\n  reference: {reference}")
     if healed.get("worker_deaths", 0) < 1 or healed.get("respawns", 0) < 1:
-        fail(f"shard fleet saw no death/respawn: {healed}")
-    print(f"shard chaos OK: fleet healed a kill ({healed}) and stayed "
-          f"byte-identical to the unsharded reference")
+        fail(f"pool fleet saw no death/respawn: {healed}")
+    print(f"pool chaos OK: fleet healed a kill ({healed}) and stayed "
+          f"byte-identical to the in-process reference")
     run_stdio(args)
-    print(f"CHAOS SMOKE OK: healed kills (worker + shard), journal "
-          f"recovery, byte-identical sharded replies, clean SIGTERM "
-          f"drain, stdio daemon healed (state in {state_dir})")
+    print(f"CHAOS SMOKE OK: healed kills (two pools), journal recovery, "
+          f"byte-identical pooled replies, clean SIGTERM drain, stdio "
+          f"daemon healed (state in {state_dir})")
 
 
 def run_stdio(args) -> None:
@@ -350,7 +349,7 @@ def main() -> None:
                         help="state dir for --chaos (kept afterwards so "
                              "CI can upload the journal as an artifact)")
     parser.add_argument("--stdio", action="store_true",
-                        help="run only the stdio-transport daemon smoke")
+                        help="run only the serve --stdio daemon smoke")
     args = parser.parse_args()
     if args.chaos:
         run_chaos(args)

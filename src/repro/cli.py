@@ -173,27 +173,14 @@ def _apply_kernel_choice(args: argparse.Namespace) -> None:
         kernel.set_enabled(False)
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=0,
-        help=(
-            "solve conflict components on N supervised stdio worker "
-            "subprocesses (respawn with mirror replay, retry, local "
-            "degradation when every worker is lost; results are "
-            "byte-identical to local execution)"
-        ),
-    )
+def _add_solve_timeout_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--solve-timeout",
         type=float,
         metavar="SECONDS",
         default=None,
         help=(
-            "per-solve deadline on the supervised workers (--shards, "
-            "s-repair's --parallel, and serve's --parallel pool): a solve "
+            "per-solve deadline on the --parallel worker pool: a solve "
             "past it is sent again with backoff, and its worker is failed "
             "over after 2 misses (default: none — a long solve is never "
             "shot)"
@@ -201,24 +188,21 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _sharded_pool_for(args: argparse.Namespace):
-    """A started stdio-transport :class:`repro.exec.PersistentWorkerPool`
-    for ``--shards N``, or ``None`` (not requested, or the platform
-    cannot spawn the workers — callers then run the local paths)."""
-    if args.shards <= 0:
+def _stream_pool_for(args: argparse.Namespace):
+    """A started :class:`repro.exec.PersistentWorkerPool` of
+    ``--parallel N`` workers with ``--solve-timeout`` as its per-solve
+    deadline, for ``stream``; ``None`` when N ≤ 1 or the platform cannot
+    start the workers (the session then solves in process)."""
+    if not args.parallel or args.parallel <= 1:
         return None
     from .exec import PersistentWorkerPool
 
-    pool = PersistentWorkerPool(
-        args.shards,
-        use_kernel=getattr(args, "use_kernel", True),
-        transport="stdio",
-        solve_timeout_s=args.solve_timeout,
-    )
+    pool = PersistentWorkerPool(args.parallel,
+                                solve_timeout_s=args.solve_timeout)
     if not pool.start():
         pool.close()
         print(
-            "warning: cannot start shard workers; running locally",
+            "warning: cannot start worker processes; running locally",
             file=sys.stderr,
         )
         return None
@@ -301,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srepair.add_argument("table", help="CSV file (id,<attrs...>,weight)")
     p_srepair.add_argument("fds", help="FD set string")
     _add_repair_options(p_srepair)
-    _add_executor_options(p_srepair)
+    _add_solve_timeout_option(p_srepair)
 
     p_urepair = sub.add_parser("u-repair", help="compute a U-repair")
     p_urepair.add_argument("table", help="CSV file (id,<attrs...>,weight)")
@@ -360,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exact-vs-approximate component-size boundary (default 128)",
     )
-    _add_executor_options(p_stream)
+    _add_solve_timeout_option(p_stream)
     _add_exact_budget_option(p_stream)
     _add_kernel_option(p_stream)
     _add_trace_option(p_stream)
@@ -504,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
             "truncate on compact)"
         ),
     )
-    _add_executor_options(p_serve)
+    _add_solve_timeout_option(p_serve)
     p_serve.add_argument(
         "--unit-cost",
         type=float,
@@ -737,8 +721,6 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     _apply_kernel_choice(args)
     table, fds = _read_inputs(args)
     recorder = _recorder_for(args)
-    # u-repair takes no --shards or --solve-timeout.
-    executor = _sharded_pool_for(args) if strategy == "deletions" else None
     try:
         return clean(
             table,
@@ -751,12 +733,10 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
             exact_budget_s=args.exact_budget,
             unit_cost_s=args.unit_cost,
             recorder=recorder,
-            executor=executor,
+            # u-repair takes no --solve-timeout.
             solve_timeout_s=getattr(args, "solve_timeout", None),
         )
     finally:
-        if executor is not None:
-            executor.close()
         if recorder is not None:
             recorder.close()
 
@@ -856,15 +836,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
 
     recorder = _recorder_for(args)
-    # With --shards the session rides a stdio-transport pool as its
-    # shared pool.
-    executor = _sharded_pool_for(args)
-    with _closing_recorder(executor), _closing_recorder(recorder), RepairSession(
+    # --parallel N starts the session's pool here, so --solve-timeout
+    # reaches it; a pool that cannot start leaves the session serial.
+    pool = _stream_pool_for(args)
+    with _closing_recorder(pool), _closing_recorder(recorder), RepairSession(
         table,
         fds,
         guarantee=args.guarantee,
-        parallel=args.parallel,
-        pool=executor,
+        parallel=None if pool is None else args.parallel,
+        pool=pool,
         exact_threshold=args.exact_threshold,
         exact_budget_s=args.exact_budget,
         unit_cost_s=args.unit_cost,
@@ -967,7 +947,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _apply_kernel_choice(args)
     config = ServerConfig(
         workers=args.parallel,
-        shards=args.shards,
         max_sessions=args.max_sessions,
         max_resident=args.max_resident,
         max_tenant_sessions=args.max_tenant_sessions,

@@ -29,10 +29,6 @@ failing.
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
-import sys
 from collections import deque
 from itertools import count as _iter_count
 from time import monotonic as _monotonic
@@ -101,7 +97,7 @@ def resolve_workers(parallel: Optional[int], task_count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Persistent worker pool: one supervisor over a transport of worker slots
+# Persistent worker pool: one supervisor over queue-fed worker slots
 # ---------------------------------------------------------------------------
 
 #: Namespace key a single-session pool (constructor schema/fds) binds to.
@@ -112,12 +108,8 @@ DEFAULT_SESSION_KEY = ""
 #: Results never wait for it — a reply wakes its caller by notify.
 _TICK_S = 0.05
 
-#: Seconds a stdio worker may take to start and greet before its spawn
-#: counts as failed.
-_SPAWN_TIMEOUT_S = 20.0
-
-#: How often an idle queue-transport worker checks that its parent is
-#: still alive (an orphaned worker exits within this interval).
+#: How often an idle worker checks that its parent is still alive (an
+#: orphaned worker exits within this interval).
 _ORPHAN_CHECK_S = 0.5
 
 #: Solves sent ahead to one worker: two keep it busy across the reply
@@ -154,7 +146,7 @@ def _space_table(space, ids) -> Table:
 
 def _worker_loop(recv, send, worker: int, generation: int,
                  fault_spec=None) -> None:
-    """The one worker loop behind every transport.
+    """The loop every pool worker runs.
 
     Each worker mirrors *every attached session's* table as plain
     ``rows``/``weights`` dicts under a namespace key, kept in sync by the
@@ -268,9 +260,9 @@ def _retire_queue(queue) -> None:
 
 def _queue_worker_main(inq, out, use_kernel, worker, generation,
                        fault_spec) -> None:
-    """Process entry of a queue-transport worker.  The kernel choice and
-    the fault plan travel as arguments: under spawn/forkserver start
-    methods the worker re-imports this module with both at defaults.
+    """Process entry of a pool worker.  The kernel choice and the fault
+    plan travel as arguments: under spawn/forkserver start methods the
+    worker re-imports this module with both at defaults.
 
     The worker holds both ends of its queue's pipe, so a parent killed
     outright never sends it EOF; it therefore waits in bounded slices
@@ -298,9 +290,9 @@ def _queue_worker_main(inq, out, use_kernel, worker, generation,
 
 
 class _QueueSlot:
-    """One queue-transport worker: a ``multiprocessing`` process fed by
-    its own queue, answering over its own pipe, which a thread reads and
-    hands each reply to the supervisor.
+    """One pool worker: a ``multiprocessing`` process fed by its own
+    queue, answering over its own pipe, which a thread reads and hands
+    each reply to the supervisor.
 
     Replies never share a queue across workers: a ``multiprocessing``
     queue's write lock is shared by its writers, so a worker killed
@@ -337,9 +329,6 @@ class _QueueSlot:
         finally:
             self._replies.close()
 
-    def wait_ready(self, timeout: float) -> bool:
-        return True
-
     def send(self, message) -> bool:
         try:
             self.inq.put(message)
@@ -364,152 +353,6 @@ class _QueueSlot:
         except (OSError, ValueError, AssertionError):
             pass
         _retire_queue(self.inq)
-
-
-def _encode_stdio(op: str, message) -> bytes:
-    """One stdio-transport line: a JSON envelope whose ``blob`` is the
-    pickled message tuple, so row values and kept ids cross the pipe
-    exactly (no JSON round trip) and replies are byte-identical to the
-    queue transport's.  Pickle is sound here only because both ends are
-    this program over private pipes — :func:`repro.shard.main` refuses
-    a stdin that is not a pipe."""
-    import base64
-
-    blob = base64.b64encode(
-        pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-    return (json.dumps({"op": op, "blob": blob}) + "\n").encode("ascii")
-
-
-def _decode_stdio(line: bytes):
-    """``(op, message)`` of one stdio line, or ``None`` for a torn one."""
-    import base64
-
-    try:
-        envelope = json.loads(line)
-        return envelope["op"], pickle.loads(base64.b64decode(envelope["blob"]))
-    except (ValueError, KeyError, TypeError, EOFError,
-            pickle.UnpicklingError):
-        return None
-
-
-def serve_stdio_worker(stdin, stdout, worker: int, generation: int,
-                       fault_spec=None) -> None:
-    """Run :func:`_worker_loop` over binary JSONL *stdin*/*stdout* until
-    ``stop`` or EOF — the body of ``python -m repro.shard``."""
-
-    def send(reply) -> None:
-        stdout.write(_encode_stdio("result", reply))
-        stdout.flush()
-
-    def recv():
-        for line in stdin:
-            decoded = _decode_stdio(line)  # None: a torn line, skipped
-            if decoded is not None:
-                return decoded[1]
-        return None
-
-    # The greeting the parent's spawn waits for.
-    stdout.write(_encode_stdio("ready", (worker, generation)))
-    stdout.flush()
-    _worker_loop(recv, send, worker, generation, fault_spec)
-
-
-class _StdioSlot:
-    """One stdio-transport worker: a ``python -m repro.shard``
-    subprocess, written through its stdin pipe and read by a thread
-    that hands each reply to the supervisor."""
-
-    def __init__(self, on_reply, use_kernel, worker, generation,
-                 fault_spec):
-        import subprocess
-        import threading
-
-        cmd = [sys.executable, "-u", "-m", "repro.shard",
-               "--worker", str(worker), "--generation", str(generation)]
-        if not use_kernel:
-            cmd.append("--no-kernel")
-        if fault_spec:
-            cmd += ["--faults", json.dumps(fault_spec)]
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        # The child must not re-resolve the ambient chaos plan: the
-        # parent decides what each incarnation sees via --faults.
-        env.pop(_faults.FAULTS_ENV, None)
-        self.proc = subprocess.Popen(
-            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=env,
-        )
-        self._on_reply = on_reply
-        self._write_lock = threading.Lock()
-        self._ready = threading.Event()
-        threading.Thread(
-            target=self._read, name=f"fdrepair-worker-{worker}-reader",
-            daemon=True,
-        ).start()
-
-    def _read(self) -> None:
-        stdout = self.proc.stdout
-        try:
-            for line in stdout:
-                decoded = _decode_stdio(line)
-                if decoded is None:
-                    continue
-                if decoded[0] == "ready":
-                    self._ready.set()
-                else:
-                    self._on_reply(decoded[1])
-        except (OSError, ValueError):
-            pass  # pipe torn down: the monitor reaps the process
-        finally:
-            stdout.close()
-
-    def wait_ready(self, timeout: float) -> bool:
-        return self._ready.wait(timeout)
-
-    def send(self, message) -> bool:
-        line = _encode_stdio(message[0], message)
-        with self._write_lock:
-            try:
-                self.proc.stdin.write(line)
-                self.proc.stdin.flush()
-            except (OSError, ValueError):
-                return False
-        return True
-
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def close(self, grace_s: float) -> None:
-        """Wait up to *grace_s* for the process to exit (after a
-        ``stop``), then kill it and close its stdin."""
-        import subprocess
-
-        try:
-            self.proc.wait(timeout=grace_s)
-        except subprocess.TimeoutExpired:
-            pass
-        try:
-            if self.proc.poll() is None:
-                self.proc.kill()
-                self.proc.wait(timeout=2.0)
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-        with self._write_lock:
-            try:
-                self.proc.stdin.close()
-            except (OSError, ValueError):
-                pass
-
-
-#: Transport name -> worker slot class.  A slot is built from ``(on_reply,
-#: use_kernel, worker, generation, fault_spec)``, starts one worker
-#: process, hands every reply tuple to *on_reply*, and offers
-#: ``wait_ready``, ``send``, ``alive`` and ``close``.
-_TRANSPORTS = {"queue": _QueueSlot, "stdio": _StdioSlot}
 
 
 class _Call:
@@ -562,14 +405,12 @@ class PersistentWorkerPool:
     :func:`solve_components` call ships its conflict components into a
     namespace of its own and drops it after the call.  Solvers are pure
     functions of component content, so *where* a solve runs — which
-    worker, which transport, after how many retries — never changes its
-    answer.
+    worker, after how many retries — never changes its answer.
 
-    **Transports.**  ``"queue"`` runs the workers as ``multiprocessing``
-    processes behind queues (``--parallel``); ``"stdio"`` runs them as
-    ``python -m repro.shard`` subprocesses speaking JSONL over their
-    pipes (``--shards``).  Both run :func:`_worker_loop`; supervision,
-    routing and the fault sites below are shared code.
+    **Workers.**  Each worker is a ``multiprocessing`` process fed by its
+    own queue and answering over its own pipe (:class:`_QueueSlot`),
+    running :func:`_worker_loop`; ``--parallel N`` is how the CLI and
+    the daemon start them.
 
     **Multi-tenancy.**  Mirrors are namespaced by a session key:
     :meth:`open_session` installs a session's schema, Δ, and
@@ -623,7 +464,6 @@ class PersistentWorkerPool:
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
                  policy: Optional[SolvePolicy] = None,
                  use_kernel: Optional[bool] = None, *,
-                 transport: str = "queue",
                  retries: int = 2,
                  max_respawns: int = 8,
                  backoff_s: float = 0.05,
@@ -633,9 +473,6 @@ class PersistentWorkerPool:
                  recorder=None):
         import threading
 
-        if transport not in _TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}")
-        self.transport = transport
         self._worker_count = max(1, int(workers))
         self._schema = None if schema is None else tuple(schema)
         self._fds = fds
@@ -708,14 +545,7 @@ class PersistentWorkerPool:
                 self._slots.append(self._spawn(worker, 0))
                 self._gens.append(0)
                 self._load.append(0)
-            deadline = _monotonic() + _SPAWN_TIMEOUT_S
-            ready = all(
-                slot.wait_ready(max(0.0, deadline - _monotonic()))
-                for slot in self._slots
-            )
         except (OSError, PermissionError, ValueError, ImportError):
-            ready = False
-        if not ready:
             self._broken = True
             self._teardown(grace_s=0.0)
             return False
@@ -729,7 +559,7 @@ class PersistentWorkerPool:
         return self.alive
 
     def _spawn(self, worker: int, generation: int):
-        return _TRANSPORTS[self.transport](
+        return _QueueSlot(
             self._on_reply, self._use_kernel, worker, generation,
             self._faults.to_spec() or None,
         )
@@ -1134,9 +964,6 @@ class PersistentWorkerPool:
             slot = self._spawn(worker, generation)
         except (OSError, PermissionError, ValueError, ImportError):
             return False
-        if not slot.wait_ready(_SPAWN_TIMEOUT_S):
-            slot.close(0.0)
-            return False
         with self._io:
             replayed = True
             for key, space in self._mirror.items():
@@ -1288,7 +1115,7 @@ def solve_components(
     *,
     only: Optional[Sequence[int]] = None,
     key=None,
-    timeout: Optional[float] = 120.0,
+    timeout: Optional[float] = None,
     stats=None,
 ) -> Tuple[List, List[str]]:
     """Solve each component under its plan; returns the per-component
@@ -1312,12 +1139,12 @@ def solve_components(
 
     Where the solves run: on *executor* (a started or startable
     :class:`PersistentWorkerPool`) when one is passed, with *timeout*
-    capping the batch; else, when :func:`resolve_workers` grants more
-    than one worker for *parallel*, on a queue-transport pool of that
-    many workers started for this call (*solve_timeout_s* is its
-    per-solve deadline, see :class:`PersistentWorkerPool`; no batch
-    cap, since worker deaths and the deadline already cover stalls);
-    else in process, reusing the projected sub-indexes.  Without *key*
+    capping the batch (default: no cap); else, when
+    :func:`resolve_workers` grants more than one worker for *parallel*,
+    on a pool of that many workers started for this call
+    (*solve_timeout_s* is its per-solve deadline, see
+    :class:`PersistentWorkerPool`; no batch cap, since worker deaths
+    and the deadline already cover stalls); else in process, reusing the projected sub-indexes.  Without *key*
     the pool receives only the conflict components' rows, into a
     namespace of this call's own; with *key* the caller's namespace is
     already attached and kept in sync (a streaming session's mirror).
@@ -1430,7 +1257,7 @@ def _solve_on_pool(pool, decomp: Decomposition, plans, order, policy,
             return None
         return pool.solve(tasks, timeout=timeout, key=key)
     except RuntimeError:
-        return None  # solver/transport failure: solve locally
+        return None  # solver or pool failure: solve locally
     finally:
         if own:
             pool.drop_session(key)

@@ -32,8 +32,8 @@ kills the original process and spares the supervisor's replacement
 
 Named sites (context keys in parentheses):
 
-- ``worker.recv`` (worker, generation, msg, op) — in a pool worker
-  (either transport), per incoming message before it is handled.
+- ``worker.recv`` (worker, generation, msg, op) — in a pool worker,
+  per incoming message before it is handled.
   ``kill`` crashes the worker mid-protocol ("kill worker 1 at its 3rd
   message"), ``drop`` swallows the message, ``raise`` answers a solve
   with an error, ``delay`` stalls the worker.

@@ -120,9 +120,9 @@ def _stdin_lines(fd: int):
     """Request lines read from file descriptor *fd* with ``os.read``
     (bytes, or :data:`_OVERLONG` for an over-long line), up to EOF.
 
-    Never through ``sys.stdin``: a queue-transport worker forked while
-    a thread blocks in ``sys.stdin.readline()`` inherits stdin's buffer
-    lock held and hangs in ``multiprocessing``'s ``_close_stdin``.
+    Never through ``sys.stdin``: a pool worker forked while a thread
+    blocks in ``sys.stdin.readline()`` inherits stdin's buffer lock
+    held and hangs in ``multiprocessing``'s ``_close_stdin``.
     Raw reads take no lock, so every spawn — respawns included — is
     safe."""
     pending = bytearray()
@@ -167,13 +167,9 @@ class ServerConfig:
     #: Estimated bytes one tenant may hold (live + frozen); opens that
     #: would exceed it are refused.  ``None`` disables the bound.
     max_tenant_bytes: Optional[int] = 256 * 1024 * 1024
-    #: Warm worker processes shared by every session (0 = solve
-    #: in-process on the executor threads).
+    #: Warm worker processes shared by every session (``--parallel``;
+    #: 0 = solve in-process on the executor threads).
     workers: int = 1
-    #: Stdio-transport workers (``python -m repro.shard`` subprocesses)
-    #: shared by every session; > 0 replaces the queue-transport
-    #: ``workers``.
-    shards: int = 0
     #: Bound on the shared content-addressed solution cache.
     cache_entries: Optional[int] = 200_000
     #: Executor threads op execution runs on (per-session sequencing
@@ -308,21 +304,18 @@ class SessionManager:
     # -- pool lifecycle (owned here, never by a session) ---------------
     def _shared_pool(self):
         """The shared :class:`~repro.exec.PersistentWorkerPool`, started
-        on first use — stdio transport when ``shards`` > 0, queue
-        transport otherwise; ``None`` when both are 0 or the platform
-        cannot start it."""
+        on first use with ``workers`` processes; ``None`` when
+        ``workers`` is 0 or the platform cannot start it."""
         config = self.config
-        if config.shards <= 0 and config.workers <= 0:
+        if config.workers <= 0:
             return None
         with self._lock:
             if not self._pool_started:
                 self._pool_started = True
                 from .exec import PersistentWorkerPool
 
-                sharded = config.shards > 0
                 pool = PersistentWorkerPool(
-                    config.shards if sharded else config.workers,
-                    transport="stdio" if sharded else "queue",
+                    config.workers,
                     solve_timeout_s=config.solve_timeout_s,
                     faults=self._faults,
                     recorder=self.recorder,
@@ -831,7 +824,6 @@ class SessionManager:
         }
         if self._pool is not None:
             out["pool_supervision"] = self._pool.supervision_stats()
-            out["pool_kind"] = self._pool.transport
             out["pool_live"] = self._pool.live_workers()
         if self._supervision_base or self._pool is not None:
             out["pool_supervision_lifetime"] = self.lifetime_supervision()

@@ -190,8 +190,8 @@ def _chaos_workload(seed, batches=3, rows_per_batch=5):
 
 
 def test_chaos_identity_under_worker_kills_and_daemon_restarts(tmp_path):
-    """The tentpole acceptance property, end to end and on both pool
-    transports: a pooled daemon whose workers are killed mid-run
+    """The tentpole acceptance property, end to end: a pooled daemon
+    whose workers are killed mid-run
     (``repro.faults``) and whose process is hard-restarted between
     batches (crash-safe journal recovery) acknowledges op for op exactly
     what an isolated serial session computes — fault tolerance is
@@ -213,15 +213,12 @@ def test_chaos_identity_under_worker_kills_and_daemon_restarts(tmp_path):
     from repro.session import RepairSession
     from repro.exec import PersistentWorkerPool
 
-    configs = {"queue": {"workers": 2}, "stdio": {"workers": 0, "shards": 2}}
-    for transport in configs:
-        probe = PersistentWorkerPool(1, ("A", "B", "C"), FDSet("A -> B"),
-                                     transport=transport)
-        try:
-            if not probe.start():
-                pytest.skip(f"{transport} workers unavailable")
-        finally:
-            probe.close()
+    probe = PersistentWorkerPool(1, ("A", "B", "C"), FDSet("A -> B"))
+    try:
+        if not probe.start():
+            pytest.skip("pool workers unavailable")
+    finally:
+        probe.close()
 
     fds_text = "A -> B"
     state_root = [0]
@@ -252,36 +249,35 @@ def test_chaos_identity_under_worker_kills_and_daemon_restarts(tmp_path):
         spec = [{"site": "worker.solve", "action": "kill",
                  "at": kill_solve,
                  "match": {"worker": 0, "generation": 0}}]
-        for transport, pool_config in configs.items():
-            state_root[0] += 1
-            state = str(tmp_path / f"state-{state_root[0]}")
+        state_root[0] += 1
+        state = str(tmp_path / f"state-{state_root[0]}")
 
-            def fresh_manager():
-                return SessionManager(
-                    ServerConfig(state_dir=state, **pool_config),
-                    faults=FaultPlan.from_spec(spec),
-                )
-
-            manager = fresh_manager()
-            manager.open(
-                "t", "s", {"schema": ["A", "B", "C"], "fds": fds_text}
+        def fresh_manager():
+            return SessionManager(
+                ServerConfig(state_dir=state, workers=2),
+                faults=FaultPlan.from_spec(spec),
             )
-            got = []
-            try:
-                for bi, batch in enumerate(script):
-                    if bi in restarts and bi > 0:
-                        # Hard crash: abandon the journal mid-stream
-                        # (the pool is closed only to reap subprocesses),
-                        # then recover on the same state dir.
-                        if manager._pool is not None:
-                            manager._pool.close()
-                        manager = fresh_manager()
-                    entry = manager.entry("t", "s")
-                    for op, payload in batch:
-                        got.append(manager.run_op(entry, op, dict(payload)))
-            finally:
-                manager.shutdown()
-            assert got == expected, transport
+
+        manager = fresh_manager()
+        manager.open(
+            "t", "s", {"schema": ["A", "B", "C"], "fds": fds_text}
+        )
+        got = []
+        try:
+            for bi, batch in enumerate(script):
+                if bi in restarts and bi > 0:
+                    # Hard crash: abandon the journal mid-stream
+                    # (the pool is closed only to reap subprocesses),
+                    # then recover on the same state dir.
+                    if manager._pool is not None:
+                        manager._pool.close()
+                    manager = fresh_manager()
+                entry = manager.entry("t", "s")
+                for op, payload in batch:
+                    got.append(manager.run_op(entry, op, dict(payload)))
+        finally:
+            manager.shutdown()
+        assert got == expected
         oracle.close()
 
     run()

@@ -41,7 +41,6 @@ from repro.session import RepairSession, SolutionCache
 from repro.testing import random_small_table
 
 SCHEMA = ("A", "B", "C")
-TRANSPORTS = ("queue", "stdio")
 
 
 def _pool_available():
@@ -617,11 +616,10 @@ def test_killed_worker_fails_fast_and_repair_survives():
 
 
 def test_pool_supervisor_heals_worker_death_mid_batch():
-    """The acceptance path, driven through ``repro.faults`` on both
-    transports: a worker killed mid-batch does not raise — the
-    supervisor retries its in-flight solves, respawns the slot with the
-    mirror replayed, and the batch result is byte-identical to a
-    no-fault run."""
+    """The acceptance path, driven through ``repro.faults``: a worker
+    killed mid-batch does not raise — the supervisor retries its
+    in-flight solves, respawns the slot with the mirror replayed, and
+    the batch result is byte-identical to a no-fault run."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     from repro.faults import FaultPlan, FaultRule
@@ -638,33 +636,31 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
         expected = [(kept, method) for kept, method, _secs
                     in baseline.solve(tasks, timeout=60.0)]
 
-    for transport in TRANSPORTS:
-        plan = FaultPlan([FaultRule("worker.solve", "kill",
-                                    match={"worker": 0, "generation": 0})])
-        pool = PersistentWorkerPool(2, SCHEMA, fds, transport=transport,
-                                    faults=plan, backoff_s=0.01)
-        assert pool.start(), transport
-        try:
-            assert pool.broadcast(("reset", rows, weights))
-            got = [(kept, method) for kept, method, _secs
-                   in pool.solve(tasks, timeout=60.0)]
-            assert got == expected, transport
-            deadline = time.monotonic() + 10.0
-            while (pool.supervision_stats()["respawns"] < 1
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            counters = pool.supervision_stats()
-            assert counters["worker_deaths"] == 1, transport
-            assert counters["retries"] >= 1, transport
-            assert counters["respawns"] == 1, transport
-            assert counters["degraded"] == 0, transport
-            assert pool.live_workers() == 2, transport
-            # The replacement's replayed mirror serves solves
-            # byte-identically.
-            assert ([(kept, method) for kept, method, _secs
-                     in pool.solve(tasks, timeout=60.0)] == expected)
-        finally:
-            pool.close()
+    plan = FaultPlan([FaultRule("worker.solve", "kill",
+                                match={"worker": 0, "generation": 0})])
+    pool = PersistentWorkerPool(2, SCHEMA, fds, faults=plan, backoff_s=0.01)
+    assert pool.start()
+    try:
+        assert pool.broadcast(("reset", rows, weights))
+        got = [(kept, method) for kept, method, _secs
+               in pool.solve(tasks, timeout=60.0)]
+        assert got == expected
+        deadline = time.monotonic() + 10.0
+        while (pool.supervision_stats()["respawns"] < 1
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        counters = pool.supervision_stats()
+        assert counters["worker_deaths"] == 1
+        assert counters["retries"] >= 1
+        assert counters["respawns"] == 1
+        assert counters["degraded"] == 0
+        assert pool.live_workers() == 2
+        # The replacement's replayed mirror serves solves
+        # byte-identically.
+        assert ([(kept, method) for kept, method, _secs
+                 in pool.solve(tasks, timeout=60.0)] == expected)
+    finally:
+        pool.close()
 
 
 def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
@@ -700,35 +696,33 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
 
 
 def test_pool_namespaces_isolate_sessions():
-    """Two sessions with different Δ share one pool, on either
-    transport; each namespace solves under its own FD set and mirrors
-    its own deltas."""
+    """Two sessions with different Δ share one pool; each namespace
+    solves under its own FD set and mirrors its own deltas."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
-    for transport in TRANSPORTS:
-        pool = PersistentWorkerPool(1, transport=transport)
-        assert pool.start(), transport
-        try:
-            fds_a = FDSet("A -> B")
-            fds_b = FDSet("B -> C")
-            assert pool.open_session("one", SCHEMA, fds_a)
-            assert pool.open_session("two", SCHEMA, fds_b)
-            rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
-            weights = {1: 2.0, 2: 1.0}
-            assert pool.broadcast(("reset", rows, weights), key="one")
-            # Same rows violate A -> B but satisfy B -> C.
-            assert pool.broadcast(("reset", rows, weights), key="two")
-            [(kept_a, _, _)] = pool.solve([((1, 2), "exact", None)], key="one")
-            assert kept_a == (1,)  # heavier tuple wins under A -> B
-            [(kept_b, _, _)] = pool.solve([((1, 2), "exact", None)], key="two")
-            assert kept_b == (1, 2)  # consistent under B -> C: keep both
-            assert pool.drop_session("two")
-            # Namespace "one" is unaffected by dropping "two".
-            [(kept_a2, _, _)] = pool.solve([((1, 2), "exact", None)],
-                                           key="one")
-            assert kept_a2 == (1,)
-        finally:
-            pool.close()
+    pool = PersistentWorkerPool(1)
+    assert pool.start()
+    try:
+        fds_a = FDSet("A -> B")
+        fds_b = FDSet("B -> C")
+        assert pool.open_session("one", SCHEMA, fds_a)
+        assert pool.open_session("two", SCHEMA, fds_b)
+        rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
+        weights = {1: 2.0, 2: 1.0}
+        assert pool.broadcast(("reset", rows, weights), key="one")
+        # Same rows violate A -> B but satisfy B -> C.
+        assert pool.broadcast(("reset", rows, weights), key="two")
+        [(kept_a, _, _)] = pool.solve([((1, 2), "exact", None)], key="one")
+        assert kept_a == (1,)  # heavier tuple wins under A -> B
+        [(kept_b, _, _)] = pool.solve([((1, 2), "exact", None)], key="two")
+        assert kept_b == (1, 2)  # consistent under B -> C: keep both
+        assert pool.drop_session("two")
+        # Namespace "one" is unaffected by dropping "two".
+        [(kept_a2, _, _)] = pool.solve([((1, 2), "exact", None)],
+                                       key="one")
+        assert kept_a2 == (1,)
+    finally:
+        pool.close()
 
 
 def test_daemon_survives_a_solve_deadline_failover(tmp_path):

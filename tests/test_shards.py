@@ -1,13 +1,12 @@
-"""Supervised execution over the stdio transport (``--shards``), and
-both transports through the same suites.
+"""Supervised execution on the worker pool (``--parallel``).
 
 The suite pins the acceptance property from both ends:
 
 - **Byte-identity.**  Answers — fault-free, under deterministic chaos
   schedules (kills, dropped messages, stalls), and after full
   degradation to local execution — are byte-identical to the serial
-  oracle on either transport.  Components are independent and solvers
-  pure, so retry, failover, and replay can only move *where* work runs.
+  oracle.  Components are independent and solvers pure, so retry,
+  failover, and replay can only move *where* work runs.
 - **Honesty.**  Every recovery the pool performs is visible in
   ``supervision_stats`` — deaths, respawns, retries, timeouts, local
   degradations — so the identity above is evidence of healing, not of
@@ -41,7 +40,6 @@ from repro.session import RepairSession
 SCHEMA = ("A", "B", "C")
 FDS = FDSet("A -> B; B -> C")
 FDS_TEXT = "A -> B; B -> C"
-TRANSPORTS = ("queue", "stdio")
 
 
 def _conflict_table(clusters=4, size=10, seed=7):
@@ -65,15 +63,15 @@ def _conflict_table(clusters=4, size=10, seed=7):
     return Table(SCHEMA, rows, weights)
 
 
-def _executor(workers, transport="stdio", **kwargs):
+def _executor(workers, **kwargs):
     """Start a pool or skip: platforms that cannot spawn the worker
     processes keep their serial fallback and are not what this suite
     tests."""
     kwargs.setdefault("backoff_s", 0.01)
-    ex = PersistentWorkerPool(workers, transport=transport, **kwargs)
+    ex = PersistentWorkerPool(workers, **kwargs)
     if not ex.start():
         ex.close()
-        pytest.skip(f"platform cannot start {transport} workers")
+        pytest.skip("platform cannot start pool workers")
     return ex
 
 
@@ -82,19 +80,14 @@ def _executor(workers, transport="stdio", **kwargs):
 # ---------------------------------------------------------------------------
 
 
-class TestShardedIdentity:
-    """Each test runs on the stdio transport here and on the queue
-    transport in :class:`TestQueueIdentity`."""
-
-    transport = "stdio"
-
+class TestQueueIdentity:
     def _serial(self, table):
         return clean(table, FDS).cleaned.to_string()
 
     def test_fault_free_sharded_clean_matches_serial(self):
         table = _conflict_table()
         expected = self._serial(table)
-        with _executor(2, self.transport) as ex:
+        with _executor(2) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
@@ -113,7 +106,7 @@ class TestShardedIdentity:
             FaultRule("worker.recv", "kill", at=2,
                       match={"worker": 0, "generation": 0}),
         ])
-        with _executor(2, self.transport, faults=plan) as ex:
+        with _executor(2, faults=plan) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
@@ -130,8 +123,7 @@ class TestShardedIdentity:
             FaultRule("pool.dispatch", "drop", times=2,
                       match={"op": "solve"}),
         ])
-        with _executor(2, self.transport, faults=plan,
-                       solve_timeout_s=0.3) as ex:
+        with _executor(2, faults=plan, solve_timeout_s=0.3) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
         assert got.cleaned.to_string() == expected
@@ -150,7 +142,7 @@ class TestShardedIdentity:
             FaultRule("worker.recv", "kill", at=2, match={"worker": 0}),
             FaultRule("worker.recv", "kill", at=2, match={"worker": 1}),
         ])
-        with _executor(2, self.transport, faults=plan, max_respawns=0) as ex:
+        with _executor(2, faults=plan, max_respawns=0) as ex:
             got = clean(table, FDS, executor=ex)
             stats = ex.supervision_stats()
             live = ex.live_workers()
@@ -173,7 +165,7 @@ class TestShardedIdentity:
             for op, payload in script
         ]
         oracle.close()
-        with _executor(2, self.transport) as ex:
+        with _executor(2) as ex:
             session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
             got = [
                 apply_session_op(session, op, dict(payload))
@@ -195,7 +187,7 @@ class TestShardedIdentity:
             FaultRule("worker.solve", "kill", at=1,
                       match={"worker": 0, "generation": 0}),
         ])
-        with _executor(2, self.transport, faults=plan) as ex:
+        with _executor(2, faults=plan) as ex:
             got = clean(table, FDS, strategy="updates", executor=ex)
             stats = ex.supervision_stats()
         assert table_to_csv(got.cleaned) == table_to_csv(expected.cleaned)
@@ -203,10 +195,6 @@ class TestShardedIdentity:
         assert got.method == expected.method
         assert got.report == expected.report
         assert stats["worker_deaths"] >= 1
-
-
-class TestQueueIdentity(TestShardedIdentity):
-    transport = "queue"
 
 
 def _subprocess_env():
@@ -261,38 +249,13 @@ def test_queue_workers_exit_when_their_parent_is_killed():
     assert not survivors
 
 
-def test_stdio_worker_refuses_stdin_that_is_not_a_pipe(tmp_path):
-    """The stdio transport unpickles what it reads, so the worker runs
-    only behind a pipe: fed a well-formed line from a regular file it
-    exits 2 without replying (no greeting, no result)."""
-    from repro.core.decompose import SolvePolicy
-    from repro.exec import _encode_stdio
-
-    feed = tmp_path / "feed.jsonl"
-    feed.write_bytes(
-        _encode_stdio("open", ("open", "k", SCHEMA, FDS, SolvePolicy()))
-        + _encode_stdio("reset", ("reset", "k", {1: ("a", "x", "p")},
-                                  {1: 1.0}))
-        + _encode_stdio("solve", ("solve", 0, "k", (1,), "exact", None))
-    )
-    with open(feed, "rb") as stdin:
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.shard"], stdin=stdin,
-            capture_output=True, env=_subprocess_env(), timeout=60,
-        )
-    assert done.returncode == 2
-    assert done.stdout == b""
-    assert b"pipe" in done.stderr
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_stalled_solve_finishes_on_its_first_worker(transport):
+def test_stalled_solve_finishes_on_its_first_worker():
     """Without a deadline nothing shoots a busy worker: a solve stalled
     1.5 s by a ``delay`` fault finishes where it was sent, with no
     death, retry, or respawn."""
     plan = FaultPlan([FaultRule("worker.solve", "delay", delay_s=1.5)])
     rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
-    with _executor(1, transport, faults=plan) as ex:
+    with _executor(1, faults=plan) as ex:
         assert ex.open_session("k", SCHEMA, FDS)
         assert ex.broadcast(("reset", rows, {1: 2.0, 2: 1.0}), key="k")
         [(kept, method, secs)] = ex.solve([((1, 2), "exact", None)], key="k")
@@ -340,7 +303,7 @@ def _session_script(seed, batches):
 
 
 def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
-    """The hypothesis chaos gate, on both transports: worker kills and
+    """The hypothesis chaos gate: worker kills and
     dropped solve dispatches at hypothesis-chosen coordinates, over
     hypothesis-chosen workloads, never change a single acknowledged
     byte vs the serial oracle.  Fault plans are deterministic, so every
@@ -350,9 +313,8 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    for transport in TRANSPORTS:
-        with _executor(1, transport):
-            pass  # probe once; skip the whole test where spawn fails
+    with _executor(1):
+        pass  # probe once; skip the whole test where spawn fails
 
     @settings(
         max_examples=3,
@@ -381,25 +343,22 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
         if drops:
             rules.append(FaultRule("pool.dispatch", "drop", times=drops,
                                    match={"op": "solve"}))
-        for transport in TRANSPORTS:
-            ex = _executor(2, transport, faults=FaultPlan(rules),
-                           solve_timeout_s=0.5)
-            try:
-                session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
-                got = [
-                    apply_session_op(session, op, dict(payload))
-                    for op, payload in script
-                ]
-                session.close()
-            finally:
-                ex.close()
-            assert got == expected, transport
+        ex = _executor(2, faults=FaultPlan(rules), solve_timeout_s=0.5)
+        try:
+            session = RepairSession(Table(SCHEMA, {}), FDS, pool=ex)
+            got = [
+                apply_session_op(session, op, dict(payload))
+                for op, payload in script
+            ]
+            session.close()
+        finally:
+            ex.close()
+        assert got == expected
 
     run()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_lost_mirror_delta_heals_by_respawn(transport):
+def test_lost_mirror_delta_heals_by_respawn():
     """A dropped ``append`` leaves the worker's mirror stale: its solve
     reports the missing id, the parent (whose mirror has it) re-sends
     the solve and respawns the worker with the mirror replayed, and the
@@ -407,7 +366,7 @@ def test_lost_mirror_delta_heals_by_respawn(transport):
     plan = FaultPlan([FaultRule("pool.dispatch", "drop",
                                 match={"op": "append"})])
     rows = {1: ("a", "x", "p")}
-    with _executor(1, transport, faults=plan) as ex:
+    with _executor(1, faults=plan) as ex:
         assert ex.open_session("k", SCHEMA, FDS)
         assert ex.broadcast(("reset", rows, {1: 1.0}), key="k")
         assert ex.broadcast(("append", {2: ("a", "y", "p")}, {2: 2.0}),
@@ -419,8 +378,7 @@ def test_lost_mirror_delta_heals_by_respawn(transport):
     assert stats["respawns"] == 1
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_concurrent_callers_share_the_fleet(transport):
+def test_concurrent_callers_share_the_fleet():
     """Eight caller threads over three workers (more than the host's
     cores), with a short switch interval: every caller gets the
     single-caller answers, every solve is sent exactly once, and the
@@ -434,7 +392,7 @@ def test_concurrent_callers_share_the_fleet(transport):
         groups.setdefault(row[0].split(".")[0], []).append(tid)
     tasks = [(tuple(ids), "exact", None) for ids in groups.values()]
     results = {}
-    with _executor(3, transport) as ex:
+    with _executor(3) as ex:
         assert ex.open_session("k", table.schema, FDS)
         assert ex.broadcast(
             ("reset", dict(table.rows()), dict(table.weights())), key="k"
@@ -478,7 +436,7 @@ class TestExecutorSeam:
 
     def test_solver_error_surfaces_as_runtime_error(self):
         """A worker-side solver exception is a property of the request,
-        not of the transport: it surfaces as RuntimeError so callers
+        not of the pool: it surfaces as RuntimeError so callers
         fall back serially."""
         with _executor(1) as ex:
             table = _conflict_table(1, 4)
@@ -493,7 +451,7 @@ class TestExecutorSeam:
         """The batch path keeps the serial fallback: an executor whose
         start() fails must leave clean() untouched."""
         table = _conflict_table()
-        dead = PersistentWorkerPool(1, transport="stdio")
+        dead = PersistentWorkerPool(1)
         dead._broken = True  # simulate a platform that cannot spawn
         dead._started = True
         got = clean(table, FDS, executor=dead)
@@ -533,12 +491,52 @@ def test_s_repair_parallel_carries_the_solve_timeout(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_stream_parallel_carries_the_solve_timeout(tmp_path, monkeypatch,
+                                                  capsys):
+    """``stream --parallel N --solve-timeout S`` solves on a pool of N
+    workers built with the deadline, and writes what the serial run
+    writes."""
+    import repro.exec as exec_mod
+    from repro.cli import main
+
+    built = []
+
+    class RecordingPool(exec_mod.PersistentWorkerPool):
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(exec_mod, "PersistentWorkerPool", RecordingPool)
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(table_to_csv(_conflict_table()), encoding="utf-8")
+    batches = tmp_path / "ops.jsonl"
+    batches.write_text(
+        json.dumps({"op": "append", "rows": [["a0.0", "b0.9", "x0.9"],
+                                             ["a1.0", "b1.9", "x1.9"]],
+                    "repair": False}) + "\n"
+        + json.dumps({"op": "repair"}) + "\n",
+        encoding="utf-8",
+    )
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["stream", FDS_TEXT, str(batches), "--table", str(csv_path),
+                 "--quiet", "--out", str(serial)]) == 0
+    assert not built
+    assert main(["stream", FDS_TEXT, str(batches), "--table", str(csv_path),
+                 "--quiet", "--parallel", "2", "--solve-timeout", "30",
+                 "--out", str(pooled)]) == 0
+    assert len(built) == 1
+    assert built[0][0] == (2,) and built[0][1]["solve_timeout_s"] == 30.0
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert "pool solves" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("strategy", ["deletions", "updates"])
 def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
-    """``clean(parallel=N)``'s own pool puts no cap on the batch: with
-    every finite batch cap shrunk to 10 ms and the first solve on each
-    worker stalled, the batch is still solved once, on the workers —
-    not abandoned and solved again in process."""
+    """Neither ``clean(parallel=N)``'s own pool nor a passed
+    ``executor=`` pool puts a cap on the batch: with every finite batch
+    cap shrunk to 10 ms and the first solve on each worker stalled, the
+    batch is still solved once, on the workers — not abandoned and
+    solved again in process."""
     import repro.exec as exec_mod
     from repro.faults import FAULTS_ENV
 
@@ -565,9 +563,13 @@ def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
     ))
     pooled = clean(_conflict_table(), fds, strategy=strategy,
                    guarantee="fast", parallel=2)
+    with _executor(2) as ex:
+        passed = clean(_conflict_table(), fds, strategy=strategy,
+                       guarantee="fast", executor=ex)
     assert in_process == []
-    assert table_to_csv(pooled.cleaned) == table_to_csv(serial.cleaned)
-    assert pooled.distance == serial.distance
+    for got in (pooled, passed):
+        assert table_to_csv(got.cleaned) == table_to_csv(serial.cleaned)
+        assert got.distance == serial.distance
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +774,6 @@ class _WornPool:
 
     alive = True
     worker_count = 2
-    transport = "fake"
 
     def __init__(self, counters):
         self._counters = dict(counters)
@@ -822,14 +823,14 @@ class TestSupervisionPersistence:
 
 
 # ---------------------------------------------------------------------------
-# Daemon over shards
+# Daemon over the shared pool
 # ---------------------------------------------------------------------------
 
 
 def test_daemon_shared_pool_can_be_sharded(tmp_path):
-    """``ServerConfig(shards=N)`` gives the daemon a stdio-transport
-    shared pool at the same seam; sessions repair identically and
-    ``stats`` reports the fleet."""
+    """``ServerConfig(workers=N)`` gives the daemon a shared pool of N
+    workers; sessions repair identically and ``stats`` reports the
+    fleet."""
     from repro.server import ServerConfig, SessionManager
 
     with _executor(1):
@@ -844,7 +845,7 @@ def test_daemon_shared_pool_can_be_sharded(tmp_path):
     oracle.close()
 
     manager = SessionManager(ServerConfig(
-        workers=0, shards=2, state_dir=str(tmp_path / "state"),
+        workers=2, state_dir=str(tmp_path / "state"),
     ))
     try:
         manager.open("t", "s", {"schema": list(SCHEMA), "fds": FDS_TEXT})
@@ -858,7 +859,6 @@ def test_daemon_shared_pool_can_be_sharded(tmp_path):
     finally:
         manager.shutdown()
     assert got == expected
-    assert stats["pool_kind"] == "stdio"
     assert stats["pool_workers"] == 2
     assert stats["pool_live"] == 2
     assert "pool_supervision_lifetime" in stats

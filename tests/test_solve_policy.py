@@ -48,11 +48,11 @@ def _mix():
     return portfolio_mix_table(SCHEMA, hard_components=2, seed=11)
 
 
-def _pool(workers, transport):
-    pool = PersistentWorkerPool(workers, transport=transport)
+def _pool(workers):
+    pool = PersistentWorkerPool(workers)
     if not pool.start():
         pool.close()
-        pytest.skip(f"platform cannot start {transport} workers")
+        pytest.skip("platform cannot start pool workers")
     return pool
 
 
@@ -70,9 +70,8 @@ def test_optimal_under_budget_raises_on_clean(mode):
         clean(_mix(), FDS, guarantee="optimal", exact_budget_s=0.0, **kwargs)
 
 
-@pytest.mark.parametrize("transport", ["queue", "stdio"])
-def test_optimal_under_budget_raises_on_an_executor(transport):
-    with _pool(2, transport) as pool:
+def test_optimal_under_budget_raises_on_an_executor():
+    with _pool(2) as pool:
         with pytest.raises(ExactBudgetExceeded):
             clean(_mix(), FDS, guarantee="optimal", exact_budget_s=0.0,
                   executor=pool)
@@ -106,7 +105,7 @@ def test_optimal_session_repair_raises_and_caches_nothing(parallel):
 
 def test_optimal_session_on_a_shared_pool_raises():
     table = _mix()
-    with _pool(2, "stdio") as pool:
+    with _pool(2) as pool:
         session = RepairSession(table, FDS, guarantee="optimal",
                                 exact_budget_s=0.0, pool=pool)
         try:
@@ -132,6 +131,11 @@ def test_cli_optimal_under_budget_fails_with_one_error_line(tmp_path, extra):
          FDS_TEXT, "--guarantee", "optimal", "--exact-budget", "0", *extra],
         capture_output=True, text=True, env=env, timeout=300,
     )
+    if extra[0:1] == ["--shards"]:
+        # Retired with its worker transport: refused like any unknown flag.
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments: --shards" in proc.stderr
+        return
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -292,6 +296,17 @@ def test_serve_refuses_a_bad_unit_cost_at_startup(capsys):
 def test_retired_flags_are_gone(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["s-repair", str(tmp_path / "t.csv"), "A -> B", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["s-repair", "t.csv", "A -> B"],
+    ["stream", "A -> B", "--schema", "A,B"],
+    ["serve", "--stdio"],
+])
+def test_shards_flag_is_gone_on_every_command(command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--shards", "2"])
     assert exc.value.code == 2
 
 
