@@ -90,8 +90,7 @@ def _per_component_clean(table):
     kept_lists, methods = solve_components(decomp, plans)
     solves = [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)]
     return _decomposed_outcome(
-        decomp, verdict, plans, solves, None, "best",
-        EXACT_COMPONENT_THRESHOLD,
+        decomp, verdict, plans, solves, "best", EXACT_COMPONENT_THRESHOLD,
     )
 
 

@@ -843,7 +843,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         table,
         fds,
         guarantee=args.guarantee,
-        parallel=None if pool is None else args.parallel,
         pool=pool,
         exact_threshold=args.exact_threshold,
         exact_budget_s=args.exact_budget,

@@ -471,6 +471,14 @@ def resolve_plan_defaults(
     )
 
 
+#: The budget-free plans, one shared instance per method: a plan is
+#: frozen, and the size rule re-plans every component on every repair.
+_SIZE_RULE_PLANS = {
+    method: ComponentPlan(method)
+    for method in ("approx", "dichotomy", "exact")
+}
+
+
 def plan_schedule(
     components: Sequence[Component],
     tractable: bool,
@@ -515,19 +523,17 @@ def plan_schedule(
         policy = SolvePolicy()
     exact_budget_s = policy.exact_budget_s
     if guarantee == "fast":
-        return [ComponentPlan("approx") for _ in components]
+        return [_SIZE_RULE_PLANS["approx"]] * len(components)
     if tractable:
-        return [ComponentPlan("dichotomy") for _ in components]
+        return [_SIZE_RULE_PLANS["dichotomy"]] * len(components)
     if guarantee == "optimal":
-        return [
-            ComponentPlan("exact", budget_s=exact_budget_s)
-            for _ in components
-        ]
+        plan = ComponentPlan("exact", budget_s=exact_budget_s)
+        return [plan] * len(components)
     if exact_budget_s is None:
         return [
-            ComponentPlan(
+            _SIZE_RULE_PLANS[
                 plan_s_method(c.size, tractable, guarantee, policy.threshold)
-            )
+            ]
             for c in components
         ]
     # Global budget: rank by predicted difficulty, grant exactness

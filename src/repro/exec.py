@@ -1280,19 +1280,18 @@ def assemble_s_result(
     decomp: Decomposition,
     methods: Sequence[str],
     kept_lists: Sequence[Tuple[TupleId, ...]],
-    parallel: Optional[int] = None,
 ):
-    """Merge per-component kept sets into one :class:`SRepairResult`."""
+    """Merge per-component kept sets into one :class:`SRepairResult`.
+    Where the components were solved leaves no trace: serial and pooled
+    results are equal field for field."""
     from .core.srepair import SRepairResult
 
     repair = decomp.merge_kept(kept_lists)
     counts = _method_mix(methods)
     optimal = all(m in ("dichotomy", "exact") for m in methods)
     ratio = max((S_METHOD_RATIOS[m] for m in methods), default=1.0)
-    workers = resolve_workers(parallel, len(methods))
     label = (
         f"decomposed[{decomp.component_count} components"
-        + (f", parallel={workers}" if workers > 1 else "")
         + (f": {_mix_label(counts)}" if counts else "")
         + "]"
     )

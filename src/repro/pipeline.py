@@ -418,7 +418,6 @@ def _decomposed_outcome(
     verdict: DichotomyResult,
     plans,
     solves,
-    parallel: Optional[int],
     guarantee: str,
     threshold: int,
 ) -> CleaningResult:
@@ -464,8 +463,7 @@ def _decomposed_outcome(
         exact_components=exact_components,
     )
     result = assemble_s_result(
-        decomp, [s.method for s in solves], [s.kept for s in solves],
-        parallel,
+        decomp, [s.method for s in solves], [s.kept for s in solves]
     )
     return _cleaning_result(result.repair, result, report, "deletions")
 
@@ -545,7 +543,7 @@ def _clean_deletions_decomposed(
         return _decomposed_outcome(
             decomp, verdict, plans,
             [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)],
-            parallel, guarantee, policy.threshold,
+            guarantee, policy.threshold,
         )
 
 
@@ -595,8 +593,9 @@ def clean(
     parallel:
         Number of supervised worker processes for per-component solving
         (see :func:`repro.exec.solve_components`; implies nothing when
-        ≤ 1 or with a single component — the merge is deterministic
-        regardless).
+        ≤ 1 or with a single component).  Where the components are
+        solved leaves no trace in the result: it equals the serial one
+        field for field, method label included.
     exact_threshold:
         Component-size boundary between exact and approximate solving on
         the APX-hard side of the dichotomy (default
@@ -780,27 +779,29 @@ def _clean_updates_decomposed(
     :class:`~repro.core.urepair.UnknownURepairComplexity` when the
     result is not provably optimal."""
     from .core.urepair import _require_optimal
+    from .exec import solve_components
 
     report = _assess(table, fds, index, True, policy, False, rec)
+    method = _U_METHOD_BY_GUARANTEE[guarantee]
     with rec.span("phase.solve"):
-        result = _merge_u_components(
-            decompose(table, fds, index), _U_METHOD_BY_GUARANTEE[guarantee],
-            parallel, policy, rec, executor, solve_timeout_s,
+        decomp = decompose(table, fds, index)
+        outcomes, _methods = solve_components(
+            decomp, [ComponentPlan(method)] * decomp.component_count,
+            parallel, policy, recorder=rec, executor=executor,
+            solve_timeout_s=solve_timeout_s,
         )
+        result = _merge_u_components(decomp, method, outcomes)
     if guarantee == "optimal":
         _require_optimal(result, fds)
     return _cleaning_result(result.update, result, report, "updates")
 
 
-def _merge_u_components(
-    decomp, method: str, parallel: Optional[int], policy: SolvePolicy, rec,
-    executor, solve_timeout_s: Optional[float],
-) -> URepairResult:
-    """Solve every component of *decomp* with U *method* and merge the
-    relabelled updates, falling back to the global dispatcher on a
-    cross-component collision."""
+def _merge_u_components(decomp, method: str, outcomes) -> URepairResult:
+    """Merge the relabelled updates of *decomp*'s components, solved
+    with U *method* into *outcomes*, falling back to the global
+    dispatcher on a cross-component collision."""
     from .core.violations import satisfies
-    from .exec import U_METHODS, _method_mix, resolve_workers, solve_components
+    from .exec import U_METHODS, _method_mix
 
     table, fds = decomp.table, decomp.fds
     if not decomp.components:
@@ -812,11 +813,6 @@ def _merge_u_components(
             method="already consistent",
             component_count=0,
         )
-    outcomes, _methods = solve_components(
-        decomp, [ComponentPlan(method)] * decomp.component_count, parallel,
-        policy, recorder=rec, executor=executor,
-        solve_timeout_s=solve_timeout_s,
-    )
     update = decomp.merge_updates([
         _relabel_fresh(component.ordinal, cells)
         for component, (cells, _opt, _ratio, _m)
@@ -842,11 +838,8 @@ def _merge_u_components(
     optimal = all(opt for _c, opt, _r, _m in outcomes)
     ratio = max((r for _c, _opt, r, _m in outcomes), default=1.0)
     counts = _method_mix([m for _c, _opt, _r, m in outcomes])
-    workers = resolve_workers(parallel, decomp.component_count)
     label = (
-        f"decomposed[{decomp.component_count} components"
-        + (f", parallel={workers}" if workers > 1 else "")
-        + "]: "
+        f"decomposed[{decomp.component_count} components]: "
         + "; ".join(f"{m} ×{n}" if n > 1 else m for m, n in sorted(counts.items()))
     )
     return URepairResult(

@@ -155,7 +155,10 @@ def _stdin_lines(fd: int):
 
 @dataclass
 class ServerConfig:
-    """Tenancy and lifecycle knobs for one daemon."""
+    """Tenancy and lifecycle knobs for one daemon.  Every session it
+    opens is handed the shared worker pool (``workers``; a batch still
+    unsolved after 600 s re-solves in process) and the shared solution
+    cache (``cache_entries``)."""
 
     #: Total sessions open across all tenants (resident + frozen).
     max_sessions: int = 256
@@ -175,8 +178,6 @@ class ServerConfig:
     #: Executor threads op execution runs on (per-session sequencing
     #: means a session occupies at most one at a time).
     executor_threads: int = 8
-    #: Seconds a session waits for one pool solve batch.
-    pool_timeout: float = 600.0
     #: Optional per-solve deadline on the shared pool: a solve past it
     #: is sent again with backoff, and its worker is failed over after
     #: the pool's retries.
@@ -407,7 +408,6 @@ class SessionManager:
         options = {
             k: payload[k] for k in _OPEN_OPTIONS if payload.get(k) is not None
         }
-        options["pool_timeout"] = self.config.pool_timeout
         # The daemon's calibrated cost constant applies to every session
         # that does not pin its own (per-open payload wins — recovery
         # replays the payload, so the choice survives a restart).

@@ -11,7 +11,9 @@ determine their optimal repair).
 
 A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
 
-* the current table (re-snapshotted per delta; tables stay immutable),
+* the current table snapshot, which is also its row store (a delta
+  builds the next snapshot from one copy of the last; tables stay
+  immutable),
 * one **live** :class:`~repro.core.conflict_index.ConflictIndex`,
   maintained by :meth:`~repro.core.conflict_index.ConflictIndex.insert` /
   :meth:`~repro.core.conflict_index.ConflictIndex.remove` in
@@ -25,9 +27,10 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
   ``(Δ, schema, SolvePolicy)`` plus ``(method, frozen member rows +
   weights)``: components untouched by the delta hit the cache and are
   never re-solved,
-* optionally a :class:`~repro.exec.PersistentWorkerPool` of warm worker
-  processes that mirror the table via the same deltas and solve cache
-  misses shipped as component ids only.
+* optionally the :class:`~repro.exec.PersistentWorkerPool` it is
+  given, whose warm workers mirror the table via the same deltas and
+  solve cache misses shipped as component ids only.  The session
+  attaches to that pool but never builds or stops one.
 
 The session is a thin cache layer over the batch path: its misses are
 solved by :func:`repro.exec.solve_components` and its results assembled
@@ -89,6 +92,20 @@ _CachedSolve = _ComponentSolve
 #: existed carry it in their session options and in the ``__dict__`` of
 #: every pickled :class:`~repro.core.decompose.SolvePolicy`.
 _RETIRED_CAP = "per_component_budget_s"
+
+#: The constructor options :meth:`RepairSession.export_state` records —
+#: all :meth:`RepairSession.restore` passes on from a state's options.
+_OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s", "unit_cost_s",
+            "node_limit")
+
+#: Bound on the private solution cache of a session given none:
+#: superseded entries are not invalidated eagerly, so an unbounded cache
+#: would grow for as long as the stream runs.
+_PRIVATE_CACHE_ENTRIES = 10_000
+
+#: Seconds a repair waits for the pool to finish its batch of solves
+#: before re-solving the batch in process.
+_POOL_BATCH_TIMEOUT_S = 600.0
 
 
 def uncapped_entries(entries: Mapping) -> Tuple[Dict, int]:
@@ -259,6 +276,9 @@ class SessionStats:
 class RepairSession:
     """An incremental repair service over one table and FD set.
 
+    It solves in process or on the *pool* it is given, and caches in a
+    private cache or the *solutions* cache it is given.
+
     Parameters
     ----------
     table:
@@ -287,46 +307,31 @@ class RepairSession:
         ``guarantee="optimal"`` such a solve raises
         :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` from
         :meth:`repair` instead, and nothing of that repair is cached.
-    parallel:
-        Worker count for solving cache misses.  With ``> 1`` the session
-        keeps a :class:`~repro.exec.PersistentWorkerPool` of warm
-        processes mirroring the table via deltas.  A pool that cannot
-        start or fails degrades to in-process solving, counted in
-        ``stats.pool_fallbacks`` (the results are identical either way).
     node_limit:
         Branch & bound node budget per exact component solve.
-    max_cache_entries:
-        Bound on the private per-component cache the session builds
-        when no shared *solutions* cache is given (default 10 000
-        entries) —
-        superseded entries are not invalidated eagerly, so an unbounded
-        cache would grow for as long as the stream runs.  Least-recently
-        -used entries are evicted; correctness is unaffected (evicted
-        components simply re-solve).  ``None`` disables the bound.
-    pool_timeout:
-        Seconds to wait for the warm workers to finish one batch of
-        solves (default 600).  On expiry the batch re-solves in process
-        — raise it for ``guarantee="optimal"`` sessions whose exact
-        components may legitimately run long.
     pool:
-        An externally-owned :class:`~repro.exec.PersistentWorkerPool`
-        shared with other sessions (the multi-tenant daemon's layout).
-        The session attaches its own mirror namespace lazily, keeps it
-        synchronised with the same deltas it applies locally, detaches
-        on :meth:`close` — and never starts or stops the pool itself:
-        engine state is the session's, process lifecycle is the
-        caller's.  With a shared pool, even single cache-miss components
-        are offloaded, so one session's slow solve keeps the event loop
-        (and every other session) responsive.
+        A :class:`~repro.exec.PersistentWorkerPool`, possibly shared
+        with other sessions (the multi-tenant daemon's layout), that
+        solves every repair's cache misses — even a single one, so a
+        slow solve runs in a worker while the caller's thread only
+        waits.  The session attaches its own mirror namespace on first
+        use, keeps it synchronised with the same deltas it applies
+        locally, and detaches on :meth:`close`; it never starts a pool
+        of its own or stops one: engine state is the session's, process
+        lifecycle is the caller's.  A batch the pool has not finished
+        in 600 s, or a pool that fails, is re-solved in process,
+        counted in ``stats.pool_fallbacks``; a failed pool is not used
+        again.  Without a pool every solve runs in process.
     session_key:
-        Namespace key on the shared *pool* (auto-generated when omitted;
-        must be unique per attached session).
+        Namespace key on *pool* (auto-generated when omitted; must be
+        unique per attached session).
     solutions:
         A :class:`SolutionCache` shared with other sessions, used in
-        place of a private one.  Keys are scoped by FD set, schema, and
+        place of a private one (of 10 000 entries, least-recently-used
+        evicted; evicted components simply re-solve).  Keys are scoped
+        by FD set, schema, and
         :class:`~repro.core.decompose.SolvePolicy`, so sharing is always
-        byte-identical-safe; ``max_cache_entries`` is ignored in favour
-        of the shared cache's own bound.
+        byte-identical-safe.
     recorder:
         Optional :class:`repro.obs.Recorder` (shareable across sessions
         — it is thread-safe).  When enabled, every :meth:`repair` is a
@@ -353,10 +358,7 @@ class RepairSession:
         exact_threshold: Optional[int] = None,
         exact_budget_s: Optional[float] = None,
         unit_cost_s: Optional[float] = None,
-        parallel: Optional[int] = None,
         node_limit: Optional[int] = None,
-        max_cache_entries: Optional[int] = 10_000,
-        pool_timeout: float = 600.0,
         pool=None,
         session_key: Optional[str] = None,
         solutions: Optional[SolutionCache] = None,
@@ -370,17 +372,13 @@ class RepairSession:
         self._policy = policy = resolve_plan_defaults(
             exact_threshold, node_limit, exact_budget_s, unit_cost_s
         )
-        self._parallel = parallel
         # The constructor options as :meth:`export_state` records them.
         self._options = {
             "guarantee": guarantee,
             "exact_threshold": policy.threshold,
             "exact_budget_s": policy.exact_budget_s,
             "unit_cost_s": policy.unit_cost_s,
-            "parallel": parallel,
             "node_limit": policy.node_limit,
-            "max_cache_entries": max_cache_entries,
-            "pool_timeout": pool_timeout,
         }
         self._verdict = classify(fds)
         self._schema = table.schema
@@ -388,13 +386,17 @@ class RepairSession:
             a: i for i, a in enumerate(self._schema)
         }
         self._name = table.name
-        self._rows: Dict[TupleId, Row] = table.rows()
-        self._weights: Dict[TupleId, float] = table.weights()
-        self._used_ids = set(self._rows)
-        self._next_auto_id = 1 + max(
-            (tid for tid in self._rows if isinstance(tid, int)), default=0
+        # The snapshot is the row store; this is its one copy of the
+        # caller's rows (see :meth:`_advance` on trusting them).
+        self._table = Table._from_trusted(
+            self._schema, table.rows(), table.weights(), self._name,
+            self._attr_index,
         )
-        self._table = self._snapshot()
+        self._used_ids = set(self._table._rows)
+        self._next_auto_id = 1 + max(
+            (tid for tid in self._used_ids if isinstance(tid, int)),
+            default=0,
+        )
         self._index = ConflictIndex(self._table, fds)
         # The live-component store, keyed by the table position of each
         # component's earliest member, and its tid → record map.
@@ -411,19 +413,15 @@ class RepairSession:
         # re-solving.
         self._owns_cache = solutions is None
         self._cache = (
-            SolutionCache(max_cache_entries, recorder=self._recorder)
+            SolutionCache(_PRIVATE_CACHE_ENTRIES, recorder=self._recorder)
             if solutions is None else solutions
         )
         self._cache_scope = (fds, self._schema, policy)
-        # Worker-pool wiring: the pool is either owned (created lazily
-        # from the ``parallel`` knob, closed with the session) or shared
-        # (passed in by a daemon; the session only attaches/detaches its
-        # mirror namespace).  This is the engine-state / process-
+        # The caller's pool, if any: the session only attaches and
+        # detaches its mirror namespace — the engine-state / process-
         # lifecycle split the server builds on.
         self._pool = pool
-        self._pool_owned = pool is None
         self._pool_ready = False
-        self._pool_disabled = False
         if session_key is not None:
             self._session_key = session_key
         elif pool is not None:
@@ -464,18 +462,17 @@ class RepairSession:
     @property
     def solutions(self) -> SolutionCache:
         """The cache this session stores its solves in: the shared one
-        it was given, or its private one (bounded by
-        ``max_cache_entries``)."""
+        it was given, or its private one."""
         return self._cache
 
     @property
     def pool(self):
-        """The worker pool this session solves on, owned or shared;
-        ``None`` before an owned pool starts and after :meth:`close`."""
+        """The worker pool this session was given; ``None`` without one,
+        after :meth:`close`, and once the pool failed."""
         return self._pool
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._table)
 
     def cache_size(self) -> int:
         return len(self._cache)
@@ -488,21 +485,22 @@ class RepairSession:
     # ------------------------------------------------------------------
     # Deltas
     # ------------------------------------------------------------------
-    def _snapshot(self) -> Table:
-        """A fresh immutable table over the current rows/weights.
+    def _advance(self, rows: Dict[TupleId, Row],
+                 weights: Dict[TupleId, float]) -> None:
+        """Make *rows*/*weights* — a copy of the current snapshot's with
+        one delta applied — the next snapshot, and re-anchor the live
+        index on it (which checks that it holds exactly the live
+        tuples).
 
         Trusted construction: the session validated every row on entry
         (arity, hashability and weights in :meth:`append`), so
         re-checking per snapshot would make each delta O(|T|·k) for no
         information.
         """
-        return Table._from_trusted(
-            self._schema,
-            dict(self._rows),
-            dict(self._weights),
-            self._name,
-            self._attr_index,
+        self._table = Table._from_trusted(
+            self._schema, rows, weights, self._name, self._attr_index
         )
+        self._index.reanchor(self._table)
 
     def _normalise_row(self, row) -> Row:
         if isinstance(row, Mapping):
@@ -542,7 +540,7 @@ class RepairSession:
         if ids is not None:
             if len(ids) != len(rows):
                 raise ValueError("ids and rows have different lengths")
-            clashes = [tid for tid in ids if tid in self._rows]
+            clashes = [tid for tid in ids if tid in self._table]
             if clashes:
                 raise ValueError(
                     f"identifiers already live: {sorted(map(str, clashes))}"
@@ -570,17 +568,17 @@ class RepairSession:
         new_ids = list(ids) if ids is not None else [
             self._allocate_id() for _ in rows
         ]
+        next_rows, next_weights = self._table.rows(), self._table.weights()
         for tid, row, weight in zip(new_ids, rows, new_weights):
             # A new conflict merges the components of the new tuple's
             # partners: their records go, and the sweep starts from it.
             if self._index.insert(tid, row, weight):
                 self._touched.add(tid)
                 self._drop_components(self._index.neighbors(tid))
-            self._rows[tid] = row
-            self._weights[tid] = weight
+            next_rows[tid] = row
+            next_weights[tid] = weight
             self._used_ids.add(tid)
-        self._table = self._snapshot()
-        self._index.reanchor(self._table)
+        self._advance(next_rows, next_weights)
         self.stats.appends += 1
         self.stats.tuples_appended += len(rows)
         if rows and self._pool_ready:
@@ -593,7 +591,7 @@ class RepairSession:
     ) -> Optional[CleaningResult]:
         """Delete tuples by identifier; see :meth:`append` for *repair*."""
         ids = list(ids)
-        missing = [tid for tid in ids if tid not in self._rows]
+        missing = [tid for tid in ids if tid not in self._table]
         if missing:
             raise KeyError(
                 f"unknown identifiers: {sorted(map(str, missing))}"
@@ -601,12 +599,12 @@ class RepairSession:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate identifiers in delete")
         self._drop_components(ids)
+        next_rows, next_weights = self._table.rows(), self._table.weights()
         for tid in ids:
             self._index.remove(tid)
-            del self._rows[tid]
-            del self._weights[tid]
-        self._table = self._snapshot()
-        self._index.reanchor(self._table)
+            del next_rows[tid]
+            del next_weights[tid]
+        self._advance(next_rows, next_weights)
         self.stats.deletes += 1
         self.stats.tuples_deleted += len(ids)
         if ids and self._pool_ready:
@@ -620,8 +618,8 @@ class RepairSession:
         """Add one record per component (member ids in table order).  A
         live tuple's row and weight never change (sessions have no update
         op), so a record stays valid until a delta drops it."""
-        rows, weights, table, index = (self._rows, self._weights,
-                                       self._table, self._index)
+        table, index = self._table, self._index
+        rows, weights = table._rows, table._weights
         position = index._position
         for ids in components:
             key = tuple(ids)
@@ -668,7 +666,7 @@ class RepairSession:
         if self._pool_coded:
             coded_row = self._index._codec.coded_row
             return {tid: coded_row(tid) for tid in ids}
-        rows = self._rows
+        rows = self._table._rows
         return {tid: rows[tid] for tid in ids}
 
     def _mirror(self, *op) -> None:
@@ -681,29 +679,23 @@ class RepairSession:
 
     def _attach_pool(self):
         """The pool to solve this repair's misses on, attached on first
-        use: an owned pool is created from the ``parallel`` knob, a
-        shared one is used as given, and either way the session's
-        namespace is opened and its full state shipped once
-        (:meth:`~repro.exec.PersistentWorkerPool.attach`); deltas keep
-        it synchronised from then on.  ``None`` — solve in process —
-        when the pool is disabled, fails to attach, or is not alive."""
+        use: the session's namespace is opened and its full state
+        shipped once (:meth:`~repro.exec.PersistentWorkerPool.attach`);
+        deltas keep it synchronised from then on.  ``None`` — solve in
+        process — without a pool, or when it fails to attach or is not
+        alive."""
+        pool = self._pool
+        if pool is None:
+            return None
         if not self._pool_ready:
-            if self._pool_disabled:
-                return None
-            if self._pool is None:
-                from .exec import PersistentWorkerPool
-
-                self._pool = PersistentWorkerPool(
-                    self._parallel, policy=self._policy
-                )
-            if not self._pool.attach(
+            if not pool.attach(
                 self._session_key, self._schema, self._fds, self._policy,
-                self._mirror_rows(self._rows), dict(self._weights),
+                self._mirror_rows(self._table._rows), self._table.weights(),
             ):
                 self._drop_pool()
                 return None
             self._pool_ready = True
-        return self._pool if self._pool.alive else None
+        return pool if pool.alive else None
 
     def _drop_pool(self) -> None:
         """Stop using a pool that failed (counted as a fallback)."""
@@ -752,7 +744,7 @@ class RepairSession:
 
         Components come from the live-component store (see
         :meth:`_decompose`).  The result is byte-identical to
-        ``pipeline.clean(session.table, fds, guarantee=..., parallel=...,
+        ``pipeline.clean(session.table, fds, guarantee=...,
         exact_threshold=..., exact_budget_s=...)`` — same cleaned table,
         distance, dirtiness report, and portfolio label: the misses are
         solved by :func:`repro.exec.solve_components` and the result
@@ -763,12 +755,12 @@ class RepairSession:
         shifting as components come and go — re-solves rather than
         serving a result computed under a different ceiling.
 
-        An owned pool is used once a repair has ≥ 2 misses; a shared
-        (daemon) pool even for a single miss, so a slow solve runs in a
-        worker process and the caller's thread only waits — keeping the
-        daemon's event loop and every co-tenant session responsive.
+        The misses are solved on the session's pool when it has one —
+        even a single miss, so a slow solve runs in a worker process and
+        the caller's thread only waits, keeping a daemon's event loop
+        and every co-tenant session responsive.
         """
-        from .exec import resolve_workers, solve_components
+        from .exec import solve_components
 
         rec = self._recorder
         tag = str(self._session_key)
@@ -796,16 +788,11 @@ class RepairSession:
                 if misses:
                     rec.count("session.cache_miss", len(misses), key=tag)
             with rec.span("phase.solve"):
-                pool = None
-                if misses and (
-                    not self._pool_owned
-                    or resolve_workers(self._parallel, len(misses)) > 1
-                ):
-                    pool = self._attach_pool()
+                pool = self._attach_pool() if misses else None
                 kept_lists, methods = solve_components(
                     decomp, plans, policy=self._policy, recorder=rec,
                     executor=pool, only=misses, key=self._session_key,
-                    timeout=self._options["pool_timeout"], stats=self.stats,
+                    timeout=_POOL_BATCH_TIMEOUT_S, stats=self.stats,
                 )
                 if pool is not None and not pool.alive:
                     self.close()
@@ -816,8 +803,8 @@ class RepairSession:
                     solves[i] = _ComponentSolve(kept, method)
                     self._cache.put(keys[i], solves[i])
                 result = _decomposed_outcome(
-                    decomp, self._verdict, plans, solves, self._parallel,
-                    self._guarantee, self._policy.threshold,
+                    decomp, self._verdict, plans, solves, self._guarantee,
+                    self._policy.threshold,
                 )
         self.stats.repairs += 1
         self.last_result = result
@@ -849,7 +836,7 @@ class RepairSession:
             lower += record.bracket[0]
             upper += record.bracket[1]
         return SessionStatus(
-            tuples=len(self._rows),
+            tuples=len(self._table),
             total_weight=self._table.total_weight(),
             conflicts=self._index.num_edges,
             conflicting_tuples=self._index.conflicting_count,
@@ -884,8 +871,8 @@ class RepairSession:
             "schema": self._schema,
             "name": self._name,
             "fds": self._fds,
-            "rows": dict(self._rows),
-            "weights": dict(self._weights),
+            "rows": self._table.rows(),
+            "weights": self._table.weights(),
             "used_ids": set(self._used_ids),
             "next_auto_id": self._next_auto_id,
             "options": dict(self._options),
@@ -916,24 +903,30 @@ class RepairSession:
         scope, get this session's scope: version 1 wrote them only for
         private caches, whose scope was implicitly the session's own.
 
-        A state written while the per-solve cap existed restores without
-        it (its options carry ``per_component_budget_s``), and the
-        entries solved under a cap are not loaded: their fallbacks would
-        be served to an uncapped policy.  How many were dropped is
+        Only the options :meth:`export_state` writes today (the keys of
+        :data:`_OPTIONS`) reach the constructor; retired ones are
+        ignored.  A state exported with ``parallel`` restores serially
+        unless it is given *pool*, and ``max_cache_entries`` and
+        ``pool_timeout`` give way to the session's constants.  A state
+        written while the per-solve cap existed restores without it (its
+        options carry ``per_component_budget_s``), and the entries
+        solved under a cap are not loaded: their fallbacks would be
+        served to an uncapped policy.  How many were dropped is
         :attr:`dropped_cache_entries` (0 otherwise)."""
         version = state.get("version", 1)
         if version > STATE_VERSION:
             raise ValueError(f"unsupported session state version {version}")
         schema = tuple(state["schema"])
+        # A transient view of the state's rows: the constructor makes
+        # the session's one copy.
         table = Table._from_trusted(
             schema,
-            dict(state["rows"]),
-            dict(state["weights"]),
+            state["rows"],
+            state["weights"],
             state["name"],
             {a: i for i, a in enumerate(schema)},
         )
-        options = dict(state["options"])
-        capped = options.pop(_RETIRED_CAP, None) is not None
+        options = state["options"]
         session = cls(
             table,
             state["fds"],
@@ -941,7 +934,7 @@ class RepairSession:
             session_key=session_key,
             solutions=solutions,
             recorder=recorder,
-            **options,
+            **{key: options[key] for key in _OPTIONS if key in options},
         )
         session._used_ids |= set(state["used_ids"])
         # Adopt the exported allocator reading *exactly* (the
@@ -955,7 +948,7 @@ class RepairSession:
         entries = state["solutions"]
         dropped = 0
         if version < 2:
-            if capped:
+            if options.get(_RETIRED_CAP) is not None:
                 dropped, entries = len(entries), {}
             scope = (session._cache_scope,)
             entries = {scope + key: entry for key, entry in entries.items()}
@@ -980,23 +973,19 @@ class RepairSession:
         per_tuple = 120 + 64 * arity
         index_factor = 3  # rows + live index + kernel/codec arrays
         cached = len(self._cache) * (160 + 48 * arity) if self._owns_cache else 0
-        return 512 + len(self._rows) * per_tuple * index_factor + cached
+        return 512 + len(self._table) * per_tuple * index_factor + cached
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool (the session stays usable serially).
-        An owned pool is stopped; a shared pool only sheds this
-        session's mirror namespace and keeps serving other sessions."""
+        """Detach from the worker pool (the session stays usable
+        serially): the pool sheds this session's mirror namespace and
+        keeps serving other sessions; stopping it is its owner's job."""
         pool, self._pool = self._pool, None
-        if pool is not None:
-            if self._pool_owned:
-                pool.close()
-            elif self._pool_ready and pool.alive:
-                pool.drop_session(self._session_key)
+        if pool is not None and self._pool_ready and pool.alive:
+            pool.drop_session(self._session_key)
         self._pool_ready = False
-        self._pool_disabled = True
 
     def __enter__(self) -> "RepairSession":
         return self

@@ -47,7 +47,7 @@ def forced(table, fds, method, parallel=None):
     decomp = decompose(table, fds)
     plans = [ComponentPlan(method)] * decomp.component_count
     kept_lists, methods = solve_components(decomp, plans, parallel)
-    return assemble_s_result(decomp, methods, kept_lists, parallel)
+    return assemble_s_result(decomp, methods, kept_lists)
 
 
 class TestDecompose:
@@ -231,9 +231,7 @@ class TestSerialParallelIdentical:
                     parallel.cleaned
                 )
                 assert serial.report == parallel.report
-                assert serial.method == parallel.method.replace(
-                    ", parallel=4", ""
-                )
+                assert serial.method == parallel.method
 
 
 class TestExecLayer:

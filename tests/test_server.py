@@ -42,6 +42,10 @@ from repro.testing import random_small_table
 
 SCHEMA = ("A", "B", "C")
 
+#: The session options a restored state keeps.
+RESTORED_OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s",
+                    "unit_cost_s", "node_limit")
+
 
 def _pool_available():
     pool = PersistentWorkerPool(1, SCHEMA, FDSet("A -> B"))
@@ -593,11 +597,11 @@ def test_killed_worker_fails_fast_and_repair_survives():
         ]
     table = _table(rows)
     fds = FDSet("A -> B; B -> C")
-    session = RepairSession(table, fds, parallel=2, pool_timeout=120.0)
+    pool = PersistentWorkerPool(2)
+    session = RepairSession(table, fds, pool=pool)
     try:
         session.repair()  # warm the pool
-        pool = session.pool
-        if pool is None:
+        if session.pool is None:
             pytest.skip("pool did not start")
         for slot in pool._slots:
             slot.proc.terminate()
@@ -613,6 +617,7 @@ def test_killed_worker_fails_fast_and_repair_survives():
         _assert_identical(result, clean(fresh, fds, parallel=2))
     finally:
         session.close()
+        pool.close()
 
 
 def test_pool_supervisor_heals_worker_death_mid_batch():
@@ -1017,11 +1022,13 @@ class TestCrashRecovery:
                     manager.entry(item["tenant"], item["name"])
                 )
                 new = session.export_state()
-                # The retired per-solve cap (None here) is dropped from
-                # the options.
-                old["options"].pop("per_component_budget_s")
+                # The retired options (the per-solve cap, ``parallel``,
+                # ``max_cache_entries`` and ``pool_timeout``) are dropped.
+                assert new["options"] == {
+                    key: old["options"][key] for key in RESTORED_OPTIONS
+                }
                 for field in ("rows", "weights", "used_ids", "next_auto_id",
-                              "options", "stats"):
+                              "stats"):
                     assert new[field] == old[field], field
                 assert list(new["rows"]) == list(old["rows"])
                 fresh = Table(SCHEMA, old["rows"], old["weights"])

@@ -204,7 +204,7 @@ def test_cache_is_bounded_by_default():
     session = RepairSession(Table(SCHEMA, {}), FDSet("A -> B"))
     assert session.solutions.max_entries == 10_000
     small = RepairSession(Table(SCHEMA, {}), FDSet("A -> B"),
-                          max_cache_entries=2)
+                          solutions=SolutionCache(2))
     for i in range(6):
         small.append([("a", f"x{i}", "p")])
     assert small.cache_size() <= 2
@@ -214,7 +214,7 @@ def test_cache_eviction_keeps_results_correct():
     rng = random.Random(5)
     table = random_small_table(rng, SCHEMA, 30, domain=2, weighted=True)
     fds = FDSet("A -> B; B -> C")
-    session = RepairSession(table, fds, max_cache_entries=1)
+    session = RepairSession(table, fds, solutions=SolutionCache(1))
     for rounds in range(3):
         result = session.append([(rounds, rounds + 1, rounds + 2)])
         _assert_identical(result, clean(_fresh_equivalent(session), fds))
@@ -351,9 +351,12 @@ def _v1_fixture(name):
         return pickle.load(handle)
 
 
-def _without_cap(options):
-    """*options* without the retired per-solve cap."""
-    return {k: v for k, v in options.items() if k != "per_component_budget_s"}
+def _without_retired(options):
+    """*options* without the retired ones: the per-solve cap,
+    ``parallel``, ``max_cache_entries`` and ``pool_timeout``."""
+    return {k: v for k, v in options.items()
+            if k in ("guarantee", "exact_threshold", "exact_budget_s",
+                     "unit_cost_s", "node_limit")}
 
 
 #: The state fields a restore must bring back unchanged.
@@ -372,9 +375,10 @@ def test_v1_state_restores_with_its_cache():
     session = RepairSession.restore(old)
     new = session.export_state()
     assert new["version"] == 2
-    # The retired per-solve cap (None here) is dropped from the options.
-    expected = {**old, "options": _without_cap(old["options"])}
+    # The retired options (the per-solve cap is None here) are dropped.
+    expected = {**old, "options": _without_retired(old["options"])}
     assert "per_component_budget_s" in old["options"]
+    assert "parallel" in old["options"]
     for field in _STATE_FIELDS:
         assert new[field] == expected[field], field
     assert session.dropped_cache_entries == 0
@@ -604,29 +608,27 @@ def test_pool_solves_match_serial():
     table = random_small_table(rng, SCHEMA, 60, domain=3, weighted=True)
     fds = FDSet("A -> B; B -> C")
     serial = RepairSession(table, fds)
-    pooled = RepairSession(table, fds, parallel=2)
-
-    def same_repair(a, b):
-        # The portfolio label records the requested parallelism, so only
-        # the content must coincide across serial and pooled sessions.
-        assert a.cleaned == b.cleaned
-        assert a.distance == b.distance
-        assert a.report == b.report
-        assert a.method_counts == b.method_counts
-
+    pool = PersistentWorkerPool(2)
+    pooled = RepairSession(table, fds, pool=pool)
     try:
-        same_repair(pooled.repair(), serial.repair())
+        # Where a component was solved leaves no trace: every step is
+        # byte-identical to the serial session, label included.
+        _assert_identical(pooled.repair(), serial.repair())
         for row in [(0, 1, 2), (1, 1, 1), (2, 0, 1)]:
-            same_repair(pooled.append([row]), serial.append([row]))
-        same_repair(pooled.delete([1]), serial.delete([1]))
-        # Against the batch path with the same parallel flag the result
-        # is byte-identical, label included.
+            _assert_identical(pooled.append([row]), serial.append([row]))
+        _assert_identical(pooled.delete([1]), serial.delete([1]))
+        assert pooled.stats.pool_solves > 0
+        # And to the batch path, serial or on its own pool.
+        _assert_identical(
+            pooled.repair(), clean(_fresh_equivalent(pooled), fds)
+        )
         _assert_identical(
             pooled.repair(),
             clean(_fresh_equivalent(pooled), fds, parallel=2),
         )
     finally:
         pooled.close()
+        pool.close()
 
 
 def test_pool_failure_falls_back_to_serial():
@@ -635,13 +637,13 @@ def test_pool_failure_falls_back_to_serial():
     rng = random.Random(3)
     table = random_small_table(rng, SCHEMA, 40, domain=2, weighted=True)
     fds = FDSet("A -> B; B -> C")
-    session = RepairSession(table, fds, parallel=2)
+    pool = PersistentWorkerPool(2)
+    session = RepairSession(table, fds, pool=pool)
     try:
         session.repair()
         # Kill the pool behind the session's back; the next repair must
         # fall back to in-process solving with identical results.
-        if session.pool is not None:
-            session.pool.close()
+        pool.close()
         session.append([(9, 9, 9), (9, 8, 8)])
         result = session.repair()
         _assert_identical(
@@ -649,6 +651,7 @@ def test_pool_failure_falls_back_to_serial():
         )
     finally:
         session.close()
+        pool.close()
 
 
 def test_pool_broadcast_and_solve_roundtrip():

@@ -87,20 +87,25 @@ def test_optimal_with_an_ample_budget_is_optimal():
 
 @pytest.mark.parametrize("parallel", [None, 2])
 def test_optimal_session_repair_raises_and_caches_nothing(parallel):
-    with RepairSession(Table(SCHEMA, {}), FDS, guarantee="optimal",
-                       exact_budget_s=0.0, parallel=parallel) as session:
-        table = _mix()
-        with pytest.raises(ExactBudgetExceeded):
-            session.append(**_mix_append())
-        # The delta landed; the failed repair left no cache entry and
-        # no result behind.
-        assert len(session) == len(table)
-        assert session.cache_size() == 0
-        assert session.last_result is None
-        assert session.stats.repairs == 0
-        with pytest.raises(ExactBudgetExceeded):
-            session.repair()
-        assert session.cache_size() == 0
+    pool = None if parallel is None else _pool(parallel)
+    try:
+        with RepairSession(Table(SCHEMA, {}), FDS, guarantee="optimal",
+                           exact_budget_s=0.0, pool=pool) as session:
+            table = _mix()
+            with pytest.raises(ExactBudgetExceeded):
+                session.append(**_mix_append())
+            # The delta landed; the failed repair left no cache entry
+            # and no result behind.
+            assert len(session) == len(table)
+            assert session.cache_size() == 0
+            assert session.last_result is None
+            assert session.stats.repairs == 0
+            with pytest.raises(ExactBudgetExceeded):
+                session.repair()
+            assert session.cache_size() == 0
+    finally:
+        if pool is not None:
+            pool.close()
 
 
 def test_optimal_session_on_a_shared_pool_raises():
