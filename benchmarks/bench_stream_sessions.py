@@ -13,9 +13,13 @@ running ``pipeline.clean`` from scratch per append, with byte-identical
 results.  ISSUE 5 adds the incremental-CSR gate: patching the kernel
 view per delta must beat invalidating and rebuilding it per delta (the
 other way to keep the array fast paths live mid-stream).  Results land
-in ``BENCH_stream.json``.
+in ``BENCH_stream.json``.  The 300k gate: a colliding single-tuple
+append and its repair on the 300k clustered table must beat a
+from-scratch ``clean`` by **≥ 15×** (a repair costs O(touched components
++ deleted ids), while the per-delta snapshot copy is still O(|T|)).
 """
 
+import statistics
 import time
 
 from repro.core.fd import FDSet
@@ -255,3 +259,87 @@ def test_stream_deletes_match_scratch(benchmark):
         incremental_s / len(victims),
         deletes=len(victims),
     )
+
+
+#: The 300k streaming workload of ROADMAP's scaling table: 16-tuple
+#: conflict clusters, one per 167 rows, under an APX-complete Δ.
+HARD = FDSet("A -> B; B -> C")
+
+DELTAS_300K = 15  # colliding single-tuple appends per size
+
+
+def _append_repair_p50(size: int):
+    """Open a session on the clustered table of *size* rows, repair it
+    once, then time DELTAS_300K single-tuple appends, each colliding with
+    a conflict cluster and followed by its repair.  Returns the session,
+    the last result and the median seconds per append + repair."""
+    clusters = size // 167
+    table = clustered_conflicts_table(
+        SCHEMA, size, clusters=clusters, cluster_size=16, seed=1
+    )
+    session = RepairSession(table, HARD)
+    session.repair()
+    del table
+    import gc
+
+    gc.collect()
+    times = []
+    for i in range(DELTAS_300K):
+        cluster = (i * 7919) % clusters
+        row = (f"a{cluster}", f"b{cluster}.new{i}", f"x{cluster}")
+        start = time.perf_counter()
+        result = session.append([row])
+        times.append(time.perf_counter() - start)
+    return session, result, statistics.median(times)
+
+
+def test_stream_append_clustered_300k(benchmark):
+    """A single-tuple append and its repair at 300k rows must beat a
+    from-scratch ``clean`` of the same table by ≥ 15×, with the final
+    result byte-identical to that ``clean`` (checked outside the
+    timers).  The append + repair p50 at 30k is recorded beside it, so
+    the entry shows how the per-delta cost scales with |T|."""
+    _session, _result, p50_30k = _append_repair_p50(30_000)
+    del _session, _result
+    session, result, p50_300k = _append_repair_p50(300_000)
+
+    benchmark.pedantic(session.repair, rounds=1, iterations=1)
+    fresh_rows, fresh_weights = session.table.rows(), session.table.weights()
+    del session
+    scratch_s = []
+    for _ in range(3):
+        fresh = expected = None  # one 300k table and index at a time
+        fresh = Table(SCHEMA, fresh_rows, fresh_weights)
+        start = time.perf_counter()
+        expected = clean(fresh, HARD)
+        scratch_s.append(time.perf_counter() - start)
+    scratch = min(scratch_s)
+
+    assert result.cleaned == expected.cleaned
+    assert result.distance == expected.distance
+    assert result.method == expected.method
+    assert result.report == expected.report
+    assert table_to_csv(result.cleaned) == table_to_csv(expected.cleaned)
+
+    speedup = scratch / p50_300k
+    print_table(
+        "Streaming append + repair vs from-scratch clean "
+        "(clustered, A -> B; B -> C)",
+        ("rows", "append + repair p50", "from-scratch clean"),
+        [
+            ("30k", f"{p50_30k * 1e3:.1f} ms", ""),
+            ("300k", f"{p50_300k * 1e3:.1f} ms", f"{scratch * 1e3:.0f} ms"),
+            ("speedup at 300k", f"{speedup:.1f}×", ""),
+        ],
+    )
+    record_bench(
+        "BENCH_stream.json",
+        "stream-append-clustered-300k",
+        p50_300k,
+        p50_30k_ms=round(p50_30k * 1e3, 2),
+        p50_300k_ms=round(p50_300k * 1e3, 2),
+        scratch_clean_s=round(scratch, 4),
+        speedup=round(speedup, 2),
+        appends=DELTAS_300K,
+    )
+    assert speedup >= 15.0

@@ -23,9 +23,9 @@ prebuilt) :class:`~repro.core.conflict_index.ConflictIndex` and projects
 per-component sub-tables (via the trusted fast-path
 :meth:`~repro.core.table.Table.subset` constructor) and sub-indexes (via
 :meth:`~repro.core.conflict_index.ConflictIndex.project` — no
-re-bucketing).  Conflict-free tuples never enter any solver; they are
-carried through verbatim by :meth:`Decomposition.merge_kept` /
-:meth:`Decomposition.merge_updates`.
+re-bucketing).  Conflict-free tuples never enter any solver: an S-repair
+is the table minus the deleted ids (:func:`repro.exec.assemble_s_result`),
+and :meth:`Decomposition.merge_updates` leaves them untouched.
 
 The **portfolio policy** (:func:`plan_s_method`) picks a per-component
 S-repair method: the ``OptSRepair`` dichotomy recursion when Δ permits,
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conflict_index import ConflictIndex
 from .fd import FDSet
@@ -132,17 +132,15 @@ class Decomposition:
     """A table split into conflict components plus its conflict-free rest.
 
     ``components`` are ordered by the table position of their earliest
-    member; ``consistent_ids`` are the tuples in no conflict at all.
-    Every merge helper reassembles results in canonical table order, so
-    decomposed repairs are deterministic regardless of how (or where) the
-    per-component solves ran.
+    member.  Every merge reassembles results in canonical table order,
+    so decomposed repairs are deterministic regardless of how (or where)
+    the per-component solves ran.
     """
 
     table: Table
     fds: FDSet
     index: ConflictIndex
     components: List[Component]
-    consistent_ids: Tuple[TupleId, ...]
 
     @property
     def component_count(self) -> int:
@@ -154,6 +152,15 @@ class Decomposition:
 
     def conflicting_tuple_count(self) -> int:
         return sum(c.size for c in self.components)
+
+    @property
+    def consistent_ids(self) -> Tuple[TupleId, ...]:
+        """The tuples in no conflict at all, in table order — computed
+        on each read (O(|T|)); no merge needs them."""
+        conflicting = {tid for c in self.components for tid in c.ids}
+        return tuple(
+            tid for tid in self.table.ids() if tid not in conflicting
+        )
 
     def plan_schedule(
         self,
@@ -167,18 +174,6 @@ class Decomposition:
         the streaming :class:`repro.session.RepairSession`, so all three
         compute byte-identical plans for the same instance and policy."""
         return plan_schedule(self.components, tractable, guarantee, policy)
-
-    def merge_kept(self, kept_per_component: Sequence[Iterable[TupleId]]) -> Table:
-        """Stitch per-component S-repairs back together.
-
-        *kept_per_component* holds, per component (in order), the
-        identifiers the component repair kept.  Conflict-free tuples are
-        added verbatim; the result is a sub-table in table order.
-        """
-        kept: Set[TupleId] = set(self.consistent_ids)
-        for ids in kept_per_component:
-            kept.update(ids)
-        return self.table.subset(kept)
 
     def merge_updates(
         self, updates_per_component: Sequence[Mapping[Tuple[TupleId, str], object]]
@@ -219,11 +214,7 @@ def decompose(
         subindex = index.project(subtable, set(ids))
         components.append(Component(ordinal, tuple(ids), subtable, subindex))
     decomposition = Decomposition(
-        table=table,
-        fds=fds,
-        index=index,
-        components=components,
-        consistent_ids=tuple(index.consistent_ids()),
+        table=table, fds=fds, index=index, components=components
     )
     table._cache[cache_key] = decomposition
     return decomposition

@@ -17,6 +17,7 @@ The module also provides:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import (
     Any,
     Dict,
@@ -296,10 +297,14 @@ class Table:
         return len(set(self._weights.values())) <= 1
 
     def total_weight(self, ids: Optional[Iterable[TupleId]] = None) -> float:
-        """``w_T(S)`` — sum of weights over *ids* (default: all tuples)."""
-        if ids is None:
-            return sum(self._weights.values())
-        return sum(self._weights[tid] for tid in ids)
+        """``w_T(S)`` — sum of weights over *ids* (default: all tuples,
+        summed in table order once per table: tables are immutable)."""
+        if ids is not None:
+            return sum(self._weights[tid] for tid in ids)
+        total = self._cache.get("total_weight")
+        if total is None:
+            total = self._cache["total_weight"] = sum(self._weights.values())
+        return total
 
     def active_domain(self, attr: Attribute) -> Set[Value]:
         """All values occurring in column *attr*."""
@@ -540,11 +545,15 @@ class Table:
         """``dist_sub(S, T)`` — total weight of the tuples missing from S.
 
         ``self`` is the original table T; *subset* must be a subset of T.
+        The sum is :func:`math.fsum` — exact, so it does not depend on
+        the order the missing tuples are visited in, and it equals the
+        distance a decomposed repair sums from its per-component
+        deletions.
         """
         if not subset.is_subset_of(self):
             raise ValueError("dist_sub: argument is not a subset of this table")
         missing = self._rows.keys() - subset._rows.keys()
-        return sum(self._weights[tid] for tid in missing)
+        return math.fsum(self._weights[tid] for tid in missing)
 
     def dist_upd(self, update: "Table") -> float:
         """``dist_upd(U, T)`` — weighted Hamming distance of an update."""
@@ -607,3 +616,49 @@ class Table:
                 frozenset(self._weights.items()),
             )
         )
+
+
+class _DeferredTable(Table):
+    """*parent* without the ids in *groups* (id sequences of *parent*),
+    in table order, its row and weight dicts built on their first read.
+
+    A decomposed repair is its input minus the deleted ids; most callers
+    of a streaming repair read only its distance and report, so paying
+    O(|T|) to build every repaired table would make each delta O(|T|).
+    The parent must stay unchanged, as every table does.  Until built,
+    the ``_rows``/``_weights`` slots are unset, so reading one falls
+    through to :meth:`__getattr__`; afterwards the table is an ordinary
+    one, and it pickles and copies as a plain :class:`Table`.
+    """
+
+    __slots__ = ("_parent", "_dropped")
+
+    def __init__(self, parent: Table,
+                 groups: Sequence[Sequence[TupleId]]) -> None:
+        self._schema = parent._schema
+        self.name = parent.name
+        self._index = parent._index
+        self._cache = {}
+        self._parent = parent
+        self._dropped = groups
+
+    def __getattr__(self, name: str):
+        if name not in ("_rows", "_weights"):
+            raise AttributeError(name)
+        parent = self._parent
+        if parent is not None:
+            dropped = set().union(*self._dropped)
+            rows = {
+                tid: row for tid, row in parent._rows.items()
+                if tid not in dropped
+            }
+            weights = parent._weights
+            self._weights = {tid: weights[tid] for tid in rows}
+            self._rows = rows
+            # Released only once both slots are set, so a concurrent
+            # first read that finds no parent finds them filled.
+            self._parent = None
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self):
+        return object.__new__, (Table,), self.__getstate__()

@@ -29,7 +29,9 @@ failing.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import chain
 from itertools import count as _iter_count
 from time import monotonic as _monotonic
 from time import perf_counter as _perf_counter
@@ -45,7 +47,7 @@ from .core.decompose import (
     SolvePolicy,
 )
 from .core.fd import FDSet
-from .core.table import Table, TupleId
+from .core.table import Table, _DeferredTable
 
 __all__ = [
     "resolve_workers",
@@ -1276,17 +1278,25 @@ def _mix_label(counts: Mapping[str, int]) -> str:
     )
 
 
-def assemble_s_result(
-    decomp: Decomposition,
-    methods: Sequence[str],
-    kept_lists: Sequence[Tuple[TupleId, ...]],
-):
-    """Merge per-component kept sets into one :class:`SRepairResult`.
+def assemble_s_result(decomp: Decomposition, solves: Sequence):
+    """Merge per-component solves (one
+    :class:`~repro.pipeline._ComponentSolve` per component, in order)
+    into one :class:`SRepairResult`, by their deleted ids: the repair is
+    the table minus them — a table built on its first read
+    (:class:`~repro.core.table._DeferredTable`) — and the distance their
+    weights' exact ``math.fsum``, which equals ``dist_sub`` of the
+    repair.  The cost is O(components + deleted ids), never O(|T|).
     Where the components were solved leaves no trace: serial and pooled
     results are equal field for field."""
     from .core.srepair import SRepairResult
 
-    repair = decomp.merge_kept(kept_lists)
+    table = decomp.table
+    deleted = [
+        solve.deletions(component)[0]
+        for component, solve in zip(decomp.components, solves)
+    ]
+    weight_of = table._weights.__getitem__
+    methods = [solve.method for solve in solves]
     counts = _method_mix(methods)
     optimal = all(m in ("dichotomy", "exact") for m in methods)
     ratio = max((S_METHOD_RATIOS[m] for m in methods), default=1.0)
@@ -1296,8 +1306,8 @@ def assemble_s_result(
         + "]"
     )
     return SRepairResult(
-        repair=repair,
-        distance=decomp.table.dist_sub(repair),
+        repair=_DeferredTable(table, deleted),
+        distance=math.fsum(map(weight_of, chain.from_iterable(deleted))),
         optimal=optimal,
         ratio_bound=1.0 if optimal else ratio,
         method=label,

@@ -162,7 +162,11 @@ class CleaningResult:
     maximum otherwise.  ``method_counts`` records the portfolio mix
     (method → number of components it handled) and ``component_count``
     how many conflict components the instance decomposed into (``None``
-    on the global path).
+    on the global path).  On the decomposed S-repair path ``cleaned`` is
+    built on its first read and ``distance`` is the exact ``math.fsum``
+    of the deleted weights (see :func:`repro.exec.assemble_s_result`);
+    on every deletions path ``distance == table.dist_sub(cleaned)``
+    exactly.
     """
 
     cleaned: Table
@@ -374,17 +378,39 @@ class _ComponentSolve:
     """One component's solved repair: the kept ids, the method that
     actually ran (differs from the planned one exactly when an exact
     solve fell back to ``"approx"`` under its wall-clock budget), and
-    the report lower bounds :func:`_lower_bound` memoises on first use —
-    the matching bound and the half-integral LP bound.  Every field is a
-    pure function of the component's content and plan, which is what
-    lets a streaming session cache the whole record: serving it is
-    indistinguishable from re-solving, and a cached budget fallback
-    stays sticky while the component is unchanged."""
+    what is derived from them on first use and memoised here — the
+    report lower bounds :func:`_lower_bound` reads (the matching bound
+    and the half-integral LP bound) and the deletions :meth:`deletions`
+    reads (the deleted ids in component order and their weight).  Every
+    field is a pure function of the component's content and plan, which
+    is what lets a streaming session cache the whole record: serving it
+    is indistinguishable from re-solving, and a cached budget fallback
+    stays sticky while the component is unchanged.  Records pickled
+    before a memo field existed load with it unset."""
 
     kept: Tuple[TupleId, ...]
     method: str
     lower_bound: Optional[float] = None
     lp_bound: Optional[float] = None
+    deleted: Optional[Tuple[TupleId, ...]] = None
+    deleted_weight: Optional[float] = None
+
+    def deletions(self, component) -> Tuple[Tuple[TupleId, ...], float]:
+        """The ids this repair deletes from *component*, in component
+        order, and their weight, computed once.  The weight is the
+        component's total minus the kept weight, the expression the
+        report bracket has always summed."""
+        if self.deleted is None:
+            kept = set(self.kept)
+            table = component.table
+            # The weight first: a concurrent reader that finds the ids
+            # set finds it set too.
+            self.deleted_weight = (table.total_weight()
+                                   - table.total_weight(self.kept))
+            self.deleted = tuple(
+                tid for tid in component.ids if tid not in kept
+            )
+        return self.deleted, self.deleted_weight
 
 
 def _lower_bound(solve: _ComponentSolve, component, plan, guarantee: str,
@@ -432,7 +458,11 @@ def _decomposed_outcome(
     Exactly solved components contribute their solved cost to both ends
     of the bracket; approximated ones their :func:`_lower_bound` and, as
     upper bound, the deleted weight (the solver already ran BYE +
-    maximalisation: that *is* the Proposition 3.3 bound).
+    maximalisation: that *is* the Proposition 3.3 bound).  Both come
+    from each record's memo, so a cache-served record costs O(1) here;
+    the repair itself is assembled by deleted ids
+    (:func:`repro.exec.assemble_s_result`): its ``distance`` is an exact
+    ``math.fsum`` and its ``cleaned`` table is built on first read.
     """
     from .exec import assemble_s_result
 
@@ -440,8 +470,7 @@ def _decomposed_outcome(
     lower = upper = 0.0
     exact_components = 0
     for component, plan, solve in zip(decomp.components, plans, solves):
-        deleted = (component.table.total_weight()
-                   - component.table.total_weight(solve.kept))
+        _ids, deleted = solve.deletions(component)
         upper += deleted
         if solve.method in ("dichotomy", "exact"):
             lower += deleted
@@ -462,9 +491,7 @@ def _decomposed_outcome(
         largest_component=decomp.largest_component,
         exact_components=exact_components,
     )
-    result = assemble_s_result(
-        decomp, [s.method for s in solves], [s.kept for s in solves]
-    )
+    result = assemble_s_result(decomp, solves)
     return _cleaning_result(result.repair, result, report, "deletions")
 
 

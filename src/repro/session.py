@@ -19,14 +19,17 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
   :meth:`~repro.core.conflict_index.ConflictIndex.remove` in
   O(delta · (lhs-group + |Δ|)) instead of a per-call O(|T|·|Δ|) rebuild,
 * one **live-component store**, a record per conflict component (ids,
-  sub-table, sub-index, content key, bracket): deltas drop the records
-  they touch, and the next read re-sweeps only from those records'
-  members and the new tuples — never the whole table,
+  sub-table, sub-index, content key, bracket, and the plan and solve of
+  its last repair): deltas drop the records they touch, and the next
+  read re-sweeps only from those records' members and the new tuples —
+  never the whole table.  A record whose plan is unchanged serves its
+  own solve, so a repair costs O(touched components + deleted ids),
 * a **content-addressed per-component repair cache** — always a
   :class:`SolutionCache`, private or shared across sessions — keyed on
   ``(Δ, schema, SolvePolicy)`` plus ``(method, frozen member rows +
-  weights)``: components untouched by the delta hit the cache and are
-  never re-solved,
+  weights)``: it is consulted only for records that are new or whose
+  plan changed, so a component that reappears with the same content (or
+  that another session solved) is never re-solved,
 * optionally the :class:`~repro.exec.PersistentWorkerPool` it is
   given, whose warm workers mirror the table via the same deltas and
   solve cache misses shipped as component ids only.  The session
@@ -34,7 +37,8 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
 
 The session is a thin cache layer over the batch path: its misses are
 solved by :func:`repro.exec.solve_components` and its results assembled
-by the same merge ``pipeline.clean`` uses.
+by the same merge ``pipeline.clean`` uses — the snapshot minus the
+deleted ids, built on the first read of ``result.cleaned``.
 
 The load-bearing contract, pinned by ``tests/test_session.py`` property
 tests: after **any** sequence of appends and deletes,
@@ -46,7 +50,8 @@ live index equals a rebuild (the PR-1/PR-3 index algebra properties),
 the store holds exactly the components a fresh sweep yields (a delta
 changes only the components it touches), the portfolio plan is the same
 code, and the cached per-component solves are pure functions of content
-the cache key freezes.
+the cache key freezes (a record serves its own solve only while it is
+planned as when that solve was made, i.e. under the same key).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from . import obs as _obs
 from .core.conflict_index import ConflictIndex
 from .core.decompose import (
     Component,
+    ComponentPlan,
     Decomposition,
     polynomial_bracket,
     resolve_plan_defaults,
@@ -143,7 +149,9 @@ class SolutionCache:
     leak between sessions for which the same member rows would repair
     differently.  A session given no cache builds a private one.
     Mutations take a lock — sessions running on different executor
-    threads hit a shared cache concurrently.
+    threads hit a shared cache concurrently.  ``hits`` and ``misses``
+    count real :meth:`get` calls only: a session serves an unchanged
+    component from its own store without asking the cache.
     """
 
     def __init__(self, max_entries: Optional[int] = 200_000,
@@ -216,11 +224,16 @@ class SolutionCache:
 @dataclass
 class _LiveComponent:
     """One record of a session's live-component store; the bracket is
-    computed on the first :meth:`RepairSession.status` that reads it."""
+    computed on the first :meth:`RepairSession.status` that reads it.
+    ``plan`` and ``solve`` are those of the record's last repair: while
+    a repair plans the record the same way, it serves ``solve`` without
+    a cache lookup (the key would be the same)."""
 
     component: Component
     content: Tuple
     bracket: Optional[Tuple[float, float]] = None
+    plan: Optional[ComponentPlan] = None
+    solve: Optional[_ComponentSolve] = None
 
 
 @dataclass(frozen=True)
@@ -255,7 +268,10 @@ class SessionStatus:
 
 @dataclass
 class SessionStats:
-    """Running counters of one session's incremental work."""
+    """Running counters of one session's incremental work.
+    ``cache_hits`` counts every component a repair served without a
+    solve — from its store record or from the cache — and
+    ``cache_misses`` every component it solved."""
 
     appends: int = 0
     deletes: int = 0
@@ -478,9 +494,13 @@ class RepairSession:
         return len(self._cache)
 
     def clear_cache(self) -> None:
-        """Drop all cached component repairs (they rebuild on demand).
-        On a shared cache this clears *every* session's entries."""
+        """Drop all cached component repairs, the ones this session's
+        store records hold included (they rebuild on demand).  On a
+        shared cache this clears *every* session's entries; other
+        sessions keep the solves their own records hold."""
         self._cache.clear()
+        for record in self._store.values():
+            record.plan = record.solve = None
 
     # ------------------------------------------------------------------
     # Deltas
@@ -705,9 +725,9 @@ class RepairSession:
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def _decompose(self) -> Tuple[Decomposition, List[Tuple]]:
+    def _decompose(self) -> Tuple[Decomposition, List[_LiveComponent]]:
         """The current decomposition, assembled from the store, and the
-        content key of each component.  Content-identical to
+        store record of each component.  Content-identical to
         :func:`repro.core.decompose.decompose` on the current snapshot —
         component order, member order, and sub-instances all match, so
         everything downstream stays byte-identical to the batch path.
@@ -720,9 +740,8 @@ class RepairSession:
             fds=self._fds,
             index=self._index,
             components=[record.component for record in records],
-            consistent_ids=tuple(self._index.consistent_ids()),
         )
-        return decomp, [record.content for record in records]
+        return decomp, records
 
     def _cache_key(self, content: Tuple, plan) -> Tuple:
         """Cache key of one component solve: ``(scope, method,
@@ -731,9 +750,8 @@ class RepairSession:
         wall-clock slice: whether such a solve succeeds (and stays sticky
         on fallback) depends on its slice, which shifts as the schedule
         around the component changes — keying on it keeps cached
-        fallbacks honest.  One flat tuple per component: a repair builds
-        a key for every component, and on a large table each extra
-        container per component brings the next full collection closer."""
+        fallbacks honest.  Built only for the records a repair looks up
+        (new or re-planned ones), as one flat tuple."""
         if self._policy.exact_budget_s is not None and plan.method == "exact":
             return (self._cache_scope, plan.method, plan.budget_s, content)
         return (self._cache_scope, plan.method, content)
@@ -748,12 +766,16 @@ class RepairSession:
         exact_threshold=..., exact_budget_s=...)`` — same cleaned table,
         distance, dirtiness report, and portfolio label: the misses are
         solved by :func:`repro.exec.solve_components` and the result
-        assembled by the batch path's own merge.  The schedule is
-        re-planned per call (it is pure arithmetic over the current
-        components); under a global budget an exact solve's cache key
-        carries its scheduled slice, so a slice change — the schedule
-        shifting as components come and go — re-solves rather than
-        serving a result computed under a different ceiling.
+        assembled by the batch path's own merge, whose ``cleaned`` table
+        is built on its first read.  The schedule is re-planned per call
+        (it is pure arithmetic over the current components).  A record
+        planned as at its last repair serves the solve it holds; only
+        new records and re-planned ones look the cache up, so a repair
+        costs O(touched components + deleted ids), not O(|T|).  Under a
+        global budget an exact solve's cache key carries its scheduled
+        slice, so a slice change — the schedule shifting as components
+        come and go — re-solves rather than serving a result computed
+        under a different ceiling.
 
         The misses are solved on the session's pool when it has one —
         even a single miss, so a slow solve runs in a worker process and
@@ -766,18 +788,22 @@ class RepairSession:
         tag = str(self._session_key)
         with rec.span("session.repair", key=tag):
             with rec.span("phase.decompose"):
-                decomp, contents = self._decompose()
+                decomp, records = self._decompose()
             with rec.span("phase.plan"):
                 plans = decomp.plan_schedule(
                     self._verdict.tractable, self._guarantee, self._policy
                 )
-            keys = [
-                self._cache_key(content, plan)
-                for content, plan in zip(contents, plans)
-            ]
-            solves: List[Optional[_ComponentSolve]] = [
-                self._cache.get(key) for key in keys
-            ]
+            solves: List[Optional[_ComponentSolve]] = []
+            keys: Dict[int, Tuple] = {}
+            for i, (record, plan) in enumerate(zip(records, plans)):
+                # Size-rule plans are shared instances, so identity
+                # settles most records without a field-wise compare.
+                solve = record.solve
+                if solve is None or (plan is not record.plan
+                                     and plan != record.plan):
+                    keys[i] = key = self._cache_key(record.content, plan)
+                    solve = self._cache.get(key)
+                solves.append(solve)
             misses = [i for i, solve in enumerate(solves) if solve is None]
             hits = len(solves) - len(misses)
             self.stats.cache_hits += hits
@@ -802,6 +828,8 @@ class RepairSession:
                 for i, kept, method in zip(misses, kept_lists, methods):
                     solves[i] = _ComponentSolve(kept, method)
                     self._cache.put(keys[i], solves[i])
+                for i in keys:
+                    records[i].plan, records[i].solve = plans[i], solves[i]
                 result = _decomposed_outcome(
                     decomp, self._verdict, plans, solves, self._guarantee,
                     self._policy.threshold,

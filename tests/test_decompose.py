@@ -26,7 +26,7 @@ from repro.core.violations import satisfies
 from repro.datagen.synthetic import clustered_conflicts_table
 from repro.exec import assemble_s_result, resolve_workers, solve_components
 from repro.io.tables import table_to_csv
-from repro.pipeline import clean
+from repro.pipeline import _ComponentSolve, clean
 from repro.testing import random_small_table
 
 HARD = FDSet("A -> B; B -> C")
@@ -47,7 +47,9 @@ def forced(table, fds, method, parallel=None):
     decomp = decompose(table, fds)
     plans = [ComponentPlan(method)] * decomp.component_count
     kept_lists, methods = solve_components(decomp, plans, parallel)
-    return assemble_s_result(decomp, methods, kept_lists)
+    return assemble_s_result(
+        decomp, [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)]
+    )
 
 
 class TestDecompose:
@@ -101,8 +103,17 @@ class TestDecompose:
     def test_merge_kept_preserves_table_order(self):
         table = clustered(seed=2)
         decomp = decompose(table, HARD)
-        merged = decomp.merge_kept([c.ids for c in decomp.components])
+        solves = [_ComponentSolve(c.ids, "exact") for c in decomp.components]
+        merged = assemble_s_result(decomp, solves).repair
         assert merged.ids() == table.ids()
+        # Dropping ids keeps the survivors in table order.
+        solves = [_ComponentSolve(c.ids[1:], "exact")
+                  for c in decomp.components]
+        dropped = {c.ids[0] for c in decomp.components}
+        merged = assemble_s_result(decomp, solves).repair
+        assert merged.ids() == tuple(
+            tid for tid in table.ids() if tid not in dropped
+        )
 
 
 class TestPortfolioPolicy:

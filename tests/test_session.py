@@ -545,6 +545,128 @@ def test_status_matches_fresh_session_after_any_delta_sequence(
         assert _status_fields(session) == _status_fields(fresh)
 
 
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_single_delta_repair_is_local(use_kernel, monkeypatch):
+    """After the first repair, a single-tuple append into one cluster
+    is repaired by looking the cache up only for the records it dropped
+    (never once per component), and no table larger than a component is
+    built — by the repair or by the daemon's reply — until the repaired
+    table is read."""
+    from repro import protocol
+    from repro.core import table as table_module
+    from repro.datagen.synthetic import clustered_conflicts_table
+
+    fds = FDSet("A -> B; B -> C")
+    cluster_size = 16
+    with _kernel_mode(use_kernel):
+        table = clustered_conflicts_table(
+            SCHEMA, size=3000, clusters=18, cluster_size=cluster_size, seed=1
+        )
+        session = RepairSession(table, fds)
+        assert session.repair().component_count == 18
+
+        gets = []
+        cache_get = SolutionCache.get
+
+        def counting_get(cache, key):
+            gets.append(key)
+            return cache_get(cache, key)
+
+        built = []
+        from_trusted = Table._from_trusted.__func__
+        init = Table.__init__
+        deferred_build = table_module._DeferredTable.__getattr__
+
+        def recording_from_trusted(cls, schema, rows, *args):
+            built.append(len(rows))
+            return from_trusted(cls, schema, rows, *args)
+
+        def recording_init(self, schema, rows, *args, **kwargs):
+            built.append(len(rows))
+            init(self, schema, rows, *args, **kwargs)
+
+        def recording_build(self, name):
+            value = deferred_build(self, name)
+            built.append(len(value))
+            return value
+
+        monkeypatch.setattr(SolutionCache, "get", counting_get)
+        monkeypatch.setattr(Table, "_from_trusted",
+                            classmethod(recording_from_trusted))
+        monkeypatch.setattr(Table, "__init__", recording_init)
+        monkeypatch.setattr(table_module._DeferredTable, "__getattr__",
+                            recording_build)
+
+        records = list(session._store.values())
+        session.append([("a3", "b3.new", "x3")], repair=False)
+        live = list(session._store.values())
+        dropped = sum(1 for r in records if all(r is not s for s in live))
+        assert dropped == 1
+        built.clear()
+        result = session.repair()
+        assert 0 < len(gets) <= dropped
+        assert 0 < max(built) <= cluster_size + 1
+        protocol.result_summary(result)
+        assert max(built) <= cluster_size + 1
+        # Reading the repaired table builds it, once.
+        built.clear()
+        kept = len(result.cleaned)
+        assert built == [kept] and len(result.cleaned.ids()) == kept
+        monkeypatch.undo()
+        _assert_identical(result, clean(_fresh_equivalent(session), fds))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_float_weights_keep_distance_and_session_exact(data):
+    """With arbitrary positive float weights — where the order of a
+    float sum shows — the session still equals ``clean`` field for
+    field, every path's distance is exactly ``dist_sub`` of its repaired
+    table, and a repaired table built on first read behaves like an
+    eagerly built one under ``==``, ``hash``, pickling and CSV export."""
+    import pickle
+
+    fds = data.draw(st.sampled_from(FD_SETS))
+    value = st.integers(min_value=0, max_value=2)
+    row_st = st.tuples(value, value, value)
+    weight_st = st.floats(min_value=0.01, max_value=100)
+    start = data.draw(st.lists(st.tuples(row_st, weight_st), max_size=10))
+    session = RepairSession(
+        Table.from_rows(SCHEMA, [r for r, _w in start], [w for _r, w in start]),
+        fds,
+    )
+    result = session.repair()
+    for _step in range(data.draw(st.integers(min_value=0, max_value=4))):
+        live = list(session.table.ids())
+        if live and data.draw(st.booleans()):
+            result = session.delete(
+                [data.draw(st.sampled_from(live))]
+            )
+        else:
+            rows = data.draw(st.lists(row_st, min_size=1, max_size=3))
+            weights = data.draw(st.lists(weight_st, min_size=len(rows),
+                                         max_size=len(rows)))
+            result = session.append(rows, weights=weights)
+    fresh = _fresh_equivalent(session)
+    expected = clean(fresh, fds)
+    _assert_identical(result, expected)
+    assert result.distance == session.table.dist_sub(result.cleaned)
+    assert expected.distance == fresh.dist_sub(expected.cleaned)
+    undecomposed = clean(_fresh_equivalent(session), fds, decomposed=False)
+    assert undecomposed.distance == fresh.dist_sub(undecomposed.cleaned)
+
+    eager = Table(SCHEMA, expected.cleaned.rows(), expected.cleaned.weights())
+
+    def deferred():
+        return clean(fresh, fds).cleaned
+
+    assert deferred() == eager and eager == deferred()
+    assert hash(deferred()) == hash(eager)
+    restored = pickle.loads(pickle.dumps(deferred()))
+    assert type(restored) is Table and restored == eager
+    assert table_to_csv(deferred()) == table_to_csv(eager)
+
+
 def test_delete_validation():
     table = Table.from_rows(SCHEMA, [(1, 1, 1)])
     session = RepairSession(table, FDSet("A -> B"))
