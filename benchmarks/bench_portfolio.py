@@ -32,13 +32,15 @@ Gates, all measured best-of-5 after a warm-up run
   a lower bound strictly above the matching bound, and the report-level
   lower bound must beat the matching-only sum.
 * **Identity**: under the global budget the scheduled repair is
-  byte-identical serial vs ``parallel=4`` and kernel vs ``--no-kernel``
+  byte-identical serial vs a four-worker pool and kernel vs ``--no-kernel``
   (the plan is computed once up front and shipped with the tasks).
 
 Results land in ``BENCH_portfolio.json``; the committed baseline doubles
 as the CI regression reference (the workflow fails on a > 30% drop of
 any gated ``speedup``).
 """
+
+from contextlib import closing
 
 from repro.core import kernel
 from repro.core.decompose import (
@@ -50,7 +52,7 @@ from repro.core.decompose import (
 from repro.core.dichotomy import classify
 from repro.core.fd import FDSet
 from repro.datagen.synthetic import portfolio_mix_table
-from repro.exec import solve_components
+from repro.exec import PersistentWorkerPool, solve_components
 from repro.io.tables import table_to_csv
 from repro.pipeline import (
     _ComponentSolve,
@@ -198,9 +200,11 @@ def test_scheduled_repair_identical_serial_parallel_kernel():
     """Gate 3: the globally scheduled repair is byte-identical however
     the components are dispatched and whichever substrate solves them."""
     serial = clean(_mix_table(), OVERLAY, exact_budget_s=GLOBAL_BUDGET_S)
-    parallel = clean(
-        _mix_table(), OVERLAY, exact_budget_s=GLOBAL_BUDGET_S, parallel=4
-    )
+    with closing(PersistentWorkerPool(4)) as pool:
+        parallel = clean(
+            _mix_table(), OVERLAY, exact_budget_s=GLOBAL_BUDGET_S,
+            executor=pool,
+        )
     assert serial.distance == parallel.distance
     assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
 

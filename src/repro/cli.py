@@ -188,25 +188,18 @@ def _add_solve_timeout_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _stream_pool_for(args: argparse.Namespace):
-    """A started :class:`repro.exec.PersistentWorkerPool` of
-    ``--parallel N`` workers with ``--solve-timeout`` as its per-solve
-    deadline, for ``stream``; ``None`` when N ≤ 1 or the platform cannot
-    start the workers (the session then solves in process)."""
+def _pool_for(args: argparse.Namespace, recorder=None):
+    """An unstarted :class:`repro.exec.PersistentWorkerPool` of
+    ``--parallel N`` workers, with ``--solve-timeout`` (where the command
+    has it) as its per-solve deadline; ``None`` when N ≤ 1."""
     if not args.parallel or args.parallel <= 1:
         return None
     from .exec import PersistentWorkerPool
 
-    pool = PersistentWorkerPool(args.parallel,
-                                solve_timeout_s=args.solve_timeout)
-    if not pool.start():
-        pool.close()
-        print(
-            "warning: cannot start worker processes; running locally",
-            file=sys.stderr,
-        )
-        return None
-    return pool
+    return PersistentWorkerPool(
+        args.parallel, solve_timeout_s=getattr(args, "solve_timeout", None),
+        recorder=recorder,
+    )
 
 
 def _add_trace_option(parser: argparse.ArgumentParser) -> None:
@@ -721,24 +714,21 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     _apply_kernel_choice(args)
     table, fds = _read_inputs(args)
     recorder = _recorder_for(args)
-    try:
+    # clean starts the pool only for two components or more.
+    pool = _pool_for(args, recorder)
+    with _closing(recorder), _closing(pool):
         return clean(
             table,
             fds,
             strategy=strategy,
             guarantee=args.guarantee,
             decomposed=args.decomposed,
-            parallel=args.parallel,
             exact_threshold=args.exact_threshold,
             exact_budget_s=args.exact_budget,
             unit_cost_s=args.unit_cost,
             recorder=recorder,
-            # u-repair takes no --solve-timeout.
-            solve_timeout_s=getattr(args, "solve_timeout", None),
+            executor=pool,
         )
-    finally:
-        if recorder is not None:
-            recorder.close()
 
 
 def _cmd_s_repair(args: argparse.Namespace) -> int:
@@ -776,13 +766,14 @@ def _cmd_mpd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closing_recorder(recorder):
-    """Context manager closing *recorder* on exit; no-op for ``None``."""
+def _closing(resource):
+    """Context manager closing *resource* (a recorder or a pool) on
+    exit; no-op for ``None``."""
     import contextlib
 
-    if recorder is None:
+    if resource is None:
         return contextlib.nullcontext()
-    return contextlib.closing(recorder)
+    return contextlib.closing(resource)
 
 
 def _stream_lines(source: str):
@@ -836,10 +827,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
 
     recorder = _recorder_for(args)
-    # --parallel N starts the session's pool here, so --solve-timeout
-    # reaches it; a pool that cannot start leaves the session serial.
-    pool = _stream_pool_for(args)
-    with _closing_recorder(pool), _closing_recorder(recorder), RepairSession(
+    # --parallel N starts the session's pool up front; a pool that
+    # cannot start leaves the session serial.
+    pool = _pool_for(args)
+    if pool is not None and not pool.start():
+        pool.close()
+        print(
+            "warning: cannot start worker processes; running locally",
+            file=sys.stderr,
+        )
+        pool = None
+    with _closing(pool), _closing(recorder), RepairSession(
         table,
         fds,
         guarantee=args.guarantee,

@@ -21,10 +21,10 @@ scheduled.  A worker-side rebuild of a component's
 parent's projected sub-index (pinned by the PR-1 index properties), so
 shipping plain rows across the process boundary is safe.
 
-Workers are processes (the solvers are CPU-bound Python), started only
-when more than one component asks for them; environments without
-working subprocess support degrade to the serial path rather than
-failing.
+Workers are processes (the solvers are CPU-bound Python) in a pool the
+caller builds and closes; a pool not yet running is started only when
+more than one component asks for it.  Environments without working
+subprocess support degrade to the serial path rather than failing.
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from .core.fd import FDSet
 from .core.table import Table, _DeferredTable
 
 __all__ = [
-    "resolve_workers",
     "solve_components",
     "assemble_s_result",
     "PersistentWorkerPool",
-    "DEFAULT_SESSION_KEY",
     "U_METHODS",
 ]
 
@@ -84,26 +82,9 @@ U_METHODS = {
 }
 
 
-def resolve_workers(parallel: Optional[int], task_count: int) -> int:
-    """Effective worker count: 1 (serial) unless parallelism is requested
-    *and* there is more than one task; never more workers than tasks.
-
-    An explicit request for more workers than cores is honoured — the OS
-    schedules the oversubscription, results are identical regardless, and
-    capping silently at ``cpu_count`` would make ``--parallel`` a no-op
-    on single-core containers.
-    """
-    if not parallel or parallel <= 1 or task_count <= 1:
-        return 1
-    return min(parallel, task_count)
-
-
 # ---------------------------------------------------------------------------
 # Persistent worker pool: one supervisor over queue-fed worker slots
 # ---------------------------------------------------------------------------
-
-#: Namespace key a single-session pool (constructor schema/fds) binds to.
-DEFAULT_SESSION_KEY = ""
 
 #: Supervisor tick: how often the monitor reaps exited workers, sweeps
 #: solve deadlines, runs due respawns and re-sends requeued solves.
@@ -412,14 +393,18 @@ class PersistentWorkerPool:
     **Workers.**  Each worker is a ``multiprocessing`` process fed by its
     own queue and answering over its own pipe (:class:`_QueueSlot`),
     running :func:`_worker_loop`; ``--parallel N`` is how the CLI and
-    the daemon start them.
+    the daemon start them.  The caller builds the pool and closes it;
+    nothing in :func:`solve_components`, :func:`repro.pipeline.clean` or
+    a :class:`~repro.session.RepairSession` starts one of its own.  The
+    workers solve with the kernel choice in force
+    (:func:`repro.core.kernel.enabled`) when the pool is constructed.
 
     **Multi-tenancy.**  Mirrors are namespaced by a session key:
     :meth:`open_session` installs a session's schema, Δ, and
     :class:`~repro.core.decompose.SolvePolicy` on every worker;
-    :meth:`broadcast` and :meth:`solve` take the key.  Constructing with ``schema``/``fds`` binds the default
-    namespace.  The parent keeps one authoritative mirror of every
-    namespace, which serves both respawn replay and local degradation.
+    :meth:`broadcast` and :meth:`solve` take the key.  The parent keeps
+    one authoritative mirror of every namespace, which serves both
+    respawn replay and local degradation.
 
     **Concurrency.**  ``solve`` is thread-safe; solves route round-robin
     to live workers with spare capacity (see :meth:`_route_locked`), and
@@ -451,8 +436,10 @@ class PersistentWorkerPool:
 
     Counters — ``worker_deaths``, ``respawns``, ``retries``,
     ``timeouts``, ``degraded``, ``degraded_local``, ``abandoned``,
-    ``rpcs`` (solves sent) — come from :meth:`supervision_stats` and the
-    optional *recorder*.  ``solve`` raises ``RuntimeError`` only when the
+    ``rpcs`` (solves sent) — come from :meth:`supervision_stats` and,
+    as ``pool.*`` counters, the pool's own optional *recorder* (a
+    pool handed to ``clean`` reports to the recorder it was built with,
+    not to the call's).  ``solve`` raises ``RuntimeError`` only when the
     pool is closed, the batch *timeout* expires, or a solve itself
     failed; callers then solve serially.  ``start`` returns ``False`` on
     platforms that cannot run the workers.
@@ -463,9 +450,7 @@ class PersistentWorkerPool:
     defaults to the plan named by ``FDREPAIR_FAULTS``.
     """
 
-    def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
-                 policy: Optional[SolvePolicy] = None,
-                 use_kernel: Optional[bool] = None, *,
+    def __init__(self, workers: int, *,
                  retries: int = 2,
                  max_respawns: int = 8,
                  backoff_s: float = 0.05,
@@ -476,10 +461,7 @@ class PersistentWorkerPool:
         import threading
 
         self._worker_count = max(1, int(workers))
-        self._schema = None if schema is None else tuple(schema)
-        self._fds = fds
-        self._policy = SolvePolicy() if policy is None else policy
-        self._use_kernel = _kernel.enabled() if use_kernel is None else bool(use_kernel)
+        self._use_kernel = _kernel.enabled()
         self._retries = max(0, int(retries))
         self._max_respawns = max(0, int(max_respawns))
         self._backoff_s = max(0.0, float(backoff_s))
@@ -556,8 +538,6 @@ class PersistentWorkerPool:
             daemon=True,
         )
         self._monitor.start()
-        if self._schema is not None and self._fds is not None:
-            self.open_session(DEFAULT_SESSION_KEY, self._schema, self._fds)
         return self.alive
 
     def _spawn(self, worker: int, generation: int):
@@ -571,11 +551,11 @@ class PersistentWorkerPool:
     # ------------------------------------------------------------------
     def open_session(self, key, schema, fds: FDSet,
                      policy: Optional[SolvePolicy] = None) -> bool:
-        """Install session *key*'s schema, Δ and *policy* (default: the
-        pool's) on every worker (its mirror starts empty; follow with a
-        ``reset`` broadcast)."""
+        """Install session *key*'s schema, Δ and *policy* (default:
+        ``SolvePolicy()``) on every worker (its mirror starts empty;
+        follow with a ``reset`` broadcast)."""
         space = [tuple(schema), fds,
-                 self._policy if policy is None else policy, {}, {}]
+                 SolvePolicy() if policy is None else policy, {}, {}]
         with self._io:
             self._mirror[key] = space
             self._send_all(("open", key) + tuple(space[:3]))
@@ -599,7 +579,7 @@ class PersistentWorkerPool:
             self._send_all(("drop", key))
         return self.alive
 
-    def broadcast(self, op, key=DEFAULT_SESSION_KEY) -> bool:
+    def broadcast(self, op, key) -> bool:
         """Apply one mirror-maintenance op — ``("reset", rows, weights)``,
         ``("append", rows, weights)`` or ``("delete", ids)`` — to the
         parent mirror and send it to every live worker, for session
@@ -634,16 +614,15 @@ class PersistentWorkerPool:
     # Solving
     # ------------------------------------------------------------------
     def solve(self, tasks: Sequence[Tuple],
-              timeout: Optional[float] = 120.0,
-              key=DEFAULT_SESSION_KEY
+              timeout: Optional[float] = 120.0, *, key
               ) -> List[Tuple[object, str, float]]:
-        """Solve ``(component ids, method, budget_s)`` tasks; returns
-        ``(result, effective method, solve seconds)`` per task, in task
-        order, *result* as :func:`_solve_component` returns it (kept ids
-        for an S method).  *budget_s* is the solve's wall-clock slice
-        from the plan (``None``: no ceiling), so pool and serial runs
-        read the same plan.  The seconds are measured
-        around the solve itself, inside the worker (queueing and
+        """Solve ``(component ids, method, budget_s)`` tasks of session
+        *key*; returns ``(result, effective method, solve seconds)`` per
+        task, in task order, *result* as :func:`_solve_component`
+        returns it (kept ids for an S method).  *budget_s* is the
+        solve's wall-clock slice from the plan (``None``: no ceiling),
+        so pool and serial runs read the same plan.  The seconds are
+        measured around the solve itself, inside the worker (queueing and
         pickling excluded) — the telemetry layer's predicted-vs-actual
         training signal.
 
@@ -1109,11 +1088,9 @@ _EXECUTOR_KEYS = _iter_count()
 def solve_components(
     decomp: Decomposition,
     plans: Sequence[ComponentPlan],
-    parallel: Optional[int] = None,
     policy: Optional[SolvePolicy] = None,
     recorder=None,
     executor=None,
-    solve_timeout_s: Optional[float] = None,
     *,
     only: Optional[Sequence[int]] = None,
     key=None,
@@ -1139,21 +1116,21 @@ def solve_components(
     unless a solve outruns its slice, whose wall-clock fallback no plan
     can fix in advance.
 
-    Where the solves run: on *executor* (a started or startable
-    :class:`PersistentWorkerPool`) when one is passed, with *timeout*
-    capping the batch (default: no cap); else, when
-    :func:`resolve_workers` grants more than one worker for *parallel*,
-    on a pool of that many workers started for this call
-    (*solve_timeout_s* is its per-solve deadline, see
-    :class:`PersistentWorkerPool`; no batch cap, since worker deaths
-    and the deadline already cover stalls); else in process, reusing the projected sub-indexes.  Without *key*
-    the pool receives only the conflict components' rows, into a
-    namespace of this call's own; with *key* the caller's namespace is
-    already attached and kept in sync (a streaming session's mirror).
-    Tasks are id lists either way, and any pool failure falls back to
-    the in-process loop.  *stats*, when given, is an object whose
-    ``pool_solves`` / ``serial_solves`` / ``pool_fallbacks`` counters
-    are advanced (a :class:`~repro.session.SessionStats`).
+    Where the solves run: on *executor*, a caller-built
+    :class:`PersistentWorkerPool`, with *timeout* capping the batch
+    (default: no cap, since worker deaths and the pool's per-solve
+    deadline already cover stalls); else in process, reusing the
+    projected sub-indexes.  A running pool takes every task; a pool not
+    yet started is started only for two tasks or more, so a lone task
+    never spawns workers.  This function never stops a pool: that is
+    the caller's.  Without *key* the pool receives only the conflict
+    components' rows, into a namespace of this call's own; with *key*
+    the caller's namespace is already attached and kept in sync (a
+    streaming session's mirror).  Tasks are id lists either way, and any
+    pool failure falls back to the in-process loop.  *stats*, when
+    given, is an object whose ``pool_solves`` / ``serial_solves`` /
+    ``pool_fallbacks`` counters are advanced (a
+    :class:`~repro.session.SessionStats`).
 
     With an enabled *recorder* (:mod:`repro.obs`), one ``solve`` trace
     record is emitted per component carrying the plan evidence
@@ -1176,18 +1153,14 @@ def solve_components(
         ),
     )
     components = decomp.components
-    workers = resolve_workers(parallel, len(order))
     ordered = None
-    if executor is not None and order:
+    if executor is not None and (
+        len(order) > 1 or (order and executor.alive)
+    ):
         ordered = _solve_on_pool(executor, decomp, plans, order, policy,
                                  timeout, key)
         if ordered is None and stats is not None:
             stats.pool_fallbacks += 1
-    elif workers > 1:
-        with PersistentWorkerPool(workers, policy=policy, recorder=rec,
-                                  solve_timeout_s=solve_timeout_s) as pool:
-            ordered = _solve_on_pool(pool, decomp, plans, order, policy,
-                                     None)
     path = "pool"
     if ordered is None:
         path = "serial"

@@ -535,11 +535,9 @@ def _clean_deletions_decomposed(
     fds: FDSet,
     guarantee: str,
     index: ConflictIndex,
-    parallel: Optional[int],
     policy: SolvePolicy,
     rec,
     executor=None,
-    solve_timeout_s: Optional[float] = None,
 ) -> CleaningResult:
     """The decomposed S-repair pipeline: decompose once, schedule the
     portfolio (:func:`repro.core.decompose.plan_schedule` — difficulty-
@@ -561,8 +559,7 @@ def _clean_deletions_decomposed(
         plans = decomp.plan_schedule(verdict.tractable, guarantee, policy)
     with rec.span("phase.solve"):
         kept_lists, methods = solve_components(
-            decomp, plans, parallel, policy, recorder=rec, executor=executor,
-            solve_timeout_s=solve_timeout_s,
+            decomp, plans, policy, recorder=rec, executor=executor,
         )
     if guarantee == "optimal":
         _require_planned(plans, range(len(plans)), methods)
@@ -581,13 +578,11 @@ def clean(
     guarantee: str = "best",
     index: Optional[ConflictIndex] = None,
     decomposed: bool = True,
-    parallel: Optional[int] = None,
     exact_threshold: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     recorder=None,
     executor=None,
-    solve_timeout_s: Optional[float] = None,
 ) -> CleaningResult:
     """Repair *table* end to end.
 
@@ -617,12 +612,6 @@ def clean(
         was solved exactly.  ``False`` restores the historical global
         path (one solver for the whole instance, exact-vs-approx decided
         by total table size).
-    parallel:
-        Number of supervised worker processes for per-component solving
-        (see :func:`repro.exec.solve_components`; implies nothing when
-        ≤ 1 or with a single component).  Where the components are
-        solved leaves no trace in the result: it equals the serial one
-        field for field, method label included.
     exact_threshold:
         Component-size boundary between exact and approximate solving on
         the APX-hard side of the dichotomy (default
@@ -651,7 +640,7 @@ def clean(
         bound describe the fallback honestly.  ``guarantee="optimal"``
         gives each exact solve the whole budget and raises
         :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` instead
-        of falling back, on every path (serial, *parallel*, *executor*,
+        of falling back, on every path (serial, *executor*,
         ``decomposed=False``), true to "provably optimal or fail".  On
         the updates strategy the budget bounds the assessment bracket
         only: the U-repair solvers search update space, not vertex
@@ -672,17 +661,17 @@ def clean(
         :data:`repro.obs.NULL_RECORDER` is a guaranteed no-op costing an
         attribute check on the hot paths.
     executor:
-        Optional :class:`repro.exec.PersistentWorkerPool` that the
-        decomposed paths (deletions and updates) route per-component
-        solves through, in place of a pool of *parallel* workers (see
-        :func:`repro.exec.solve_components`).  Pure solvers keep the
-        result byte-identical to local execution; executor failure falls
-        back locally.
-    solve_timeout_s:
-        Per-solve deadline on the pool of *parallel* workers (default:
-        none — a long solve is never shot); see
-        :class:`repro.exec.PersistentWorkerPool`.  An *executor* carries
-        its own.
+        Optional caller-built :class:`repro.exec.PersistentWorkerPool`
+        that the decomposed paths (deletions and updates) solve their
+        components on (see :func:`repro.exec.solve_components`); without
+        one every solve runs in process.  A pool not yet running is
+        started only when there are two components or more; ``clean``
+        never stops it, so closing it is the caller's, and it carries
+        its own per-solve deadline (``solve_timeout_s``) and recorder.
+        Where the components are solved leaves no trace in the result:
+        it equals the serial one field for field, method label
+        included, and a pool that fails falls back to solving in
+        process.
     """
     if strategy not in ("deletions", "updates"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -712,12 +701,10 @@ def clean(
             # as standalone assessment, without solving any component
             # twice.
             return _clean_deletions_decomposed(
-                table, fds, guarantee, index, parallel, policy, rec,
-                executor, solve_timeout_s,
+                table, fds, guarantee, index, policy, rec, executor,
             )
         return _clean_updates_decomposed(
-            table, fds, guarantee, index, parallel, policy, rec, executor,
-            solve_timeout_s,
+            table, fds, guarantee, index, policy, rec, executor,
         )
 
 
@@ -784,11 +771,9 @@ def _clean_updates_decomposed(
     fds: FDSet,
     guarantee: str,
     index: ConflictIndex,
-    parallel: Optional[int],
     policy: SolvePolicy,
     rec,
     executor=None,
-    solve_timeout_s: Optional[float] = None,
 ) -> CleaningResult:
     """The decomposed U-repair: the Section 4 dispatcher per conflict
     component (:func:`repro.exec.solve_components`), merged.
@@ -814,8 +799,7 @@ def _clean_updates_decomposed(
         decomp = decompose(table, fds, index)
         outcomes, _methods = solve_components(
             decomp, [ComponentPlan(method)] * decomp.component_count,
-            parallel, policy, recorder=rec, executor=executor,
-            solve_timeout_s=solve_timeout_s,
+            policy, recorder=rec, executor=executor,
         )
         result = _merge_u_components(decomp, method, outcomes)
     if guarantee == "optimal":

@@ -339,8 +339,9 @@ class RepairSession:
         counted in ``stats.pool_fallbacks``; a failed pool is not used
         again.  Without a pool every solve runs in process.
     session_key:
-        Namespace key on *pool* (auto-generated when omitted; must be
-        unique per attached session).
+        Namespace key on *pool*, and the tag on the session's trace
+        records (``session-N`` when omitted; must be unique per attached
+        session).
     solutions:
         A :class:`SolutionCache` shared with other sessions, used in
         place of a private one (of 10 000 entries, least-recently-used
@@ -438,14 +439,10 @@ class RepairSession:
         # lifecycle split the server builds on.
         self._pool = pool
         self._pool_ready = False
-        if session_key is not None:
-            self._session_key = session_key
-        elif pool is not None:
-            self._session_key = f"session-{next(_SESSION_KEYS)}"
-        else:
-            from .exec import DEFAULT_SESSION_KEY
-
-            self._session_key = DEFAULT_SESSION_KEY
+        self._session_key = (
+            f"session-{next(_SESSION_KEYS)}" if session_key is None
+            else session_key
+        )
         # When the index is kernel-backed, worker mirrors are kept in
         # *coded* rows (the codec stays live under session deltas): the
         # kept-id results are identical — solvers only observe the value

@@ -7,7 +7,9 @@ repair itself) from repairing the whole table at once, while conflict-free
 tuples are carried through verbatim without entering any solver.
 """
 
+import dataclasses
 import random
+from contextlib import closing
 
 import pytest
 
@@ -24,7 +26,11 @@ from repro.core.table import Table
 from repro.core.urepair import u_repair
 from repro.core.violations import satisfies
 from repro.datagen.synthetic import clustered_conflicts_table
-from repro.exec import assemble_s_result, resolve_workers, solve_components
+from repro.exec import (
+    PersistentWorkerPool,
+    assemble_s_result,
+    solve_components,
+)
 from repro.io.tables import table_to_csv
 from repro.pipeline import _ComponentSolve, clean
 from repro.testing import random_small_table
@@ -41,12 +47,12 @@ def clustered(n=120, clusters=6, cluster_size=8, seed=0, **kwargs):
     )
 
 
-def forced(table, fds, method, parallel=None):
+def forced(table, fds, method, executor=None):
     """The per-component S-repair with one *method* forced on every
-    component."""
+    component, solved in process or on *executor*."""
     decomp = decompose(table, fds)
     plans = [ComponentPlan(method)] * decomp.component_count
-    kept_lists, methods = solve_components(decomp, plans, parallel)
+    kept_lists, methods = solve_components(decomp, plans, executor=executor)
     return assemble_s_result(
         decomp, [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)]
     )
@@ -202,11 +208,25 @@ class TestDecomposedSRepairEquivalence:
         assert result.distance <= legacy.distance
 
 
+def assert_same_result(result, expected):
+    """*result* equals *expected* on every :class:`CleaningResult` field;
+    the cleaned tables are compared by their CSV form, since the fresh
+    nulls of two U-repairs are distinct objects."""
+    for field in dataclasses.fields(result):
+        if field.name != "cleaned":
+            assert (getattr(result, field.name)
+                    == getattr(expected, field.name)), field.name
+    assert table_to_csv(result.cleaned) == table_to_csv(expected.cleaned)
+    if result.strategy == "deletions":
+        assert result.cleaned == expected.cleaned
+
+
 class TestSerialParallelIdentical:
     def test_s_repair_byte_identical(self):
         table = clustered(seed=8)
         serial = clean(table, HARD, guarantee="optimal")
-        parallel = clean(table, HARD, guarantee="optimal", parallel=4)
+        with closing(PersistentWorkerPool(4)) as pool:
+            parallel = clean(table, HARD, guarantee="optimal", executor=pool)
         assert serial.cleaned == parallel.cleaned
         assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
         assert serial.distance == parallel.distance
@@ -215,7 +235,8 @@ class TestSerialParallelIdentical:
     def test_forced_method_byte_identical(self, method):
         table = clustered(seed=8)
         serial = forced(table, HARD, method)
-        parallel = forced(table, HARD, method, parallel=4)
+        with closing(PersistentWorkerPool(4)) as pool:
+            parallel = forced(table, HARD, method, executor=pool)
         assert table_to_csv(serial.repair) == table_to_csv(parallel.repair)
         assert serial.distance == parallel.distance
 
@@ -225,35 +246,74 @@ class TestSerialParallelIdentical:
         # is identical however the components were scheduled.
         table = clustered(seed=10)
         serial = clean(table, HARD, strategy="updates")
-        parallel = clean(table, HARD, strategy="updates", parallel=4)
+        with closing(PersistentWorkerPool(4)) as pool:
+            parallel = clean(table, HARD, strategy="updates", executor=pool)
         assert serial.distance == parallel.distance
         assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
 
     def test_clean_parallel_matches_serial(self):
         table = clustered(seed=11)
-        for strategy in ("deletions", "updates"):
-            for guarantee in ("best", "fast", "optimal"):
-                serial = clean(table, HARD, strategy=strategy,
-                               guarantee=guarantee)
-                parallel = clean(table, HARD, strategy=strategy,
-                                 guarantee=guarantee, parallel=4)
-                assert serial.distance == parallel.distance
-                assert table_to_csv(serial.cleaned) == table_to_csv(
-                    parallel.cleaned
-                )
-                assert serial.report == parallel.report
-                assert serial.method == parallel.method
+        with closing(PersistentWorkerPool(4)) as pool:
+            for strategy in ("deletions", "updates"):
+                for guarantee in ("best", "fast", "optimal"):
+                    serial = clean(table, HARD, strategy=strategy,
+                                   guarantee=guarantee)
+                    parallel = clean(table, HARD, strategy=strategy,
+                                     guarantee=guarantee, executor=pool)
+                    assert serial.distance == parallel.distance
+                    assert table_to_csv(serial.cleaned) == table_to_csv(
+                        parallel.cleaned
+                    )
+                    assert serial.report == parallel.report
+                    assert serial.method == parallel.method
+
+
+def _counting_spawns(monkeypatch):
+    """Count the worker processes every pool spawns from here on."""
+    spawned = []
+    spawn = PersistentWorkerPool._spawn
+
+    def counting(self, worker, generation):
+        spawned.append((worker, generation))
+        return spawn(self, worker, generation)
+
+    monkeypatch.setattr(PersistentWorkerPool, "_spawn", counting)
+    return spawned
+
+
+class TestHandedPool:
+    """``clean`` solves on the pool it is handed and never stops it; a
+    pool not yet running is started only for two components or more."""
+
+    @pytest.mark.parametrize("strategy", ("deletions", "updates"))
+    def test_one_component_leaves_an_unstarted_pool_unstarted(
+        self, strategy, monkeypatch
+    ):
+        table = clustered(n=30, clusters=1, cluster_size=8, seed=3)
+        spawned = _counting_spawns(monkeypatch)
+        with closing(PersistentWorkerPool(2)) as pool:
+            result = clean(table, HARD, strategy=strategy, executor=pool)
+            assert not pool.alive
+        assert spawned == []
+        assert result.component_count == 1
+        assert_same_result(result, clean(table, HARD, strategy=strategy))
+
+    @pytest.mark.parametrize("strategy", ("deletions", "updates"))
+    def test_many_components_start_the_pool_once(self, strategy,
+                                                 monkeypatch):
+        table = clustered(seed=8)
+        spawned = _counting_spawns(monkeypatch)
+        with closing(PersistentWorkerPool(2)) as pool:
+            result = clean(table, HARD, strategy=strategy, executor=pool)
+            if not spawned:
+                pytest.skip("platform cannot start pool workers")
+            assert pool.alive and pool.supervision_stats()["rpcs"] > 0
+        assert spawned == [(0, 0), (1, 0)]
+        assert result.component_count == 6
+        assert_same_result(result, clean(table, HARD, strategy=strategy))
 
 
 class TestExecLayer:
-    def test_resolve_workers(self):
-        assert resolve_workers(None, 10) == 1
-        assert resolve_workers(1, 10) == 1
-        assert resolve_workers(4, 1) == 1
-        assert resolve_workers(4, 2) == 2
-        assert resolve_workers(2, 10) == 2
-        assert resolve_workers(8, 3) == 3
-
     def test_table_pickle_drops_cache(self):
         import pickle
 

@@ -16,6 +16,7 @@ Three contracts are pinned here:
 """
 
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.core.conflict_index import ConflictIndex
 from repro.core.exact import exact_cover_of_index
 from repro.core.fd import FDSet
 from repro.core.table import FreshValue, Table
+from repro.exec import PersistentWorkerPool
 from repro.graphs.graph import Graph
 from repro.graphs.vertex_cover import (
     bar_yehuda_even,
@@ -384,7 +386,8 @@ def test_parallel_coded_shipping_byte_identical():
     table2 = Table(SCHEMA, dict(rows))
     fds = FDSet("A -> B")
     serial = clean(table, fds)
-    parallel = clean(table2, fds, parallel=2)
+    with closing(PersistentWorkerPool(2)) as pool:
+        parallel = clean(table2, fds, executor=pool)
     assert serial.cleaned == parallel.cleaned
     assert serial.distance == parallel.distance
     assert serial.report == parallel.report

@@ -18,6 +18,7 @@ Covers the tentpole guarantees of ISSUE-8:
 import json
 import random
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -226,9 +227,11 @@ class TestSolveRecords:
     def test_pool_clean_records_match_serial_shape(self, tmp_path):
         from repro.exec import PersistentWorkerPool
 
-        probe = PersistentWorkerPool(1, SCHEMA, HARD)
+        probe = PersistentWorkerPool(1)
         try:
-            available = probe.start()
+            available = probe.start() and probe.open_session(
+                "probe", SCHEMA, HARD
+            )
         finally:
             probe.close()
         if not available:
@@ -238,9 +241,10 @@ class TestSolveRecords:
         pool_path = tmp_path / "pool.jsonl"
         with obs.Recorder(sink=obs.JsonlTraceSink(str(serial_path))) as rec:
             serial = clean(table, HARD, exact_budget_s=0.5, recorder=rec)
-        with obs.Recorder(sink=obs.JsonlTraceSink(str(pool_path))) as rec:
+        with obs.Recorder(sink=obs.JsonlTraceSink(str(pool_path))) as rec, \
+                closing(PersistentWorkerPool(2, recorder=rec)) as pool:
             pooled = clean(
-                table, HARD, exact_budget_s=0.5, parallel=2, recorder=rec
+                table, HARD, exact_budget_s=0.5, executor=pool, recorder=rec
             )
         assert serial.distance == pooled.distance
         s_records = self._solve_records(serial_path)

@@ -213,9 +213,10 @@ def test_chaos_identity_under_worker_kills_and_daemon_restarts(tmp_path):
     from repro.session import RepairSession
     from repro.exec import PersistentWorkerPool
 
-    probe = PersistentWorkerPool(1, ("A", "B", "C"), FDSet("A -> B"))
+    probe = PersistentWorkerPool(1)
     try:
-        if not probe.start():
+        if not (probe.start() and probe.open_session(
+                "probe", ("A", "B", "C"), FDSet("A -> B"))):
             pytest.skip("pool workers unavailable")
     finally:
         probe.close()

@@ -19,6 +19,7 @@ Pins the scheduling layer's contracts:
 
 import json
 import random
+from contextlib import closing
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from repro.core.exact import exact_cover_of_index
 from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.datagen.synthetic import portfolio_mix_table
+from repro.exec import PersistentWorkerPool
 from repro.io.tables import table_to_csv
 from repro.pipeline import assess, clean
 
@@ -122,9 +124,10 @@ def test_budget_exhaustion_same_kept_set_serial_vs_parallel():
     # serial and pooled dispatches must delete the same tuples.
     for budget in (0.0, 0.05, 30.0):
         serial = clean(_small_mix(), OVERLAY, exact_budget_s=budget)
-        parallel = clean(
-            _small_mix(), OVERLAY, exact_budget_s=budget, parallel=4
-        )
+        with closing(PersistentWorkerPool(4)) as pool:
+            parallel = clean(
+                _small_mix(), OVERLAY, exact_budget_s=budget, executor=pool
+            )
         assert serial.distance == parallel.distance
         assert table_to_csv(serial.cleaned) == table_to_csv(
             parallel.cleaned

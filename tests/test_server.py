@@ -15,6 +15,7 @@ import json
 import pickle
 import random
 import time
+from contextlib import closing
 
 import pytest
 
@@ -48,9 +49,11 @@ RESTORED_OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s",
 
 
 def _pool_available():
-    pool = PersistentWorkerPool(1, SCHEMA, FDSet("A -> B"))
+    pool = PersistentWorkerPool(1)
     try:
-        return pool.start()
+        return pool.start() and pool.open_session(
+            "probe", SCHEMA, FDSet("A -> B")
+        )
     finally:
         pool.close()
 
@@ -614,7 +617,8 @@ def test_killed_worker_fails_fast_and_repair_survives():
         # Fail-fast: nowhere near the 120 s get-timeout of old.
         assert elapsed < 20.0, f"dead-worker stall: {elapsed:.1f}s"
         fresh = Table(SCHEMA, session.table.rows(), session.table.weights())
-        _assert_identical(result, clean(fresh, fds, parallel=2))
+        with closing(PersistentWorkerPool(2)) as batch:
+            _assert_identical(result, clean(fresh, fds, executor=batch))
     finally:
         session.close()
         pool.close()
@@ -634,21 +638,21 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
     weights = {i: 1.0 for i in rows}
     tasks = [(tuple(rows), "exact", None)] * 4
 
-    with PersistentWorkerPool(2, SCHEMA, fds) as baseline:
+    with PersistentWorkerPool(2) as baseline:
         if not baseline.alive:
             pytest.skip("pool did not start")
-        assert baseline.broadcast(("reset", rows, weights))
+        assert baseline.attach("k", SCHEMA, fds, None, rows, weights)
         expected = [(kept, method) for kept, method, _secs
-                    in baseline.solve(tasks, timeout=60.0)]
+                    in baseline.solve(tasks, timeout=60.0, key="k")]
 
     plan = FaultPlan([FaultRule("worker.solve", "kill",
                                 match={"worker": 0, "generation": 0})])
-    pool = PersistentWorkerPool(2, SCHEMA, fds, faults=plan, backoff_s=0.01)
+    pool = PersistentWorkerPool(2, faults=plan, backoff_s=0.01)
     assert pool.start()
     try:
-        assert pool.broadcast(("reset", rows, weights))
+        assert pool.attach("k", SCHEMA, fds, None, rows, weights)
         got = [(kept, method) for kept, method, _secs
-               in pool.solve(tasks, timeout=60.0)]
+               in pool.solve(tasks, timeout=60.0, key="k")]
         assert got == expected
         deadline = time.monotonic() + 10.0
         while (pool.supervision_stats()["respawns"] < 1
@@ -663,7 +667,7 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
         # The replacement's replayed mirror serves solves
         # byte-identically.
         assert ([(kept, method) for kept, method, _secs
-                 in pool.solve(tasks, timeout=60.0)] == expected)
+                 in pool.solve(tasks, timeout=60.0, key="k")] == expected)
     finally:
         pool.close()
 
@@ -676,17 +680,16 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     fds = FDSet("A -> B")
-    pool = PersistentWorkerPool(2, SCHEMA, fds)
-    assert pool.start()
+    pool = PersistentWorkerPool(2)
     rows = {i: ("a", str(i), "p") for i in range(1, 40)}
     weights = {i: 1.0 for i in rows}
-    assert pool.broadcast(("reset", rows, weights))
+    assert pool.attach("k", SCHEMA, fds, None, rows, weights)
     # Enqueue a pile of work and close without collecting any of it:
     # items are still queued, results may be mid-flight.
     ids = tuple(rows)
     for slot in pool._slots:
         for _ in range(10):
-            slot.send(("solve", 10_000, "", ids, "approx", None))
+            slot.send(("solve", 10_000, "k", ids, "approx", None))
     start = time.monotonic()
     pool.close()
     first = time.monotonic() - start

@@ -15,6 +15,7 @@ degradation), and the CLI ``stream`` subcommand.
 
 import json
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -716,9 +717,11 @@ def test_session_repr_and_context_manager():
 # ---------------------------------------------------------------------------
 
 def _pool_available():
-    pool = PersistentWorkerPool(1, SCHEMA, FDSet("A -> B"))
+    pool = PersistentWorkerPool(1)
     try:
-        return pool.start()
+        return pool.start() and pool.open_session(
+            "probe", SCHEMA, FDSet("A -> B")
+        )
     finally:
         pool.close()
 
@@ -744,10 +747,11 @@ def test_pool_solves_match_serial():
         _assert_identical(
             pooled.repair(), clean(_fresh_equivalent(pooled), fds)
         )
-        _assert_identical(
-            pooled.repair(),
-            clean(_fresh_equivalent(pooled), fds, parallel=2),
-        )
+        with closing(PersistentWorkerPool(2)) as batch:
+            _assert_identical(
+                pooled.repair(),
+                clean(_fresh_equivalent(pooled), fds, executor=batch),
+            )
     finally:
         pooled.close()
         pool.close()
@@ -768,9 +772,10 @@ def test_pool_failure_falls_back_to_serial():
         pool.close()
         session.append([(9, 9, 9), (9, 8, 8)])
         result = session.repair()
-        _assert_identical(
-            result, clean(_fresh_equivalent(session), fds, parallel=2)
-        )
+        with closing(PersistentWorkerPool(2)) as batch:
+            _assert_identical(
+                result, clean(_fresh_equivalent(session), fds, executor=batch)
+            )
     finally:
         session.close()
         pool.close()
@@ -780,17 +785,21 @@ def test_pool_broadcast_and_solve_roundtrip():
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     fds = FDSet("A -> B")
-    with PersistentWorkerPool(2, SCHEMA, fds) as pool:
+    with PersistentWorkerPool(2) as pool:
+        assert pool.open_session("k", SCHEMA, fds)
         rows = {1: ("a", "x", "p"), 2: ("a", "y", "p"), 3: ("b", "z", "q")}
         weights = {1: 1.0, 2: 2.0, 3: 1.0}
-        assert pool.broadcast(("reset", rows, weights))
-        [(kept, effective, secs)] = pool.solve([((1, 2), "exact", None)])
+        assert pool.broadcast(("reset", rows, weights), key="k")
+        [(kept, effective, secs)] = pool.solve([((1, 2), "exact", None)],
+                                               key="k")
         assert secs >= 0.0
         assert kept == (2,)  # heavier tuple wins
         assert effective == "exact"
-        assert pool.broadcast(("delete", (2,)))
-        assert pool.broadcast(("append", {4: ("a", "w", "p")}, {4: 5.0}))
-        [(kept, effective, _secs)] = pool.solve([((1, 4), "exact", None)])
+        assert pool.broadcast(("delete", (2,)), key="k")
+        assert pool.broadcast(("append", {4: ("a", "w", "p")}, {4: 5.0}),
+                              key="k")
+        [(kept, effective, _secs)] = pool.solve([((1, 4), "exact", None)],
+                                                key="k")
         assert kept == (4,)
         assert effective == "exact"
     assert not pool.alive

@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
@@ -432,7 +433,7 @@ class TestExecutorSeam:
         ex = _executor(1)
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.solve([((0,), "exact", None)])
+            ex.solve([((0,), "exact", None)], key="k")
 
     def test_solver_error_surfaces_as_runtime_error(self):
         """A worker-side solver exception is a property of the request,
@@ -459,18 +460,25 @@ class TestExecutorSeam:
 
 
 def test_s_repair_parallel_carries_the_solve_timeout(tmp_path, monkeypatch):
-    """``s-repair --parallel N --solve-timeout S`` solves on the call's
-    queue pool, built with the deadline, and writes what the serial run
-    writes; a one-component table starts no pool at all."""
+    """``s-repair --parallel N --solve-timeout S`` solves on the pool the
+    command builds with the deadline, starts it once, closes it, and
+    writes what the serial run writes; on a one-component table the
+    pool is built but never started."""
     import repro.exec as exec_mod
     from repro.cli import main
 
     built = []
+    started = []
 
     class RecordingPool(exec_mod.PersistentWorkerPool):
         def __init__(self, *args, **kwargs):
             built.append((args, kwargs))
             super().__init__(*args, **kwargs)
+
+        def start(self):
+            if not self._started:
+                started.append(self)
+            return super().start()
 
     monkeypatch.setattr(exec_mod, "PersistentWorkerPool", RecordingPool)
     csv_path = tmp_path / "t.csv"
@@ -480,15 +488,17 @@ def test_s_repair_parallel_carries_the_solve_timeout(tmp_path, monkeypatch):
                  "--out", str(serial)]) == 0
     assert main(["s-repair", str(csv_path), FDS_TEXT, "--parallel", "2",
                  "--solve-timeout", "30", "--out", str(pooled)]) == 0
-    assert len(built) == 1
+    assert len(built) == 1 and len(started) == 1
     assert built[0][0] == (2,) and built[0][1]["solve_timeout_s"] == 30.0
+    assert started[0].supervision_stats()["rpcs"] > 0
+    assert not started[0].alive
     assert pooled.read_bytes() == serial.read_bytes()
     single = tmp_path / "single.csv"
     single.write_text(table_to_csv(_conflict_table(clusters=1)),
                       encoding="utf-8")
     assert main(["s-repair", str(single), FDS_TEXT, "--parallel", "2",
                  "--solve-timeout", "30"]) == 0
-    assert len(built) == 1
+    assert len(built) == 2 and len(started) == 1
 
 
 def test_stream_parallel_carries_the_solve_timeout(tmp_path, monkeypatch,
@@ -532,11 +542,11 @@ def test_stream_parallel_carries_the_solve_timeout(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("strategy", ["deletions", "updates"])
 def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
-    """Neither ``clean(parallel=N)``'s own pool nor a passed
-    ``executor=`` pool puts a cap on the batch: with every finite batch
-    cap shrunk to 10 ms and the first solve on each worker stalled, the
-    batch is still solved once, on the workers — not abandoned and
-    solved again in process."""
+    """A pool handed to ``clean`` puts no cap on the batch, whether
+    ``clean`` starts it or it is already running: with every finite
+    batch cap shrunk to 10 ms and the first solve on each worker
+    stalled, the batch is still solved once, on the workers — not
+    abandoned and solved again in process."""
     import repro.exec as exec_mod
     from repro.faults import FAULTS_ENV
 
@@ -545,7 +555,7 @@ def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
                    guarantee="fast")
     pool_solve = exec_mod.PersistentWorkerPool.solve
 
-    def tiny_cap(self, tasks, timeout=120.0, key=exec_mod.DEFAULT_SESSION_KEY):
+    def tiny_cap(self, tasks, timeout=120.0, *, key):
         return pool_solve(self, tasks,
                           timeout=None if timeout is None else 0.01, key=key)
 
@@ -561,8 +571,10 @@ def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
     monkeypatch.setenv(FAULTS_ENV, json.dumps(
         FaultPlan([FaultRule("worker.solve", "delay", delay_s=0.2)]).to_spec()
     ))
-    pooled = clean(_conflict_table(), fds, strategy=strategy,
-                   guarantee="fast", parallel=2)
+    # Built after the setenv, so the pool's workers carry the stall.
+    with closing(exec_mod.PersistentWorkerPool(2)) as pool:
+        pooled = clean(_conflict_table(), fds, strategy=strategy,
+                       guarantee="fast", executor=pool)
     with _executor(2) as ex:
         passed = clean(_conflict_table(), fds, strategy=strategy,
                        guarantee="fast", executor=ex)

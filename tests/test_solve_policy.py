@@ -1,9 +1,9 @@
 """One exact-solve budget: the solver policy's boundaries.
 
 * ``guarantee="optimal"`` under ``exact_budget_s`` is "provably optimal
-  or fail" on every path — serial, ``parallel=N``, an executor pool, the
-  global path, a streaming session and the daemon — and a failed repair
-  caches nothing;
+  or fail" on every path — serial, a pool ``clean`` starts, a running
+  executor pool, the global path, a streaming session and the daemon —
+  and a failed repair caches nothing;
 * malformed solver knobs are refused by :func:`resolve_plan_defaults`,
   the one resolver behind the library, the CLI and the daemon;
 * states written while the per-solve cap (``per_component_budget_s``)
@@ -19,6 +19,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+from contextlib import closing
 
 import pytest
 
@@ -63,11 +64,13 @@ def _pool(workers):
 
 @pytest.mark.parametrize("mode", ["serial", "parallel", "global"])
 def test_optimal_under_budget_raises_on_clean(mode):
-    kwargs = {"parallel": 2} if mode == "parallel" else {}
-    if mode == "global":
-        kwargs["decomposed"] = False
-    with pytest.raises(ExactBudgetExceeded):
-        clean(_mix(), FDS, guarantee="optimal", exact_budget_s=0.0, **kwargs)
+    kwargs = {"decomposed": False} if mode == "global" else {}
+    with closing(PersistentWorkerPool(2)) as pool:
+        if mode == "parallel":
+            kwargs["executor"] = pool
+        with pytest.raises(ExactBudgetExceeded):
+            clean(_mix(), FDS, guarantee="optimal", exact_budget_s=0.0,
+                  **kwargs)
 
 
 def test_optimal_under_budget_raises_on_an_executor():
