@@ -51,11 +51,11 @@ FAULTS_ENV = "FDREPAIR_FAULTS"
 CHAOS_PLAN = [{"site": "worker.solve", "action": "kill",
                "match": {"worker": 0, "generation": 0}}]
 
-#: Kill pool worker 0's first incarnation at its second message (the
-#: mirror delta right after ``open``); the replacement generation
-#: survives and is rebuilt by mirror replay, so the repair must still be
-#: byte-identical to an in-process daemon's.
-POOL_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 2,
+#: Kill pool worker 0's first incarnation at its first message (its
+#: first solve); the replacement generation survives and the solve is
+#: sent again, so the repair must still be byte-identical to an
+#: in-process daemon's.
+POOL_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 1,
                      "match": {"worker": 0, "generation": 0}}]
 
 #: A request line longer than the daemon's 1 MiB ``MAX_LINE_BYTES``.

@@ -828,8 +828,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     recorder = _recorder_for(args)
     # --parallel N starts the session's pool up front; a pool that
-    # cannot start leaves the session serial.
-    pool = _pool_for(args)
+    # cannot start leaves the session serial.  The pool reports to the
+    # trace, so it closes before the recorder.
+    pool = _pool_for(args, recorder)
     if pool is not None and not pool.start():
         pool.close()
         print(
@@ -837,7 +838,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         pool = None
-    with _closing(pool), _closing(recorder), RepairSession(
+    with _closing(recorder), _closing(pool), RepairSession(
         table,
         fds,
         guarantee=args.guarantee,

@@ -950,12 +950,6 @@ class ConflictIndex:
             self._conflicting.update(nbrs)
         return len(nbrs)
 
-    def insert_many(
-        self, tuples: Iterable[Tuple[TupleId, Sequence[Value], float]]
-    ) -> int:
-        """Insert ``(tid, row, weight)`` triples; returns new edge count."""
-        return sum(self.insert(tid, row, weight) for tid, row, weight in tuples)
-
     def reanchor(self, table: Table) -> "ConflictIndex":
         """Re-point this index at an equal-content *table* snapshot.
 

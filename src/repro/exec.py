@@ -22,8 +22,10 @@ parent's projected sub-index (pinned by the PR-1 index properties), so
 shipping plain rows across the process boundary is safe.
 
 Workers are processes (the solvers are CPU-bound Python) in a pool the
-caller builds and closes; a pool not yet running is started only when
-more than one component asks for it.  Environments without working
+caller builds and closes.  Each solve carries its component's rows, so
+workers keep no state between solves.  A batch starts a pool not yet
+running only when more than one component asks for it; a streaming
+session starts it for its first miss.  Environments without working
 subprocess support degrade to the serial path rather than failing.
 """
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain
-from itertools import count as _iter_count
 from time import monotonic as _monotonic
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -100,66 +101,30 @@ _ORPHAN_CHECK_S = 0.5
 _INFLIGHT_PER_WORKER = 2
 
 
-def _apply_mirror(space, kind: str, args) -> None:
-    """Apply one mirror-maintenance op to a namespace ``[schema, fds,
-    policy, rows, weights]``: the one definition the parent mirror and
-    every worker mirror share."""
-    if kind == "reset":
-        space[3] = dict(args[0])
-        space[4] = dict(args[1])
-    elif kind == "append":
-        space[3].update(args[0])
-        space[4].update(args[1])
-    elif kind == "delete":
-        for tid in args[0]:
-            space[3].pop(tid, None)
-            space[4].pop(tid, None)
-
-
-def _space_table(space, ids) -> Table:
-    """The sub-table of namespace *space* over *ids* (``KeyError`` for
-    an id the mirror lacks)."""
-    rows, weights = space[3], space[4]
-    return Table(
-        space[0],
-        {tid: rows[tid] for tid in ids},
-        {tid: weights[tid] for tid in ids},
-    )
-
-
 def _worker_loop(recv, send, worker: int, generation: int,
                  fault_spec=None) -> None:
     """The loop every pool worker runs.
 
-    Each worker mirrors *every attached session's* table as plain
-    ``rows``/``weights`` dicts under a namespace key, kept in sync by the
-    mirror-maintenance messages the parent broadcasts, and solves
-    components shipped as **id lists only** — the sub-table crosses the
-    process boundary once, as deltas.  Dict insertion order mirrors the
-    owning session's (appends at the end, deletions in place), so the
-    sub-table a worker builds for an id list is identical to the
-    session-side projection and solves are byte-identical wherever they
-    run.
+    A worker keeps no state between messages: each solve carries its
+    component whole — schema, Δ, node limit, and the component
+    sub-table's ``rows``/``weights`` dicts in component order, exactly
+    what the serial path solves — so solves are byte-identical wherever
+    they run, and any worker, a fresh replacement included, can serve
+    any solve.
 
-    Messages are tuples — ``("open", key, schema, fds, policy)``,
-    ``("drop", key)``, ``("reset", key, rows, weights)``,
-    ``("append", key, rows, weights)``, ``("delete", key, ids)``,
-    ``("solve", seq, key, ids, method, budget_s)``, ``("stop",)`` — and
-    *recv* returns ``None`` at end of input.  Every solve is answered
-    with ``(worker, generation, seq, result, method, seconds, error)``,
-    *result* as :func:`_solve_component` returns it;
-    *error* is ``None``, ``("state", text)`` when this mirror lacks the
-    namespace or an id (the parent heals the worker), or ``("solve",
-    text)`` when the solve itself failed (the caller sees it).  Failures
-    are shipped back; they never end the loop.
+    Messages are tuples — ``("solve", seq, key, schema, fds,
+    node_limit, rows, weights, method, budget_s)`` and ``("stop",)`` —
+    and *recv* returns ``None`` at end of input.  Every solve is
+    answered with ``(seq, result, method, seconds, error)``, *result*
+    as :func:`_solve_component` returns it and *error* ``None`` or the
+    text of the solve's failure (the caller sees it).  Failures are
+    shipped back; they never end the loop.
 
     The fault plan is rebuilt per process, so a rule matched on
     ``worker``/``generation`` hits exactly one incarnation:
     ``worker.recv`` fires per message, ``worker.solve`` per solve.
     """
     plan = _faults.FaultPlan.from_spec(fault_spec)
-    # key -> [schema, fds, policy, rows, weights]
-    spaces: Dict = {}
     received = solves = 0
     while True:
         message = recv()
@@ -173,57 +138,32 @@ def _worker_loop(recv, send, worker: int, generation: int,
                 continue  # swallowed: the parent's deadline recovers it
         except _faults.FaultInjected as exc:
             if kind == "solve":
-                send((worker, generation, message[1], None, None, 0.0,
-                      ("solve", repr(exc))))
+                send((message[1], None, None, 0.0, repr(exc)))
             continue
         if kind == "stop":
             return
         if kind == "solve":
             solves += 1
-            send(_worker_solve(spaces, message, plan, worker, generation,
-                               solves))
-        elif kind == "open":
-            key, schema, fds, policy = message[1:]
-            spaces[key] = [tuple(schema), fds, policy, {}, {}]
-        elif kind == "drop":
-            spaces.pop(message[1], None)
-        else:
-            space = spaces.get(message[1])
-            if space is not None:
-                _apply_mirror(space, kind, message[2:])
+            send(_worker_solve(message, plan, worker, generation, solves))
 
 
-def _worker_solve(spaces, message, plan, worker, generation, solves):
-    _kind, seq, key, ids, method, budget = message
-    head = (worker, generation, seq)
+def _worker_solve(message, plan, worker, generation, solves):
+    (_kind, seq, key, schema, fds, node_limit, rows, weights, method,
+     budget) = message
     try:
         # Inside the try: a ``raise`` action ships as a solve error
         # (like any solver exception), a ``kill`` action exits the
         # process outright.
         plan.fire("worker.solve", worker=worker, generation=generation,
                   solve=solves, key=key, method=method)
-        space = spaces.get(key)
-        if space is None:
-            return head + (None, None, 0.0,
-                           ("state", f"unknown session namespace {key!r}"))
-        try:
-            subtable = _space_table(space, ids)
-        except KeyError as exc:
-            return head + (None, None, 0.0,
-                           ("state", f"stale mirror, missing id {exc}"))
+        subtable = Table(schema, rows, weights)
         start = _perf_counter()
-        result, effective = _solve_in_space(space, subtable, method, budget)
-        return head + (result, effective, _perf_counter() - start, None)
+        result, effective = _solve_component(
+            subtable, fds, method, node_limit, budget_s=budget
+        )
+        return (seq, result, effective, _perf_counter() - start, None)
     except Exception as exc:  # ship the failure, don't die
-        return head + (None, None, 0.0, ("solve", repr(exc)))
-
-
-def _solve_in_space(space, subtable: Table, method: str, budget):
-    """Solve one component of namespace *space* under its policy's node
-    limit, with the task's own wall-clock *budget*."""
-    return _solve_component(
-        subtable, space[1], method, space[2].node_limit, budget_s=budget
-    )
+        return (seq, None, None, 0.0, repr(exc))
 
 
 def _retire_queue(queue) -> None:
@@ -339,28 +279,31 @@ class _QueueSlot:
 
 
 class _Call:
-    """One ``solve`` call: how many of its solves are outstanding, and
-    those handed back to the caller's thread (local degradation)."""
+    """One ``solve`` call: what its solves share (Δ, node limit, label),
+    how many are outstanding, and those handed back to the caller's
+    thread (local degradation)."""
 
-    __slots__ = ("remaining", "local")
+    __slots__ = ("fds", "node_limit", "key", "remaining", "local")
 
-    def __init__(self, count: int):
+    def __init__(self, fds, node_limit, key, count: int):
+        self.fds = fds
+        self.node_limit = node_limit
+        self.key = key
         self.remaining = count
         self.local: List["_Task"] = []
 
 
 class _Task:
-    """Parent-side record of one solve: routing, retry and degradation
-    state, and the outcome."""
+    """Parent-side record of one solve: its component sub-table, routing,
+    retry and degradation state, and the outcome."""
 
-    __slots__ = ("call", "key", "ids", "method", "budget", "seq", "slot",
+    __slots__ = ("call", "table", "method", "budget", "seq", "slot",
                  "sent_at", "not_before", "misses", "deaths", "degraded",
                  "local", "done", "result", "error")
 
-    def __init__(self, call, key, ids, method, budget, seq):
+    def __init__(self, call, table, method, budget, seq):
         self.call = call
-        self.key = key
-        self.ids = ids
+        self.table = table
         self.method = method
         self.budget = budget
         self.seq = seq            # identity of this exact solve
@@ -380,13 +323,10 @@ class PersistentWorkerPool:
     """Supervised worker processes: the one way a component is solved
     off-process.
 
-    Each worker holds a mirror of each attached namespace's rows
-    (synchronised by broadcasting the same deltas the owner applies
-    locally), so a solve request is just ``(component ids, method,
-    budget_s)``.
-    A streaming session keeps its namespace for its whole life; a batch
-    :func:`solve_components` call ships its conflict components into a
-    namespace of its own and drops it after the call.  Solvers are pure
+    A solve request is self-contained — the component's sub-table rows
+    and weights, Δ, node limit, method and ``budget_s`` — so workers
+    keep no per-session state, and any number of sessions and batch
+    calls share one pool without registering with it.  Solvers are pure
     functions of component content, so *where* a solve runs — which
     worker, after how many retries — never changes its answer.
 
@@ -398,13 +338,6 @@ class PersistentWorkerPool:
     a :class:`~repro.session.RepairSession` starts one of its own.  The
     workers solve with the kernel choice in force
     (:func:`repro.core.kernel.enabled`) when the pool is constructed.
-
-    **Multi-tenancy.**  Mirrors are namespaced by a session key:
-    :meth:`open_session` installs a session's schema, Δ, and
-    :class:`~repro.core.decompose.SolvePolicy` on every worker;
-    :meth:`broadcast` and :meth:`solve` take the key.  The parent keeps
-    one authoritative mirror of every namespace, which serves both
-    respawn replay and local degradation.
 
     **Concurrency.**  ``solve`` is thread-safe; solves route round-robin
     to live workers with spare capacity (see :meth:`_route_locked`), and
@@ -425,13 +358,11 @@ class PersistentWorkerPool:
       therefore never changes an answer.  Without a deadline a long
       solve is never shot.
     - A dead slot respawns after capped exponential backoff
-      (*backoff_s*, *backoff_cap_s*) and receives ``open`` plus one
-      ``reset`` per namespace from the parent mirror before it rejoins
-      the rotation.  A worker that reports a namespace or id its mirror
-      lacks (a lost delta) is healed the same way.  A slot is abandoned
-      after *max_respawns* respawns.
+      (*backoff_s*, *backoff_cap_s*) and rejoins the rotation at once:
+      there is no state to replay.  A slot is abandoned after
+      *max_respawns* respawns.
     - With no worker live and no respawn booked, solves run in the
-      caller's thread against the parent mirror (``degraded_local``);
+      caller's thread from the task's own rows (``degraded_local``);
       the pool stays alive.
 
     Counters — ``worker_deaths``, ``respawns``, ``retries``,
@@ -445,7 +376,7 @@ class PersistentWorkerPool:
     platforms that cannot run the workers.
 
     **Fault injection.**  The parent fires ``pool.dispatch`` before each
-    message it sends a worker; workers fire ``worker.recv`` per message
+    solve it sends a worker; workers fire ``worker.recv`` per message
     and ``worker.solve`` per solve (see :mod:`repro.faults`).  *faults*
     defaults to the plan named by ``FDREPAIR_FAULTS``.
     """
@@ -474,13 +405,10 @@ class PersistentWorkerPool:
         self._closed = False
         self._monitor = None
         self._stop = threading.Event()
-        # Lock order: _io (sends, mirror, replay) before _cond (tasks,
+        # Lock order: _io (sends, slot installs) before _cond (tasks,
         # slot states, counters); never take _io while holding _cond.
         self._io = threading.Lock()
         self._cond = threading.Condition()
-        # Authoritative parent-side mirror: key -> [schema, fds, policy,
-        # rows, weights].
-        self._mirror: Dict = {}
         self._slots: List = []       # current worker handle per slot
         self._gens: List[int] = []   # incarnation number per slot
         self._dead: set = set()      # slots out of rotation
@@ -547,81 +475,35 @@ class PersistentWorkerPool:
         )
 
     # ------------------------------------------------------------------
-    # Session namespaces
+    # Solving
     # ------------------------------------------------------------------
-    def open_session(self, key, schema, fds: FDSet,
-                     policy: Optional[SolvePolicy] = None) -> bool:
-        """Install session *key*'s schema, Δ and *policy* (default:
-        ``SolvePolicy()``) on every worker (its mirror starts empty;
-        follow with a ``reset`` broadcast)."""
-        space = [tuple(schema), fds,
-                 SolvePolicy() if policy is None else policy, {}, {}]
-        with self._io:
-            self._mirror[key] = space
-            self._send_all(("open", key) + tuple(space[:3]))
-        return self.alive
-
-    def attach(self, key, schema, fds: FDSet, policy: Optional[SolvePolicy],
-               rows: Mapping, weights: Mapping) -> bool:
-        """Start the pool if needed, open namespace *key* and ship its
-        full state (``reset`` with *rows*/*weights*): the one way a
-        session or a batch call attaches.  False when any step fails."""
-        return (
-            self.start()
-            and self.open_session(key, schema, fds, policy)
-            and self.broadcast(("reset", rows, weights), key=key)
-        )
-
-    def drop_session(self, key) -> bool:
-        """Forget session *key*'s mirrors on every worker."""
-        with self._io:
-            self._mirror.pop(key, None)
-            self._send_all(("drop", key))
-        return self.alive
-
-    def broadcast(self, op, key) -> bool:
-        """Apply one mirror-maintenance op — ``("reset", rows, weights)``,
-        ``("append", rows, weights)`` or ``("delete", ids)`` — to the
-        parent mirror and send it to every live worker, for session
-        *key*.  False (pool not running) instead of raising."""
-        with self._io:
-            space = self._mirror.get(key)
-            if space is not None:
-                _apply_mirror(space, op[0], op[1:])
-            self._send_all((op[0], key) + tuple(op[1:]))
-        return self.alive
-
-    def _send_all(self, message) -> None:
-        """Send *message* to every live worker (caller holds ``_io``)."""
-        for worker in range(len(self._slots)):
-            self._send(worker, message)
-
     def _send(self, worker: int, message) -> None:
-        """Send one message to *worker* (caller holds ``_io``); a pipe
+        """Send one solve to *worker* (caller holds ``_io``); a pipe
         that refuses it fails that worker over."""
         if worker in self._dead:
             return
         faults = self._faults
         if faults.enabled and faults.fire(
             "pool.dispatch", worker=worker, generation=self._gens[worker],
-            op=message[0], seq=message[1] if message[0] == "solve" else None,
+            op=message[0], seq=message[1],
         ) == "drop":
-            return  # lost: a solve recovers by deadline, a delta by healing
+            return  # lost: the solve's deadline recovers it
         if not self._slots[worker].send(message):
             self._fail_slot(worker, "send to worker failed")
 
-    # ------------------------------------------------------------------
-    # Solving
-    # ------------------------------------------------------------------
     def solve(self, tasks: Sequence[Tuple],
-              timeout: Optional[float] = 120.0, *, key
+              timeout: Optional[float] = 120.0, *, fds: FDSet,
+              node_limit: int = DEFAULT_NODE_LIMIT, key=None
               ) -> List[Tuple[object, str, float]]:
-        """Solve ``(component ids, method, budget_s)`` tasks of session
-        *key*; returns ``(result, effective method, solve seconds)`` per
-        task, in task order, *result* as :func:`_solve_component`
-        returns it (kept ids for an S method).  *budget_s* is the
-        solve's wall-clock slice from the plan (``None``: no ceiling),
-        so pool and serial runs read the same plan.  The seconds are
+        """Solve ``(component table, method, budget_s)`` tasks under Δ
+        *fds* with branch & bound *node_limit*; returns ``(result,
+        effective method, solve seconds)`` per task, in task order,
+        *result* as :func:`_solve_component` returns it (kept ids for an
+        S method).  Each task ships its table's rows and weights whole;
+        *key* labels its solves (the ``worker.solve`` fault site's
+        ``key``).  *budget_s* is the solve's wall-clock slice from the
+        plan (``None``: no ceiling), so pool and serial runs read the
+        same plan.  The seconds are
         measured around the solve itself, inside the worker (queueing and
         pickling excluded) — the telemetry layer's predicted-vs-actual
         training signal.
@@ -637,13 +519,13 @@ class PersistentWorkerPool:
         if not tasks:
             return []
         deadline = None if timeout is None else _monotonic() + timeout
-        call = _Call(len(tasks))
+        call = _Call(fds, node_limit, key, len(tasks))
         mine: List[_Task] = []
         with self._cond:
             if self._closed:
                 raise RuntimeError("worker pool is not running")
-            for ids, method, budget_s in tasks:
-                record = _Task(call, key, tuple(ids), method, budget_s,
+            for table, method, budget_s in tasks:
+                record = _Task(call, table, method, budget_s,
                                self._next_seq)
                 self._next_seq += 1
                 self._tasks[record.seq] = record
@@ -729,8 +611,10 @@ class PersistentWorkerPool:
             task.sent_at = now
             self._inflight[task.seq] = task
             self._counters["rpcs"] += 1
+            call, table = task.call, task.table
             sends.append((worker, (
-                "solve", task.seq, task.key, task.ids, task.method,
+                "solve", task.seq, call.key, table.schema, call.fds,
+                call.node_limit, table._rows, table._weights, task.method,
                 task.budget,
             )))
         queue.extendleft(reversed(gated))
@@ -757,69 +641,39 @@ class PersistentWorkerPool:
         self._cond.notify_all()
 
     def _solve_local(self, task: _Task) -> None:
-        """Local degradation: solve *task* in the calling thread against
-        the parent mirror — same rows, same pure solver, byte-identical
-        answer; only ``degraded_local`` tells the difference."""
-        result = error = subtable = None
-        with self._io:
-            space = self._mirror.get(task.key)
-            if space is None:
-                error = f"unknown session namespace {task.key!r}"
-            else:
-                try:
-                    subtable = _space_table(space, task.ids)
-                except KeyError as exc:
-                    error = f"missing id {exc} in parent mirror"
-        if subtable is not None:
-            try:
-                start = _perf_counter()
-                solved, effective = _solve_in_space(
-                    space, subtable, task.method, task.budget
-                )
-                result = (solved, effective, _perf_counter() - start)
-            except Exception as exc:  # surfaced like a worker-side failure
-                error = repr(exc)
+        """Local degradation: solve *task* in the calling thread from its
+        own rows — the same pure solver, byte-identical answer; only
+        ``degraded_local`` tells the difference."""
+        call = task.call
+        result = error = None
+        try:
+            start = _perf_counter()
+            solved, effective = _solve_component(
+                task.table, call.fds, task.method, call.node_limit,
+                budget_s=task.budget,
+            )
+            result = (solved, effective, _perf_counter() - start)
+        except Exception as exc:  # surfaced like a worker-side failure
+            error = repr(exc)
         with self._cond:
             self._counters["degraded_local"] += 1
             self._finish_locked(task, result, error)
         self._recorder.count("pool.degraded_local")
 
     def _on_reply(self, reply) -> None:
-        """Correlate one worker reply (collector or reader thread)."""
+        """Correlate one worker reply (a slot's reader thread)."""
         try:
-            worker, generation, seq, result, effective, secs, error = reply
+            seq, result, effective, secs, error = reply
         except (TypeError, ValueError):
             return
-        stale = False
         with self._cond:
             task = self._tasks.get(seq)
             if task is None or task.done:
                 return  # a late copy of a re-sent solve, or an abandoned call
             if error is None:
                 self._finish_locked(task, (result, effective, secs), None)
-            elif error[0] == "state" and self._mirror_serves(task):
-                # This worker's mirror is stale (a lost delta): send the
-                # solve again and heal the worker by respawn + replay.
-                if task.slot == worker:
-                    self._unroute_locked(task)
-                    self._queue.append(task)
-                self._counters["retries"] += 1
-                stale = generation == self._gens[worker]
-                self._cond.notify_all()
             else:
-                self._finish_locked(task, None, error[1])
-        if stale:
-            self._fail_slot(worker, "stale worker mirror")
-
-    def _mirror_serves(self, task: _Task) -> bool:
-        """Whether the parent mirror holds everything *task* reads.
-        Lock-free on purpose (reply threads must never wait on ``_io``):
-        single dict lookups are atomic, and a race only delays healing."""
-        space = self._mirror.get(task.key)
-        if space is None:
-            return False
-        rows = space[3]
-        return all(tid in rows for tid in task.ids)
+                self._finish_locked(task, None, error)
 
     # ------------------------------------------------------------------
     # Supervision
@@ -934,37 +788,23 @@ class PersistentWorkerPool:
                 self._cond.notify_all()
 
     def _respawn(self, worker: int) -> bool:
-        """Spawn a replacement for slot *worker* and replay the parent
-        mirror into it before it rejoins the rotation.  Replay holds
-        ``_io``, which also serialises broadcasts — so the replacement's
-        snapshot plus subsequent deltas is exactly what every other
-        worker holds."""
+        """Spawn a replacement for slot *worker*; it rejoins the rotation
+        at once, since workers hold no state to replay."""
         self._respawn_attempts[worker] = self._respawn_attempts.get(worker, 0) + 1
         generation = self._gens[worker] + 1
         try:
             slot = self._spawn(worker, generation)
         except (OSError, PermissionError, ValueError, ImportError):
             return False
-        with self._io:
-            replayed = True
-            for key, space in self._mirror.items():
-                replayed = (
-                    slot.send(("open", key) + tuple(space[:3]))
-                    and slot.send(("reset", key, dict(space[3]),
-                                   dict(space[4])))
-                )
-                if not replayed:
-                    break
-            with self._cond:
-                if replayed and not self._closed:
-                    self._slots[worker] = slot
-                    self._gens[worker] = generation
-                    self._dead.discard(worker)
-                    self._counters["respawns"] += 1
-                    self._cond.notify_all()
-                else:
-                    replayed = False
-        if not replayed:
+        with self._io, self._cond:
+            installed = not self._closed
+            if installed:
+                self._slots[worker] = slot
+                self._gens[worker] = generation
+                self._dead.discard(worker)
+                self._counters["respawns"] += 1
+                self._cond.notify_all()
+        if not installed:
             slot.close(0.0)
             return False
         self._recorder.count("pool.respawn")
@@ -1081,10 +921,6 @@ def _solve_component(
     raise ValueError(f"unknown portfolio method {method!r}")
 
 
-#: Namespace keys for pool-routed batch solves (one per call).
-_EXECUTOR_KEYS = _iter_count()
-
-
 def solve_components(
     decomp: Decomposition,
     plans: Sequence[ComponentPlan],
@@ -1123,11 +959,8 @@ def solve_components(
     projected sub-indexes.  A running pool takes every task; a pool not
     yet started is started only for two tasks or more, so a lone task
     never spawns workers.  This function never stops a pool: that is
-    the caller's.  Without *key* the pool receives only the conflict
-    components' rows, into a namespace of this call's own; with *key*
-    the caller's namespace is already attached and kept in sync (a
-    streaming session's mirror).  Tasks are id lists either way, and any
-    pool failure falls back to the in-process loop.  *stats*, when
+    the caller's.  Each task ships its component's rows, and any pool
+    failure falls back to the in-process loop.  *stats*, when
     given, is an object whose ``pool_solves`` / ``serial_solves`` /
     ``pool_fallbacks`` counters are advanced (a
     :class:`~repro.session.SessionStats`).
@@ -1206,36 +1039,23 @@ def solve_components(
 
 def _solve_on_pool(pool, decomp: Decomposition, plans, order, policy,
                    timeout: Optional[float], key=None):
-    """Solve *decomp*'s components on *pool*, in *order*, as id-list
-    tasks; *timeout* caps the batch (see
-    :meth:`PersistentWorkerPool.solve`).  With *key* the caller's
-    attached namespace serves them; otherwise the member rows ship once
-    into a namespace of this call's own, dropped afterwards.  ``None``
-    when the pool cannot run or fails — the caller then solves
+    """Solve *decomp*'s components on *pool*, in *order*, each task
+    carrying its component sub-table; *timeout* caps the batch (see
+    :meth:`PersistentWorkerPool.solve`).  Starts the pool if needed.
+    ``None`` when the pool cannot run or fails — the caller then solves
     locally."""
     components = decomp.components
     tasks = [
-        (components[i].ids, plans[i].method, plans[i].budget_s)
+        (components[i].table, plans[i].method, plans[i].budget_s)
         for i in order
     ]
-    own = key is None
-    if own:
-        key = f"clean-{next(_EXECUTOR_KEYS)}"
-        rows: Dict = {}
-        weights: Dict = {}
-        for component in components:
-            rows.update(component.table.rows())
-            weights.update(component.table.weights())
     try:
-        if own and not pool.attach(key, decomp.table.schema, decomp.fds,
-                                   policy, rows, weights):
+        if not pool.start():
             return None
-        return pool.solve(tasks, timeout=timeout, key=key)
+        return pool.solve(tasks, timeout=timeout, fds=decomp.fds,
+                          node_limit=policy.node_limit, key=key)
     except RuntimeError:
         return None  # solver or pool failure: solve locally
-    finally:
-        if own:
-            pool.drop_session(key)
 
 
 def _method_mix(methods: Sequence[str]) -> Dict[str, int]:

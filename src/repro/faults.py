@@ -33,18 +33,19 @@ kills the original process and spares the supervisor's replacement
 Named sites (context keys in parentheses):
 
 - ``worker.recv`` (worker, generation, msg, op) — in a pool worker,
-  per incoming message before it is handled.
-  ``kill`` crashes the worker mid-protocol ("kill worker 1 at its 3rd
-  message"), ``drop`` swallows the message, ``raise`` answers a solve
-  with an error, ``delay`` stalls the worker.
+  per incoming message before it is handled.  The ops are ``solve``
+  and ``stop``, so a worker's *n*-th message is its *n*-th solve until
+  it is stopped.  ``kill`` crashes the worker ("kill worker 1 at its
+  3rd message"), ``drop`` swallows the message, ``raise`` answers a
+  solve with an error, ``delay`` stalls the worker.
 - ``worker.solve`` (worker, generation, solve, key, method) — in a pool
   worker, before executing a solve request.  ``kill`` exits the process
   with :data:`KILL_EXIT_CODE`; ``raise`` surfaces as a worker-side solve
   error; ``delay`` stalls the solve (drives per-solve deadlines).
 - ``pool.dispatch`` (worker, generation, op, seq) — in the parent,
-  before any message is sent to a worker.  ``drop`` loses it (a solve
-  recovers by its deadline, a mirror delta by the worker reporting a
-  stale mirror and being respawned); ``delay`` stalls the send.
+  before a solve is sent to a worker (``op`` is always ``solve``).
+  ``drop`` loses it (the solve recovers by its deadline); ``delay``
+  stalls the send.
 - ``server.op`` (op, tenant, session) — in the daemon, at the op
   boundary before a session op executes.  ``raise`` turns into an error
   reply; the session and daemon survive.

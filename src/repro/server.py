@@ -245,11 +245,11 @@ _OPEN_OPTIONS = (
 class SessionManager:
     """Registry, admission control, and eviction for daemon sessions.
 
-    All sessions share one worker pool and one content-addressed
-    solution cache; each gets its own pool mirror namespace (attached
-    lazily on first solve, detached on close/eviction).  The manager
-    never touches the event loop — :class:`RepairServer` layers
-    concurrency on top.
+    All sessions share one worker pool (started on first use; each
+    solve ships its component's rows, so sessions register nothing with
+    it) and one content-addressed solution cache.  The manager never
+    touches the event loop — :class:`RepairServer` layers concurrency
+    on top.
     """
 
     def __init__(
@@ -565,10 +565,6 @@ class SessionManager:
         else:
             self._tenant_bytes.pop(entry.tenant, None)
 
-    def resident_count(self) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries.values() if e.resident)
-
     def evict_to_limit(self) -> int:
         """Freeze least-recently-used sessions down to ``max_resident``.
 
@@ -600,7 +596,7 @@ class SessionManager:
         if session is None:
             return
         blob = pickle.dumps(session.export_state(), protocol=4)
-        session.close()  # detaches the pool mirror namespace
+        session.close()
         entry.live = None
         entry.frozen = True
         entry.frozen_bytes = self.store.put(entry.session_key, blob)
@@ -869,8 +865,6 @@ class SessionManager:
             entries = list(self._entries.values())
             self._entries.clear()
             self._tenant_bytes.clear()
-        # The pool closes wholesale first, so the sessions below skip
-        # per-session namespace teardown chatter.
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()

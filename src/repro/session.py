@@ -31,9 +31,9 @@ A :class:`RepairSession` therefore holds, for one ``(table, Δ)`` stream:
   plan changed, so a component that reappears with the same content (or
   that another session solved) is never re-solved,
 * optionally the :class:`~repro.exec.PersistentWorkerPool` it is
-  given, whose warm workers mirror the table via the same deltas and
-  solve cache misses shipped as component ids only.  The session
-  attaches to that pool but never builds or stops one.
+  given, whose workers solve cache misses, each shipped with its
+  component's rows.  Deltas send the pool nothing, and the session
+  never builds or stops a pool.
 
 The session is a thin cache layer over the batch path: its misses are
 solved by :func:`repro.exec.solve_components` and its results assembled
@@ -83,7 +83,7 @@ from .pipeline import (
 
 __all__ = ["RepairSession", "SessionStats", "SessionStatus", "SolutionCache"]
 
-#: Distinct namespace keys for sessions attached to a shared pool.
+#: Default trace tags for sessions given no ``session_key``.
 _SESSION_KEYS = itertools.count(1)
 
 #: :meth:`RepairSession.export_state` format.  Version 2 scopes every
@@ -330,18 +330,17 @@ class RepairSession:
         with other sessions (the multi-tenant daemon's layout), that
         solves every repair's cache misses — even a single one, so a
         slow solve runs in a worker while the caller's thread only
-        waits.  The session attaches its own mirror namespace on first
-        use, keeps it synchronised with the same deltas it applies
-        locally, and detaches on :meth:`close`; it never starts a pool
-        of its own or stops one: engine state is the session's, process
-        lifecycle is the caller's.  A batch the pool has not finished
-        in 600 s, or a pool that fails, is re-solved in process,
-        counted in ``stats.pool_fallbacks``; a failed pool is not used
-        again.  Without a pool every solve runs in process.
+        waits.  The session starts the pool if it is not running, and
+        ships each miss with its component's rows; deltas send the pool
+        nothing.  It never builds a pool of its own or stops one: engine
+        state is the session's, process lifecycle is the caller's.  A
+        batch the pool has not finished in 600 s, or a pool that fails,
+        is re-solved in process, counted in ``stats.pool_fallbacks``; a
+        failed pool is not used again.  Without a pool every solve runs
+        in process.
     session_key:
-        Namespace key on *pool*, and the tag on the session's trace
-        records (``session-N`` when omitted; must be unique per attached
-        session).
+        The tag on the session's trace records and pool solves
+        (``session-N`` when omitted).
     solutions:
         A :class:`SolutionCache` shared with other sessions, used in
         place of a private one (of 10 000 entries, least-recently-used
@@ -434,22 +433,14 @@ class RepairSession:
             if solutions is None else solutions
         )
         self._cache_scope = (fds, self._schema, policy)
-        # The caller's pool, if any: the session only attaches and
-        # detaches its mirror namespace — the engine-state / process-
-        # lifecycle split the server builds on.
+        # The caller's pool, if any: the session only solves on it —
+        # the engine-state / process-lifecycle split the server builds
+        # on.
         self._pool = pool
-        self._pool_ready = False
         self._session_key = (
             f"session-{next(_SESSION_KEYS)}" if session_key is None
             else session_key
         )
-        # When the index is kernel-backed, worker mirrors are kept in
-        # *coded* rows (the codec stays live under session deltas): the
-        # kept-id results are identical — solvers only observe the value
-        # equality pattern — and the broadcast payloads shrink to small
-        # ints.  Decided once, here, so reset and delta broadcasts agree
-        # for the pool's whole life.
-        self._pool_coded = self._index._codec is not None
         self.stats = SessionStats()
         self.last_result: Optional[CleaningResult] = None
         #: Cache entries :meth:`restore` could not carry over.
@@ -548,7 +539,7 @@ class RepairSession:
         *rows* may be value sequences or attribute-keyed mappings.
         Identifiers are auto-assigned (fresh integers) unless *ids* is
         given; weights default to 1.0.  With ``repair=False`` the delta
-        is applied (index, pool mirrors) but no repair is computed —
+        is applied (snapshot, index, store) but no repair is computed —
         useful for ingesting a burst before asking for one result.
         """
         rows = [self._normalise_row(r) for r in rows]
@@ -598,9 +589,6 @@ class RepairSession:
         self._advance(next_rows, next_weights)
         self.stats.appends += 1
         self.stats.tuples_appended += len(rows)
-        if rows and self._pool_ready:
-            self._mirror("append", self._mirror_rows(new_ids),
-                         dict(zip(new_ids, new_weights)))
         return self.repair() if repair else None
 
     def delete(
@@ -624,8 +612,6 @@ class RepairSession:
         self._advance(next_rows, next_weights)
         self.stats.deletes += 1
         self.stats.tuples_deleted += len(ids)
-        if ids and self._pool_ready:
-            self._mirror("delete", tuple(ids))
         return self.repair() if repair else None
 
     # ------------------------------------------------------------------
@@ -675,44 +661,17 @@ class RepairSession:
         return [store[key] for key in sorted(store)]
 
     # ------------------------------------------------------------------
-    # Worker pool: one attach routine, one release routine
+    # Worker pool
     # ------------------------------------------------------------------
-    def _mirror_rows(self, ids: Iterable[TupleId]) -> Dict[TupleId, Row]:
-        """The rows a worker mirror stores for *ids*: coded when the
-        session's index carries a live codec, verbatim otherwise."""
-        if self._pool_coded:
-            coded_row = self._index._codec.coded_row
-            return {tid: coded_row(tid) for tid in ids}
-        rows = self._table._rows
-        return {tid: rows[tid] for tid in ids}
-
-    def _mirror(self, *op) -> None:
-        """Apply one delta to the attached namespace's mirrors; a pool
-        that refuses it is dropped and the session goes on serially."""
-        if self._pool.alive and not self._pool.broadcast(
-            op, key=self._session_key
-        ):
-            self._drop_pool()
-
-    def _attach_pool(self):
-        """The pool to solve this repair's misses on, attached on first
-        use: the session's namespace is opened and its full state
-        shipped once (:meth:`~repro.exec.PersistentWorkerPool.attach`);
-        deltas keep it synchronised from then on.  ``None`` — solve in
-        process — without a pool, or when it fails to attach or is not
-        alive."""
+    def _started_pool(self):
+        """The pool to solve this repair's misses on, started if it is
+        not running.  ``None`` — solve in process — without a pool, or
+        when it cannot run (it is then dropped)."""
         pool = self._pool
-        if pool is None:
+        if pool is not None and not pool.start():
+            self._drop_pool()
             return None
-        if not self._pool_ready:
-            if not pool.attach(
-                self._session_key, self._schema, self._fds, self._policy,
-                self._mirror_rows(self._table._rows), self._table.weights(),
-            ):
-                self._drop_pool()
-                return None
-            self._pool_ready = True
-        return pool if pool.alive else None
+        return pool
 
     def _drop_pool(self) -> None:
         """Stop using a pool that failed (counted as a fallback)."""
@@ -811,7 +770,7 @@ class RepairSession:
                 if misses:
                     rec.count("session.cache_miss", len(misses), key=tag)
             with rec.span("phase.solve"):
-                pool = self._attach_pool() if misses else None
+                pool = self._started_pool() if misses else None
                 kept_lists, methods = solve_components(
                     decomp, plans, policy=self._policy, recorder=rec,
                     executor=pool, only=misses, key=self._session_key,
@@ -880,7 +839,7 @@ class RepairSession:
         equivalent session (format :data:`STATE_VERSION`).
 
         Engine *state* serialises — rows, weights (in insertion order,
-        which the mirrors and solvers observe), id-allocator bookkeeping,
+        which the solvers observe), id-allocator bookkeeping,
         options, stats, and the entries of a private cache.  Process
         *lifecycle* does not: pools and shared caches re-attach on
         restore, and the conflict index, kernel view, and component
@@ -1004,13 +963,9 @@ class RepairSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Detach from the worker pool (the session stays usable
-        serially): the pool sheds this session's mirror namespace and
-        keeps serving other sessions; stopping it is its owner's job."""
-        pool, self._pool = self._pool, None
-        if pool is not None and self._pool_ready and pool.alive:
-            pool.drop_session(self._session_key)
-        self._pool_ready = False
+        """Stop using the worker pool (the session stays usable
+        serially); stopping the pool is its owner's job."""
+        self._pool = None
 
     def __enter__(self) -> "RepairSession":
         return self

@@ -229,9 +229,7 @@ class TestSolveRecords:
 
         probe = PersistentWorkerPool(1)
         try:
-            available = probe.start() and probe.open_session(
-                "probe", SCHEMA, HARD
-            )
+            available = probe.start()
         finally:
             probe.close()
         if not available:
@@ -409,6 +407,44 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["pairs"] > 0
         assert report["mean_rel_error"] <= report["hand_mean_rel_error"]
+
+    def test_stream_parallel_trace_records_worker_deaths(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``stream --parallel 2 --trace`` builds its pool with the
+        trace recorder and closes it first, so a killed worker shows up
+        in the trace summary as it does for ``s-repair``."""
+        from repro.datagen.synthetic import clustered_conflicts_table
+        from repro.exec import PersistentWorkerPool
+        from repro.faults import FAULTS_ENV
+
+        probe = PersistentWorkerPool(1)
+        try:
+            available = probe.start()
+        finally:
+            probe.close()
+        if not available:
+            pytest.skip("subprocess support unavailable")
+        table = clustered_conflicts_table(SCHEMA, 200, clusters=10,
+                                          cluster_size=16, seed=1)
+        batches = tmp_path / "batches.jsonl"
+        batches.write_text(json.dumps({
+            "op": "append",
+            "rows": [list(row) for row in table.rows().values()],
+        }) + "\n", encoding="utf-8")
+        trace = tmp_path / "t.jsonl"
+        monkeypatch.setenv(FAULTS_ENV, json.dumps([{
+            "site": "worker.solve", "action": "kill", "at": 1,
+            "match": {"worker": 0, "generation": 0},
+        }]))
+        assert main([
+            "stream", "A -> B; B -> C", str(batches), "--schema", "A,B,C",
+            "--parallel", "2", "--quiet", "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["counters"]["pool.worker_death"] == 1
 
     def test_assess_json_reports_budget_totals(self, tmp_path, capsys):
         csv_path = self._write_csv(tmp_path)

@@ -215,8 +215,7 @@ def test_chaos_identity_under_worker_kills_and_daemon_restarts(tmp_path):
 
     probe = PersistentWorkerPool(1)
     try:
-        if not (probe.start() and probe.open_session(
-                "probe", ("A", "B", "C"), FDSet("A -> B"))):
+        if not probe.start():
             pytest.skip("pool workers unavailable")
     finally:
         probe.close()

@@ -19,6 +19,7 @@ from contextlib import closing
 
 import pytest
 
+from repro.core.decompose import DEFAULT_NODE_LIMIT
 from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.exec import PersistentWorkerPool
@@ -51,9 +52,7 @@ RESTORED_OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s",
 def _pool_available():
     pool = PersistentWorkerPool(1)
     try:
-        return pool.start() and pool.open_session(
-            "probe", SCHEMA, FDSet("A -> B")
-        )
+        return pool.start()
     finally:
         pool.close()
 
@@ -627,8 +626,8 @@ def test_killed_worker_fails_fast_and_repair_survives():
 def test_pool_supervisor_heals_worker_death_mid_batch():
     """The acceptance path, driven through ``repro.faults``: a worker
     killed mid-batch does not raise — the supervisor retries its
-    in-flight solves, respawns the slot with the mirror replayed, and
-    the batch result is byte-identical to a no-fault run."""
+    in-flight solves, respawns the slot, and the batch result is
+    byte-identical to a no-fault run."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     from repro.faults import FaultPlan, FaultRule
@@ -636,23 +635,21 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
     fds = FDSet("A -> B")
     rows = {i: ("a" if i % 2 else "b", str(i), "p") for i in range(1, 13)}
     weights = {i: 1.0 for i in rows}
-    tasks = [(tuple(rows), "exact", None)] * 4
+    tasks = [(Table(SCHEMA, rows, weights), "exact", None)] * 4
 
     with PersistentWorkerPool(2) as baseline:
         if not baseline.alive:
             pytest.skip("pool did not start")
-        assert baseline.attach("k", SCHEMA, fds, None, rows, weights)
         expected = [(kept, method) for kept, method, _secs
-                    in baseline.solve(tasks, timeout=60.0, key="k")]
+                    in baseline.solve(tasks, timeout=60.0, fds=fds)]
 
     plan = FaultPlan([FaultRule("worker.solve", "kill",
                                 match={"worker": 0, "generation": 0})])
     pool = PersistentWorkerPool(2, faults=plan, backoff_s=0.01)
     assert pool.start()
     try:
-        assert pool.attach("k", SCHEMA, fds, None, rows, weights)
         got = [(kept, method) for kept, method, _secs
-               in pool.solve(tasks, timeout=60.0, key="k")]
+               in pool.solve(tasks, timeout=60.0, fds=fds)]
         assert got == expected
         deadline = time.monotonic() + 10.0
         while (pool.supervision_stats()["respawns"] < 1
@@ -664,10 +661,9 @@ def test_pool_supervisor_heals_worker_death_mid_batch():
         assert counters["respawns"] == 1
         assert counters["degraded"] == 0
         assert pool.live_workers() == 2
-        # The replacement's replayed mirror serves solves
-        # byte-identically.
+        # The replacement serves solves byte-identically.
         assert ([(kept, method) for kept, method, _secs
-                 in pool.solve(tasks, timeout=60.0, key="k")] == expected)
+                 in pool.solve(tasks, timeout=60.0, fds=fds)] == expected)
     finally:
         pool.close()
 
@@ -683,13 +679,14 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
     pool = PersistentWorkerPool(2)
     rows = {i: ("a", str(i), "p") for i in range(1, 40)}
     weights = {i: 1.0 for i in rows}
-    assert pool.attach("k", SCHEMA, fds, None, rows, weights)
+    assert pool.start()
     # Enqueue a pile of work and close without collecting any of it:
     # items are still queued, results may be mid-flight.
-    ids = tuple(rows)
+    message = ("solve", 10_000, "k", SCHEMA, fds, DEFAULT_NODE_LIMIT,
+               rows, weights, "approx", None)
     for slot in pool._slots:
         for _ in range(10):
-            slot.send(("solve", 10_000, "k", ids, "approx", None))
+            slot.send(message)
     start = time.monotonic()
     pool.close()
     first = time.monotonic() - start
@@ -704,8 +701,8 @@ def test_pool_shutdown_drains_and_repeated_close_is_nonblocking():
 
 
 def test_pool_namespaces_isolate_sessions():
-    """Two sessions with different Δ share one pool; each namespace
-    solves under its own FD set and mirrors its own deltas."""
+    """Two sessions with different Δ share one pool: each solve carries
+    its own FD set, so one worker answers both without crosstalk."""
     if not _pool_available():
         pytest.skip("subprocess support unavailable")
     pool = PersistentWorkerPool(1)
@@ -713,21 +710,16 @@ def test_pool_namespaces_isolate_sessions():
     try:
         fds_a = FDSet("A -> B")
         fds_b = FDSet("B -> C")
-        assert pool.open_session("one", SCHEMA, fds_a)
-        assert pool.open_session("two", SCHEMA, fds_b)
-        rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
-        weights = {1: 2.0, 2: 1.0}
-        assert pool.broadcast(("reset", rows, weights), key="one")
         # Same rows violate A -> B but satisfy B -> C.
-        assert pool.broadcast(("reset", rows, weights), key="two")
-        [(kept_a, _, _)] = pool.solve([((1, 2), "exact", None)], key="one")
+        table = Table(SCHEMA, {1: ("a", "x", "p"), 2: ("a", "y", "p")},
+                      {1: 2.0, 2: 1.0})
+        tasks = [(table, "exact", None)]
+        [(kept_a, _, _)] = pool.solve(tasks, fds=fds_a, key="one")
         assert kept_a == (1,)  # heavier tuple wins under A -> B
-        [(kept_b, _, _)] = pool.solve([((1, 2), "exact", None)], key="two")
+        [(kept_b, _, _)] = pool.solve(tasks, fds=fds_b, key="two")
         assert kept_b == (1, 2)  # consistent under B -> C: keep both
-        assert pool.drop_session("two")
-        # Namespace "one" is unaffected by dropping "two".
-        [(kept_a2, _, _)] = pool.solve([((1, 2), "exact", None)],
-                                       key="one")
+        # Session "one" is unaffected by "two" having solved in between.
+        [(kept_a2, _, _)] = pool.solve(tasks, fds=fds_a, key="one")
         assert kept_a2 == (1,)
     finally:
         pool.close()

@@ -25,6 +25,7 @@ from repro.cli import main as cli_main
 from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.core.violations import satisfies
+from repro.datagen.synthetic import clustered_conflicts_table
 from repro.exec import PersistentWorkerPool
 from repro.io.tables import table_to_csv
 from repro.pipeline import clean
@@ -719,9 +720,7 @@ def test_session_repr_and_context_manager():
 def _pool_available():
     pool = PersistentWorkerPool(1)
     try:
-        return pool.start() and pool.open_session(
-            "probe", SCHEMA, FDSet("A -> B")
-        )
+        return pool.start()
     finally:
         pool.close()
 
@@ -786,23 +785,80 @@ def test_pool_broadcast_and_solve_roundtrip():
         pytest.skip("subprocess support unavailable")
     fds = FDSet("A -> B")
     with PersistentWorkerPool(2) as pool:
-        assert pool.open_session("k", SCHEMA, fds)
-        rows = {1: ("a", "x", "p"), 2: ("a", "y", "p"), 3: ("b", "z", "q")}
-        weights = {1: 1.0, 2: 2.0, 3: 1.0}
-        assert pool.broadcast(("reset", rows, weights), key="k")
-        [(kept, effective, secs)] = pool.solve([((1, 2), "exact", None)],
-                                               key="k")
+        table = Table(SCHEMA, {1: ("a", "x", "p"), 2: ("a", "y", "p"),
+                               3: ("b", "z", "q")}, {1: 1.0, 2: 2.0, 3: 1.0})
+        [(kept, effective, secs)] = pool.solve(
+            [(table.subset((1, 2)), "exact", None)], fds=fds, key="k"
+        )
         assert secs >= 0.0
         assert kept == (2,)  # heavier tuple wins
         assert effective == "exact"
-        assert pool.broadcast(("delete", (2,)), key="k")
-        assert pool.broadcast(("append", {4: ("a", "w", "p")}, {4: 5.0}),
-                              key="k")
-        [(kept, effective, _secs)] = pool.solve([((1, 4), "exact", None)],
-                                                key="k")
+        table = Table(SCHEMA, {1: ("a", "x", "p"), 4: ("a", "w", "p")},
+                      {1: 1.0, 4: 5.0})
+        [(kept, effective, _secs)] = pool.solve(
+            [(table, "exact", None)], fds=fds, key="k"
+        )
         assert kept == (4,)
         assert effective == "exact"
     assert not pool.alive
+
+
+def _pool_traffic(size):
+    """Messages a one-worker pool receives over one session's life: the
+    open and first repair, a non-colliding append and a delete without
+    repair, and a colliding append with its repair."""
+    import repro.exec as exec_mod
+
+    new_id = 10**6
+    sent = []
+    send = exec_mod._QueueSlot.send
+
+    def recording(self, message):
+        sent.append(message)
+        return send(self, message)
+
+    table = clustered_conflicts_table(SCHEMA, size, clusters=size // 30,
+                                      cluster_size=16, seed=1)
+    fds = FDSet("A -> B; B -> C")
+
+    def traffic(step):
+        start = len(sent)
+        step()
+        return sent[start:]
+
+    with pytest.MonkeyPatch.context() as patch, \
+            closing(PersistentWorkerPool(1)) as pool:
+        patch.setattr(exec_mod._QueueSlot, "send", recording)
+        session = RepairSession(table, fds, pool=pool)
+        opened = traffic(session.repair)
+        appended = traffic(lambda: session.append([("fresh", "b", "c")],
+                                                  repair=False))
+        deleted = traffic(lambda: session.delete([next(iter(table.ids()))],
+                                                 repair=False))
+        session.repair()
+        clash = next(row for row in table.rows().values()
+                     if row[0].startswith("a"))
+        collided = traffic(lambda: session.append(
+            [(clash[0], "b-new", "c-new")], ids=[new_id]))
+        [touched] = [ids for ids in session.index.components()
+                     if new_id in ids]
+        session.close()
+    assert opened and {m[0] for m in opened} == {"solve"}
+    assert [m[0] for m in collided] == ["solve"]
+    solve = collided[0]
+    assert list(solve[6]) == touched  # the rows, in component order
+    assert list(solve[7]) == touched  # the weights
+    return len(appended), len(deleted), len(collided)
+
+
+def test_session_deltas_send_the_pool_nothing():
+    """Deltas ship nothing to the pool, and a miss ships exactly its
+    component: the same message counts at 300 rows and at 3000."""
+    if not _pool_available():
+        pytest.skip("subprocess support unavailable")
+    small = _pool_traffic(300)
+    large = _pool_traffic(3000)
+    assert small == large == (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

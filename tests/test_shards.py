@@ -5,8 +5,9 @@ The suite pins the acceptance property from both ends:
 - **Byte-identity.**  Answers — fault-free, under deterministic chaos
   schedules (kills, dropped messages, stalls), and after full
   degradation to local execution — are byte-identical to the serial
-  oracle.  Components are independent and solvers pure, so retry,
-  failover, and replay can only move *where* work runs.
+  oracle.  Components are independent, solvers pure, and every solve
+  carries its component's rows, so retry and failover can only move
+  *where* work runs.
 - **Honesty.**  Every recovery the pool performs is visible in
   ``supervision_stats`` — deaths, respawns, retries, timeouts, local
   degradations — so the identity above is evidence of healing, not of
@@ -104,7 +105,7 @@ class TestQueueIdentity:
         table = _conflict_table()
         expected = self._serial(table)
         plan = FaultPlan([
-            FaultRule("worker.recv", "kill", at=2,
+            FaultRule("worker.recv", "kill", at=1,
                       match={"worker": 0, "generation": 0}),
         ])
         with _executor(2, faults=plan) as ex:
@@ -134,14 +135,14 @@ class TestQueueIdentity:
 
     def test_all_shards_lost_degrades_to_local_execution(self):
         """With every worker dead and no respawns allowed, the pool must
-        *degrade*, not fail — solves run in the calling thread against
-        the parent mirror, the answer stays byte-identical, and the
+        *degrade*, not fail — solves run in the calling thread from
+        their own rows, the answer stays byte-identical, and the
         counters say so honestly."""
         table = _conflict_table()
         expected = self._serial(table)
         plan = FaultPlan([
-            FaultRule("worker.recv", "kill", at=2, match={"worker": 0}),
-            FaultRule("worker.recv", "kill", at=2, match={"worker": 1}),
+            FaultRule("worker.recv", "kill", at=1, match={"worker": 0}),
+            FaultRule("worker.recv", "kill", at=1, match={"worker": 1}),
         ])
         with _executor(2, faults=plan, max_respawns=0) as ex:
             got = clean(table, FDS, executor=ex)
@@ -255,11 +256,10 @@ def test_stalled_solve_finishes_on_its_first_worker():
     1.5 s by a ``delay`` fault finishes where it was sent, with no
     death, retry, or respawn."""
     plan = FaultPlan([FaultRule("worker.solve", "delay", delay_s=1.5)])
-    rows = {1: ("a", "x", "p"), 2: ("a", "y", "p")}
+    table = Table(SCHEMA, {1: ("a", "x", "p"), 2: ("a", "y", "p")},
+                  {1: 2.0, 2: 1.0})
     with _executor(1, faults=plan) as ex:
-        assert ex.open_session("k", SCHEMA, FDS)
-        assert ex.broadcast(("reset", rows, {1: 2.0, 2: 1.0}), key="k")
-        [(kept, method, secs)] = ex.solve([((1, 2), "exact", None)], key="k")
+        [(kept, method, secs)] = ex.solve([(table, "exact", None)], fds=FDS)
         stats = ex.supervision_stats()
     assert (kept, method) == ((1,), "exact")
     assert stats["worker_deaths"] == 0
@@ -324,7 +324,7 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
     )
     @given(
         seed=st.integers(0, 2**16),
-        kill_msg=st.integers(2, 10),
+        kill_msg=st.integers(1, 3),
         drops=st.integers(0, 2),
     )
     def run(seed, kill_msg, drops):
@@ -359,26 +359,6 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
     run()
 
 
-def test_lost_mirror_delta_heals_by_respawn():
-    """A dropped ``append`` leaves the worker's mirror stale: its solve
-    reports the missing id, the parent (whose mirror has it) re-sends
-    the solve and respawns the worker with the mirror replayed, and the
-    answer is the one a fault-free pool gives."""
-    plan = FaultPlan([FaultRule("pool.dispatch", "drop",
-                                match={"op": "append"})])
-    rows = {1: ("a", "x", "p")}
-    with _executor(1, faults=plan) as ex:
-        assert ex.open_session("k", SCHEMA, FDS)
-        assert ex.broadcast(("reset", rows, {1: 1.0}), key="k")
-        assert ex.broadcast(("append", {2: ("a", "y", "p")}, {2: 2.0}),
-                            key="k")
-        [(kept, method, _secs)] = ex.solve([((1, 2), "exact", None)], key="k")
-        stats = ex.supervision_stats()
-    assert (kept, method) == ((2,), "exact")
-    assert stats["worker_deaths"] == 1
-    assert stats["respawns"] == 1
-
-
 def test_concurrent_callers_share_the_fleet():
     """Eight caller threads over three workers (more than the host's
     cores), with a short switch interval: every caller gets the
@@ -391,18 +371,14 @@ def test_concurrent_callers_share_the_fleet():
     groups = {}
     for tid, row in table.rows().items():
         groups.setdefault(row[0].split(".")[0], []).append(tid)
-    tasks = [(tuple(ids), "exact", None) for ids in groups.values()]
+    tasks = [(table.subset(ids), "exact", None) for ids in groups.values()]
     results = {}
     with _executor(3) as ex:
-        assert ex.open_session("k", table.schema, FDS)
-        assert ex.broadcast(
-            ("reset", dict(table.rows()), dict(table.weights())), key="k"
-        )
-        expected = [kept for kept, _m, _s in ex.solve(tasks, key="k")]
+        expected = [kept for kept, _m, _s in ex.solve(tasks, fds=FDS)]
 
         def caller(i):
             results[i] = [kept for kept, _m, _s
-                          in ex.solve(tasks, timeout=60.0, key="k")]
+                          in ex.solve(tasks, timeout=60.0, fds=FDS)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -433,7 +409,7 @@ class TestExecutorSeam:
         ex = _executor(1)
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.solve([((0,), "exact", None)], key="k")
+            ex.solve([(_conflict_table(1, 1), "exact", None)], fds=FDS)
 
     def test_solver_error_surfaces_as_runtime_error(self):
         """A worker-side solver exception is a property of the request,
@@ -441,12 +417,9 @@ class TestExecutorSeam:
         fall back serially."""
         with _executor(1) as ex:
             table = _conflict_table(1, 4)
-            assert ex.open_session("k", table.schema, FDS)
-            assert ex.broadcast(
-                ("reset", dict(table.rows()), dict(table.weights())), key="k"
-            )
             with pytest.raises(RuntimeError):
-                ex.solve([((0, 1), "no-such-method", None)], key="k")
+                ex.solve([(table.subset((0, 1)), "no-such-method", None)],
+                         fds=FDS)
 
     def test_clean_falls_back_serially_when_executor_unusable(self):
         """The batch path keeps the serial fallback: an executor whose
@@ -555,9 +528,9 @@ def test_parallel_clean_batch_has_no_wall_clock_cap(strategy, monkeypatch):
                    guarantee="fast")
     pool_solve = exec_mod.PersistentWorkerPool.solve
 
-    def tiny_cap(self, tasks, timeout=120.0, *, key):
+    def tiny_cap(self, tasks, timeout=120.0, **kwargs):
         return pool_solve(self, tasks,
-                          timeout=None if timeout is None else 0.01, key=key)
+                          timeout=None if timeout is None else 0.01, **kwargs)
 
     in_process = []
     solve_component = exec_mod._solve_component
