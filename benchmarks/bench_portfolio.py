@@ -44,8 +44,8 @@ from contextlib import closing
 
 from repro.core import kernel
 from repro.core.decompose import (
-    EXACT_COMPONENT_THRESHOLD,
     ComponentPlan,
+    SolvePolicy,
     decompose,
     plan_s_method,
 )
@@ -91,9 +91,7 @@ def _per_component_clean(table):
     ]
     kept_lists, methods = solve_components(decomp, plans)
     solves = [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)]
-    return _decomposed_outcome(
-        decomp, verdict, plans, solves, "best", EXACT_COMPONENT_THRESHOLD,
-    )
+    return _decomposed_outcome(decomp, verdict, plans, solves, SolvePolicy())
 
 
 def test_scheduled_clean_beats_per_component_budget(benchmark):

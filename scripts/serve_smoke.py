@@ -6,8 +6,9 @@ Every step runs under a hard timeout, so a hung worker pool (the
 failure mode PR 6's lifecycle fixes target) fails CI promptly instead
 of stalling the job until the runner-level kill.  Exit code 0 means:
 the daemon came up, both tenants' sessions opened, appended, repaired
-(with the expected distances), `status` answered, `stats` saw both
-tenants sharing one pool, `shutdown` was acknowledged, and the process
+(with the expected distances), `status` answered, an ``open`` with a
+malformed guarantee was refused without taking a slot, `stats` saw
+both tenants sharing one pool, `shutdown` was acknowledged, and the process
 exited by itself within the grace period.
 
 With ``--chaos`` the smoke turns adversarial: a ``FDREPAIR_FAULTS``
@@ -380,6 +381,13 @@ def main() -> None:
         reply = rpc({"op": "status", "tenant": tenant, "session": "main"})
         if not reply.get("ok") or reply.get("conflicts") != 1:
             fail(f"status wrong for {tenant}: {reply}", proc)
+    # A malformed guarantee is refused at open and keeps no slot: the
+    # stats below still count exactly the two tenants above.
+    reply = rpc({"op": "open", "tenant": "initech", "session": "main",
+                 "schema": ["A", "B"], "fds": "A -> B",
+                 "guarantee": "bogus"})
+    if reply.get("ok") is not False:
+        fail(f"open with guarantee 'bogus' was not refused: {reply}", proc)
 
     stats = rpc({"op": "stats"})
     if stats.get("sessions") != 2:

@@ -59,7 +59,6 @@ __all__ = [
     "component_features",
     "decompose",
     "plan_s_method",
-    "plan_schedule",
     "polynomial_bracket",
     "predict_difficulty",
     "resolve_plan_defaults",
@@ -165,15 +164,105 @@ class Decomposition:
     def plan_schedule(
         self,
         tractable: bool,
-        guarantee: str = "best",
         policy: Optional["SolvePolicy"] = None,
     ) -> List["ComponentPlan"]:
-        """The difficulty-driven schedule for this decomposition — see
-        the module-level :func:`plan_schedule`.  Shared by
-        :func:`repro.pipeline.clean`, :func:`repro.pipeline.assess`, and
-        the streaming :class:`repro.session.RepairSession`, so all three
-        compute byte-identical plans for the same instance and policy."""
-        return plan_schedule(self.components, tractable, guarantee, policy)
+        """The difficulty-driven successor of per-component
+        :func:`plan_s_method`: one :class:`ComponentPlan` per component,
+        in component order, under *policy* (default: the library
+        defaults).  Shared by :func:`repro.pipeline.clean`,
+        :func:`repro.pipeline.assess`, and the streaming
+        :class:`repro.session.RepairSession`, so all three compute
+        byte-identical plans for the same instance and policy.
+
+        Without a global budget (*exact_budget_s* ``None``) this is the
+        size rule — per-component :func:`plan_s_method`, no wall-clock
+        ceiling, and **no feature computation at all** (streaming
+        sessions plan on every delta; this path must stay O(1) per
+        component).
+
+        With a global budget, hard-Δ components under ``guarantee="best"``
+        are scheduled by ascending :func:`predict_difficulty`: the
+        scheduler walks the eligible components easiest-first, grants
+        ``"exact"`` while the *predicted* cumulative cost fits the
+        budget, and downgrades the residual tail to ``"approx"``
+        (``downgraded=True``).  Eligibility is feasibility, not the size
+        threshold — any component the exact solvers accept
+        (≤ ``min(node_limit, MAX_BITMASK_VERTICES)`` vertices) may be
+        granted exactness, which is the point: many easy *large*
+        components beat one hard small one.  Each granted solve ships a
+        wall-clock slice of ``budget − predicted spend so far`` as its
+        hard ceiling.  The *plan* is pure arithmetic over predictions —
+        no wall-clock reads — so serial and worker-pool runs of the same
+        instance compute the identical plan, and a zero budget
+        deterministically plans every hard-Δ component approximate.  The
+        *result* is not: a granted solve that outruns its slice falls
+        back to the 2-approximation by the wall clock, so a component
+        near its slice may come out exact on one run and approximate on
+        the next.
+
+        ``guarantee="optimal"`` plans every component exact with the
+        full budget as each slice (a solve that outruns it raises
+        :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded`, true to
+        "provably optimal or fail"); ``"fast"`` plans every component
+        approximate; tractable Δ plans the polynomial dichotomy
+        recursion everywhere (budget-irrelevant).
+        """
+        if policy is None:
+            policy = SolvePolicy()
+        components = self.components
+        guarantee = policy.guarantee
+        exact_budget_s = policy.exact_budget_s
+        if guarantee == "fast":
+            return [_SIZE_RULE_PLANS["approx"]] * len(components)
+        if tractable:
+            return [_SIZE_RULE_PLANS["dichotomy"]] * len(components)
+        if guarantee == "optimal":
+            plan = ComponentPlan("exact", budget_s=exact_budget_s)
+            return [plan] * len(components)
+        if exact_budget_s is None:
+            return [
+                _SIZE_RULE_PLANS[
+                    plan_s_method(c.size, tractable, guarantee,
+                                  policy.threshold)
+                ]
+                for c in components
+            ]
+        # Global budget: rank by predicted difficulty, grant exactness
+        # easiest-first while the predicted spend fits.
+        from . import kernel as _kernel
+
+        ceiling = min(policy.node_limit, _kernel.MAX_BITMASK_VERTICES)
+        unit = policy.unit_cost_s
+        plans: List[Optional[ComponentPlan]] = [None] * len(components)
+        ranked: List[Tuple[float, int, float, ComponentFeatures]] = []
+        for i, component in enumerate(components):
+            if component.size > ceiling:
+                plans[i] = ComponentPlan("approx", downgraded=False)
+                continue
+            feats = component_features(component)
+            difficulty = predict_difficulty(feats)
+            ranked.append((difficulty, i, difficulty * unit, feats))
+        ranked.sort(key=lambda entry: (entry[0], entry[1]))
+        spent = 0.0
+        for difficulty, i, predicted, feats in ranked:
+            if exact_budget_s > 0 and spent + predicted <= exact_budget_s:
+                plans[i] = ComponentPlan(
+                    "exact",
+                    difficulty=difficulty,
+                    predicted_s=predicted,
+                    budget_s=exact_budget_s - spent,
+                    features=feats,
+                )
+                spent += predicted
+            else:
+                plans[i] = ComponentPlan(
+                    "approx",
+                    difficulty=difficulty,
+                    predicted_s=predicted,
+                    downgraded=True,
+                    features=feats,
+                )
+        return plans  # every slot filled: ceiling branch or ranked loop
 
     def merge_updates(
         self, updates_per_component: Sequence[Mapping[Tuple[TupleId, str], object]]
@@ -375,22 +464,26 @@ class ComponentPlan:
 
 @dataclass(frozen=True)
 class SolvePolicy:
-    """The solver knobs as one resolved value — one source of truth for
-    the CLI, :func:`repro.pipeline.clean`/`assess`, the streaming
+    """Every solver setting as one resolved value — one source of truth
+    for the CLI, :func:`repro.pipeline.clean`/`assess`, the streaming
     session, and the worker pool (built by :func:`resolve_plan_defaults`;
     the defaults are the library defaults).
 
     *threshold* is the exact-vs-approximate component-size boundary,
     *node_limit* the branch & bound node budget per exact solve,
     *exact_budget_s* the **global** budget of the difficulty scheduler
-    (the only wall-clock budget), and *unit_cost_s* the seconds one unit
-    of predicted difficulty costs.  Frozen and hashable, so it can scope
-    cache keys and cross the worker boundary as is."""
+    (the only wall-clock budget), *unit_cost_s* the seconds one unit
+    of predicted difficulty costs, and *guarantee* the portfolio
+    guarantee of :func:`repro.pipeline.clean`.  Frozen and hashable, so
+    it can scope cache keys — guarantee included — and cross the worker
+    boundary as is.  A policy pickled before *guarantee* existed reads
+    the class default ``"best"``."""
 
     threshold: int = EXACT_COMPONENT_THRESHOLD
     node_limit: int = DEFAULT_NODE_LIMIT
     exact_budget_s: Optional[float] = None
     unit_cost_s: float = DIFFICULTY_UNIT_COST_S
+    guarantee: str = "best"
 
 
 def _is_int(value) -> bool:
@@ -410,6 +503,7 @@ def resolve_plan_defaults(
     node_limit: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
+    guarantee: str = "best",
 ) -> SolvePolicy:
     """Resolve and validate the portfolio knobs to their effective
     :class:`SolvePolicy`.
@@ -426,9 +520,12 @@ def resolve_plan_defaults(
     can never drift on what an omitted knob means — or on what a
     malformed one is: a threshold must be an integer ≥ 0, a node limit
     an integer ≥ 1, a budget a finite number ≥ 0 and a unit cost a
-    finite number > 0 (booleans are not numbers here); anything else
-    raises ``ValueError``.
+    finite number > 0 (booleans are not numbers here), and a guarantee
+    one of ``"best"``, ``"optimal"``, ``"fast"``; anything else raises
+    ``ValueError``.
     """
+    if guarantee not in ("best", "optimal", "fast"):
+        raise ValueError(f"unknown guarantee {guarantee!r}")
     if exact_threshold is None:
         exact_threshold = EXACT_COMPONENT_THRESHOLD
     elif not (_is_int(exact_threshold) and exact_threshold >= 0):
@@ -459,6 +556,7 @@ def resolve_plan_defaults(
         node_limit=node_limit,
         exact_budget_s=exact_budget_s,
         unit_cost_s=unit_cost_s,
+        guarantee=guarantee,
     )
 
 
@@ -468,98 +566,3 @@ _SIZE_RULE_PLANS = {
     method: ComponentPlan(method)
     for method in ("approx", "dichotomy", "exact")
 }
-
-
-def plan_schedule(
-    components: Sequence[Component],
-    tractable: bool,
-    guarantee: str = "best",
-    policy: Optional[SolvePolicy] = None,
-) -> List[ComponentPlan]:
-    """The difficulty-driven successor of per-component
-    :func:`plan_s_method`: one :class:`ComponentPlan` per component, in
-    component order, under *policy* (default: the library defaults).
-
-    Without a global budget (*exact_budget_s* ``None``) this is the size
-    rule — per-component :func:`plan_s_method`, no wall-clock ceiling,
-    and **no feature computation at all** (streaming sessions plan on
-    every delta; this path must stay O(1) per component).
-
-    With a global budget, hard-Δ components under ``guarantee="best"``
-    are scheduled by ascending :func:`predict_difficulty`: the scheduler
-    walks the eligible components easiest-first, grants ``"exact"``
-    while the *predicted* cumulative cost fits the budget, and
-    downgrades the residual tail to ``"approx"`` (``downgraded=True``).
-    Eligibility is feasibility, not the size threshold — any component
-    the exact solvers accept (≤ ``min(node_limit, MAX_BITMASK_VERTICES)``
-    vertices) may be granted exactness, which is the point: many easy
-    *large* components beat one hard small one.  Each granted solve
-    ships a wall-clock slice of ``budget − predicted spend so far`` as
-    its hard ceiling.  The *plan* is pure arithmetic over predictions —
-    no wall-clock reads — so serial and worker-pool runs of the same
-    instance compute the identical plan, and a zero budget
-    deterministically plans every hard-Δ component approximate.  The
-    *result* is not: a granted solve that outruns its slice falls back
-    to the 2-approximation by the wall clock, so a component near its
-    slice may come out exact on one run and approximate on the next.
-
-    ``guarantee="optimal"`` plans every component exact with the full
-    budget as each slice (a solve that outruns it raises
-    :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded`, true to
-    "provably optimal or fail"); ``"fast"`` plans every component
-    approximate; tractable Δ plans the polynomial dichotomy recursion
-    everywhere (budget-irrelevant).
-    """
-    if policy is None:
-        policy = SolvePolicy()
-    exact_budget_s = policy.exact_budget_s
-    if guarantee == "fast":
-        return [_SIZE_RULE_PLANS["approx"]] * len(components)
-    if tractable:
-        return [_SIZE_RULE_PLANS["dichotomy"]] * len(components)
-    if guarantee == "optimal":
-        plan = ComponentPlan("exact", budget_s=exact_budget_s)
-        return [plan] * len(components)
-    if exact_budget_s is None:
-        return [
-            _SIZE_RULE_PLANS[
-                plan_s_method(c.size, tractable, guarantee, policy.threshold)
-            ]
-            for c in components
-        ]
-    # Global budget: rank by predicted difficulty, grant exactness
-    # easiest-first while the predicted spend fits.
-    from . import kernel as _kernel
-
-    ceiling = min(policy.node_limit, _kernel.MAX_BITMASK_VERTICES)
-    unit = policy.unit_cost_s
-    plans: List[Optional[ComponentPlan]] = [None] * len(components)
-    ranked: List[Tuple[float, int, float, ComponentFeatures]] = []
-    for i, component in enumerate(components):
-        if component.size > ceiling:
-            plans[i] = ComponentPlan("approx", downgraded=False)
-            continue
-        feats = component_features(component)
-        difficulty = predict_difficulty(feats)
-        ranked.append((difficulty, i, difficulty * unit, feats))
-    ranked.sort(key=lambda entry: (entry[0], entry[1]))
-    spent = 0.0
-    for difficulty, i, predicted, feats in ranked:
-        if exact_budget_s > 0 and spent + predicted <= exact_budget_s:
-            plans[i] = ComponentPlan(
-                "exact",
-                difficulty=difficulty,
-                predicted_s=predicted,
-                budget_s=exact_budget_s - spent,
-                features=feats,
-            )
-            spent += predicted
-        else:
-            plans[i] = ComponentPlan(
-                "approx",
-                difficulty=difficulty,
-                predicted_s=predicted,
-                downgraded=True,
-                features=feats,
-            )
-    return plans  # every slot filled: ceiling branch or ranked loop

@@ -943,7 +943,7 @@ def solve_components(
     solves its cache misses.
 
     Each component runs under its plan's method and wall-clock budget
-    slice (:func:`repro.core.decompose.plan_schedule`), with *policy*'s
+    slice (:meth:`.Decomposition.plan_schedule`), with *policy*'s
     node limit; the solves are *dispatched* in ascending predicted
     difficulty (easiest first — the scheduler's granted budget slices
     assume the cheap solves land before the expensive ones).  Results

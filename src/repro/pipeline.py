@@ -22,7 +22,7 @@ dichotomy verdict for Δ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Tuple
 
 from . import obs as _obs
@@ -196,7 +196,7 @@ def assess(
     The bracket is the sum of per-component brackets over the conflict
     graph's connected components.  Which components are bracketed
     **exactly** is decided by the difficulty scheduler
-    (:func:`repro.core.decompose.plan_schedule`): without a global
+    (:meth:`.Decomposition.plan_schedule`): without a global
     budget, every component of at most *exact_threshold* tuples (default
     :data:`~repro.core.decompose.EXACT_COMPONENT_THRESHOLD`) gets a
     branch & bound attempt — empirically instantaneous at that size;
@@ -306,7 +306,9 @@ def _assess_decomposed_bracket(
     # the dichotomy, so the schedule is planned on the hard side
     # (tractable=False: exact-vs-approx, never dichotomy).
     with rec.span("phase.plan"):
-        plans = decomp.plan_schedule(False, "best", policy)
+        plans = decomp.plan_schedule(
+            False, replace(policy, guarantee="best")
+        )
     threshold = policy.threshold
     exact_components = 0
     lower = upper = 0.0
@@ -413,8 +415,8 @@ class _ComponentSolve:
         return self.deleted, self.deleted_weight
 
 
-def _lower_bound(solve: _ComponentSolve, component, plan, guarantee: str,
-                 threshold: int) -> float:
+def _lower_bound(solve: _ComponentSolve, component, plan,
+                 policy: SolvePolicy) -> float:
     """The report lower bound an approximated component contributes: its
     matching bound, tightened to the half-integral LP relaxation bound
     when the *plan* leaves the component approximate (too large for the
@@ -428,9 +430,9 @@ def _lower_bound(solve: _ComponentSolve, component, plan, guarantee: str,
         solve.lower_bound = component.index.matching_lower_bound()
     bound = solve.lower_bound
     if (
-        guarantee == "fast"
+        policy.guarantee == "fast"
         or plan.method != "approx"
-        or not (plan.downgraded or component.size > threshold)
+        or not (plan.downgraded or component.size > policy.threshold)
     ):
         return bound
     if solve.lp_bound is None:
@@ -444,8 +446,7 @@ def _decomposed_outcome(
     verdict: DichotomyResult,
     plans,
     solves,
-    guarantee: str,
-    threshold: int,
+    policy: SolvePolicy,
 ) -> CleaningResult:
     """Assemble the :class:`CleaningResult` (report included) of a
     decomposed S-repair from its per-component :class:`_ComponentSolve`
@@ -476,8 +477,7 @@ def _decomposed_outcome(
             lower += deleted
             exact_components += 1
         else:
-            lower += _lower_bound(solve, component, plan, guarantee,
-                                  threshold)
+            lower += _lower_bound(solve, component, plan, policy)
     report = DirtinessReport(
         total_tuples=len(table),
         total_weight=table.total_weight(),
@@ -533,14 +533,13 @@ def _cleaning_result(cleaned: Table, result, report, strategy: str
 def _clean_deletions_decomposed(
     table: Table,
     fds: FDSet,
-    guarantee: str,
     index: ConflictIndex,
     policy: SolvePolicy,
     rec,
     executor=None,
 ) -> CleaningResult:
     """The decomposed S-repair pipeline: decompose once, schedule the
-    portfolio (:func:`repro.core.decompose.plan_schedule` — difficulty-
+    portfolio (:meth:`.Decomposition.plan_schedule` — difficulty-
     ranked under a global *exact_budget_s*, the historical size rule
     otherwise), solve each component by its plan, and derive the
     dirtiness report from the same per-component solutions
@@ -556,18 +555,18 @@ def _clean_deletions_decomposed(
     with rec.span("phase.decompose"):
         decomp = decompose(table, fds, index)
     with rec.span("phase.plan"):
-        plans = decomp.plan_schedule(verdict.tractable, guarantee, policy)
+        plans = decomp.plan_schedule(verdict.tractable, policy)
     with rec.span("phase.solve"):
         kept_lists, methods = solve_components(
             decomp, plans, policy, recorder=rec, executor=executor,
         )
-    if guarantee == "optimal":
+    if policy.guarantee == "optimal":
         _require_planned(plans, range(len(plans)), methods)
     with rec.span("phase.merge"):
         return _decomposed_outcome(
             decomp, verdict, plans,
             [_ComponentSolve(k, m) for k, m in zip(kept_lists, methods)],
-            guarantee, policy.threshold,
+            policy,
         )
 
 
@@ -625,7 +624,7 @@ def clean(
         **Global** exact-solve budget in wall-clock seconds (default:
         unlimited).  On the decomposed deletions path it drives the
         difficulty scheduler
-        (:func:`repro.core.decompose.plan_schedule`): components are
+        (:meth:`.Decomposition.plan_schedule`): components are
         ranked by predicted branch & bound difficulty, granted exact
         solves easiest-first while the *predicted* cumulative cost fits
         the budget, and the residual tail is planned approximate up
@@ -675,11 +674,9 @@ def clean(
     """
     if strategy not in ("deletions", "updates"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if guarantee not in ("best", "optimal", "fast"):
-        raise ValueError(f"unknown guarantee {guarantee!r}")
     rec = _obs.resolve(recorder)
     policy = resolve_plan_defaults(
-        exact_threshold, None, exact_budget_s, unit_cost_s
+        exact_threshold, None, exact_budget_s, unit_cost_s, guarantee
     )
     with rec.span("pipeline.clean", strategy=strategy, guarantee=guarantee):
         with rec.span("phase.index"):
@@ -689,9 +686,7 @@ def clean(
                 index.ensure_for(fds, table)
 
         if not decomposed:
-            return _clean_global(
-                table, fds, strategy, guarantee, index, policy, rec
-            )
+            return _clean_global(table, fds, strategy, index, policy, rec)
         if strategy == "deletions":
             # One decomposition drives both the report and the repair:
             # the components each portfolio method solved *exactly*
@@ -701,10 +696,10 @@ def clean(
             # as standalone assessment, without solving any component
             # twice.
             return _clean_deletions_decomposed(
-                table, fds, guarantee, index, policy, rec, executor,
+                table, fds, index, policy, rec, executor,
             )
         return _clean_updates_decomposed(
-            table, fds, guarantee, index, policy, rec, executor,
+            table, fds, index, policy, rec, executor,
         )
 
 
@@ -712,7 +707,6 @@ def _clean_global(
     table: Table,
     fds: FDSet,
     strategy: str,
-    guarantee: str,
     index: ConflictIndex,
     policy: SolvePolicy,
     rec,
@@ -720,6 +714,7 @@ def _clean_global(
     """The ``decomposed=False`` tail of :func:`clean`: the global
     assessment, then one global solve under a ``phase.solve`` span."""
     report = _assess(table, fds, index, False, policy, False, rec)
+    guarantee = policy.guarantee
 
     if strategy == "deletions":
         with rec.span("phase.solve"):
@@ -769,7 +764,6 @@ _U_METHOD_BY_GUARANTEE = {
 def _clean_updates_decomposed(
     table: Table,
     fds: FDSet,
-    guarantee: str,
     index: ConflictIndex,
     policy: SolvePolicy,
     rec,
@@ -794,7 +788,7 @@ def _clean_updates_decomposed(
     from .exec import solve_components
 
     report = _assess(table, fds, index, True, policy, False, rec)
-    method = _U_METHOD_BY_GUARANTEE[guarantee]
+    method = _U_METHOD_BY_GUARANTEE[policy.guarantee]
     with rec.span("phase.solve"):
         decomp = decompose(table, fds, index)
         outcomes, _methods = solve_components(
@@ -802,7 +796,7 @@ def _clean_updates_decomposed(
             policy, recorder=rec, executor=executor,
         )
         result = _merge_u_components(decomp, method, outcomes)
-    if guarantee == "optimal":
+    if policy.guarantee == "optimal":
         _require_optimal(result, fds)
     return _cleaning_result(result.update, result, report, "updates")
 

@@ -68,7 +68,8 @@ from .protocol import (
     decode_line,
     encode,
 )
-from .session import RepairSession, SolutionCache, uncapped_entries
+from .session import (_OPTIONS, RepairSession, SolutionCache,
+                      uncapped_entries)
 from .state import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
@@ -230,16 +231,6 @@ class SessionEntry:
     @property
     def resident(self) -> bool:
         return self.live is not None
-
-
-#: ``open`` payload keys forwarded to the ``RepairSession`` constructor.
-_OPEN_OPTIONS = (
-    "guarantee",
-    "exact_threshold",
-    "exact_budget_s",
-    "node_limit",
-    "unit_cost_s",
-)
 
 
 class SessionManager:
@@ -406,7 +397,7 @@ class SessionManager:
         if not isinstance(fds_text, str):
             raise ProtocolError("open needs an fds string")
         options = {
-            k: payload[k] for k in _OPEN_OPTIONS if payload.get(k) is not None
+            k: payload[k] for k in _OPTIONS if payload.get(k) is not None
         }
         # The daemon's calibrated cost constant applies to every session
         # that does not pin its own (per-open payload wins — recovery

@@ -100,7 +100,8 @@ _CachedSolve = _ComponentSolve
 _RETIRED_CAP = "per_component_budget_s"
 
 #: The constructor options :meth:`RepairSession.export_state` records —
-#: all :meth:`RepairSession.restore` passes on from a state's options.
+#: all :meth:`RepairSession.restore` passes on from a state's options,
+#: and all the daemon's ``open`` forwards from its payload.
 _OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s", "unit_cost_s",
             "node_limit")
 
@@ -145,9 +146,12 @@ class SolutionCache:
     solve becomes every other tenant's cache hit.
 
     Every session scopes its keys by FD set, schema, and
-    :class:`~repro.core.decompose.SolvePolicy`, so content can never
-    leak between sessions for which the same member rows would repair
-    differently.  A session given no cache builds a private one.
+    :class:`~repro.core.decompose.SolvePolicy` — guarantee included —
+    so content can never leak between sessions for which the same
+    member rows would repair differently: an ``"optimal"`` session is
+    never served the 2-approximation a ``"best"`` session fell back to.
+    Sessions with different guarantees therefore share no entries.  A
+    session given no cache builds a private one.
     Mutations take a lock — sessions running on different executor
     threads hit a shared cache concurrently.  ``hits`` and ``misses``
     count real :meth:`get` calls only: a session serves an unchanged
@@ -346,8 +350,9 @@ class RepairSession:
         place of a private one (of 10 000 entries, least-recently-used
         evicted; evicted components simply re-solve).  Keys are scoped
         by FD set, schema, and
-        :class:`~repro.core.decompose.SolvePolicy`, so sharing is always
-        byte-identical-safe.
+        :class:`~repro.core.decompose.SolvePolicy` — which carries
+        *guarantee* with the other solver settings — so sharing is
+        always byte-identical-safe.
     recorder:
         Optional :class:`repro.obs.Recorder` (shareable across sessions
         — it is thread-safe).  When enabled, every :meth:`repair` is a
@@ -380,22 +385,12 @@ class RepairSession:
         solutions: Optional[SolutionCache] = None,
         recorder=None,
     ) -> None:
-        if guarantee not in ("best", "optimal", "fast"):
-            raise ValueError(f"unknown guarantee {guarantee!r}")
         self._recorder = _obs.resolve(recorder)
         self._fds = fds
-        self._guarantee = guarantee
         self._policy = policy = resolve_plan_defaults(
-            exact_threshold, node_limit, exact_budget_s, unit_cost_s
+            exact_threshold, node_limit, exact_budget_s, unit_cost_s,
+            guarantee,
         )
-        # The constructor options as :meth:`export_state` records them.
-        self._options = {
-            "guarantee": guarantee,
-            "exact_threshold": policy.threshold,
-            "exact_budget_s": policy.exact_budget_s,
-            "unit_cost_s": policy.unit_cost_s,
-            "node_limit": policy.node_limit,
-        }
         self._verdict = classify(fds)
         self._schema = table.schema
         self._attr_index: Dict[str, int] = {
@@ -424,9 +419,10 @@ class RepairSession:
         # everything besides component content that can change a
         # solve's outcome — Δ, the schema (it fixes which columns each
         # FD reads), and the solver policy (budget fallbacks and node
-        # limits are sticky in cached methods) — so two sessions share
-        # an entry exactly when serving it is indistinguishable from
-        # re-solving.
+        # limits are sticky in cached methods, and only the guarantee
+        # decides whether a fallback may be served at all) — so two
+        # sessions share an entry exactly when serving it is
+        # indistinguishable from re-solving.
         self._owns_cache = solutions is None
         self._cache = (
             SolutionCache(_PRIVATE_CACHE_ENTRIES, recorder=self._recorder)
@@ -747,7 +743,7 @@ class RepairSession:
                 decomp, records = self._decompose()
             with rec.span("phase.plan"):
                 plans = decomp.plan_schedule(
-                    self._verdict.tractable, self._guarantee, self._policy
+                    self._verdict.tractable, self._policy
                 )
             solves: List[Optional[_ComponentSolve]] = []
             keys: Dict[int, Tuple] = {}
@@ -778,7 +774,7 @@ class RepairSession:
                 )
                 if pool is not None and not pool.alive:
                     self.close()
-            if self._guarantee == "optimal":
+            if self._policy.guarantee == "optimal":
                 _require_planned(plans, misses, methods)
             with rec.span("phase.merge"):
                 for i, kept, method in zip(misses, kept_lists, methods):
@@ -787,8 +783,7 @@ class RepairSession:
                 for i in keys:
                     records[i].plan, records[i].solve = plans[i], solves[i]
                 result = _decomposed_outcome(
-                    decomp, self._verdict, plans, solves, self._guarantee,
-                    self._policy.threshold,
+                    decomp, self._verdict, plans, solves, self._policy
                 )
         self.stats.repairs += 1
         self.last_result = result
@@ -850,6 +845,7 @@ class RepairSession:
         export no cache entries at all — their solves survive eviction
         *in the cache itself*, which is the point of content addressing.
         """
+        policy = self._policy
         return {
             "version": STATE_VERSION,
             "schema": self._schema,
@@ -859,7 +855,13 @@ class RepairSession:
             "weights": self._table.weights(),
             "used_ids": set(self._used_ids),
             "next_auto_id": self._next_auto_id,
-            "options": dict(self._options),
+            "options": {
+                "guarantee": policy.guarantee,
+                "exact_threshold": policy.threshold,
+                "exact_budget_s": policy.exact_budget_s,
+                "unit_cost_s": policy.unit_cost_s,
+                "node_limit": policy.node_limit,
+            },
             "solutions": (
                 self._cache.export_entries() if self._owns_cache else {}
             ),

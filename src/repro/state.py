@@ -260,12 +260,7 @@ class OpJournal:
         """Atomically persist *snapshot* (stamped by the caller with
         the current ``seq``) and truncate the journal."""
         with self._lock:
-            tmp = snapshot_path + ".tmp"
-            with open(tmp, "wb") as handle:
-                pickle.dump(snapshot, handle, protocol=4)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, snapshot_path)
+            write_snapshot(snapshot_path, snapshot)
             self._handle.close()
             if self.keep > 0:
                 # Rotate: the closed segment becomes .1, elders shift up,
@@ -359,7 +354,8 @@ class OpJournal:
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path: str, snapshot: Dict[str, object]) -> None:
-    """Atomic standalone snapshot write (tmp + fsync + rename)."""
+    """Atomic snapshot write (tmp + fsync + rename) — the one snapshot
+    writer, behind :meth:`OpJournal.compact`."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         pickle.dump(snapshot, handle, protocol=4)

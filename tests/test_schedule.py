@@ -137,14 +137,14 @@ def test_budget_exhaustion_same_kept_set_serial_vs_parallel():
 def test_zero_budget_downgrades_every_component():
     decomp = decompose(_small_mix(), OVERLAY)
     plans = decomp.plan_schedule(
-        False, "best", resolve_plan_defaults(exact_budget_s=0.0)
+        False, resolve_plan_defaults(exact_budget_s=0.0)
     )
     assert len(plans) == len(decomp.components)
     assert all(plan.method == "approx" for plan in plans)
     assert all(plan.downgraded for plan in plans)
     # And deterministic: planning is pure arithmetic over features.
     again = decomp.plan_schedule(
-        False, "best", resolve_plan_defaults(exact_budget_s=0.0)
+        False, resolve_plan_defaults(exact_budget_s=0.0)
     )
     assert plans == again
 
@@ -152,7 +152,7 @@ def test_zero_budget_downgrades_every_component():
 def test_generous_budget_plans_by_difficulty():
     decomp = decompose(_small_mix(), OVERLAY)
     plans = decomp.plan_schedule(
-        False, "best", resolve_plan_defaults(exact_budget_s=3600.0)
+        False, resolve_plan_defaults(exact_budget_s=3600.0)
     )
     assert len(plans) == len(decomp.components)
     # A generous budget grants everything eligible; every plan carries

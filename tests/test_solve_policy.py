@@ -4,8 +4,12 @@
   or fail" on every path — serial, a pool ``clean`` starts, a running
   executor pool, the global path, a streaming session and the daemon —
   and a failed repair caches nothing;
-* malformed solver knobs are refused by :func:`resolve_plan_defaults`,
-  the one resolver behind the library, the CLI and the daemon;
+* the guarantee is part of the solver policy, so it scopes a shared
+  cache: an ``"optimal"`` session or daemon tenant is never served the
+  2-approximation a ``"best"`` one fell back to;
+* malformed solver knobs, the guarantee included, are refused by
+  :func:`resolve_plan_defaults`, the one resolver behind the library,
+  the CLI and the daemon;
 * states written while the per-solve cap (``per_component_budget_s``)
   existed still restore, and cache entries solved under a cap are
   dropped and counted, never served.
@@ -16,6 +20,7 @@ import json
 import math
 import os
 import pickle
+import random
 import shutil
 import subprocess
 import sys
@@ -228,6 +233,85 @@ def test_daemon_optimal_under_budget_answers_and_journals(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The guarantee scopes the cache: "optimal" is never served "best"'s fallback
+# ---------------------------------------------------------------------------
+
+#: A global budget far below one exact solve, at a unit cost that still
+#: grants the solve: "best" plans the component exact with a 1e-9 s
+#: slice and falls back to the 2-approximation, "optimal" plans the
+#: same method and slice and must raise instead.
+TINY_BUDGET = {"exact_budget_s": 1e-9, "unit_cost_s": 1e-15}
+
+
+def _one_hard_component(monkeypatch):
+    """40 rows forming one hard-Δ conflict component, with the budget
+    checked at every branch & bound node so the tiny budget trips."""
+    from repro.core import kernel
+    from repro.graphs import vertex_cover as vc
+
+    monkeypatch.setattr(kernel, "_BUDGET_CHECK_INTERVAL", 1)
+    monkeypatch.setattr(vc, "_BUDGET_CHECK_INTERVAL", 1)
+    rng = random.Random(4)
+    rows = [(f"a{rng.randrange(6)}", f"b{rng.randrange(6)}",
+             f"c{rng.randrange(3)}") for _ in range(40)]
+    table = Table.from_rows(SCHEMA, rows)
+    with pytest.raises(ExactBudgetExceeded):
+        clean(table, FDS, guarantee="optimal", **TINY_BUDGET)
+    return table
+
+
+def test_optimal_session_is_not_served_a_best_sessions_fallback(
+        monkeypatch):
+    table = _one_hard_component(monkeypatch)
+    shared = SolutionCache()
+    best = RepairSession(table, FDS, solutions=shared, **TINY_BUDGET)
+    assert best.repair().method_counts == {"approx": 1}
+    entries = len(shared)
+    optimal = RepairSession(table, FDS, guarantee="optimal",
+                            solutions=shared, **TINY_BUDGET)
+    with pytest.raises(ExactBudgetExceeded):
+        optimal.repair()
+    assert len(shared) == entries
+    assert optimal.last_result is None
+
+
+def test_optimal_tenant_is_not_served_a_best_tenants_fallback(monkeypatch):
+    table = _one_hard_component(monkeypatch)
+    rows = {"rows": [list(row) for _tid, row, _w in table.tuples()]}
+    manager = SessionManager(ServerConfig(workers=0))
+    try:
+        manager.open("best", "s", _open_payload(**rows, **TINY_BUDGET))
+        repaired = manager.run_op(manager.entry("best", "s"), "repair", {})
+        assert repaired["optimal"] is False
+        entries = len(manager.solutions)
+        manager.open("optimal", "s", _open_payload(
+            **rows, guarantee="optimal", **TINY_BUDGET))
+        with pytest.raises(ExactBudgetExceeded):
+            manager.run_op(manager.entry("optimal", "s"), "repair", {})
+        assert len(manager.solutions) == entries
+    finally:
+        manager.shutdown()
+
+
+def test_a_policy_pickled_before_the_guarantee_reads_best():
+    """Cache keys in states and snapshots written before the policy
+    carried the guarantee keep their scope: the unpickled policy reads
+    the class default ``"best"``."""
+    snapshot = _v2_fixture("daemon_snapshot.pkl")
+    policy = next(iter(snapshot["solutions"]))[0][2]
+    assert "guarantee" not in vars(policy)
+    assert policy.guarantee == "best"
+    assert policy == resolve_plan_defaults(
+        policy.threshold, policy.node_limit, policy.exact_budget_s,
+        policy.unit_cost_s,
+    )
+    assert policy != resolve_plan_defaults(
+        policy.threshold, policy.node_limit, policy.exact_budget_s,
+        policy.unit_cost_s, "optimal",
+    )
+
+
+# ---------------------------------------------------------------------------
 # Malformed solver knobs
 # ---------------------------------------------------------------------------
 
@@ -246,6 +330,8 @@ BAD_KNOBS = [
     {"unit_cost_s": -1},
     {"unit_cost_s": 0},
     {"unit_cost_s": math.nan},
+    {"guarantee": "bogus"},
+    {"guarantee": ["best"]},
 ]
 
 
@@ -253,6 +339,15 @@ BAD_KNOBS = [
 def test_resolve_plan_defaults_refuses_malformed_knobs(knobs):
     with pytest.raises(ValueError):
         resolve_plan_defaults(**knobs)
+
+
+def test_clean_and_session_refuse_an_unknown_guarantee():
+    for build in (
+        lambda: clean(_mix(), FDS, guarantee="bogus"),
+        lambda: RepairSession(Table(SCHEMA, {}), FDS, guarantee="bogus"),
+    ):
+        with pytest.raises(ValueError, match="unknown guarantee 'bogus'"):
+            build()
 
 
 def test_resolve_plan_defaults_accepts_boundary_values():
