@@ -8,8 +8,9 @@ of stalling the job until the runner-level kill.  Exit code 0 means:
 the daemon came up, both tenants' sessions opened, appended, repaired
 (with the expected distances), `status` answered, an ``open`` with a
 malformed guarantee was refused without taking a slot, `stats` saw
-both tenants sharing one pool, `shutdown` was acknowledged, and the process
-exited by itself within the grace period.
+both tenants sharing one pool and had counted every op already
+answered, `shutdown` was acknowledged, and the process exited by itself
+within the grace period.
 
 With ``--chaos`` the smoke turns adversarial: a ``FDREPAIR_FAULTS``
 plan kills a pool worker mid-solve (the supervisor must heal it and the
@@ -381,6 +382,9 @@ def main() -> None:
         reply = rpc({"op": "status", "tenant": tenant, "session": "main"})
         if not reply.get("ok") or reply.get("conflicts") != 1:
             fail(f"status wrong for {tenant}: {reply}", proc)
+        reply = rpc({"op": "repair", "tenant": tenant, "session": "main"})
+        if not reply.get("ok") or reply.get("distance") != 1.0:
+            fail(f"repair wrong for {tenant}: {reply}", proc)
     # A malformed guarantee is refused at open and keeps no slot: the
     # stats below still count exactly the two tenants above.
     reply = rpc({"op": "open", "tenant": "initech", "session": "main",
@@ -398,6 +402,14 @@ def main() -> None:
             fail(f"per-tenant stats missing {tenant}: {stats}", proc)
     if stats.get("op_latency_s", {}).get("op.append", {}).get("count") != 2:
         fail(f"expected 2 appends in op latency histogram: {stats}", proc)
+    # An op is counted before its reply is sent, so every op answered
+    # above is in the histogram (the refused open included).
+    answered = {"op.open": 3, "op.append": 2, "op.repair": 2, "op.status": 2}
+    counted = {name: stats.get("op_latency_s", {}).get(name, {}).get("count")
+               for name in answered}
+    if counted != answered:
+        fail(f"op latency counts {counted}, expected {answered}: {stats}",
+             proc)
     # The second tenant's identical component should ride the first's
     # solve through the shared cache.
     if stats.get("cache_hits", 0) < 1:

@@ -796,16 +796,10 @@ def _open_stream(source: str):
     return _stream_lines(source)
 
 
-#: Ops a stream batch line may carry — the session slice of the daemon
-#: protocol (`repro.protocol`); both front ends execute them through the
-#: same `apply_session_op`, so stream files replay against a daemon
-#: session verbatim.
-STREAM_OPS = ("append", "delete", "repair", "assess", "status")
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .core.table import Table
-    from .protocol import ProtocolError, apply_session_op
+    from .protocol import (SESSION_OPS, ProtocolError, apply_session_op,
+                           decode_line)
     from .session import RepairSession
 
     _apply_kernel_choice(args)
@@ -872,15 +866,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                op = json.loads(line)
-                if not isinstance(op, dict):
-                    raise ValueError("operation must be a JSON object")
-            except ValueError as exc:
-                if reject(number, f"bad JSON ({exc})"):
+                op = decode_line(line)
+            except ProtocolError as exc:
+                if reject(number, str(exc)):
                     return 1
                 continue
+            # A batch line carries a session op of the daemon protocol
+            # (less `close`), run by the same `apply_session_op`, so a
+            # stream file replays against a daemon session verbatim.
             kind = op.get("op")
-            if kind not in STREAM_OPS:
+            if (not isinstance(kind, str) or kind not in SESSION_OPS
+                    or kind == "close"):
                 if reject(number, f"unknown op {kind!r}"):
                     return 1
                 continue

@@ -26,11 +26,15 @@ session layer exposes:
     transports, the executor threads solver work runs on, and clean
     shutdown.  Requests speak the JSONL protocol of
     :mod:`repro.protocol` (the ``fdrepair stream`` op vocabulary plus
-    session addressing).  Ops for one session execute strictly in
-    arrival order behind that session's lock; ops for different
-    sessions interleave freely — a slow exact solve ships to a pool
-    worker process and only its own session waits on it, so one
-    tenant's hard component never blocks another's cache-hit repair.
+    session addressing).  Both transports share one line reader and
+    one request loop; they differ only in how bytes arrive and replies
+    leave.  Every request gets exactly one reply, and its op is counted
+    in ``stats`` and ``--trace`` before that reply is sent.  Ops for
+    one session execute strictly in arrival order behind that session's
+    lock; ops for different sessions interleave freely — a slow exact
+    solve ships to a pool worker process and only its own session waits
+    on it, so one tenant's hard component never blocks another's
+    cache-hit repair.
 
 Locking discipline (load-bearing): per-session ``asyncio.Lock``\\ s are
 acquired only on the event-loop thread, and eviction runs only on the
@@ -51,6 +55,7 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -60,7 +65,6 @@ from .core.fd import parse_fd_set
 from .core.table import Table
 from .graphs.vertex_cover import ExactBudgetExceeded
 from .protocol import (
-    DAEMON_OPS,
     JOURNALED_OPS,
     ProtocolError,
     Request,
@@ -92,13 +96,15 @@ SNAPSHOT_VERSION = 2
 #: error; the connection stays open.
 MAX_LINE_BYTES = 1 << 20
 
-#: What the line readers yield for a line over :data:`MAX_LINE_BYTES`.
+#: What the line reader yields for a line over :data:`MAX_LINE_BYTES`.
 _OVERLONG = object()
 
 
 async def _read_request_line(reader: asyncio.StreamReader):
-    """The next request line from *reader*: bytes, ``None`` at EOF, or
-    :data:`_OVERLONG` once an over-long line has been consumed."""
+    """The next request line from *reader* (a TCP connection's reader,
+    or the one :meth:`RepairServer.serve_stdio` feeds from fd 0):
+    bytes, ``None`` at EOF, or :data:`_OVERLONG` once an over-long line
+    has been consumed."""
     try:
         return await reader.readuntil(b"\n")
     except asyncio.IncompleteReadError as exc:
@@ -115,43 +121,6 @@ async def _read_request_line(reader: asyncio.StreamReader):
         except asyncio.IncompleteReadError:
             pass
         return _OVERLONG
-
-
-def _stdin_lines(fd: int):
-    """Request lines read from file descriptor *fd* with ``os.read``
-    (bytes, or :data:`_OVERLONG` for an over-long line), up to EOF.
-
-    Never through ``sys.stdin``: a pool worker forked while a thread
-    blocks in ``sys.stdin.readline()`` inherits stdin's buffer lock
-    held and hangs in ``multiprocessing``'s ``_close_stdin``.
-    Raw reads take no lock, so every spawn — respawns included — is
-    safe."""
-    pending = bytearray()
-    overlong = False
-    while True:
-        chunk = os.read(fd, 1 << 16)
-        if not chunk:
-            if overlong:
-                yield _OVERLONG
-            elif pending:
-                yield bytes(pending)
-            return
-        pending += chunk
-        start = 0
-        while True:
-            end = pending.find(b"\n", start)
-            if end < 0:
-                break
-            if overlong or end - start > MAX_LINE_BYTES:
-                overlong = False
-                yield _OVERLONG
-            else:
-                yield bytes(pending[start:end + 1])
-            start = end + 1
-        del pending[:start]
-        if len(pending) > MAX_LINE_BYTES:
-            overlong = True
-            pending.clear()
 
 
 @dataclass
@@ -780,7 +749,7 @@ class SessionManager:
             mine = [e for e in entries if e.tenant == tenant]
             tenant_sessions[tenant] = {
                 "resident": sum(1 for e in mine if e.resident),
-                "frozen": sum(1 for e in mine if not e.resident),
+                "frozen": sum(1 for e in mine if e.frozen),
                 "bytes": tenant_bytes.get(tenant, 0),
                 "evictions": tenant_evictions.get(tenant, 0),
                 "rehydrations": tenant_rehydrations.get(tenant, 0),
@@ -788,7 +757,7 @@ class SessionManager:
         out: Dict[str, object] = {
             "sessions": len(entries),
             "resident": sum(1 for e in entries if e.resident),
-            "frozen": sum(1 for e in entries if not e.resident),
+            "frozen": sum(1 for e in entries if e.frozen),
             "tenants": len({e.tenant for e in entries}),
             "tenant_bytes": tenant_bytes,
             "tenant_sessions": tenant_sessions,
@@ -913,140 +882,94 @@ class RepairServer:
 
     # -- request handling ---------------------------------------------
     async def handle_line(self, line: str, write) -> None:
-        """Parse and execute one request line, sending one response via
-        ``write`` (an async callable taking the response dict)."""
+        """Parse and execute one request line, then send its one
+        response via ``write`` (an async callable taking the response
+        dict).  The op is recorded (``op.<name>`` latency, the
+        ``server.ops`` counter, the ``op`` trace record) before the
+        response is written, so a client that has its reply sees the
+        op in ``stats``."""
         obj: object = None
         try:
             obj = decode_line(line)
             req = Request(obj)
         except ProtocolError as exc:
             self.manager.errors += 1
-            error = {"ok": False, "error": str(exc)}
+            reply = {"ok": False, "error": str(exc)}
             if isinstance(obj, dict):
                 # Echo whatever envelope the client did send, so it can
                 # still correlate the failure by seq.
                 for field in ("op", "tenant", "session", "seq"):
                     value = obj.get(field)
                     if isinstance(value, (str, int)):
-                        error[field] = value
-            await write(error)
-            return
+                        reply[field] = value
+        else:
+            start = _perf_counter()
+            try:
+                reply = req.reply(**await self._execute(req))
+            except Exception as exc:
+                # A failed op is answered and its session stays open.
+                self.manager.errors += 1
+                reply = req.error(_error_text(exc))
+            self._record(req, _perf_counter() - start, reply["ok"])
+        await write(reply)
+
+    def _record(self, req: Request, dur: float, ok: bool) -> None:
+        """Count one answered op: its ``op.<name>`` latency, the
+        ``server.ops`` counter and its ``op`` trace record."""
         rec = self.manager.recorder
-        start = _perf_counter()
-        ok = True
-        try:
-            if req.op in DAEMON_OPS:
-                await write(req.reply(**self._daemon_op(req)))
-                return
-            if req.op == "open":
-                # Admission is synchronous, and entry.lock is free when
-                # it returns, so the ``async with`` takes the lock on
-                # its no-yield fast path: ops pipelined behind this open
-                # queue on the lock until construction finishes.
-                entry = self.manager.admit(req.tenant, req.session)
-                async with entry.lock:
-                    loop = asyncio.get_running_loop()
-                    fields = await loop.run_in_executor(
-                        self._executor,
-                        self.manager.finish_open,
-                        entry,
-                        req.payload,
-                    )
-                self.manager.evict_to_limit()
-                self.manager.maybe_compact()
-                await write(req.reply(**fields))
-                return
-            entry = self.manager.entry(req.tenant, req.session)
-            async with entry.lock:
-                if req.op == "close":
-                    fields = self.manager.close(req.tenant, req.session)
-                else:
-                    loop = asyncio.get_running_loop()
-                    fields = await loop.run_in_executor(
-                        self._executor,
-                        self.manager.run_op,
-                        entry,
-                        req.op,
-                        req.payload,
-                    )
-            self.manager.evict_to_limit()
-            self.manager.maybe_compact()
-            await write(req.reply(**fields))
-        except ProtocolError as exc:
-            ok = False
-            self.manager.errors += 1
-            await write(req.error(str(exc)))
-        except RuntimeError as exc:
-            # Pool breakage surfaces here when serial fallback also
-            # failed; the session stays open, the request fails.
-            ok = False
-            self.manager.errors += 1
-            await write(req.error(f"internal: {exc}"))
-        except Exception as exc:
-            # Any other failure is answered too, and the session stays
-            # open: a guarantee="optimal" repair whose exact solve
-            # outran its budget is the expected one, anything else is a
-            # defect whose traceback goes to stderr.
-            ok = False
-            self.manager.errors += 1
-            if not isinstance(exc, ExactBudgetExceeded):
-                traceback.print_exc(file=sys.stderr)
-            await write(req.error(f"{type(exc).__name__}: {exc}"))
-        finally:
-            if rec.enabled:
-                dur = _perf_counter() - start
-                rec.observe(f"op.{req.op}", dur)
-                if req.tenant:
-                    rec.count("server.ops", tenant=req.tenant)
-                else:
-                    rec.count("server.ops")
-                rec.record(
-                    "op",
-                    op=req.op,
-                    tenant=req.tenant,
-                    session=req.session,
-                    dur_s=round(dur, 6),
-                    ok=ok,
-                )
+        if not rec.enabled:
+            return
+        rec.observe(f"op.{req.op}", dur)
+        if req.tenant:
+            rec.count("server.ops", tenant=req.tenant)
+        else:
+            rec.count("server.ops")
+        rec.record("op", op=req.op, tenant=req.tenant, session=req.session,
+                   dur_s=round(dur, 6), ok=ok)
 
-    async def _reject_overlong(self, write) -> None:
-        self.manager.errors += 1
-        await write({
-            "ok": False,
-            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-        })
-
-    def _daemon_op(self, req: Request) -> Dict[str, object]:
+    async def _execute(self, req: Request) -> Dict[str, object]:
+        """Run one validated request; returns its response fields."""
+        manager = self.manager
         if req.op == "ping":
             return {"pong": True}
         if req.op == "stats":
-            return self.manager.stats()
-        # shutdown: acknowledge first, stop accepting after.
-        self._shutdown.set()
-        return {"stopping": True}
+            return manager.stats()
+        if req.op == "shutdown":
+            # Acknowledge first, stop accepting after.
+            self._shutdown.set()
+            return {"stopping": True}
+        if req.op == "open":
+            # Admission is synchronous, and entry.lock is free when it
+            # returns, so the ``async with`` below takes the lock on its
+            # no-yield fast path: ops pipelined behind this open queue
+            # on the lock until construction finishes.
+            entry = manager.admit(req.tenant, req.session)
+            run = partial(manager.finish_open, entry, req.payload)
+        else:
+            entry = manager.entry(req.tenant, req.session)
+            run = partial(manager.run_op, entry, req.op, req.payload)
+        async with entry.lock:
+            if req.op == "close":
+                fields = manager.close(req.tenant, req.session)
+            else:
+                loop = asyncio.get_running_loop()
+                fields = await loop.run_in_executor(self._executor, run)
+        manager.evict_to_limit()
+        manager.maybe_compact()
+        return fields
 
-    # -- transports ----------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        wlock = asyncio.Lock()
-
-        async def write(obj) -> None:
-            async with wlock:
-                writer.write(encode(obj).encode("utf-8"))
-                await writer.drain()
-
-        me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
+    async def _serve_lines(self, reader: asyncio.StreamReader, write) -> None:
+        """The request loop both transports run: read lines from
+        *reader* until EOF or shutdown, one :meth:`handle_line` task per
+        line, then drain the in-flight ops so their responses ship."""
         tasks: List[asyncio.Task] = []
         stop = asyncio.ensure_future(self._shutdown.wait())
         try:
             while not self._shutdown.is_set():
                 read = asyncio.ensure_future(_read_request_line(reader))
                 # Race the read against shutdown so a drain (signal or
-                # ``shutdown`` op) interrupts an idle connection instead
-                # of waiting for its next line.
+                # ``shutdown`` op) interrupts an idle client instead of
+                # waiting for its next line.
                 await asyncio.wait(
                     {read, stop}, return_when=asyncio.FIRST_COMPLETED
                 )
@@ -1065,28 +988,45 @@ class RepairServer:
                 if line is None:
                     break
                 if line is _OVERLONG:
-                    await self._reject_overlong(write)
+                    self.manager.errors += 1
+                    await write({
+                        "ok": False,
+                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    })
                     continue
                 text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                tasks.append(
-                    asyncio.create_task(self.handle_line(text, write))
-                )
-                tasks = [t for t in tasks if not t.done()]
+                if text:
+                    tasks = [t for t in tasks if not t.done()]
+                    tasks.append(
+                        asyncio.create_task(self.handle_line(text, write))
+                    )
             if tasks:
-                # Drain: in-flight ops finish and their responses ship
-                # before the connection closes.
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:
             stop.cancel()
+
+    # -- transports ----------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        wlock = asyncio.Lock()
+
+        async def write(obj) -> None:
+            async with wlock:
+                writer.write(encode(obj).encode("utf-8"))
+                await writer.drain()
+
+        me = asyncio.current_task()
+        self._conn_tasks.add(me)
+        try:
+            await self._serve_lines(reader, write)
+        finally:
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            if me is not None:
-                self._conn_tasks.discard(me)
+            self._conn_tasks.discard(me)
 
     async def serve_tcp(
         self, host: str = "127.0.0.1", port: int = 0
@@ -1117,60 +1057,37 @@ class RepairServer:
     async def serve_stdio(self) -> None:
         """Serve the protocol over stdin/stdout until EOF or shutdown.
 
-        Lines are read by a *daemon* thread feeding an asyncio queue
-        (portable — no pipe transports — and a drain never hangs on a
-        thread blocked in a read; see :func:`_stdin_lines`); responses
-        are written synchronously under a lock; per-session concurrency
-        works exactly as over TCP.
+        A *daemon* thread reads fd 0 with ``os.read`` and feeds a
+        ``StreamReader`` on the event loop, so stdio runs the same line
+        reader and request loop as a TCP connection: the same line
+        limit, per-session concurrency and drain on EOF or shutdown.
+        Never ``sys.stdin``: a pool worker forked while a thread blocks
+        in ``sys.stdin.readline()`` inherits stdin's buffer lock held
+        and hangs in ``multiprocessing``'s ``_close_stdin``; raw reads
+        take no lock, so every spawn, respawns included, is safe.  A
+        drain never waits on the blocked thread.
         """
         loop = asyncio.get_running_loop()
-        wlock = asyncio.Lock()
-        inbox: "asyncio.Queue" = asyncio.Queue()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
 
-        def _reader() -> None:
+        def pump() -> None:
             try:
                 try:
-                    for line in _stdin_lines(sys.stdin.fileno()):
-                        loop.call_soon_threadsafe(inbox.put_nowait, line)
+                    while chunk := os.read(0, 1 << 16):
+                        loop.call_soon_threadsafe(reader.feed_data, chunk)
                 except OSError:
                     pass  # unreadable stdin: treated as EOF
-                loop.call_soon_threadsafe(inbox.put_nowait, None)
+                loop.call_soon_threadsafe(reader.feed_eof)
             except RuntimeError:
                 pass  # the event loop already closed
 
-        threading.Thread(
-            target=_reader, name="repro-stdin", daemon=True
-        ).start()
+        threading.Thread(target=pump, name="repro-stdin", daemon=True).start()
 
         async def write(obj) -> None:
-            async with wlock:
-                sys.stdout.write(encode(obj))
-                sys.stdout.flush()
+            sys.stdout.write(encode(obj))
+            sys.stdout.flush()
 
-        tasks: List[asyncio.Task] = []
-        stop = asyncio.ensure_future(self._shutdown.wait())
-        while not self._shutdown.is_set():
-            get = asyncio.ensure_future(inbox.get())
-            await asyncio.wait(
-                {get, stop}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not get.done():
-                get.cancel()
-                break
-            line = get.result()
-            if line is None:
-                break
-            if line is _OVERLONG:
-                await self._reject_overlong(write)
-                continue
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            tasks.append(asyncio.create_task(self.handle_line(text, write)))
-            tasks = [t for t in tasks if not t.done()]
-        stop.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await self._serve_lines(reader, write)
         await self.aclose()
 
     async def aclose(self) -> None:
@@ -1178,3 +1095,18 @@ class RepairServer:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.manager.shutdown)
         self._executor.shutdown(wait=True)
+
+
+def _error_text(exc: Exception) -> str:
+    """The ``error`` text of a failed op's response."""
+    if isinstance(exc, ProtocolError):
+        return str(exc)
+    if isinstance(exc, RuntimeError):
+        # Pool breakage when the in-process fallback also failed.
+        return f"internal: {exc}"
+    # A guarantee="optimal" repair whose exact solve outran its budget
+    # is expected; anything else is a defect whose traceback goes to
+    # stderr.
+    if not isinstance(exc, ExactBudgetExceeded):
+        traceback.print_exc(file=sys.stderr)
+    return f"{type(exc).__name__}: {exc}"

@@ -253,6 +253,18 @@ class TestSessionManager:
         finally:
             manager.shutdown()
 
+    def test_stats_counts_a_pending_open_as_neither_resident_nor_frozen(self):
+        manager = _manager()
+        try:
+            manager.admit("t", "s")  # admitted, not yet built
+            stats = manager.stats()
+            assert stats["sessions"] == 1
+            assert stats["resident"] == 0 and stats["frozen"] == 0
+            mine = stats["tenant_sessions"]["t"]
+            assert mine["resident"] == 0 and mine["frozen"] == 0
+        finally:
+            manager.shutdown()
+
     def test_eviction_skips_locked_sessions(self):
         manager = _manager(max_resident=0)
         try:
@@ -571,6 +583,35 @@ def test_daemon_pipelined_ops_queue_behind_open():
     asyncio.run(drive())
 
 
+def test_daemon_op_is_counted_before_its_reply():
+    """``stats`` read when a reply is written already counts that op,
+    failed ops included, so a client that has its reply never sees the
+    op missing from the latency histogram."""
+    manager = SessionManager(ServerConfig(workers=0, executor_threads=2))
+    server = RepairServer(manager)
+    counted = {}
+
+    async def write(reply):
+        hist = manager.stats()["op_latency_s"].get(f"op.{reply['op']}", {})
+        counted[reply["seq"]] = (reply["ok"], hist.get("count", 0))
+
+    base = {"tenant": "t", "session": "s"}
+    requests = [
+        {"op": "open", "seq": 1, "schema": ["A", "B"], "fds": "A -> B",
+         "rows": [["a", "x"], ["a", "y"]], **base},
+        {"op": "repair", "seq": 2, **base},
+        {"op": "status", "seq": 3, "tenant": "t", "session": "nope"},
+    ]
+
+    async def drive():
+        for request in requests:
+            await server.handle_line(json.dumps(request), write)
+        await server.aclose()
+
+    asyncio.run(drive())
+    assert counted == {1: (True, 1), 2: (True, 1), 3: (False, 1)}
+
+
 async def _rpc(reader, writer, obj):
     writer.write((json.dumps(obj) + "\n").encode())
     await writer.drain()
@@ -800,6 +841,67 @@ def test_stdio_daemon_answers_through_a_worker_kill():
     assert b"STDIO SMOKE OK" in proc.stdout
 
 
+def test_stdio_daemon_replies_like_tcp():
+    """``fdrepair serve --stdio`` runs the TCP request loop: bad lines
+    get the same error replies, ops pipelined behind an ``open`` queue
+    on its session, and EOF without ``shutdown`` drains every in-flight
+    op before a clean exit."""
+    import os
+    import subprocess
+    import sys
+
+    base = {"tenant": "t", "session": "s"}
+    lines = [
+        "garbage",
+        json.dumps({"op": "mystery", "seq": 1}),
+        json.dumps({"op": "repair", "tenant": "t", "session": "nope",
+                    "seq": 2}),
+        json.dumps({"op": "open", "seq": 3, "schema": ["A", "B"],
+                    "fds": "A -> B", **base}),
+        json.dumps({"op": "append", "seq": 4,
+                    "rows": [["a", "x"], ["a", "y"], ["b", "z"]], **base}),
+        json.dumps({"op": "repair", "seq": 5, **base}),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--stdio",
+         "--parallel", "0"],
+        input="".join(line + "\n" for line in lines).encode(),
+        capture_output=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    stdio = [json.loads(line) for line in proc.stdout.splitlines()]
+
+    server = RepairServer(
+        SessionManager(ServerConfig(workers=0, executor_threads=2))
+    )
+
+    async def drive():
+        port = await server.serve_tcp()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write("".join(line + "\n" for line in lines).encode())
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in lines]
+        await _rpc(reader, writer, {"op": "shutdown"})
+        writer.close()
+        await server.wait_closed()
+        return replies
+
+    tcp = asyncio.run(drive())
+    by_seq = {r.get("seq"): r for r in stdio}
+    assert len(stdio) == len(lines) == len(by_seq)
+    assert by_seq == {r.get("seq"): r for r in tcp}
+    assert "bad JSON" in by_seq[None]["error"]
+    assert by_seq[1]["error"] == "unknown op 'mystery'"
+    assert "no open session" in by_seq[2]["error"]
+    assert by_seq[3]["opened"] and by_seq[5]["distance"] == 1.0
+    assert all(by_seq[seq]["ok"] for seq in (3, 4, 5))
+
+
 # ---------------------------------------------------------------------------
 # CLI: fdrepair stream survives malformed batches
 # ---------------------------------------------------------------------------
@@ -847,6 +949,22 @@ def test_cli_stream_survives_malformed_batches(tmp_path, capsys):
     assert cli_main([
         "stream", "A -> B", str(batches), "--schema", "A,B,C",
     ]) == 0
+
+
+def test_cli_stream_rejects_close_and_non_string_ops(tmp_path, capsys):
+    from repro.cli import main as cli_main
+
+    batches = tmp_path / "ops.jsonl"
+    batches.write_text(
+        '{"op": "close"}\n{"op": ["append"]}\n[1]\n', encoding="utf-8"
+    )
+    assert cli_main([
+        "stream", "A -> B", str(batches), "--schema", "A,B,C",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "batch 1: unknown op 'close'" in err
+    assert "batch 2: unknown op ['append']" in err
+    assert "batch 3: request must be a JSON object, got list" in err
 
 
 def test_cli_stream_strict_restores_abort(tmp_path, capsys):
