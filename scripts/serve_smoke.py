@@ -12,6 +12,12 @@ both tenants sharing one pool and had counted every op already
 answered, `shutdown` was acknowledged, and the process exited by itself
 within the grace period.
 
+Before the daemon starts, a legacy-state phase runs ``fdrepair recover
+--dry-run --json`` and then ``recover --json`` on a temp state dir
+holding each committed ``tests/data/v*/daemon_snapshot.pkl``: every
+session must come back, and migration must drop every cache entry of
+the version-1 snapshot and none of the version-2 one.
+
 With ``--chaos`` the smoke turns adversarial: a ``FDREPAIR_FAULTS``
 plan kills a pool worker mid-solve (the supervisor must heal it and the
 repair distances must still come out right), the daemon is then
@@ -38,10 +44,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 STEP_TIMEOUT = 30.0
@@ -62,6 +70,11 @@ POOL_CHAOS_PLAN = [{"site": "worker.recv", "action": "kill", "at": 1,
 
 #: A request line longer than the daemon's 1 MiB ``MAX_LINE_BYTES``.
 OVERLONG_BYTES = 2 << 20
+
+#: Committed daemon snapshots of earlier format versions, and whether
+#: migration drops every cache entry (version 1 keyed them by a knob
+#: tuple that cannot be re-keyed) or none (version 2).
+LEGACY_SNAPSHOTS = (("v1", True), ("v2", False))
 
 
 def fail(message: str, proc: subprocess.Popen = None) -> None:
@@ -119,6 +132,53 @@ def _connect(port, deadline, proc):
         return reply
 
     return sock, rpc
+
+
+def _recover_json(state_dir, env, timeout, *flags) -> dict:
+    """``fdrepair recover --json`` on *state_dir*: its parsed report."""
+    argv = [sys.executable, "-m", "repro.cli", "recover", "--state-dir",
+            state_dir, "--json", *flags]
+    try:
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              env=env, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        fail(f"{' '.join(argv[2:])} hung past {timeout}s")
+    if done.returncode != 0:
+        fail(f"{' '.join(argv[2:])} exited {done.returncode}: "
+             f"{done.stderr[-500:]}")
+    return json.loads(done.stdout)
+
+
+def run_legacy_state(args) -> None:
+    """Recover each committed legacy daemon snapshot offline: the dry
+    run must show its version, sessions and migration drops, and the
+    recovery must bring back every session and drop exactly those."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = _smoke_env()
+    for version, drops_all in LEGACY_SNAPSHOTS:
+        fixture = os.path.join(repo, "tests", "data", version,
+                               "daemon_snapshot.pkl")
+        with tempfile.TemporaryDirectory() as state_dir:
+            shutil.copy(fixture, os.path.join(state_dir, "snapshot.pkl"))
+            snap = _recover_json(state_dir, env, args.timeout,
+                                 "--dry-run").get("snapshot") or {}
+            cached = snap.get("cached_solutions")
+            drops = cached if drops_all else 0
+            if (snap.get("version") != int(version[1:])
+                    or not snap.get("sessions") or not cached
+                    or snap.get("migration_drops") != drops):
+                fail(f"{version} dry run: expected version {version[1:]}, "
+                     f"sessions, cache entries and {drops} migration "
+                     f"drops: {snap}")
+            recovery = _recover_json(state_dir, env,
+                                     args.timeout).get("recovery") or {}
+            if (recovery.get("recovered_sessions") != snap["sessions"]
+                    or recovery.get("dropped_cache_entries") != drops
+                    or recovery.get("errors")):
+                fail(f"{version} recovery: expected {snap['sessions']} "
+                     f"sessions and {drops} dropped entries: {recovery}")
+        print(f"legacy {version} snapshot: {snap['sessions']} sessions "
+              f"recovered, {drops} of {cached} cache entries dropped")
 
 
 def run_chaos(args) -> None:
@@ -360,6 +420,7 @@ def main() -> None:
         run_stdio(args)
         return
     deadline = args.timeout
+    run_legacy_state(args)
 
     env = _smoke_env()
     extra = ["--trace", args.trace] if args.trace else []
@@ -435,7 +496,8 @@ def main() -> None:
         if "op" not in types or "summary" not in types:
             fail(f"trace missing op/summary records (saw {sorted(types)})")
         print(f"trace OK: {sorted(types)} records in {args.trace}")
-    print("SMOKE OK: two tenants served, clean shutdown")
+    print("SMOKE OK: legacy state recovered, two tenants served, clean "
+          "shutdown")
 
 
 if __name__ == "__main__":

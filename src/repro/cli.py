@@ -31,8 +31,9 @@ Commands
     :mod:`repro.protocol` over TCP or stdio.
 ``recover``
     Inspect (``--dry-run``) or offline-recover a daemon ``--state-dir``:
-    snapshot age and contents, the retained journal chain, and a replay
-    estimate — without starting the daemon.
+    snapshot age, format version and contents (or why it is
+    unreadable), the retained journal chain, and a replay estimate —
+    without starting the daemon.
 ``trace summarize``
     Roll a ``--trace`` JSONL telemetry log up into phase / method /
     tenant / op tables (see :mod:`repro.obs` for the record schema).
@@ -501,12 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or recover a daemon --state-dir offline",
         description=(
             "Operate on a crash-safe daemon state directory without the "
-            "daemon.  --dry-run inspects it read-only: snapshot age and "
-            "contents, the retained journal chain, the ops a recovery "
-            "would replay, and a replay estimate.  Without --dry-run the "
-            "state is actually recovered offline (snapshot + journal "
-            "replay, exactly the daemon's own boot path) and compacted, "
-            "so the next daemon start is instant."
+            "daemon.  --dry-run inspects it read-only: snapshot age, "
+            "format version and contents (or why it is unreadable), the "
+            "cache entries migrating it would drop, the retained journal "
+            "chain and any lines past a damaged record, the ops a "
+            "recovery would replay, and a replay estimate.  Without "
+            "--dry-run the state is actually recovered offline (snapshot "
+            "+ journal replay, exactly the daemon's own boot path) and "
+            "compacted, so the next daemon start is instant."
         ),
     )
     p_recover.add_argument(
@@ -984,7 +987,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import os
 
-    from .state import JOURNAL_NAME, SNAPSHOT_NAME, OpJournal, load_snapshot
+    from .state import (JOURNAL_NAME, SNAPSHOT_NAME, OpJournal,
+                        UnreadableState, format_version, load_snapshot,
+                        migrate)
 
     state_dir = args.state_dir
     if not os.path.isdir(state_dir):
@@ -992,8 +997,14 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return 2
     journal_path = os.path.join(state_dir, JOURNAL_NAME)
     snapshot_path = os.path.join(state_dir, SNAPSHOT_NAME)
-    snapshot = load_snapshot(snapshot_path)
-    base_seq = int(snapshot.get("journal_seq", 0)) if snapshot else 0
+    snapshot, unreadable, migration_drops = None, None, 0
+    try:
+        snapshot = load_snapshot(snapshot_path)
+        if snapshot:
+            migration_drops = migrate(snapshot)[1]
+    except UnreadableState as exc:
+        snapshot, unreadable = None, str(exc)
+    base_seq = snapshot["journal_seq"] if snapshot else 0
     snapshot_age_s = None
     if snapshot is not None:
         try:
@@ -1003,7 +1014,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         except OSError:
             pass
     chain = OpJournal.chain_paths(journal_path, args.journal_keep)
-    records, last_seq = OpJournal.load_chain(journal_path, args.journal_keep)
+    records, last_seq, unreplayed = OpJournal.read_chain(
+        journal_path, args.journal_keep
+    )
     tail = [r for r in records if int(r.get("seq", 0)) > base_seq]
     tail_ops: dict = {}
     tail_sessions = set()
@@ -1020,6 +1033,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             "chain": chain,
             "records": len(records),
             "last_seq": last_seq,
+            "unreplayed_lines": unreplayed,
         },
         "replay": {
             "ops": len(tail),
@@ -1030,11 +1044,15 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             "solver_ops": tail_ops.get("repair", 0),
         },
     }
-    if snapshot is not None:
+    if unreadable is not None:
+        report["snapshot"] = {"path": snapshot_path, "unreadable": unreadable}
+    elif snapshot is not None:
         report["snapshot"] = {
             "path": snapshot_path,
             "age_s": snapshot_age_s,
             "journal_seq": base_seq,
+            "version": format_version(snapshot),
+            "migration_drops": migration_drops,
             "sessions": len(snapshot.get("sessions") or ()),
             "cached_solutions": len(snapshot.get("solutions") or ()),
             "supervision": snapshot.get("supervision") or {},
@@ -1043,17 +1061,23 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0
-        if snapshot is None:
+        if unreadable is not None:
+            print(f"snapshot: unreadable ({unreadable}); recovery would "
+                  "move it aside and replay the full chain")
+        elif snapshot is None:
             print("snapshot: none (recovery would replay the full chain)")
         else:
             snap = report["snapshot"]
             print(
                 f"snapshot: {snap['sessions']} sessions, "
                 f"{snap['cached_solutions']} cached solutions, "
-                f"seq {base_seq}"
+                f"seq {base_seq}, format version {snap['version']}"
                 + (f", {snap['age_s']:.0f}s old"
                    if snap["age_s"] is not None else "")
             )
+            if migration_drops:
+                print(f"migration drops {migration_drops} cache entries "
+                      "that cannot be carried to the current format")
             if snap["supervision"]:
                 worn = ", ".join(
                     f"{k}={v}" for k, v in sorted(snap["supervision"].items())
@@ -1068,6 +1092,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         )
         for segment in chain:
             print(f"  {segment}")
+        if unreplayed:
+            print(f"  journal damaged: {unreplayed} line(s) from the first "
+                  "undecodable one on would not be replayed")
         replay = report["replay"]
         if replay["ops"]:
             mix = ", ".join(
@@ -1097,12 +1124,16 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     replayed = manager.replayed_ops
     errors = manager.errors
     dropped = manager.dropped_cache_entries
+    unreplayed = manager.unreplayed_journal_lines
+    moved = manager.unreadable_snapshot
     manager.shutdown()
     result = {
         "recovered_sessions": recovered,
         "replayed_ops": replayed,
         "errors": errors,
         "dropped_cache_entries": dropped,
+        "unreplayed_journal_lines": unreplayed,
+        "unreadable_snapshot": moved,
         "compacted": True,
     }
     if args.json:
@@ -1114,6 +1145,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             + (f" ({errors} errors)" if errors else "")
             + (f", dropped {dropped} cache entries that cannot be "
                "re-keyed" if dropped else "")
+            + (f", moved the unreadable snapshot to {moved['path']}"
+               if moved else "")
             + "; state compacted"
         )
     return 0 if not errors else 1

@@ -13,8 +13,9 @@ session layer exposes:
 :class:`SessionManager`
     Owns engine state: the registry of sessions, per-tenant memory
     accounting, admission control, and LRU eviction + rehydration.
-    Eviction freezes a session to its pickled
-    :meth:`~repro.session.RepairSession.export_state` snapshot (the
+    Eviction freezes a session to its
+    :meth:`~repro.session.RepairSession.export_state`, encoded by
+    :mod:`repro.state` (the
     component cache is content-addressed, so a shared-cache session
     loses nothing by being frozen); rehydration rebuilds it attached to
     the *same* shared pool and cache, byte-identical to a session that
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -72,24 +72,21 @@ from .protocol import (
     decode_line,
     encode,
 )
-from .session import (_OPTIONS, RepairSession, SolutionCache,
-                      uncapped_entries)
+from .session import _OPTIONS, RepairSession, SolutionCache
 from .state import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
     SPOOL_DIR,
     DiskSessionStore,
-    MemorySessionStore,
     OpJournal,
+    UnreadableState,
+    encode_session,
+    load_session,
     load_snapshot,
+    migrate,
 )
 
 __all__ = ["MAX_LINE_BYTES", "RepairServer", "ServerConfig", "SessionManager"]
-
-#: Daemon snapshot format.  Version 2 keys the shared cache's entries
-#: by ``(Δ, schema, SolvePolicy)``; recovery from a version-1 snapshot
-#: keeps its sessions and drops (and counts) its cache entries.
-SNAPSHOT_VERSION = 2
 
 #: Longest request line the daemon reads, in bytes, on TCP and stdio
 #: alike.  A longer line is consumed whole and answered with a protocol
@@ -133,7 +130,7 @@ class ServerConfig:
     #: Total sessions open across all tenants (resident + frozen).
     max_sessions: int = 256
     #: Sessions kept live in memory; beyond this the least-recently-used
-    #: unlocked sessions are frozen to their pickled state.
+    #: unlocked sessions are frozen to their encoded state.
     max_resident: int = 64
     #: Sessions one tenant may hold open.
     max_tenant_sessions: int = 32
@@ -178,8 +175,8 @@ class ServerConfig:
 class SessionEntry:
     """One registered session: live object or frozen snapshot.
 
-    A frozen session's pickled state lives in the manager's
-    :class:`~repro.state.SessionStore` under ``session_key``;
+    A frozen session's encoded state lives in the manager's session
+    store (:mod:`repro.state`) under ``session_key``;
     ``frozen``/``frozen_bytes`` record that it is there and what it
     costs.  ``lock`` sequences the session's ops (acquired on the event
     loop only); ``last_used`` is the manager's logical clock reading
@@ -243,6 +240,10 @@ class SessionManager:
         self.recovered_sessions = 0
         self.replayed_ops = 0
         self.dropped_cache_entries = 0
+        self.unreplayed_journal_lines = 0
+        #: Where an unreadable snapshot found at recovery was moved, and
+        #: why it could not be read.
+        self.unreadable_snapshot: Optional[Dict[str, str]] = None
         self._closed = False
         self._replaying = False
         # Lifetime supervision totals from previous daemon incarnations
@@ -250,7 +251,7 @@ class SessionManager:
         # the since-boot split).
         self._supervision_base: Dict[str, int] = {}
         # Crash-safe state: a disk-backed store + op journal when the
-        # config names a state dir, PR-6 in-memory semantics otherwise.
+        # config names a state dir, heap-only state otherwise.
         self._journal: Optional[OpJournal] = None
         self._snapshot_path: Optional[str] = None
         if self.config.state_dir:
@@ -260,7 +261,7 @@ class SessionManager:
             self._snapshot_path = os.path.join(state_dir, SNAPSHOT_NAME)
             self._recover(os.path.join(state_dir, JOURNAL_NAME))
         else:
-            self.store = MemorySessionStore()
+            self.store = {}
 
     # -- pool lifecycle (owned here, never by a session) ---------------
     def _shared_pool(self):
@@ -468,18 +469,25 @@ class SessionManager:
                 f"frozen state for session {entry.name!r} of tenant "
                 f"{entry.tenant!r} is missing from the session store"
             )
-        state = pickle.loads(blob)
-        session = RepairSession.restore(
-            state,
-            pool=self._shared_pool(),
-            session_key=entry.session_key,
-            solutions=self.solutions,
-            recorder=self.recorder,
-        )
+        pool = self._shared_pool()
+        try:
+            session = RepairSession.restore(
+                load_session(blob),
+                pool=pool,
+                session_key=entry.session_key,
+                solutions=self.solutions,
+                recorder=self.recorder,
+            )
+        except (UnreadableState, KeyError, TypeError, ValueError):
+            # Damaged or refused state fails this session's op only.
+            raise ProtocolError(
+                f"frozen state for session {entry.name!r} of tenant "
+                f"{entry.tenant!r} is unreadable"
+            ) from None
         entry.live = session
         entry.frozen = False
         entry.frozen_bytes = 0
-        self.store.pop(entry.session_key)
+        self.store.pop(entry.session_key, None)
         with self._lock:
             self.rehydrations += 1
             self._tenant_rehydrations[entry.tenant] = (
@@ -499,7 +507,7 @@ class SessionManager:
             entry.live.close()
             entry.live = None
         if entry.frozen:
-            self.store.pop(entry.session_key)
+            self.store.pop(entry.session_key, None)
             entry.frozen = False
             entry.frozen_bytes = 0
         self._journal_op("close", tenant, name, {})
@@ -555,11 +563,12 @@ class SessionManager:
         session = entry.live
         if session is None:
             return
-        blob = pickle.dumps(session.export_state(), protocol=4)
+        blob = encode_session(session.export_state())
         session.close()
         entry.live = None
         entry.frozen = True
-        entry.frozen_bytes = self.store.put(entry.session_key, blob)
+        self.store[entry.session_key] = blob
+        entry.frozen_bytes = len(blob)
         with self._lock:
             self.evictions += 1
             self._tenant_evictions[entry.tenant] = (
@@ -580,40 +589,33 @@ class SessionManager:
         the ordinary op path, which is byte-identical to the original
         execution because sessions are deterministic.  Ends with a
         fresh compaction, so a crash loop never replays the same tail
-        twice.
+        twice.  What recovery could not bring back is counted in
+        ``stats``: cache entries the snapshot's migration dropped,
+        journal lines past a damaged record, and an unreadable snapshot
+        (moved aside first, so the compaction cannot overwrite it).
         """
         with self.recorder.span("server.recover"):
-            snapshot = load_snapshot(self._snapshot_path)
+            snapshot, dropped = self._load_snapshot()
             base_seq = 0
             if snapshot:
-                base_seq = int(snapshot.get("journal_seq", 0))
+                base_seq = snapshot["journal_seq"]
                 for item in snapshot.get("sessions", ()):
-                    tenant = str(item["tenant"])
-                    name = str(item["name"])
+                    tenant, name = item["tenant"], item["name"]
                     entry = SessionEntry(
                         tenant=tenant, name=name,
                         session_key=f"{tenant}/{name}",
                     )
                     entry.frozen = True
-                    entry.frozen_bytes = self.store.put(
-                        entry.session_key, item["blob"]
-                    )
+                    self.store[entry.session_key] = item["blob"]
+                    entry.frozen_bytes = len(item["blob"])
                     self._entries[(tenant, name)] = entry
                     with self._lock:
                         self._touch(entry)
                         self._account(entry)
-                cached = snapshot.get("solutions") or {}
-                dropped = len(cached)
-                if snapshot.get("version", 1) >= 2:
-                    # Warm the shared cache: the recovered daemon's
-                    # first repairs are hits, not re-solves — except
-                    # entries solved under the retired per-solve cap.
-                    cached, dropped = uncapped_entries(cached)
-                    self.solutions.load_entries(cached)
-                # Version 1 scoped its keys by a knob tuple without the
-                # exact threshold, so they cannot be re-keyed on the
-                # SolvePolicy.  Dropped entries re-solve on demand;
-                # report how many went.
+                # Warm the shared cache: the recovered daemon's first
+                # repairs are hits, not re-solves.  Entries the
+                # migration dropped re-solve on demand.
+                self.solutions.load_entries(snapshot.get("solutions") or {})
                 self.dropped_cache_entries = dropped
                 if dropped and self.recorder.enabled:
                     self.recorder.count("server.cache_dropped", dropped)
@@ -625,9 +627,20 @@ class SessionManager:
             # The retained chain covers the snapshot-lost case: with no
             # (readable) snapshot, rotated segments replay too, oldest
             # first; with one, the base_seq filter below skips them.
-            records, last_seq = OpJournal.load_chain(
+            records, last_seq, unreplayed = OpJournal.read_chain(
                 journal_path, self.config.journal_keep
             )
+            self.unreplayed_journal_lines = unreplayed
+            if unreplayed:
+                print(
+                    f"fdrepair: journal damaged: {unreplayed} line(s) from "
+                    "the first undecodable one on were not replayed",
+                    file=sys.stderr,
+                )
+                if self.recorder.enabled:
+                    self.recorder.count(
+                        "server.unreplayed_journal_lines", unreplayed
+                    )
             self._journal = OpJournal(
                 journal_path,
                 fsync_every=self.config.journal_fsync_every,
@@ -640,7 +653,7 @@ class SessionManager:
             self._replaying = True
             try:
                 for record in records:
-                    if int(record.get("seq", 0)) <= base_seq:
+                    if record["seq"] <= base_seq:
                         continue
                     op = str(record.get("op"))
                     tenant = str(record.get("tenant") or "")
@@ -668,11 +681,33 @@ class SessionManager:
             if records or snapshot:
                 self.compact(force=True)
 
+    def _load_snapshot(self) -> Tuple[Optional[Dict[str, object]], int]:
+        """The state dir's snapshot in the current format and the cache
+        entries its migration dropped; ``(None, 0)`` when there is none
+        or it is unreadable.  An unreadable one is moved to
+        ``<name>.unreadable`` and reported on stderr and in ``stats``."""
+        path = self._snapshot_path
+        try:
+            snapshot = load_snapshot(path)
+            return migrate(snapshot) if snapshot else (None, 0)
+        except UnreadableState as exc:
+            moved = path + ".unreadable"
+            os.replace(path, moved)
+            self.unreadable_snapshot = {"path": moved, "reason": str(exc)}
+            print(
+                f"fdrepair: snapshot {path} is unreadable ({exc}); moved "
+                f"to {moved}, recovering from the journal alone",
+                file=sys.stderr,
+            )
+            if self.recorder.enabled:
+                self.recorder.count("server.unreadable_snapshot")
+            return None, 0
+
     def maybe_compact(self) -> bool:
         """Snapshot-compact when the journal has grown enough.  Called
         from the event-loop thread between requests (same discipline as
         eviction): compaction proceeds only when no session is mid-op,
-        so every ``export_state`` it pickles is quiescent."""
+        so every ``export_state`` it encodes is quiescent."""
         journal = self._journal
         if journal is None:
             return False
@@ -698,7 +733,7 @@ class SessionManager:
         sessions = []
         for entry in entries:
             if entry.live is not None:
-                blob = pickle.dumps(entry.live.export_state(), protocol=4)
+                blob = encode_session(entry.live.export_state())
             else:
                 blob = self.store.get(entry.session_key)
                 if blob is None:
@@ -707,7 +742,6 @@ class SessionManager:
                 {"tenant": entry.tenant, "name": entry.name, "blob": blob}
             )
         snapshot = {
-            "version": SNAPSHOT_VERSION,
             "journal_seq": journal.seq,
             "sessions": sessions,
             "solutions": self.solutions.export_entries(),
@@ -777,6 +811,8 @@ class SessionManager:
             "recovered_sessions": self.recovered_sessions,
             "replayed_ops": self.replayed_ops,
             "dropped_cache_entries": self.dropped_cache_entries,
+            "unreplayed_journal_lines": self.unreplayed_journal_lines,
+            "unreadable_snapshot": self.unreadable_snapshot,
         }
         if self._pool is not None:
             out["pool_supervision"] = self._pool.supervision_stats()

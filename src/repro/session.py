@@ -80,27 +80,20 @@ from .pipeline import (
     _decomposed_outcome,
     _require_planned,
 )
+from .state import FORMAT_VERSION, legacy_global, migrate
 
 __all__ = ["RepairSession", "SessionStats", "SessionStatus", "SolutionCache"]
 
 #: Default trace tags for sessions given no ``session_key``.
 _SESSION_KEYS = itertools.count(1)
 
-#: :meth:`RepairSession.export_state` format.  Version 2 scopes every
-#: cache key by ``(Δ, schema, SolvePolicy)``; version 1 states keyed
-#: their private entries without the scope, which :meth:`restore` adds.
-STATE_VERSION = 2
 
-#: The name version-1 states pickled their cache entries under.
-_CachedSolve = _ComponentSolve
+def __getattr__(name: str):
+    # Names earlier releases pickled under this module.
+    return legacy_global(__name__, name)
 
-#: The retired per-solve wall-clock cap.  States written while it
-#: existed carry it in their session options and in the ``__dict__`` of
-#: every pickled :class:`~repro.core.decompose.SolvePolicy`.
-_RETIRED_CAP = "per_component_budget_s"
 
-#: The constructor options :meth:`RepairSession.export_state` records —
-#: all :meth:`RepairSession.restore` passes on from a state's options,
+#: The constructor options :meth:`RepairSession.export_state` records,
 #: and all the daemon's ``open`` forwards from its payload.
 _OPTIONS = ("guarantee", "exact_threshold", "exact_budget_s", "unit_cost_s",
             "node_limit")
@@ -113,23 +106,6 @@ _PRIVATE_CACHE_ENTRIES = 10_000
 #: Seconds a repair waits for the pool to finish its batch of solves
 #: before re-solving the batch in process.
 _POOL_BATCH_TIMEOUT_S = 600.0
-
-
-def uncapped_entries(entries: Mapping) -> Tuple[Dict, int]:
-    """Scoped cache *entries* without those solved under the retired
-    per-solve cap, and how many those were.
-
-    A policy pickled while the cap existed unpickles with the cap still
-    in its ``__dict__``, but ``==`` and ``hash`` read only the current
-    fields: a capped scope would collide with the uncapped one and serve
-    fallbacks computed under a cap no policy has any more.  Such entries
-    are dropped (they re-solve on demand); the caller reports the count.
-    """
-    kept = {
-        key: entry for key, entry in entries.items()
-        if vars(key[0][2]).get(_RETIRED_CAP) is None
-    }
-    return kept, len(entries) - len(kept)
 
 
 class SolutionCache:
@@ -830,8 +806,8 @@ class RepairSession:
     # Serialisation: eviction and rehydration
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """A picklable snapshot from which :meth:`restore` rebuilds an
-        equivalent session (format :data:`STATE_VERSION`).
+        """A state, in the current :mod:`repro.state` format, from which
+        :meth:`restore` rebuilds an equivalent session.
 
         Engine *state* serialises — rows, weights (in insertion order,
         which the solvers observe), id-allocator bookkeeping,
@@ -847,7 +823,7 @@ class RepairSession:
         """
         policy = self._policy
         return {
-            "version": STATE_VERSION,
+            "version": FORMAT_VERSION,
             "schema": self._schema,
             "name": self._name,
             "fds": self._fds,
@@ -885,23 +861,10 @@ class RepairSession:
 
         Exported cache entries load into whichever cache the restored
         session uses, private or shared (their keys are scoped, so that
-        is always safe).  A version-1 state's entries, keyed without the
-        scope, get this session's scope: version 1 wrote them only for
-        private caches, whose scope was implicitly the session's own.
-
-        Only the options :meth:`export_state` writes today (the keys of
-        :data:`_OPTIONS`) reach the constructor; retired ones are
-        ignored.  A state exported with ``parallel`` restores serially
-        unless it is given *pool*, and ``max_cache_entries`` and
-        ``pool_timeout`` give way to the session's constants.  A state
-        written while the per-solve cap existed restores without it (its
-        options carry ``per_component_budget_s``), and the entries
-        solved under a cap are not loaded: their fallbacks would be
-        served to an uncapped policy.  How many were dropped is
-        :attr:`dropped_cache_entries` (0 otherwise)."""
-        version = state.get("version", 1)
-        if version > STATE_VERSION:
-            raise ValueError(f"unsupported session state version {version}")
+        is always safe).  A state of an older format version first goes
+        through :func:`repro.state.migrate`; the cache entries it drops
+        are counted in :attr:`dropped_cache_entries` (0 otherwise)."""
+        state, dropped = migrate(state)
         schema = tuple(state["schema"])
         # A transient view of the state's rows: the constructor makes
         # the session's one copy.
@@ -912,7 +875,6 @@ class RepairSession:
             state["name"],
             {a: i for i, a in enumerate(schema)},
         )
-        options = state["options"]
         session = cls(
             table,
             state["fds"],
@@ -920,7 +882,7 @@ class RepairSession:
             session_key=session_key,
             solutions=solutions,
             recorder=recorder,
-            **{key: options[key] for key in _OPTIONS if key in options},
+            **state["options"],
         )
         session._used_ids |= set(state["used_ids"])
         # Adopt the exported allocator reading *exactly* (the
@@ -931,16 +893,8 @@ class RepairSession:
         # keeps a rehydrated session's future auto ids byte-identical
         # to one that was never evicted.
         session._next_auto_id = int(state["next_auto_id"])
-        entries = state["solutions"]
-        dropped = 0
-        if version < 2:
-            if options.get(_RETIRED_CAP) is not None:
-                dropped, entries = len(entries), {}
-            scope = (session._cache_scope,)
-            entries = {scope + key: entry for key, entry in entries.items()}
-        entries, capped_entries = uncapped_entries(entries)
-        session.dropped_cache_entries = dropped + capped_entries
-        session._cache.load_entries(entries)
+        session.dropped_cache_entries = dropped
+        session._cache.load_entries(state["solutions"])
         session.stats = SessionStats(**state["stats"])
         return session
 

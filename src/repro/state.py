@@ -1,16 +1,36 @@
-"""Crash-safe daemon state: session stores, the op journal, snapshots.
+"""Saved state and crash-safe daemon state: the session-state and
+snapshot format, session stores, the op journal, snapshots.
+
+This module alone knows how a session state and a daemon snapshot are
+written, which format versions exist, and how an old one becomes the
+current one:
+
+Saved state
+    Both are pickled dicts stamped with :data:`FORMAT_VERSION`, encoded
+    by :func:`encode_session` / :func:`write_snapshot` and decoded by
+    :func:`load_session` / :func:`load_snapshot` through one restricted
+    unpickler.  It resolves only the globals saved state names (``FD``,
+    ``FDSet``, ``SolvePolicy`` and the component-solve record, also
+    under its version-1 name); any other global is refused as
+    :class:`UnreadableState`, and nothing is imported or called, so a
+    file planted in a state dir cannot run code in the daemon.
+    :func:`migrate` lifts either kind from any older version through one
+    chain of per-step functions, counting the cache entries a step has
+    to drop.  Cached component solves may cross versions at all because
+    an optimal S-repair of a conflict component depends only on the
+    component's rows and weights.
 
 The daemon's durability story has three cooperating pieces, all owned
 by :class:`~repro.server.SessionManager` and rooted at one
 ``--state-dir``:
 
-``SessionStore``
-    Where *frozen* (LRU-evicted) session blobs live.  The default
-    :class:`MemorySessionStore` keeps PR-6 semantics — eviction trades
-    heap for pickling work but a daemon crash loses everything.  With a
-    state dir, :class:`DiskSessionStore` spools frozen sessions to
-    files, so eviction actually releases memory and survives a crash
-    between snapshots.
+Session stores
+    Where *frozen* (LRU-evicted) session blobs live.  Without a state
+    dir they stay in a dict on the heap: eviction trades heap for
+    encoding work, and a daemon crash loses everything.  With one,
+    :class:`DiskSessionStore` spools frozen sessions to files, so
+    eviction actually releases memory and survives a crash between
+    snapshots.
 
 ``OpJournal``
     An append-only JSONL log of every *successful mutating* op
@@ -23,19 +43,21 @@ by :class:`~repro.server.SessionManager` and rooted at one
     are allocated deterministically and component repairs are pure
     functions of content — replaying the journal rebuilds every
     session **byte-identically**: the journal stores what was *asked*,
-    never solver output.
+    never solver output.  Replay stops at the first undecodable line (a
+    torn tail, or damage) and counts the lines it could not replay.
 
 Snapshots
     Replay cost is bounded by periodic *snapshot compaction*: when the
     journal has grown by ``snapshot_every`` records and no session is
-    mid-op, the manager pickles every session's ``export_state`` into
+    mid-op, the manager writes every session's encoded state into
     ``snapshot.pkl`` (atomic tmp + rename), stamps it with the journal
     sequence it covers, and truncates the journal.  Recovery loads the
     snapshot, replays the journal tail past the stamped sequence, and
     compacts again — so repeated crashes never replay the same tail
     twice.  The shared solution cache rides in the snapshot too: a
     recovered daemon's first repairs are cache hits, which is what
-    makes warm recovery beat a cold restart.
+    makes warm recovery beat a cold restart.  An unreadable snapshot is
+    moved aside and reported, never overwritten.
 
 Fault-injection sites ``journal.append.before`` / ``journal.append.after``
 (:mod:`repro.faults`) bracket the journal write — the two crash
@@ -44,19 +66,26 @@ positions recovery must distinguish (op lost vs. op preserved).
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import io
 import json
 import os
 import pickle
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import faults as _faults
+from .core.decompose import SolvePolicy, resolve_plan_defaults
+from .core.fd import FD, FDSet
+from .pipeline import _ComponentSolve
 
 __all__ = [
-    "SessionStore",
-    "MemorySessionStore",
+    "FORMAT_VERSION",
+    "UnreadableState",
+    "encode_session",
+    "load_session",
+    "format_version",
+    "migrate",
     "DiskSessionStore",
     "OpJournal",
     "load_snapshot",
@@ -70,61 +99,136 @@ JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.pkl"
 SPOOL_DIR = "spool"
 
+#: The format version of every session state and snapshot written.
+FORMAT_VERSION = 3
+
+
+# ---------------------------------------------------------------------------
+# Saved state: the one decoder and the migration chain
+# ---------------------------------------------------------------------------
+
+class UnreadableState(ValueError):
+    """Saved state that does not decode, or of an unknown version."""
+
+
+#: Globals version 1 pickled under a name that is gone.
+_LEGACY_GLOBALS = {("repro.session", "_CachedSolve"): _ComponentSolve}
+#: Every global saved state may name: nothing else is imported or called.
+_ALLOWED_GLOBALS = {
+    ("repro.core.fd", "FD"): FD,
+    ("repro.core.fd", "FDSet"): FDSet,
+    ("repro.core.decompose", "SolvePolicy"): SolvePolicy,
+    ("repro.pipeline", "_ComponentSolve"): _ComponentSolve,
+    **_LEGACY_GLOBALS,
+}
+
+
+def legacy_global(module: str, name: str):
+    """*module*'s *name* as version 1 pickled it (a module ``__getattr__``
+    hook, so the stock unpickler reads old states too)."""
+    if (module, name) not in _LEGACY_GLOBALS:
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return _LEGACY_GLOBALS[module, name]
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _ALLOWED_GLOBALS:
+            raise pickle.UnpicklingError(f"global {module}.{name} refused")
+        return _ALLOWED_GLOBALS[module, name]
+
+
+def encode_session(state: Mapping[str, object]) -> bytes:
+    """The one encoder of an ``export_state`` dict."""
+    return pickle.dumps(state, protocol=4)
+
+
+def load_session(blob: bytes) -> Dict[str, object]:
+    """Decode saved state of any version — the one decoder, behind
+    :func:`load_snapshot` too; raises :class:`UnreadableState`."""
+    try:
+        doc = _Unpickler(io.BytesIO(blob)).load()
+    except Exception as exc:  # untrusted bytes: every failure is damage
+        raise UnreadableState(str(exc) or type(exc).__name__) from None
+    if not isinstance(doc, dict):
+        raise UnreadableState(f"a {type(doc).__name__}, not saved state")
+    return doc
+
+
+#: The retired per-solve cap, which states written while it existed carry
+#: in their options and in every pickled policy's ``__dict__``.
+_RETIRED_CAP = "per_component_budget_s"
+_RETIRED_OPTIONS = (_RETIRED_CAP, "parallel", "max_cache_entries",
+                    "pool_timeout")
+
+
+def _scope_entries(doc: Dict[str, object]) -> int:
+    # Version 1 → 2: a session state's private entries take the session's
+    # own (Δ, schema, SolvePolicy) scope.  Entries solved under a cap,
+    # and a snapshot's (keyed without the exact threshold), cannot.
+    entries, options = doc.get("solutions") or {}, doc.get("options", {})
+    if "journal_seq" in doc or options.get(_RETIRED_CAP) is not None:
+        doc["solutions"] = {}
+        return len(entries)
+    policy = resolve_plan_defaults(**{
+        k: v for k, v in options.items() if k not in _RETIRED_OPTIONS})
+    scope = (doc["fds"], tuple(doc["schema"]), policy)
+    doc["solutions"] = {(scope,) + k: e for k, e in entries.items()}
+    return 0
+
+
+def _drop_capped(doc: Dict[str, object]) -> int:
+    # Version 2 → 3: ``==`` and ``hash`` ignore the cap a policy was
+    # pickled with, so capped entries would serve their fallbacks to
+    # uncapped scopes: they go, as do the retired options.
+    entries = doc.get("solutions") or {}
+    doc["solutions"] = {k: e for k, e in entries.items()
+                        if vars(k[0][2]).get(_RETIRED_CAP) is None}
+    if "options" in doc:
+        doc["options"] = {k: v for k, v in doc["options"].items()
+                          if k not in _RETIRED_OPTIONS}
+    return len(entries) - len(doc["solutions"])
+
+
+#: ``_MIGRATIONS[v - 1]`` turns version *v* into *v* + 1.
+_MIGRATIONS = (_scope_entries, _drop_capped)
+
+
+def format_version(doc: Mapping[str, object]) -> object:
+    """The format version *doc* was written in (version 1 wrote none)."""
+    return doc.get("version", 1)
+
+
+def migrate(doc: Mapping[str, object]) -> Tuple[Mapping[str, object], int]:
+    """A session state or snapshot in the current format, and how many
+    cache entries the steps from its version dropped (a current one is
+    returned as is; an older one is copied, never mutated)."""
+    version = format_version(doc)
+    if version == FORMAT_VERSION:
+        return doc, 0
+    if type(version) is not int or not 1 <= version < FORMAT_VERSION:
+        raise UnreadableState(f"unsupported format version {version!r}")
+    doc, dropped = dict(doc), 0
+    try:
+        for step in _MIGRATIONS[version - 1:]:
+            dropped += step(doc)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise UnreadableState(f"version {version}: {exc!r}") from None
+    doc["version"] = FORMAT_VERSION
+    return doc, dropped
+
 
 # ---------------------------------------------------------------------------
 # Session stores (frozen-session blobs)
 # ---------------------------------------------------------------------------
 
-class SessionStore:
-    """Keyed blob storage for frozen session state.
-
-    ``put`` returns the stored size in bytes (the manager's accounting
-    charge).  Implementations must be thread-safe: freezes run on the
-    event loop while rehydrations run on executor threads.
-    """
-
-    def put(self, key: str, blob: bytes) -> int:
-        raise NotImplementedError
-
-    def get(self, key: str) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def pop(self, key: str) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class MemorySessionStore(SessionStore):
-    """Frozen blobs held on the heap — the stateless-daemon default."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._blobs: Dict[str, bytes] = {}
-
-    def put(self, key: str, blob: bytes) -> int:
-        with self._lock:
-            self._blobs[key] = blob
-        return len(blob)
-
-    def get(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            return self._blobs.get(key)
-
-    def pop(self, key: str) -> None:
-        with self._lock:
-            self._blobs.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._blobs.clear()
-
-
-class DiskSessionStore(SessionStore):
+class DiskSessionStore:
     """Frozen blobs spooled to one file per session under the state
-    dir.  Filenames are content-independent digests of the session key,
-    so arbitrary tenant/session names never meet the filesystem."""
+    dir, behind the part of the dict interface the manager uses (a
+    daemon without a state dir keeps them in a plain dict).  Filenames
+    are content-independent digests of the session key, so arbitrary
+    tenant/session names never meet the filesystem."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -132,17 +236,20 @@ class DiskSessionStore(SessionStore):
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> str:
+        # Imported here: hashlib maps OpenSSL (~3 MiB of RSS), which
+        # only a daemon with a state dir needs.
+        import hashlib
+
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:40]
         return os.path.join(self.directory, f"{digest}.pkl")
 
-    def put(self, key: str, blob: bytes) -> int:
+    def __setitem__(self, key: str, blob: bytes) -> None:
         path = self._path(key)
         with self._lock:
             tmp = path + ".tmp"
             with open(tmp, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp, path)
-        return len(blob)
 
     def get(self, key: str) -> Optional[bytes]:
         try:
@@ -151,11 +258,9 @@ class DiskSessionStore(SessionStore):
         except OSError:
             return None
 
-    def pop(self, key: str) -> None:
-        try:
+    def pop(self, key: str, _default: None = None) -> None:
+        with contextlib.suppress(OSError):
             os.remove(self._path(key))
-        except OSError:
-            pass
 
     def clear(self) -> None:
         with self._lock:
@@ -165,10 +270,8 @@ class DiskSessionStore(SessionStore):
                 return
             for name in names:
                 if name.endswith(".pkl") or name.endswith(".tmp"):
-                    try:
+                    with contextlib.suppress(OSError):
                         os.remove(os.path.join(self.directory, name))
-                    except OSError:
-                        pass
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +352,6 @@ class OpJournal:
             self._faults.fire("journal.append.after", op=op)
         return seq
 
-    def sync(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self.fsyncs += 1
-
     def compact(self, snapshot_path: str, snapshot: Dict[str, object]) -> None:
         """Atomically persist *snapshot* (stamped by the caller with
         the current ``seq``) and truncate the journal."""
@@ -265,20 +361,14 @@ class OpJournal:
             if self.keep > 0:
                 # Rotate: the closed segment becomes .1, elders shift up,
                 # anything past the retention window is dropped.
-                try:
+                with contextlib.suppress(OSError):
                     os.remove(f"{self.path}.{self.keep}")
-                except OSError:
-                    pass
                 for i in range(self.keep - 1, 0, -1):
-                    try:
+                    with contextlib.suppress(OSError):
                         os.replace(f"{self.path}.{i}", f"{self.path}.{i + 1}")
-                    except OSError:
-                        pass
-                try:
+                with contextlib.suppress(OSError):
                     os.replace(self.path, f"{self.path}.1")
                     self.rotations += 1
-                except OSError:
-                    pass
             self._handle = open(self.path, "w", encoding="utf-8")
             self.bytes = 0
             self.appends_since_snapshot = 0
@@ -296,31 +386,43 @@ class OpJournal:
                 self._handle = None
 
     @staticmethod
-    def load(path: str) -> Tuple[List[Dict[str, object]], int]:
-        """Read every intact record from a journal file.
+    def _read(path: str) -> Tuple[List[Dict[str, object]], int, int]:
+        """``(records, last_seq, unreplayed)`` of one journal file.
 
-        Tolerates a torn final line (a crash mid-write): reading stops
-        at the first undecodable line.  Returns ``(records, last_seq)``.
-        """
+        Reading stops at the first line that is not a UTF-8 JSON record
+        with an integer ``seq``: a torn tail (a crash mid-append) or
+        damage.  Nothing past it can be replayed in order, so it is not;
+        *unreplayed* counts the non-blank lines from that one on."""
         records: List[Dict[str, object]] = []
         last_seq = 0
+        unreplayed = 0
         try:
-            handle = open(path, "r", encoding="utf-8")
+            handle = open(path, "rb")
         except OSError:
-            return records, last_seq
+            return records, last_seq, unreplayed
         with handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    break  # torn tail from a crash mid-append
-                if not isinstance(record, dict) or "seq" not in record:
-                    break
-                records.append(record)
-                last_seq = max(last_seq, int(record["seq"]))
+                if not unreplayed:
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                    except ValueError:
+                        record = None
+                    if (isinstance(record, dict)
+                            and isinstance(record.get("seq"), int)):
+                        records.append(record)
+                        last_seq = max(last_seq, record["seq"])
+                        continue
+                unreplayed += 1
+        return records, last_seq, unreplayed
+
+    @staticmethod
+    def load(path: str) -> Tuple[List[Dict[str, object]], int]:
+        """Every record of a journal file before its first undecodable
+        line (see :meth:`_read`): ``(records, last_seq)``."""
+        records, last_seq, _unreplayed = OpJournal._read(path)
         return records, last_seq
 
     @staticmethod
@@ -334,18 +436,32 @@ class OpJournal:
         return [p for p in paths if os.path.exists(p)]
 
     @staticmethod
-    def load_chain(path: str, keep: int = 0) -> Tuple[List[Dict[str, object]], int]:
+    def read_chain(
+        path: str, keep: int = 0
+    ) -> Tuple[List[Dict[str, object]], int, int]:
         """Read the whole retained chain oldest-first with a monotonic
         sequence guard (a stale or re-used segment cannot replay an op
-        twice).  ``keep=0`` degrades to :meth:`load` on the live file."""
+        twice): ``(records, last_seq, unreplayed)``, the last summing
+        every segment's lines past its first undecodable one.
+        ``keep=0`` reads the live file only."""
         records: List[Dict[str, object]] = []
         last_seq = 0
+        unreplayed = 0
         for segment in OpJournal.chain_paths(path, keep):
-            seg_records, seg_last = OpJournal.load(segment)
+            seg_records, seg_last, seg_unreplayed = OpJournal._read(segment)
             for record in seg_records:
-                if int(record["seq"]) > last_seq:
+                if record["seq"] > last_seq:
                     records.append(record)
             last_seq = max(last_seq, seg_last)
+            unreplayed += seg_unreplayed
+        return records, last_seq, unreplayed
+
+    @staticmethod
+    def load_chain(
+        path: str, keep: int = 0
+    ) -> Tuple[List[Dict[str, object]], int]:
+        """:meth:`read_chain` without the unreplayed-line count."""
+        records, last_seq, _unreplayed = OpJournal.read_chain(path, keep)
         return records, last_seq
 
 
@@ -354,25 +470,41 @@ class OpJournal:
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path: str, snapshot: Dict[str, object]) -> None:
-    """Atomic snapshot write (tmp + fsync + rename) — the one snapshot
-    writer, behind :meth:`OpJournal.compact`."""
+    """Atomic, version-stamped snapshot write (tmp + fsync + rename) —
+    the one snapshot writer, behind :meth:`OpJournal.compact`."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        pickle.dump(snapshot, handle, protocol=4)
+        pickle.dump({**snapshot, "version": FORMAT_VERSION}, handle,
+                    protocol=4)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
+def _is_session_item(item: object) -> bool:
+    return (isinstance(item, dict) and isinstance(item.get("tenant"), str)
+            and isinstance(item.get("name"), str)
+            and isinstance(item.get("blob"), bytes))
+
+
 def load_snapshot(path: str) -> Optional[Dict[str, object]]:
-    """Load a snapshot written by :meth:`OpJournal.compact`; ``None``
-    when absent or unreadable (recovery then replays the full journal)."""
+    """The snapshot at *path* as written, of any version (:func:`migrate`
+    brings it current); ``None`` when there is none.  Raises
+    :class:`UnreadableState` when the file cannot be read or decoded, or
+    is not shaped like a snapshot: an integer journal sequence, a list
+    of ``{tenant, name, blob}`` session items, a cache dict."""
     try:
         with open(path, "rb") as handle:
-            snapshot = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
+            blob = handle.read()
+    except FileNotFoundError:
         return None
-    if not isinstance(snapshot, dict) or "journal_seq" not in snapshot:
-        return None
+    except OSError as exc:
+        raise UnreadableState(str(exc)) from None
+    snapshot = load_session(blob)
+    sessions = snapshot.get("sessions", [])
+    if not (isinstance(snapshot.get("journal_seq"), int)
+            and isinstance(sessions, list)
+            and all(_is_session_item(item) for item in sessions)
+            and isinstance(snapshot.get("solutions", {}), dict)):
+        raise UnreadableState("not shaped like a daemon snapshot")
     return snapshot

@@ -1151,7 +1151,7 @@ class TestCrashRecovery:
                 ))
         finally:
             manager.shutdown()
-        assert load_snapshot(str(state / SNAPSHOT_NAME))["version"] == 2
+        assert load_snapshot(str(state / SNAPSHOT_NAME))["version"] == 3
 
     def test_unhashable_and_nan_appends_do_not_wedge_a_session(
         self, tmp_path

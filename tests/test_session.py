@@ -376,7 +376,7 @@ def test_v1_state_restores_with_its_cache():
     assert old["version"] == 1 and old["solutions"]
     session = RepairSession.restore(old)
     new = session.export_state()
-    assert new["version"] == 2
+    assert new["version"] == 3
     # The retired options (the per-solve cap is None here) are dropped.
     expected = {**old, "options": _without_retired(old["options"])}
     assert "per_component_budget_s" in old["options"]

@@ -499,7 +499,7 @@ def test_v2_daemon_snapshot_recovers_with_a_warm_cache(tmp_path):
             )
     finally:
         manager.shutdown()
-    assert load_snapshot(str(state / SNAPSHOT_NAME))["version"] == 2
+    assert load_snapshot(str(state / SNAPSHOT_NAME))["version"] == 3
 
 
 def test_v2_daemon_snapshot_with_a_capped_entry_drops_it(tmp_path):
