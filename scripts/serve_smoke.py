@@ -16,7 +16,10 @@ Before the daemon starts, a legacy-state phase runs ``fdrepair recover
 --dry-run --json`` and then ``recover --json`` on a temp state dir
 holding each committed ``tests/data/v*/daemon_snapshot.pkl``: every
 session must come back, and migration must drop every cache entry of
-the version-1 snapshot and none of the version-2 one.
+the version-1 snapshot and none of the version-2 one.  It does the same
+on a state dir whose journal has a damaged line: both must count the
+same unreplayed lines, and recovery must set the journal aside as
+``journal.jsonl.damaged``.
 
 With ``--chaos`` the smoke turns adversarial: a ``FDREPAIR_FAULTS``
 plan kills a pool worker mid-solve (the supervisor must heal it and the
@@ -75,6 +78,16 @@ OVERLONG_BYTES = 2 << 20
 #: migration drops every cache entry (version 1 keyed them by a knob
 #: tuple that cannot be re-keyed) or none (version 2).
 LEGACY_SNAPSHOTS = (("v1", True), ("v2", False))
+
+#: A journal whose second line is damaged: an intact ``open``, a line
+#: that does not decode, an intact ``append``.
+DAMAGED_JOURNAL = "".join(line + "\n" for line in (
+    json.dumps({"seq": 1, "op": "open", "tenant": "t", "session": "s",
+                "payload": {"schema": ["A", "B"], "fds": "A -> B"}}),
+    "garbage{",
+    json.dumps({"seq": 3, "op": "append", "tenant": "t", "session": "s",
+                "payload": {"rows": [["a", "x"], ["a", "y"]]}}),
+))
 
 
 def fail(message: str, proc: subprocess.Popen = None) -> None:
@@ -152,7 +165,9 @@ def _recover_json(state_dir, env, timeout, *flags) -> dict:
 def run_legacy_state(args) -> None:
     """Recover each committed legacy daemon snapshot offline: the dry
     run must show its version, sessions and migration drops, and the
-    recovery must bring back every session and drop exactly those."""
+    recovery must bring back every session and drop exactly those.  On
+    a damaged journal both must count the same unreplayed lines, and
+    recovery must set the journal aside."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = _smoke_env()
     for version, drops_all in LEGACY_SNAPSHOTS:
@@ -179,6 +194,21 @@ def run_legacy_state(args) -> None:
                      f"sessions and {drops} dropped entries: {recovery}")
         print(f"legacy {version} snapshot: {snap['sessions']} sessions "
               f"recovered, {drops} of {cached} cache entries dropped")
+    with tempfile.TemporaryDirectory() as state_dir:
+        journal = os.path.join(state_dir, "journal.jsonl")
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write(DAMAGED_JOURNAL)
+        dry = _recover_json(state_dir, env, args.timeout, "--dry-run")
+        unreplayed = dry["journal"]["unreplayed_lines"]
+        recovery = _recover_json(state_dir, env,
+                                 args.timeout).get("recovery") or {}
+        if (not unreplayed
+                or recovery.get("unreplayed_journal_lines") != unreplayed
+                or recovery.get("damaged_journal") != [journal + ".damaged"]
+                or not os.path.exists(journal + ".damaged")):
+            fail(f"damaged journal: dry run counted {unreplayed} unreplayed "
+                 f"lines; recovery: {recovery}")
+        print(f"damaged journal: {unreplayed} unreplayed lines set aside")
 
 
 def run_chaos(args) -> None:

@@ -32,8 +32,8 @@ Commands
 ``recover``
     Inspect (``--dry-run``) or offline-recover a daemon ``--state-dir``:
     snapshot age, format version and contents (or why it is
-    unreadable), the retained journal chain, and a replay estimate —
-    without starting the daemon.
+    unreadable), the journal chain found on disk, and a replay estimate
+    — without starting the daemon.
 ``trace summarize``
     Roll a ``--trace`` JSONL telemetry log up into phase / method /
     tenant / op tables (see :mod:`repro.obs` for the record schema).
@@ -478,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "rotated journal segments to retain (journal.jsonl.1 … .N) "
             "at each snapshot compaction; recovery replays the whole "
-            "retained chain when the snapshot is lost (default 0: "
-            "truncate on compact)"
+            "chain it finds on disk when the snapshot is lost (default "
+            "0: truncate on compact)"
         ),
     )
     _add_solve_timeout_option(p_serve)
@@ -504,12 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
             "Operate on a crash-safe daemon state directory without the "
             "daemon.  --dry-run inspects it read-only: snapshot age, "
             "format version and contents (or why it is unreadable), the "
-            "cache entries migrating it would drop, the retained journal "
-            "chain and any lines past a damaged record, the ops a "
+            "cache entries migrating it would drop, the journal chain "
+            "found on disk (journal.jsonl.1 … .N and the live segment) "
+            "and any lines past its first damaged record, the ops a "
             "recovery would replay, and a replay estimate.  Without "
-            "--dry-run the state is actually recovered offline (snapshot "
-            "+ journal replay, exactly the daemon's own boot path) and "
-            "compacted, so the next daemon start is instant."
+            "--dry-run the state is actually recovered offline (exactly "
+            "the daemon's own boot path, acting on the same reading the "
+            "dry run prints): an unreadable snapshot and the damaged "
+            "journal segments are set aside, the tail is replayed and "
+            "the state compacted, so the next daemon start is instant."
         ),
     )
     p_recover.add_argument(
@@ -522,16 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run",
         action="store_true",
         help="inspect only; touch nothing",
-    )
-    p_recover.add_argument(
-        "--journal-keep",
-        type=int,
-        metavar="N",
-        default=0,
-        help=(
-            "rotated segments the daemon retained (reads the same "
-            "journal.jsonl.1 … .N chain recovery would)"
-        ),
     )
     p_recover.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -987,169 +980,141 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import os
 
-    from .state import (JOURNAL_NAME, SNAPSHOT_NAME, OpJournal,
-                        UnreadableState, format_version, load_snapshot,
-                        migrate)
+    from .server import ServerConfig, SessionManager
+    from .state import read_state_dir
 
     state_dir = args.state_dir
     if not os.path.isdir(state_dir):
         print(f"error: no state directory at {state_dir}", file=sys.stderr)
         return 2
-    journal_path = os.path.join(state_dir, JOURNAL_NAME)
-    snapshot_path = os.path.join(state_dir, SNAPSHOT_NAME)
-    snapshot, unreadable, migration_drops = None, None, 0
-    try:
-        snapshot = load_snapshot(snapshot_path)
-        if snapshot:
-            migration_drops = migrate(snapshot)[1]
-    except UnreadableState as exc:
-        snapshot, unreadable = None, str(exc)
-    base_seq = snapshot["journal_seq"] if snapshot else 0
-    snapshot_age_s = None
-    if snapshot is not None:
-        try:
-            snapshot_age_s = round(
-                max(0.0, time.time() - os.path.getmtime(snapshot_path)), 3
-            )
-        except OSError:
-            pass
-    chain = OpJournal.chain_paths(journal_path, args.journal_keep)
-    records, last_seq, unreplayed = OpJournal.read_chain(
-        journal_path, args.journal_keep
-    )
-    tail = [r for r in records if int(r.get("seq", 0)) > base_seq]
+    if args.dry_run:
+        reading = read_state_dir(state_dir)
+    else:
+        # Real recovery: the daemon's own boot path, offline — construct
+        # a manager on the state dir (snapshot load + journal replay +
+        # fresh compaction), report the reading it acted on, then shut
+        # it down cleanly.
+        manager = SessionManager(ServerConfig(workers=0, state_dir=state_dir))
+        reading, stats = manager.recovery, manager.stats()
+        manager.shutdown()
+        result = {key: stats[key] for key in (
+            "recovered_sessions", "replayed_ops", "errors",
+            "dropped_cache_entries", "unreplayed_journal_lines",
+            "unreadable_snapshot", "damaged_journal")}
+        result["compacted"] = True
+    snapshot = reading.snapshot
     tail_ops: dict = {}
-    tail_sessions = set()
-    for record in tail:
+    for record in reading.tail:
         op = str(record.get("op"))
         tail_ops[op] = tail_ops.get(op, 0) + 1
-        tail_sessions.add(
-            (str(record.get("tenant") or ""), str(record.get("session") or ""))
-        )
     report: dict = {
         "state_dir": state_dir,
         "snapshot": None,
         "journal": {
-            "chain": chain,
-            "records": len(records),
-            "last_seq": last_seq,
-            "unreplayed_lines": unreplayed,
+            "chain": reading.chain,
+            "records": len(reading.records),
+            "last_seq": reading.last_seq,
+            "unreplayed_lines": reading.unreplayed,
+            "damaged": reading.damaged,
         },
         "replay": {
-            "ops": len(tail),
+            "ops": len(reading.tail),
             "by_op": dict(sorted(tail_ops.items())),
-            "sessions_touched": len(tail_sessions),
-            # Solver work happens only on repair replays; append/delete/
-            # open are index maintenance — the honest cost breakdown.
-            "solver_ops": tail_ops.get("repair", 0),
+            "sessions_touched": len({
+                (str(r.get("tenant") or ""), str(r.get("session") or ""))
+                for r in reading.tail
+            }),
+            # Solver work happens only on repair and assess replays;
+            # append/delete/open are index maintenance — the honest
+            # cost breakdown.
+            "solver_ops": tail_ops.get("repair", 0)
+            + tail_ops.get("assess", 0),
         },
     }
-    if unreadable is not None:
-        report["snapshot"] = {"path": snapshot_path, "unreadable": unreadable}
+    if reading.unreadable is not None:
+        report["snapshot"] = {"path": reading.snapshot_path,
+                              "unreadable": reading.unreadable}
     elif snapshot is not None:
         report["snapshot"] = {
-            "path": snapshot_path,
-            "age_s": snapshot_age_s,
-            "journal_seq": base_seq,
-            "version": format_version(snapshot),
-            "migration_drops": migration_drops,
-            "sessions": len(snapshot.get("sessions") or ()),
-            "cached_solutions": len(snapshot.get("solutions") or ()),
+            "path": reading.snapshot_path,
+            "age_s": reading.age_s,
+            "journal_seq": reading.journal_seq,
+            "version": reading.version,
+            "migration_drops": reading.migration_drops,
+            "sessions": len(snapshot["sessions"]),
+            "cached_solutions": reading.cached_solutions,
             "supervision": snapshot.get("supervision") or {},
         }
-    if args.dry_run:
+    if not args.dry_run:
         if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-            return 0
-        if unreadable is not None:
-            print(f"snapshot: unreadable ({unreadable}); recovery would "
-                  "move it aside and replay the full chain")
-        elif snapshot is None:
-            print("snapshot: none (recovery would replay the full chain)")
-        else:
-            snap = report["snapshot"]
-            print(
-                f"snapshot: {snap['sessions']} sessions, "
-                f"{snap['cached_solutions']} cached solutions, "
-                f"seq {base_seq}, format version {snap['version']}"
-                + (f", {snap['age_s']:.0f}s old"
-                   if snap["age_s"] is not None else "")
-            )
-            if migration_drops:
-                print(f"migration drops {migration_drops} cache entries "
-                      "that cannot be carried to the current format")
-            if snap["supervision"]:
-                worn = ", ".join(
-                    f"{k}={v}" for k, v in sorted(snap["supervision"].items())
-                    if v
-                )
-                if worn:
-                    print(f"lifetime supervision: {worn}")
+            print(json.dumps({**report, "recovery": result},
+                             indent=2, sort_keys=True))
+            return 0 if not result["errors"] else 1
+        errors, dropped = result["errors"], result["dropped_cache_entries"]
+        moved = result["unreadable_snapshot"]
         print(
-            f"journal chain: {len(chain)} segment"
-            f"{'s' if len(chain) != 1 else ''} "
-            f"({len(records)} records, last seq {last_seq})"
-        )
-        for segment in chain:
-            print(f"  {segment}")
-        if unreplayed:
-            print(f"  journal damaged: {unreplayed} line(s) from the first "
-                  "undecodable one on would not be replayed")
-        replay = report["replay"]
-        if replay["ops"]:
-            mix = ", ".join(
-                f"{op}×{n}" for op, n in sorted(tail_ops.items())
-            )
-            print(
-                f"replay estimate: {replay['ops']} ops past the snapshot "
-                f"({mix}) across {replay['sessions_touched']} sessions, "
-                f"{replay['solver_ops']} with solver work"
-            )
-        else:
-            print("replay estimate: nothing to replay (snapshot is current)")
-        return 0
-    # Real recovery: the daemon's own boot path, offline — construct a
-    # manager on the state dir (snapshot load + journal replay + fresh
-    # compaction), then shut it down cleanly.
-    from .server import ServerConfig, SessionManager
-
-    manager = SessionManager(
-        ServerConfig(
-            workers=0,
-            state_dir=state_dir,
-            journal_keep=args.journal_keep,
-        )
-    )
-    recovered = manager.recovered_sessions
-    replayed = manager.replayed_ops
-    errors = manager.errors
-    dropped = manager.dropped_cache_entries
-    unreplayed = manager.unreplayed_journal_lines
-    moved = manager.unreadable_snapshot
-    manager.shutdown()
-    result = {
-        "recovered_sessions": recovered,
-        "replayed_ops": replayed,
-        "errors": errors,
-        "dropped_cache_entries": dropped,
-        "unreplayed_journal_lines": unreplayed,
-        "unreadable_snapshot": moved,
-        "compacted": True,
-    }
-    if args.json:
-        print(json.dumps({**report, "recovery": result},
-                         indent=2, sort_keys=True))
-    else:
-        print(
-            f"recovered {recovered} sessions, replayed {replayed} ops"
+            f"recovered {result['recovered_sessions']} sessions, replayed "
+            f"{result['replayed_ops']} ops"
             + (f" ({errors} errors)" if errors else "")
             + (f", dropped {dropped} cache entries that cannot be "
                "re-keyed" if dropped else "")
             + (f", moved the unreadable snapshot to {moved['path']}"
                if moved else "")
+            + (f", set {result['unreplayed_journal_lines']} unreplayed "
+               "journal line(s) aside in "
+               + ", ".join(result["damaged_journal"])
+               if result["damaged_journal"] else "")
             + "; state compacted"
         )
-    return 0 if not errors else 1
+        return 0 if not errors else 1
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0
+    if reading.unreadable is not None:
+        print(f"snapshot: unreadable ({reading.unreadable}); recovery "
+              "would move it aside and replay the full chain")
+    elif snapshot is None:
+        print("snapshot: none (recovery would replay the full chain)")
+    else:
+        snap = report["snapshot"]
+        print(
+            f"snapshot: {snap['sessions']} sessions, "
+            f"{snap['cached_solutions']} cached solutions, "
+            f"seq {reading.journal_seq}, format version {snap['version']}"
+            + (f", {snap['age_s']:.0f}s old"
+               if snap["age_s"] is not None else "")
+        )
+        if reading.migration_drops:
+            print(f"migration drops {reading.migration_drops} cache "
+                  "entries that cannot be carried to the current format")
+        worn = ", ".join(
+            f"{k}={v}" for k, v in sorted(snap["supervision"].items()) if v
+        )
+        if worn:
+            print(f"lifetime supervision: {worn}")
+    chain = reading.chain
+    print(
+        f"journal chain: {len(chain)} segment"
+        f"{'s' if len(chain) != 1 else ''} "
+        f"({len(reading.records)} records, last seq {reading.last_seq})"
+    )
+    for segment in chain:
+        print(f"  {segment}")
+    if reading.unreplayed:
+        print(f"  journal damaged: {reading.unreplayed} line(s) from the "
+              "first undecodable one on would not be replayed; recovery "
+              "would set aside " + ", ".join(reading.damaged))
+    replay = report["replay"]
+    if replay["ops"]:
+        mix = ", ".join(f"{op}×{n}" for op, n in sorted(tail_ops.items()))
+        print(
+            f"replay estimate: {replay['ops']} ops past the snapshot "
+            f"({mix}) across {replay['sessions_touched']} sessions, "
+            f"{replay['solver_ops']} with solver work"
+        )
+    else:
+        print("replay estimate: nothing to replay (snapshot is current)")
+    return 0
 
 
 def _read_trace_or_fail(path: str):

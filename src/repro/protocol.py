@@ -68,12 +68,14 @@ DAEMON_OPS = frozenset({"ping", "stats", "shutdown"})
 ALL_OPS = frozenset({"open"}) | SESSION_OPS | DAEMON_OPS
 
 #: Ops the crash-safe daemon writes to its op journal: exactly the ops
-#: that mutate session state (including ``repair``, whose result feeds
-#: the session's exported stats).  Sessions are deterministic, so
-#: replaying this subset in acknowledged order rebuilds every session
-#: byte-identically; read-only ops (``assess``/``status``) and daemon
-#: ops never touch the log.
-JOURNALED_OPS = frozenset({"open", "append", "delete", "repair", "close"})
+#: that change session state (including ``repair`` and ``assess``, which
+#: is served by a repair and so moves the session's stats, cache
+#: counters and last result).  Sessions are deterministic, so replaying
+#: this subset in acknowledged order rebuilds every session
+#: byte-identically; ``status`` and daemon ops never touch the log.
+JOURNALED_OPS = frozenset(
+    {"open", "append", "delete", "repair", "assess", "close"}
+)
 
 
 class ProtocolError(ValueError):

@@ -74,16 +74,14 @@ from .protocol import (
 )
 from .session import _OPTIONS, RepairSession, SolutionCache
 from .state import (
-    JOURNAL_NAME,
-    SNAPSHOT_NAME,
     SPOOL_DIR,
     DiskSessionStore,
     OpJournal,
+    StateDirReading,
     UnreadableState,
     encode_session,
     load_session,
-    load_snapshot,
-    migrate,
+    read_state_dir,
 )
 
 __all__ = ["MAX_LINE_BYTES", "RepairServer", "ServerConfig", "SessionManager"]
@@ -244,6 +242,12 @@ class SessionManager:
         #: Where an unreadable snapshot found at recovery was moved, and
         #: why it could not be read.
         self.unreadable_snapshot: Optional[Dict[str, str]] = None
+        #: Where the journal segments from the first damaged one on were
+        #: moved at recovery.
+        self.damaged_journal: List[str] = []
+        #: The state-dir reading recovery acted on (``None`` without a
+        #: state dir).
+        self.recovery: Optional[StateDirReading] = None
         self._closed = False
         self._replaying = False
         # Lifetime supervision totals from previous daemon incarnations
@@ -253,13 +257,11 @@ class SessionManager:
         # Crash-safe state: a disk-backed store + op journal when the
         # config names a state dir, heap-only state otherwise.
         self._journal: Optional[OpJournal] = None
-        self._snapshot_path: Optional[str] = None
         if self.config.state_dir:
             state_dir = self.config.state_dir
             os.makedirs(state_dir, exist_ok=True)
             self.store = DiskSessionStore(os.path.join(state_dir, SPOOL_DIR))
-            self._snapshot_path = os.path.join(state_dir, SNAPSHOT_NAME)
-            self._recover(os.path.join(state_dir, JOURNAL_NAME))
+            self._recover()
         else:
             self.store = {}
 
@@ -579,8 +581,10 @@ class SessionManager:
             self.recorder.count("server.evictions", tenant=entry.tenant)
 
     # -- crash safety: recovery & snapshot compaction -----------------
-    def _recover(self, journal_path: str) -> None:
-        """Rebuild daemon state from the snapshot plus the journal tail.
+    def _recover(self) -> None:
+        """Rebuild daemon state from the state dir, acting on one
+        :func:`~repro.state.read_state_dir` reading, kept as
+        :attr:`recovery`.
 
         Runs once, single-threaded, before the manager serves anything.
         Snapshot sessions come back *frozen* (rehydrated lazily on
@@ -589,17 +593,30 @@ class SessionManager:
         the ordinary op path, which is byte-identical to the original
         execution because sessions are deterministic.  Ends with a
         fresh compaction, so a crash loop never replays the same tail
-        twice.  What recovery could not bring back is counted in
-        ``stats``: cache entries the snapshot's migration dropped,
-        journal lines past a damaged record, and an unreadable snapshot
-        (moved aside first, so the compaction cannot overwrite it).
+        twice.  What recovery could not bring back is reported on
+        stderr and in ``stats``: cache entries the migration dropped,
+        journal lines past a damaged record, an unreadable snapshot and
+        the damaged journal segments — the last two set aside first, so
+        the compaction cannot overwrite them.
         """
         with self.recorder.span("server.recover"):
-            snapshot, dropped = self._load_snapshot()
-            base_seq = 0
+            reading = self.recovery = read_state_dir(self.config.state_dir)
+            if reading.unreadable is not None:
+                moved = _set_aside(reading.snapshot_path, ".unreadable")
+                self.unreadable_snapshot = {
+                    "path": moved, "reason": reading.unreadable,
+                }
+                print(
+                    f"fdrepair: snapshot {reading.snapshot_path} is "
+                    f"unreadable ({reading.unreadable}); moved to {moved}, "
+                    "recovering from the journal alone",
+                    file=sys.stderr,
+                )
+                if self.recorder.enabled:
+                    self.recorder.count("server.unreadable_snapshot")
+            snapshot = reading.snapshot
             if snapshot:
-                base_seq = snapshot["journal_seq"]
-                for item in snapshot.get("sessions", ()):
+                for item in snapshot["sessions"]:
                     tenant, name = item["tenant"], item["name"]
                     entry = SessionEntry(
                         tenant=tenant, name=name,
@@ -616,45 +633,44 @@ class SessionManager:
                 # repairs are hits, not re-solves.  Entries the
                 # migration dropped re-solve on demand.
                 self.solutions.load_entries(snapshot.get("solutions") or {})
-                self.dropped_cache_entries = dropped
-                if dropped and self.recorder.enabled:
-                    self.recorder.count("server.cache_dropped", dropped)
                 supervision = snapshot.get("supervision")
                 if isinstance(supervision, dict):
                     self._supervision_base = {
                         str(k): int(v) for k, v in supervision.items()
                     }
-            # The retained chain covers the snapshot-lost case: with no
-            # (readable) snapshot, rotated segments replay too, oldest
-            # first; with one, the base_seq filter below skips them.
-            records, last_seq, unreplayed = OpJournal.read_chain(
-                journal_path, self.config.journal_keep
-            )
-            self.unreplayed_journal_lines = unreplayed
-            if unreplayed:
+            self.dropped_cache_entries = reading.migration_drops
+            if reading.migration_drops and self.recorder.enabled:
+                self.recorder.count(
+                    "server.cache_dropped", reading.migration_drops
+                )
+            self.unreplayed_journal_lines = reading.unreplayed
+            if reading.damaged:
+                self.damaged_journal = [
+                    _set_aside(segment, ".damaged")
+                    for segment in reading.damaged
+                ]
                 print(
-                    f"fdrepair: journal damaged: {unreplayed} line(s) from "
-                    "the first undecodable one on were not replayed",
+                    f"fdrepair: journal damaged: {reading.unreplayed} "
+                    "line(s) from the first undecodable one on were not "
+                    "replayed; set aside as "
+                    + ", ".join(self.damaged_journal),
                     file=sys.stderr,
                 )
                 if self.recorder.enabled:
                     self.recorder.count(
-                        "server.unreplayed_journal_lines", unreplayed
+                        "server.unreplayed_journal_lines", reading.unreplayed
                     )
             self._journal = OpJournal(
-                journal_path,
+                reading.journal_path,
                 fsync_every=self.config.journal_fsync_every,
-                start_seq=max(base_seq, last_seq),
+                start_seq=max(reading.journal_seq, reading.last_seq),
                 faults=self._faults,
                 max_bytes=self.config.journal_max_bytes,
                 keep=self.config.journal_keep,
             )
-            replayed = 0
             self._replaying = True
             try:
-                for record in records:
-                    if record["seq"] <= base_seq:
-                        continue
+                for record in reading.tail:
                     op = str(record.get("op"))
                     tenant = str(record.get("tenant") or "")
                     name = str(record.get("session") or "")
@@ -668,40 +684,17 @@ class SessionManager:
                             self.run_op(self.entry(tenant, name), op, payload)
                     except Exception:  # failed live too (journaled)
                         self.errors += 1
-                    replayed += 1
             finally:
                 self._replaying = False
             self.recovered_sessions = len(self._entries)
-            self.replayed_ops = replayed
+            self.replayed_ops = len(reading.tail)
             if self.recorder.enabled:
                 self.recorder.count(
                     "server.recovered_sessions", self.recovered_sessions
                 )
-                self.recorder.count("server.replayed_ops", replayed)
-            if records or snapshot:
+                self.recorder.count("server.replayed_ops", self.replayed_ops)
+            if reading.records or snapshot:
                 self.compact(force=True)
-
-    def _load_snapshot(self) -> Tuple[Optional[Dict[str, object]], int]:
-        """The state dir's snapshot in the current format and the cache
-        entries its migration dropped; ``(None, 0)`` when there is none
-        or it is unreadable.  An unreadable one is moved to
-        ``<name>.unreadable`` and reported on stderr and in ``stats``."""
-        path = self._snapshot_path
-        try:
-            snapshot = load_snapshot(path)
-            return migrate(snapshot) if snapshot else (None, 0)
-        except UnreadableState as exc:
-            moved = path + ".unreadable"
-            os.replace(path, moved)
-            self.unreadable_snapshot = {"path": moved, "reason": str(exc)}
-            print(
-                f"fdrepair: snapshot {path} is unreadable ({exc}); moved "
-                f"to {moved}, recovering from the journal alone",
-                file=sys.stderr,
-            )
-            if self.recorder.enabled:
-                self.recorder.count("server.unreadable_snapshot")
-            return None, 0
 
     def maybe_compact(self) -> bool:
         """Snapshot-compact when the journal has grown enough.  Called
@@ -749,7 +742,7 @@ class SessionManager:
             # boot so far) — restarts keep the full honesty record.
             "supervision": self.lifetime_supervision(),
         }
-        journal.compact(self._snapshot_path, snapshot)
+        journal.compact(self.recovery.snapshot_path, snapshot)
         self.snapshots += 1
         if self.recorder.enabled:
             self.recorder.count("server.snapshots")
@@ -813,6 +806,7 @@ class SessionManager:
             "dropped_cache_entries": self.dropped_cache_entries,
             "unreplayed_journal_lines": self.unreplayed_journal_lines,
             "unreadable_snapshot": self.unreadable_snapshot,
+            "damaged_journal": self.damaged_journal,
         }
         if self._pool is not None:
             out["pool_supervision"] = self._pool.supervision_stats()
@@ -1146,3 +1140,15 @@ def _error_text(exc: Exception) -> str:
     if not isinstance(exc, ExactBudgetExceeded):
         traceback.print_exc(file=sys.stderr)
     return f"{type(exc).__name__}: {exc}"
+
+
+def _set_aside(path: str, suffix: str) -> str:
+    """Move *path* to ``<path><suffix>``, or when that name is taken to
+    the first free ``<path><suffix>.K``, so a file an earlier boot set
+    aside is never overwritten; returns where it went."""
+    moved, k = path + suffix, 0
+    while os.path.lexists(moved):
+        k += 1
+        moved = f"{path}{suffix}.{k}"
+    os.replace(path, moved)
+    return moved

@@ -33,9 +33,9 @@ Session stores
     snapshots.
 
 ``OpJournal``
-    An append-only JSONL log of every *successful mutating* op
-    (``open``/``append``/``delete``/``repair``/``close`` — see
-    :data:`repro.protocol.JOURNALED_OPS`), written **after** the op
+    An append-only JSONL log of every op that changes a session
+    (``open``/``append``/``delete``/``repair``/``assess``/``close`` —
+    see :data:`repro.protocol.JOURNALED_OPS`), written **after** the op
     commits and before the client is acknowledged.  Writes are flushed
     to the OS per record (a killed *process* loses nothing) and
     ``fsync``\\ ed every *fsync_every* records (bounding what a killed
@@ -43,8 +43,12 @@ Session stores
     are allocated deterministically and component repairs are pure
     functions of content — replaying the journal rebuilds every
     session **byte-identically**: the journal stores what was *asked*,
-    never solver output.  Replay stops at the first undecodable line (a
-    torn tail, or damage) and counts the lines it could not replay.
+    never solver output.  The chain is whatever ``journal.jsonl.1`` …
+    ``.N`` (consecutive) plus the live segment exist on disk.  Replay
+    stops at the first undecodable line (a torn tail, or damage) of the
+    whole chain, or, past a readable snapshot, of the live segment and
+    any segment holding a record the snapshot does not cover; every
+    line from it on, in any segment, counts as unreplayed.
 
 Snapshots
     Replay cost is bounded by periodic *snapshot compaction*: when the
@@ -56,8 +60,19 @@ Snapshots
     compacts again — so repeated crashes never replay the same tail
     twice.  The shared solution cache rides in the snapshot too: a
     recovered daemon's first repairs are cache hits, which is what
-    makes warm recovery beat a cold restart.  An unreadable snapshot is
-    moved aside and reported, never overwritten.
+    makes warm recovery beat a cold restart.
+
+Reading a state dir
+    :func:`read_state_dir` is the one reader: a pure read returning the
+    snapshot migrated to the current format (an old snapshot's session
+    blobs too) or why it cannot be read, and the journal chain with its
+    replay tail and damage.  The daemon's recovery acts on that value
+    and ``fdrepair recover`` prints it, so a dry run says what recovery
+    does.  Recovery sets an unreadable snapshot aside as
+    ``<name>.unreadable`` and every journal segment from the first
+    damaged one on as ``<segment>.damaged`` (or, when that is taken, the
+    first free ``.unreadable.K`` / ``.damaged.K``), and reports both:
+    nothing it cannot use is overwritten, by this boot or a later one.
 
 Fault-injection sites ``journal.append.before`` / ``journal.append.after``
 (:mod:`repro.faults`) bracket the journal write — the two crash
@@ -72,6 +87,8 @@ import json
 import os
 import pickle
 import threading
+import time
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import faults as _faults
@@ -90,6 +107,8 @@ __all__ = [
     "OpJournal",
     "load_snapshot",
     "write_snapshot",
+    "StateDirReading",
+    "read_state_dir",
     "JOURNAL_NAME",
     "SNAPSHOT_NAME",
     "SPOOL_DIR",
@@ -292,8 +311,8 @@ class OpJournal:
     closed segment moves to ``<path>.1`` (older segments shifting to
     ``.2`` … ``.keep``, the oldest dropped), so the last *keep*
     pre-snapshot epochs stay inspectable and a recovery whose snapshot
-    is lost or unreadable can replay the whole retained chain
-    (:meth:`load_chain`) instead of only the live tail.  *max_bytes*
+    is lost or unreadable can replay the whole chain found on disk
+    (:meth:`read_chain`) instead of only the live tail.  *max_bytes*
     bounds the live segment: :attr:`oversized` turns true once the file
     passes it, and the manager treats that as a compaction trigger just
     like the op-count threshold.
@@ -358,11 +377,18 @@ class OpJournal:
         with self._lock:
             write_snapshot(snapshot_path, snapshot)
             self._handle.close()
+            # Segments past the retention window are dropped, also any
+            # an earlier run with a longer window left: the chain found
+            # on disk never holds a stale epoch.
+            stale = max(self.keep, 1)
+            while True:
+                try:
+                    os.remove(f"{self.path}.{stale}")
+                except OSError:
+                    break
+                stale += 1
             if self.keep > 0:
-                # Rotate: the closed segment becomes .1, elders shift up,
-                # anything past the retention window is dropped.
-                with contextlib.suppress(OSError):
-                    os.remove(f"{self.path}.{self.keep}")
+                # Rotate: the closed segment becomes .1, elders shift up.
                 for i in range(self.keep - 1, 0, -1):
                     with contextlib.suppress(OSError):
                         os.replace(f"{self.path}.{i}", f"{self.path}.{i + 1}")
@@ -386,83 +412,80 @@ class OpJournal:
                 self._handle = None
 
     @staticmethod
-    def _read(path: str) -> Tuple[List[Dict[str, object]], int, int]:
-        """``(records, last_seq, unreplayed)`` of one journal file.
-
-        Reading stops at the first line that is not a UTF-8 JSON record
-        with an integer ``seq``: a torn tail (a crash mid-append) or
-        damage.  Nothing past it can be replayed in order, so it is not;
-        *unreplayed* counts the non-blank lines from that one on."""
-        records: List[Dict[str, object]] = []
-        last_seq = 0
-        unreplayed = 0
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return records, last_seq, unreplayed
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if not unreplayed:
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                    except ValueError:
-                        record = None
-                    if (isinstance(record, dict)
-                            and isinstance(record.get("seq"), int)):
-                        records.append(record)
-                        last_seq = max(last_seq, record["seq"])
-                        continue
-                unreplayed += 1
-        return records, last_seq, unreplayed
-
-    @staticmethod
-    def load(path: str) -> Tuple[List[Dict[str, object]], int]:
-        """Every record of a journal file before its first undecodable
-        line (see :meth:`_read`): ``(records, last_seq)``."""
-        records, last_seq, _unreplayed = OpJournal._read(path)
-        return records, last_seq
-
-    @staticmethod
-    def chain_paths(path: str, keep: int) -> List[str]:
-        """The retained journal chain oldest-first: ``<path>.keep`` …
-        ``<path>.1``, then the live segment.  Only existing files."""
-        paths = [
-            f"{path}.{i}" for i in range(max(0, int(keep)), 0, -1)
-        ]
-        paths.append(path)
-        return [p for p in paths if os.path.exists(p)]
+    def chain_paths(path: str) -> List[str]:
+        """The journal chain on disk, oldest first: the rotated segments
+        ``<path>.N`` … ``<path>.1`` numbered consecutively from 1, then
+        the live segment if it exists."""
+        count = 0
+        while os.path.exists(f"{path}.{count + 1}"):
+            count += 1
+        paths = [f"{path}.{i}" for i in range(count, 0, -1)]
+        return paths + [path] if os.path.exists(path) else paths
 
     @staticmethod
     def read_chain(
-        path: str, keep: int = 0
-    ) -> Tuple[List[Dict[str, object]], int, int]:
-        """Read the whole retained chain oldest-first with a monotonic
-        sequence guard (a stale or re-used segment cannot replay an op
-        twice): ``(records, last_seq, unreplayed)``, the last summing
-        every segment's lines past its first undecodable one.
-        ``keep=0`` reads the live file only."""
+        path: str, snapshot_seq: Optional[int] = None,
+    ) -> Tuple[List[Dict[str, object]], int, int, List[str], List[str]]:
+        """Read the chain found on disk, oldest first: ``(records,
+        last_seq, unreplayed, damaged, chain)``.
+
+        A record whose ``seq`` does not pass the last one read is
+        skipped (a stale or re-used segment cannot replay an op twice).
+        A line that is not a UTF-8 JSON record with an integer ``seq``
+        is a torn tail (a crash mid-append) or damage.  Replay stops at
+        the first such line in the part of the chain that can hold
+        records to replay: nothing past it can be replayed in order, in
+        its segment or a later one, so *unreplayed* counts the non-blank
+        lines from it on and *damaged* lists the segments from the one
+        holding it on.  That part is the whole chain, unless a readable
+        snapshot covers the records up to *snapshot_seq*.  A snapshot is
+        written before the segment it covers rotates, so then the part
+        starts at the live segment, or at the first one holding a record
+        past *snapshot_seq*; a bad line before it is skipped."""
+        chain = OpJournal.chain_paths(path)
+        segments = [OpJournal._segment_lines(segment) for segment in chain]
+        start = 0
+        if snapshot_seq is not None:
+            start = next(
+                (index for index, lines in enumerate(segments)
+                 if chain[index] == path
+                 or any(r is not None and r["seq"] > snapshot_seq
+                        for r in lines)),
+                len(chain))
         records: List[Dict[str, object]] = []
         last_seq = 0
         unreplayed = 0
-        for segment in OpJournal.chain_paths(path, keep):
-            seg_records, seg_last, seg_unreplayed = OpJournal._read(segment)
-            for record in seg_records:
-                if record["seq"] > last_seq:
+        damaged: List[str] = []
+        for index, lines in enumerate(segments):
+            for record in lines:
+                if record is None and not damaged and index >= start:
+                    damaged = chain[index:]
+                if damaged:
+                    unreplayed += 1
+                elif record is not None and record["seq"] > last_seq:
                     records.append(record)
-            last_seq = max(last_seq, seg_last)
-            unreplayed += seg_unreplayed
-        return records, last_seq, unreplayed
+                    last_seq = record["seq"]
+        return records, last_seq, unreplayed, damaged, chain
 
     @staticmethod
-    def load_chain(
-        path: str, keep: int = 0
-    ) -> Tuple[List[Dict[str, object]], int]:
-        """:meth:`read_chain` without the unreplayed-line count."""
-        records, last_seq, _unreplayed = OpJournal.read_chain(path, keep)
-        return records, last_seq
+    def _segment_lines(segment: str) -> List[Optional[Dict[str, object]]]:
+        """A segment's non-blank lines, each a record or ``None`` for a
+        line that is not a UTF-8 JSON record with an integer ``seq``; no
+        lines when the segment cannot be opened."""
+        try:
+            with open(segment, "rb") as handle:
+                raw = [line.strip() for line in handle]
+        except OSError:
+            return []
+        lines: List[Optional[Dict[str, object]]] = []
+        for line in filter(None, raw):
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                record = None
+            lines.append(record if isinstance(record, dict)
+                         and isinstance(record.get("seq"), int) else None)
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +531,90 @@ def load_snapshot(path: str) -> Optional[Dict[str, object]]:
             and isinstance(snapshot.get("solutions", {}), dict)):
         raise UnreadableState("not shaped like a daemon snapshot")
     return snapshot
+
+
+def _migrate_snapshot(
+    snapshot: Mapping[str, object],
+) -> Tuple[Mapping[str, object], int]:
+    """:func:`migrate` for a snapshot, whose session blobs, when it is
+    older than :data:`FORMAT_VERSION`, are brought current too, so no
+    old blob survives the next compaction.  A blob that does not decode
+    stays as it is: it fails only its own session's ops."""
+    version = format_version(snapshot)
+    snapshot, dropped = migrate(snapshot)
+    if version == FORMAT_VERSION:
+        return snapshot, dropped
+    sessions = []
+    for item in snapshot["sessions"]:
+        try:
+            state, blob_dropped = migrate(load_session(item["blob"]))
+        except UnreadableState:
+            sessions.append(item)
+            continue
+        dropped += blob_dropped
+        sessions.append({**item, "blob": encode_session(state)})
+    return {**snapshot, "sessions": sessions}, dropped
+
+
+@dataclass(frozen=True)
+class StateDirReading:
+    """What :func:`read_state_dir` found in a daemon state dir.
+
+    ``snapshot`` is the snapshot in the current format, ``None`` when
+    there is none or it is unreadable (``unreadable`` says why);
+    ``version`` is its format version as written, ``migration_drops``
+    the cache entries migrating it drops (its session blobs' included),
+    ``cached_solutions`` its shared cache entries as written and
+    ``age_s`` its age in seconds.  ``chain`` lists the journal segments
+    oldest first; ``records`` holds every readable record and ``tail``
+    those past ``journal_seq`` (0 without a snapshot), in replay order.
+    ``unreplayed`` counts the lines from the first undecodable one
+    that can hold records to replay on, and ``damaged`` lists the
+    segments from the one holding it on (:meth:`OpJournal.read_chain`)."""
+
+    snapshot_path: str
+    journal_path: str
+    snapshot: Optional[Mapping[str, object]]
+    unreadable: Optional[str]
+    version: object
+    migration_drops: int
+    cached_solutions: int
+    age_s: Optional[float]
+    journal_seq: int
+    chain: List[str]
+    records: List[Dict[str, object]]
+    tail: List[Dict[str, object]]
+    last_seq: int
+    unreplayed: int
+    damaged: List[str]
+
+
+def read_state_dir(state_dir: str) -> StateDirReading:
+    """Read a daemon state dir, changing no file: its snapshot, migrated
+    to the current format (or why it cannot be read), and its journal
+    chain.  The daemon's recovery acts on this reading, and ``fdrepair
+    recover`` prints it."""
+    snapshot_path = os.path.join(state_dir, SNAPSHOT_NAME)
+    journal_path = os.path.join(state_dir, JOURNAL_NAME)
+    snapshot, unreadable, version, drops, cached, age_s = (
+        None, None, None, 0, 0, None)
+    try:
+        written = load_snapshot(snapshot_path)
+        if written is not None:
+            snapshot, drops = _migrate_snapshot(written)
+            version = format_version(written)
+            cached = len(written.get("solutions") or ())
+            with contextlib.suppress(OSError):
+                age_s = round(max(
+                    0.0, time.time() - os.path.getmtime(snapshot_path)), 3)
+    except UnreadableState as exc:
+        unreadable = str(exc)
+    covered = None if snapshot is None else snapshot["journal_seq"]
+    records, last_seq, unreplayed, damaged, chain = OpJournal.read_chain(
+        journal_path, covered)
+    journal_seq = covered or 0
+    return StateDirReading(
+        snapshot_path, journal_path, snapshot, unreadable, version, drops,
+        cached, age_s, journal_seq, chain, records,
+        [r for r in records if r["seq"] > journal_seq], last_seq,
+        unreplayed, damaged)

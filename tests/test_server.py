@@ -1037,7 +1037,7 @@ def _oracle_from_journal(state_dir):
 
     from repro.state import JOURNAL_NAME, OpJournal
 
-    records, _ = OpJournal.load(os.path.join(state_dir, JOURNAL_NAME))
+    records = OpJournal.read_chain(os.path.join(state_dir, JOURNAL_NAME))[0]
     oracle = SessionManager(ServerConfig(workers=0))
     for record in records:
         op, tenant, name = record["op"], record["tenant"], record["session"]
@@ -1290,7 +1290,7 @@ class TestCrashRecovery:
         acked = [l for l in proc.stdout.splitlines() if l.startswith("ack")]
         assert acked == ["ack open", "ack 0", "ack 1"]  # repair never acked
 
-        records, _ = OpJournal.load(os.path.join(state, JOURNAL_NAME))
+        records = OpJournal.read_chain(os.path.join(state, JOURNAL_NAME))[0]
         journaled = 4 if site.endswith("after") else 3
         assert len(records) == journaled
         # Acknowledged ⇒ journaled (the write precedes the ack).

@@ -581,9 +581,9 @@ class TestJournalRotation:
         journal.close()
 
         assert journal.rotations == 2
-        chain = OpJournal.chain_paths(path, keep=2)
+        chain = OpJournal.chain_paths(path)
         assert chain == [f"{path}.2", f"{path}.1", path]
-        records, last_seq = OpJournal.load_chain(path, keep=2)
+        records, last_seq = OpJournal.read_chain(path)[:2]
         # The whole retained history replays oldest-first, in seq order.
         assert [r["seq"] for r in records] == list(range(1, 9))
         assert last_seq == 8
@@ -602,10 +602,35 @@ class TestJournalRotation:
         journal.close()
         assert os.path.exists(f"{path}.1")
         assert not os.path.exists(f"{path}.2")
-        records, last_seq = OpJournal.load_chain(path, keep=1)
+        records, last_seq = OpJournal.read_chain(path)[:2]
         # Only the last retained epoch remains: seqs 5..6.
         assert [r["seq"] for r in records] == [5, 6]
         assert last_seq == 6
+
+    def test_compaction_drops_segments_a_longer_retention_left(self, tmp_path):
+        """The chain is found on disk, so a segment past the current
+        window must not outlive a compaction: replayed without its
+        successors it would skip the epochs between."""
+        import os
+
+        from repro.state import OpJournal
+
+        path = str(tmp_path / "journal.log")
+        snap = str(tmp_path / "snapshot.bin")
+        journal = OpJournal(path, keep=3)
+        for round_no in range(3):
+            self._fill(journal, 2, start=round_no * 2)
+            journal.compact(snap, {"journal_seq": journal.seq})
+        journal.close()
+        assert OpJournal.chain_paths(path) == [
+            f"{path}.3", f"{path}.2", f"{path}.1", path]
+        for keep, chain in ((1, [f"{path}.1", path]), (0, [path])):
+            journal = OpJournal(path, keep=keep, start_seq=6)
+            self._fill(journal, 1)
+            journal.compact(snap, {"journal_seq": journal.seq})
+            journal.close()
+            assert OpJournal.chain_paths(path) == chain
+            assert not os.path.exists(f"{path}.2")
 
     def test_oversized_flags_the_size_trigger(self, tmp_path):
         from repro.state import OpJournal
@@ -632,7 +657,7 @@ class TestJournalRotation:
         # A stale copy of the live segment left behind as ".1" must not
         # replay its ops twice.
         shutil.copy(path, f"{path}.1")
-        records, last_seq = OpJournal.load_chain(path, keep=1)
+        records, last_seq = OpJournal.read_chain(path)[:2]
         assert [r["seq"] for r in records] == [1, 2, 3]
         assert last_seq == 3
 

@@ -216,7 +216,7 @@ def test_daemon_optimal_under_budget_answers_and_journals(tmp_path):
     assert "ExactBudgetExceeded" in appended["error"]
     # The delta was applied even though its repair failed ...
     assert status["ok"] and status["tuples"] == len(_mix())
-    records, _ = OpJournal.load(os.path.join(state, JOURNAL_NAME))
+    records = OpJournal.read_chain(os.path.join(state, JOURNAL_NAME))[0]
     # ... so it is journaled, and a restart agrees with the live session.
     assert [r["op"] for r in records] == ["open", "append"]
     expected = _state_blobs(manager)
@@ -367,7 +367,7 @@ def test_daemon_open_refuses_malformed_knobs(tmp_path, knobs):
             manager.open("t", "s", _open_payload(**knobs))
         # The slot is released and nothing was journaled.
         assert manager.open("t", "s", _open_payload())["opened"]
-        records, _ = OpJournal.load(os.path.join(state, JOURNAL_NAME))
+        records = OpJournal.read_chain(os.path.join(state, JOURNAL_NAME))[0]
         assert [r["payload"] for r in records] == [_open_payload()]
     finally:
         manager.shutdown()

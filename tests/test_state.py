@@ -14,7 +14,8 @@ daemon snapshot.  Pinned here:
   repairs like a scratch ``clean``, with the dropped-entry counts of
   its version;
 * an unreadable snapshot is moved aside and reported, never overwritten,
-  and journal lines past a damaged record are counted.
+  and journal lines past a damaged record are counted and set aside,
+  unless a readable snapshot already covers the damaged segment.
 """
 
 import asyncio
@@ -33,7 +34,7 @@ from repro.core.fd import FDSet
 from repro.core.table import Table
 from repro.io.tables import table_to_csv
 from repro.pipeline import clean
-from repro.protocol import encode
+from repro.protocol import ProtocolError, encode
 from repro.server import RepairServer, ServerConfig, SessionManager
 from repro.session import RepairSession, SolutionCache
 from repro.state import (
@@ -46,6 +47,8 @@ from repro.state import (
     load_session,
     load_snapshot,
     migrate,
+    read_state_dir,
+    write_snapshot,
 )
 
 SCHEMA = ("A", "B", "C")
@@ -323,12 +326,12 @@ def test_damaged_journal_line_counts_every_unreplayed_line(tmp_path):
         + b"\xff\xfe damaged\n\n"
         + (json.dumps(later) + "\n").encode()
     )
-    records, last_seq, unreplayed = OpJournal.read_chain(str(path))
+    records, last_seq, unreplayed, damaged, chain = OpJournal.read_chain(
+        str(path))
     assert [r["seq"] for r in records] == [1] and last_seq == 1
-    assert unreplayed == 2
-    # The tuple readers keep their shape.
-    assert OpJournal.load(str(path)) == (records, 1)
-    assert OpJournal.load_chain(str(path)) == (records, 1)
+    assert unreplayed == 2 and damaged == chain == [str(path)]
+    # Reading again gives the same records: nothing was changed.
+    assert OpJournal.read_chain(str(path))[:2] == (records, 1)
 
 
 def test_recovery_reports_unreplayed_journal_lines(tmp_path, capsys):
@@ -388,3 +391,319 @@ def test_recover_dry_run_shows_version_and_migration_drops(version, tmp_path):
     assert snap["migration_drops"] == expected
     assert f"format version {version[1:]}" in _recover(
         tmp_path, "--dry-run").stdout
+
+
+# ---------------------------------------------------------------------------
+# One reading: the chain found on disk, damage set aside, dry run ≡ recovery
+# ---------------------------------------------------------------------------
+
+def _record(seq, op="append", payload=None):
+    return json.dumps({"seq": seq, "op": op, "tenant": "t", "session": "s",
+                       "payload": payload or {}}) + "\n"
+
+
+def _opened(seq=1):
+    return _record(seq, "open", {"schema": list(SCHEMA), "fds": "A -> B"})
+
+
+def _appended(seq, key):
+    return _record(seq, "append", {"rows": [[key, "x", "p"], [key, "y", "p"]],
+                                   "repair": False})
+
+
+def test_replay_stops_at_the_first_undecodable_line_of_the_whole_chain(
+    tmp_path, capsys
+):
+    """An intact record after damage in a rotated segment is not
+    skipped over: it and every later segment's lines are unreplayed,
+    not replayed on a state that lacks the damaged op."""
+    state = tmp_path / "state"
+    state.mkdir()
+    journal = state / JOURNAL_NAME
+    (state / (JOURNAL_NAME + ".1")).write_text(
+        _opened(1) + "garbage{\n" + _appended(3, "b"))
+    journal.write_text(_appended(4, "c") + _record(5, "repair"))
+    records, last_seq, unreplayed, damaged, _ = OpJournal.read_chain(
+        str(journal))
+    assert [r["seq"] for r in records] == [1] and last_seq == 1
+    assert unreplayed == 4
+    assert damaged == [str(journal) + ".1", str(journal)]
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state),
+                                          journal_keep=1))
+    try:
+        stats = manager.stats()
+        assert stats["replayed_ops"] == 1
+        assert stats["unreplayed_journal_lines"] == 4
+        assert manager.run_op(manager.entry("t", "s"), "status",
+                              {})["tuples"] == 0
+    finally:
+        manager.shutdown()
+
+
+def _crash_with_damaged_line(state):
+    """open, append, repair, crash; then ``garbage{`` as line 2."""
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state)))
+    manager.open("t", "s", {"schema": list(SCHEMA), "fds": "A -> B"})
+    entry = manager.entry("t", "s")
+    manager.run_op(entry, "append", {"rows": [["a", "x", "p"],
+                                              ["a", "y", "p"]]})
+    manager.run_op(entry, "repair", {})
+    manager._journal.close()
+    journal = state / JOURNAL_NAME
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text(lines[0] + "garbage{\n" + "".join(lines[1:]))
+    return lines
+
+
+def test_a_damaged_journal_is_set_aside_not_truncated(tmp_path):
+    state = tmp_path / "state"
+    lines = _crash_with_damaged_line(state)
+    done = _recover(state, "--json")
+    assert done.returncode == 0, done.stderr
+    recovery = json.loads(done.stdout)["recovery"]
+    moved = str(state / JOURNAL_NAME) + ".damaged"
+    assert recovery["unreplayed_journal_lines"] == 3
+    assert recovery["damaged_journal"] == [moved]
+    assert "set aside as " + moved in done.stderr
+    assert (state / JOURNAL_NAME).read_text() == ""
+    kept = open(moved).read().splitlines(keepends=True)
+    # The intact append and repair records survive the compaction.
+    assert kept[2:] == lines[1:] and [json.loads(line)["op"]
+                                      for line in kept[2:]] == ["append",
+                                                                "repair"]
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state)))
+    try:
+        assert manager.stats()["damaged_journal"] == []
+        assert manager.stats()["recovered_sessions"] == 1
+    finally:
+        manager.shutdown()
+
+
+def test_assess_is_journaled_and_replayed(tmp_path):
+    """``assess`` is served by a repair, so it moves the session's
+    counters: a crash must not take them back."""
+    state = str(tmp_path / "state")
+    manager = SessionManager(ServerConfig(workers=0, state_dir=state))
+    manager.open("t", "s", {"schema": list(SCHEMA), "fds": "A -> B",
+                            "rows": [["a", "x", "p"], ["a", "y", "p"]]})
+    entry = manager.entry("t", "s")
+    for op in ("repair", "assess", "assess"):
+        manager.run_op(entry, op, {})
+    before = manager.run_op(entry, "status", {})
+    assert before["repairs"] == 3
+    manager._journal.close()
+    recovered = SessionManager(ServerConfig(workers=0, state_dir=state))
+    try:
+        after = recovered.run_op(recovered.entry("t", "s"), "status", {})
+        assert after == before
+    finally:
+        recovered.shutdown()
+
+
+def test_old_snapshot_blobs_are_migrated_with_their_snapshot(tmp_path):
+    """After recovering a v1 snapshot, no v1 blob survives the
+    compaction; a v2 snapshot's blob drops count with its own."""
+    state = tmp_path / "state"
+    state.mkdir()
+    shutil.copy(os.path.join(DATA, "v1", "daemon_snapshot.pkl"),
+                state / SNAPSHOT_NAME)
+    SessionManager(ServerConfig(workers=0, state_dir=str(state))).shutdown()
+    snapshot = load_snapshot(str(state / SNAPSHOT_NAME))
+    assert snapshot["sessions"]
+    for item in snapshot["sessions"]:
+        assert load_session(item["blob"])["version"] == FORMAT_VERSION
+
+    written = pickle.loads(_fixture_bytes("v2", "daemon_snapshot.pkl"))
+    capped = _fixture_bytes("v2", "session_state.pkl")
+    blob_drops = len(load_session(capped)["solutions"])
+    assert blob_drops
+    sessions = [{**written["sessions"][0], "blob": capped},
+                {**written["sessions"][1], "blob": b"\x80\x04damaged"}]
+    with open(state / SNAPSHOT_NAME, "wb") as handle:
+        pickle.dump({**written, "sessions": sessions}, handle, protocol=4)
+    reading = read_state_dir(str(state))
+    assert reading.migration_drops == blob_drops
+    # A blob that does not decode stays as written.
+    assert reading.snapshot["sessions"][1]["blob"] == b"\x80\x04damaged"
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state)))
+    try:
+        assert manager.stats()["dropped_cache_entries"] == blob_drops
+        name = sessions[1]["name"]
+        with pytest.raises(ProtocolError, match="unreadable"):
+            manager.run_op(manager.entry(sessions[1]["tenant"], name),
+                           "repair", {})
+        assert manager.run_op(manager.entry(sessions[0]["tenant"],
+                                            sessions[0]["name"]),
+                              "repair", {})["tuples"] > 0
+    finally:
+        manager.shutdown()
+
+
+def test_a_current_snapshot_blob_is_not_decoded(tmp_path):
+    state = tmp_path / "state"
+    state.mkdir()
+    write_snapshot(str(state / SNAPSHOT_NAME), {
+        "journal_seq": 0, "solutions": {},
+        "sessions": [{"tenant": "t", "name": "s", "blob": b"opaque"}]})
+    reading = read_state_dir(str(state))
+    assert reading.snapshot["sessions"][0]["blob"] == b"opaque"
+    assert reading.migration_drops == 0
+
+
+def _crash_tail(state):
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state)))
+    manager.open("t", "s", {"schema": list(SCHEMA), "fds": "A -> B"})
+    entry = manager.entry("t", "s")
+    manager.run_op(entry, "append", {"rows": [["a", "x", "p"]],
+                                     "repair": False})
+    manager.compact(force=True)
+    manager.run_op(entry, "append", {"rows": [["a", "y", "p"]],
+                                     "repair": False})
+    manager.run_op(entry, "repair", {})
+    manager._journal.close()
+
+
+def _unreadable_snapshot(state):
+    state.mkdir()
+    (state / JOURNAL_NAME).write_text(_opened(1) + _appended(2, "a"))
+    (state / SNAPSHOT_NAME).write_bytes(b"\x80\x04damaged")
+
+
+def _damaged_rotated_segment(state):
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state),
+                                          journal_keep=2))
+    manager.open("t", "s", {"schema": list(SCHEMA), "fds": "A -> B"})
+    entry = manager.entry("t", "s")
+    for key in ("a", "b", "c"):
+        manager.run_op(entry, "append", {"rows": [[key, "x", "p"],
+                                                  [key, "y", "p"]]})
+        manager.compact(force=True)
+    manager.run_op(entry, "repair", {})
+    manager._journal.close()
+    (state / SNAPSHOT_NAME).unlink()
+    oldest = state / (JOURNAL_NAME + ".2")
+    lines = oldest.read_text().splitlines(keepends=True)
+    assert len(lines) == 1  # the second append
+    oldest.write_text("garbage{\n" + lines[0])
+
+
+def _damaged_covered_segment(state):
+    """keep=2, a readable snapshot, a torn line in ``.1`` (which the
+    snapshot covers) and post-snapshot ops in the live segment."""
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state),
+                                          journal_keep=2))
+    manager.open("t", "s", {"schema": list(SCHEMA), "fds": "A -> B"})
+    entry = manager.entry("t", "s")
+    manager.run_op(entry, "append", {"rows": [["a", "x", "p"],
+                                              ["a", "y", "p"]]})
+    manager.compact(force=True)
+    manager.run_op(entry, "append", {"rows": [["b", "x", "p"],
+                                              ["b", "y", "p"]]})
+    manager.run_op(entry, "repair", {})
+    status = manager.run_op(entry, "status", {})
+    manager._journal.close()
+    with open(state / (JOURNAL_NAME + ".1"), "a") as handle:
+        handle.write('{"seq": 3, "op": "app')
+    return status
+
+
+def test_damage_a_readable_snapshot_covers_does_not_stop_replay(tmp_path):
+    """A torn line in a rotated segment the snapshot covers (a crash
+    mid-append that an earlier boot rotated away) neither stops the
+    live tail's replay nor is set aside."""
+    state = tmp_path / "state"
+    before = _damaged_covered_segment(state)
+    journal = str(state / JOURNAL_NAME)
+    reading = read_state_dir(str(state))
+    assert reading.chain == [journal + ".1", journal]
+    assert [r["op"] for r in reading.tail] == ["append", "repair"]
+    assert reading.unreplayed == 0 and reading.damaged == []
+    # Without the snapshot the same torn line stops the whole chain.
+    assert OpJournal.read_chain(journal)[2:4] == (3, [journal + ".1",
+                                                      journal])
+    manager = SessionManager(ServerConfig(workers=0, state_dir=str(state),
+                                          journal_keep=2))
+    try:
+        stats = manager.stats()
+        assert stats["replayed_ops"] == 2
+        assert stats["unreplayed_journal_lines"] == 0
+        assert stats["damaged_journal"] == []
+        assert manager.run_op(manager.entry("t", "s"), "status",
+                              {}) == before
+    finally:
+        manager.shutdown()
+    assert not [name for name in os.listdir(state) if "damaged" in name]
+
+
+def test_a_second_damaged_boot_keeps_the_first_set_aside(tmp_path):
+    """Set-aside names are never reused: each damaged boot's journal
+    segment and unreadable snapshot go to a fresh name."""
+    state = tmp_path / "state"
+    _crash_with_damaged_line(state)
+    journal = str(state / JOURNAL_NAME)
+    snapshot = str(state / SNAPSHOT_NAME)
+    moved = []
+    for torn in ("garbage{\n", "torn{"):
+        with open(journal, "a") as handle:
+            handle.write(torn)
+        with open(snapshot, "wb") as handle:
+            handle.write(b"\x80\x04damaged " + torn.encode())
+        manager = SessionManager(ServerConfig(workers=0,
+                                              state_dir=str(state)))
+        try:
+            stats = manager.stats()
+            moved.append((stats["damaged_journal"],
+                          stats["unreadable_snapshot"]["path"]))
+        finally:
+            manager.shutdown()
+    assert moved == [([journal + ".damaged"], snapshot + ".unreadable"),
+                     ([journal + ".damaged.1"], snapshot + ".unreadable.1")]
+    first = open(journal + ".damaged").read()
+    assert [json.loads(line)["op"] for line in first.splitlines()
+            if line.startswith("{\"")] == ["open", "append", "repair"]
+    assert open(journal + ".damaged.1").read() == "torn{"
+    with open(snapshot + ".unreadable", "rb") as handle:
+        assert handle.read().endswith(b"garbage{\n")
+    with open(snapshot + ".unreadable.1", "rb") as handle:
+        assert handle.read().endswith(b"torn{")
+
+
+def _fixture_dir(version):
+    def build(state):
+        state.mkdir()
+        shutil.copy(os.path.join(DATA, version, "daemon_snapshot.pkl"),
+                    state / SNAPSHOT_NAME)
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _crash_tail, _unreadable_snapshot, _crash_with_damaged_line,
+    _damaged_rotated_segment, _damaged_covered_segment, _fixture_dir("v1"),
+    _fixture_dir("v2"),
+], ids=["crash-tail", "unreadable-snapshot", "damaged-live-line",
+        "damaged-rotated-segment", "damaged-covered-segment", "v1", "v2"])
+def test_dry_run_and_recovery_agree(build, tmp_path):
+    state = tmp_path / "state"
+    build(state)
+    dry = json.loads(_recover(state, "--dry-run", "--json").stdout)
+    done = _recover(state, "--json")
+    real = json.loads(done.stdout)
+    recovery = real["recovery"]
+    assert dry["replay"]["ops"] == recovery["replayed_ops"]
+    assert (dry["journal"]["unreplayed_lines"]
+            == recovery["unreplayed_journal_lines"])
+    snap = dry["snapshot"] or {}
+    assert snap.get("migration_drops", 0) == recovery["dropped_cache_entries"]
+    if not {"open", "close"} & set(dry["replay"]["by_op"]):
+        assert snap.get("sessions", 0) == recovery["recovered_sessions"]
+    # Recovery reports the reading it acted on: the dry run's.
+    assert real["journal"] == dry["journal"]
+    assert real["replay"] == dry["replay"]
+    assert bool(recovery["damaged_journal"]) == bool(
+        dry["journal"]["unreplayed_lines"])
+
+
+def test_recover_has_no_journal_keep_flag(tmp_path):
+    done = _recover(tmp_path, "--dry-run", "--journal-keep", "1")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --journal-keep" in done.stderr
